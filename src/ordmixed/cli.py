@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .datasets import builtin_dataset
 from .estimation import FitOptions, fit, fit_intercept_model
@@ -23,6 +24,7 @@ from .io import (
 )
 from .model import LinkFamily
 from .published import published_table
+from .quadrature import MAX_ORDER
 from .simulation import (
     SimulationDesign,
     model_key,
@@ -61,11 +63,25 @@ def _load(args) -> object:
     return load_dataset(args.data, schema)
 
 
+def _env_int(name: str, low: int, high: int | None = None) -> int | None:
+    """An integer environment override, None when unset or empty."""
+    text = os.environ.get(name)
+    if not text:
+        return None
+    allowed = f"an integer in [{low}, {high}]" if high is not None else f"an integer >= {low}"
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < low or (high is not None and value > high):
+        raise ValueError(f"{name} must be {allowed}, got {text!r}")
+    return value
+
+
 def _order(args) -> int | None:
     if args.order is not None:
         return args.order
-    env = os.environ.get("ORDMIXED_ORDER")
-    return int(env) if env else None
+    return _env_int("ORDMIXED_ORDER", 1, MAX_ORDER)
 
 
 def _fit_options(args) -> FitOptions:
@@ -108,7 +124,10 @@ def _cmd_gof(args) -> str:
     structure = RE_BY_FLAG[args.random_effects]
     opts = _fit_options(args)
     full = fit(dataset, link, structure, opts)
-    intercept = fit_intercept_model(dataset, link, structure, opts)
+    # the panel reads only the intercept model's log-likelihood and size
+    intercept = fit_intercept_model(
+        dataset, link, structure, replace(opts, standard_errors=False)
+    )
     report = gof_report(dataset, full, intercept)
     tree = {"fit": fit_result_tree(full), "gof": gof_tree(report)}
     return render_tree(tree, args.format)
@@ -130,7 +149,7 @@ def _parse_fit_list(specs: list[str]) -> tuple[tuple[LinkFamily, str], ...]:
 def _workers(args) -> int | None:
     if args.workers is not None:
         return args.workers
-    return None  # run_study falls back to ORDMIXED_WORKERS
+    return _env_int("ORDMIXED_WORKERS", 1)
 
 
 def _cmd_simulate(args) -> str:
@@ -178,7 +197,9 @@ def _reproduce_strawberry(args, table) -> dict:
     rows = []
     for column, payload in table["columns"].items():
         full = fit(dataset, link, column, opts)
-        intercept = fit_intercept_model(dataset, link, column, opts)
+        intercept = fit_intercept_model(
+            dataset, link, column, replace(opts, standard_errors=False)
+        )
         report = gof_report(dataset, full, intercept)
         computed = {name: (full[name], float(full.se[full.names.index(name)]))
                     for name in full.names}

@@ -1,11 +1,13 @@
 """Maximum-likelihood fitting, standard errors, and random-effect prediction.
 
-The optimizer works on an unconstrained parameterization (log standard
-deviations, atanh correlation) with numerically differenced gradients.
-Standard errors come from the central-difference observed information,
-mapped back to the reported scale by the delta method. Proportional-odds
-proposals outside the feasible region evaluate to -inf and simply shrink
-the line-search step.
+The optimizer (L-BFGS-B) works on an unconstrained parameterization (log
+standard deviations, atanh correlation) with the analytic score: the
+posterior-weighted average of the conditional score over the quadrature
+nodes, mapped to the parameters by the chain rule. Standard errors come
+from the observed information, built by central differences of that score
+and mapped back to the reported scale by the delta method.
+Proportional-odds proposals outside the feasible region evaluate to -inf
+and simply shrink the line-search step.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from .model import (
     ParameterVector,
     UnivariateRandomEffect,
 )
-from .quadrature import DEFAULT_ORDER_1D, DEFAULT_ORDER_2D, gauss_hermite
+from .quadrature import (
+    DEFAULT_ORDER_1D,
+    DEFAULT_ORDER_2D,
+    gauss_hermite,
+    standard_tensor_grid,
+)
 
 Z_95 = 1.96
 _PENALTY = 1e10  # finite stand-in for -inf inside the line search
@@ -46,11 +53,15 @@ class EstimationDegenerateError(ValueError):
 
 
 class CovarianceUnavailableError(RuntimeError):
-    """Negative Hessian is singular or indefinite at the given point."""
+    """Negative Hessian is singular or indefinite at the given point.
 
-    def __init__(self, message: str, eigenvalues: np.ndarray):
+    ``information`` carries the negative Hessian itself when known, so a
+    caller can apply another inversion policy without recomputing it."""
+
+    def __init__(self, message: str, eigenvalues: np.ndarray, information: np.ndarray | None = None):
         super().__init__(message)
         self.eigenvalues = np.asarray(eigenvalues)
+        self.information = information
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,10 @@ class FitResult:
 
     ``names`` orders the reported parameters (intercepts, slopes, then
     variance components); ``covariance`` is on the reported scale. The
-    95% interval is estimate +- 1.96 standard errors.
+    95% interval is estimate +- 1.96 standard errors. ``n_evaluations``
+    counts every value-and-score evaluation the fit made: the nested
+    homogeneous start fit, the optimizer's, the convergence check's and
+    the standard-error Hessian's.
     """
 
     estimates: ParameterVector
@@ -204,42 +218,94 @@ class _Parameterization:
         return free
 
 
-def _tensor_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
-    base = gauss_hermite(order)
-    t = np.column_stack([np.repeat(base.nodes, order), np.tile(base.nodes, order)])
-    w = np.outer(base.weights, base.weights).ravel()
-    return t, w
+class _Objective:
+    """Total log-likelihood of the unconstrained vector, with its score.
+
+    Node offsets are standardized nodes mapped through the random effect:
+    scaled by sigma in every slot for a univariate effect, through
+    ``BivariateRandomEffect.cholesky_factor()`` for a bivariate one, and a
+    single node at 0 with weight 1 without one. Calling the objective gives
+    ``(loglik, score)``; ``value`` gives the log-likelihood alone through
+    ``LoglikKernel.marginal``/``conditional``.
+    """
+
+    def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
+        self.kernel = kernel
+        self.param = param
+        if param.structure == "none":
+            self.nodes, self.weights = np.zeros(1), np.ones(1)
+        elif param.structure == "univariate":
+            rule = gauss_hermite(order)
+            self.nodes, self.weights = rule.nodes, rule.weights
+        else:
+            self.nodes, self.weights = standard_tensor_grid(order)
+
+    def _offsets(self, tail) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Node offsets and their derivatives with respect to each variance
+        parameter; (Q,) arrays are shared by every predictor slot."""
+        if self.param.structure == "none":
+            return self.nodes, ()
+        if self.param.structure == "univariate":
+            offsets = math.exp(tail[0]) * self.nodes
+            return offsets, (offsets,)  # d(sigma t) / d(log sigma) = sigma t
+        re = BivariateRandomEffect(
+            sigma1=math.exp(tail[0]), sigma2=math.exp(tail[1]), rho=math.tanh(tail[2])
+        )
+        offsets = self.nodes @ re.cholesky_factor().T
+        return offsets, tuple(self.nodes @ d.T for d in re.cholesky_derivatives())
+
+    def value(self, theta: np.ndarray) -> float:
+        c, b, tail = self.param.split(theta)
+        if self.param.structure == "none":
+            return self.kernel.conditional(c, b).sum()
+        offsets, _ = self._offsets(tail)
+        return self.kernel.marginal(c, b, offsets, self.weights).sum()
+
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        c, b, tail = self.param.split(theta)
+        offsets, derivatives = self._offsets(tail)
+        r = self.kernel.marginal_and_score(c, b, offsets, self.weights)
+        variance = [
+            np.sum(r.node_score * (d if d.ndim == 2 else d[:, None])) for d in derivatives
+        ]
+        score = np.concatenate(
+            [r.slot_score.sum(axis=0), self.kernel.x.T @ r.slot_score.sum(axis=1), variance]
+        )
+        return r.loglik, score
 
 
-def _make_loglik(kernel: LoglikKernel, param: _Parameterization, order: int) -> Callable:
-    """Total log-likelihood as a function of the unconstrained vector."""
-    if param.structure == "none":
+class _Minimand:
+    """The optimizer's view of an objective: negative log-likelihood and its
+    gradient, counting evaluations.
 
-        def loglik(theta):
-            c, b, _ = param.split(theta)
-            return kernel.conditional(c, b).sum()
+    A point where the log-likelihood or its score is not finite (an
+    infeasible proportional-odds proposal, say) returns _PENALTY with a
+    zero gradient. The last point is remembered, so the optimizer's first
+    call at a start that was just screened, or a convergence check at the
+    last iterate, costs nothing.
+    """
 
-    elif param.structure == "univariate":
-        rule = gauss_hermite(order)
-        nodes, weights = rule.nodes, rule.weights
+    def __init__(self, objective: Callable):
+        self.objective = objective
+        self.calls = 0
+        self.last_value = np.nan
+        self._memo = None
 
-        def loglik(theta):
-            c, b, tail = param.split(theta)
-            sigma = math.exp(tail[0])
-            return kernel.marginal(c, b, sigma * nodes, weights).sum()
+    def loglik_and_score(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        self.calls += 1
+        return self.objective(theta)
 
-    else:
-        grid, weights = _tensor_grid(order)
-
-        def loglik(theta):
-            c, b, tail = param.split(theta)
-            s1, s2 = math.exp(tail[0]), math.exp(tail[1])
-            rho = math.tanh(tail[2])
-            l22 = s2 * math.sqrt(max(0.0, 1.0 - rho * rho))
-            chol = np.array([[s1, 0.0], [rho * s2, l22]])
-            return kernel.marginal(c, b, grid @ chol.T, weights).sum()
-
-    return loglik
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, dtype=float)
+        if self._memo is None or not np.array_equal(theta, self._memo[0]):
+            value, score = self.loglik_and_score(theta)
+            if np.isfinite(value) and np.all(np.isfinite(score)):
+                self._memo = (theta.copy(), -float(value), -score)
+                self.last_value = -float(value)
+            else:
+                self._memo = (theta.copy(), _PENALTY, np.zeros(theta.size))
+                self.last_value = np.inf
+        return self._memo[1], self._memo[2].copy()
 
 
 def _empirical_intercepts(dataset: Dataset, link: LinkFamily) -> np.ndarray:
@@ -267,76 +333,51 @@ def _central_gradient(f: Callable, theta: np.ndarray, rel_step: float = 1e-5) ->
     return grad
 
 
-def numerical_covariance(objective: Callable, at: np.ndarray) -> np.ndarray:
+def _information(gradient: Callable, at: np.ndarray) -> np.ndarray:
+    """Negative Hessian by central differences of a gradient, with
+    per-coordinate step max(1e-4, 1e-4 |theta_i|), symmetrized."""
+    h = np.maximum(1e-4, 1e-4 * np.abs(at))
+    hess = np.empty((at.size, at.size))
+    for j in range(at.size):
+        up, dn = at.copy(), at.copy()
+        up[j] += h[j]
+        dn[j] -= h[j]
+        hess[:, j] = (np.asarray(gradient(up)) - np.asarray(gradient(dn))) / (2.0 * h[j])
+    return -0.5 * (hess + hess.T)
+
+
+def numerical_covariance(
+    objective: Callable, at: np.ndarray, gradient: Callable | None = None
+) -> np.ndarray:
     """Inverse negative Hessian of a log-likelihood-style objective.
 
-    The Hessian uses central differences with per-coordinate step
-    max(1e-4, 1e-4 |theta_i|) and is symmetrized before inversion. A
-    singular or indefinite negative Hessian raises
-    CovarianceUnavailableError carrying the eigenvalues.
+    The Hessian is central differences of ``gradient`` (2p gradient calls),
+    which defaults to central differences of ``objective``; the fit passes
+    its analytic score. A singular or indefinite negative Hessian raises
+    CovarianceUnavailableError carrying the eigenvalues and the matrix.
     """
     at = np.asarray(at, dtype=float)
-    n = at.size
-    h = np.maximum(1e-4, 1e-4 * np.abs(at))
-    f0 = objective(at)
-    hess = np.empty((n, n))
+    if gradient is None:
 
-    def at_offset(i, si, j=None, sj=0.0):
-        x = at.copy()
-        x[i] += si * h[i]
-        if j is not None:
-            x[j] += sj * h[j]
-        return objective(x)
+        def gradient(t):
+            return _central_gradient(objective, t)
 
-    for i in range(n):
-        hess[i, i] = (at_offset(i, 1.0) - 2.0 * f0 + at_offset(i, -1.0)) / h[i] ** 2
-        for j in range(i + 1, n):
-            cross = (
-                at_offset(i, 1.0, j, 1.0)
-                - at_offset(i, 1.0, j, -1.0)
-                - at_offset(i, -1.0, j, 1.0)
-                + at_offset(i, -1.0, j, -1.0)
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = cross
-            hess[j, i] = cross
-    hess = 0.5 * (hess + hess.T)
-    info = -hess
-    eig = np.linalg.eigvalsh(info)
+    info = _information(gradient, at)
+    eig = np.linalg.eigvalsh(info) if np.all(np.isfinite(info)) else np.full(at.size, np.nan)
     if not np.all(np.isfinite(eig)) or eig.min() <= 0.0:
         raise CovarianceUnavailableError(
-            "negative Hessian is singular or indefinite", eigenvalues=eig
+            "negative Hessian is singular or indefinite", eigenvalues=eig, information=info
         )
     return np.linalg.inv(info)
 
 
-def _clipped_covariance(objective: Callable, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse fallback used when the information matrix is not
-    positive definite (variance components on the boundary)."""
-    at = np.asarray(at, dtype=float)
-    n = at.size
-    h = np.maximum(1e-4, 1e-4 * np.abs(at))
-    f0 = objective(at)
-    hess = np.empty((n, n))
-    for i in range(n):
-        xp, xm = at.copy(), at.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        hess[i, i] = (objective(xp) - 2.0 * f0 + objective(xm)) / h[i] ** 2
-        for j in range(i + 1, n):
-            vals = []
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                x = at.copy()
-                x[i] += si * h[i]
-                x[j] += sj * h[j]
-                vals.append(objective(x))
-            hess[i, j] = hess[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) / (
-                4.0 * h[i] * h[j]
-            )
-    info = -0.5 * (hess + hess.T)
+def _clipped_covariance(info: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the information matrix, the fallback when it is
+    not positive definite (variance components on the boundary)."""
     eigval, eigvec = np.linalg.eigh(info)
     floor = max(1e-10, 1e-10 * abs(eigval).max())
     inv = np.where(eigval > floor, 1.0 / np.maximum(eigval, floor), 0.0)
-    return (eigvec * inv) @ eigvec.T, eigval
+    return (eigvec * inv) @ eigvec.T
 
 
 def _validate_data(dataset: Dataset, re_structure: str) -> None:
@@ -372,21 +413,11 @@ def _fit_impl(
     if order is None:
         order = DEFAULT_ORDER_2D if re_structure == "bivariate" else DEFAULT_ORDER_1D
 
-    kernel = LoglikKernel(_restrict(dataset, slope_names), link)
-    loglik_fn = _make_loglik(kernel, param, order)
-
-    theta0 = _starting_point(dataset, link, re_structure, opts, param, slope_names)
-
-    evals = {"n": 0, "last": np.nan}
-
-    def negloglik(theta):
-        value = loglik_fn(theta)
-        evals["n"] += 1
-        if not np.isfinite(value):
-            evals["last"] = np.inf
-            return _PENALTY
-        evals["last"] = -value
-        return -value
+    objective = _Objective(LoglikKernel(_restrict(dataset, slope_names), link), param, order)
+    theta0, start_evaluations = _starting_point(
+        dataset, link, re_structure, opts, param, slope_names
+    )
+    negloglik = _Minimand(objective)
 
     bounds = param.bounds()
     rng = np.random.default_rng(np.random.SeedSequence(0 if opts.seed is None else opts.seed))
@@ -394,15 +425,16 @@ def _fit_impl(
     converged = False
     for attempt in range(4):
         start = theta0 if attempt == 0 else theta0 + 0.3 * rng.standard_normal(param.size)
-        if negloglik(start) >= _PENALTY:
+        if negloglik(start)[0] >= _PENALTY:
             continue
         iterate_f: list[float] = []
         res = minimize(
             negloglik,
             start,
             method="L-BFGS-B",
+            jac=True,
             bounds=bounds,
-            callback=lambda xk: iterate_f.append(evals["last"]),
+            callback=lambda xk: iterate_f.append(negloglik.last_value),
             options=dict(
                 maxiter=opts.max_iterations,
                 ftol=1e-13,
@@ -411,7 +443,7 @@ def _fit_impl(
                 maxls=60,
             ),
         )
-        grad = _central_gradient(loglik_fn, res.x)
+        grad = -negloglik(res.x)[1]
         scale = max(1.0, abs(res.fun))
         scaled_grad = np.abs(grad) * np.maximum(1.0, np.abs(res.x)) / scale
         at_bound = _active_bounds(res.x, bounds)
@@ -420,7 +452,7 @@ def _fit_impl(
             rel_change = abs(iterate_f[-1] - iterate_f[-2]) / max(1.0, abs(iterate_f[-1]))
         else:
             rel_change = 0.0
-        ok = grad_ok and rel_change < max(opts.relative_tolerance, 1e-12) and np.isfinite(res.fun)
+        ok = grad_ok and rel_change < max(opts.relative_tolerance, 1e-12) and res.fun < _PENALTY
         if best is None or res.fun < best[0].fun:
             best = (res, grad, scaled_grad)
         if ok:
@@ -460,9 +492,15 @@ def _fit_impl(
     if opts.standard_errors:
         jac = param.delta_jacobian(theta_hat)
         try:
-            cov_theta = numerical_covariance(loglik_fn, theta_hat)
+            cov_theta = numerical_covariance(
+                objective.value, theta_hat,
+                gradient=lambda t: negloglik.loglik_and_score(t)[1],
+            )
         except CovarianceUnavailableError as err:
-            cov_theta, eigval = _clipped_covariance(loglik_fn, theta_hat)
+            if np.all(np.isfinite(err.information)):
+                cov_theta = _clipped_covariance(err.information)
+            else:
+                cov_theta = np.full((param.size, param.size), np.nan)
             diagnostics["covariance_note"] = "pseudo-inverse (information not positive definite)"
             diagnostics["information_eigenvalues"] = tuple(float(v) for v in err.eigenvalues)
         covariance = cov_theta * np.outer(jac, jac)
@@ -495,7 +533,7 @@ def _fit_impl(
         loglik=loglik,
         converged=converged,
         iterations=int(res.nit),
-        n_evaluations=evals["n"],
+        n_evaluations=start_evaluations + negloglik.calls,
         p_values=p_values,
         ci_lower=values - Z_95 * se,
         ci_upper=values + Z_95 * se,
@@ -545,27 +583,27 @@ def _starting_point(
     opts: FitOptions,
     param: _Parameterization,
     slope_names: tuple[str, ...],
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """Starting vector and the evaluations spent finding it."""
     start = opts.starting_values
     if start is not None and _structure_of(start) == re_structure:
         if (
             start.fixed.intercepts.size == param.n_intercepts
             and start.fixed.slopes.size == param.n_slopes
         ):
-            return param.pack(start)
+            return param.pack(start), 0
         raise ValueError("starting values do not match the model dimensions")
     if re_structure == "none":
         intercepts = _empirical_intercepts(dataset, link)
-        return np.concatenate([intercepts, np.zeros(param.n_slopes)])
+        return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
     base_opts = replace(opts, starting_values=None, standard_errors=False)
     base = _fit_impl(dataset, link, "none", base_opts, slope_names)
     tail = {
         "univariate": [math.log(0.5)],
         "bivariate": [math.log(0.5), math.log(0.5), 0.0],
     }[re_structure]
-    return np.concatenate(
-        [base.estimates.fixed.intercepts, base.estimates.fixed.slopes, tail]
-    )
+    theta = np.concatenate([base.estimates.fixed.intercepts, base.estimates.fixed.slopes, tail])
+    return theta, base.n_evaluations
 
 
 def fit(
@@ -673,10 +711,8 @@ def _bivariate_posterior(kernel, fe, re, method, order) -> np.ndarray:
         zgrid = base.nodes[:, None]
         logw = np.log(base.weights)
     else:
-        zgrid = np.column_stack(
-            [np.repeat(base.nodes, base.order), np.tile(base.nodes, base.order)]
-        )
-        logw = np.log(np.outer(base.weights, base.weights).ravel())
+        zgrid, weights = standard_tensor_grid(base.order)
+        logw = np.log(weights)
     eps_grid = zgrid @ amat.T  # (Q, 2)
     grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, eps_grid)
     grid_post = grid_ll - 0.5 * (zgrid**2).sum(axis=1)[None, :]

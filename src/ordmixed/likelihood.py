@@ -6,9 +6,15 @@ integrated over the normal law by Gauss-Hermite quadrature and combined with
 log-sum-exp stabilization, so large predictor magnitudes cannot overflow.
 Infeasible proportional-odds proposals contribute zero mass at the offending
 nodes and -inf when no node is feasible.
+
+The score of the marginal log-likelihood is the posterior-weighted average
+of the conditional score over the nodes (the Fisher identity), so one pass
+over the (n, Q, K) arrays yields the value and the score together.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -22,6 +28,7 @@ from .model import (
     ParameterVector,
     UnivariateRandomEffect,
     log_category_probabilities,
+    predictor_score,
 )
 from .quadrature import QuadratureRule1D, QuadratureRule2D
 
@@ -45,12 +52,29 @@ def conditional_cluster_loglik(cluster: Cluster, probs: np.ndarray) -> float:
     return multinomial_log_coefficient(cluster.counts) + float(terms.sum())
 
 
+class MarginalScore(NamedTuple):
+    """Summed marginal log-likelihood and its score per predictor slot.
+
+    ``posterior`` (n, Q) holds each cluster's posterior weights over the
+    nodes; ``slot_score`` (n, K-1) is the posterior average of each
+    cluster's conditional score with respect to its boundary predictors;
+    ``node_score`` (Q, K-1) is the same posterior-weighted score summed over
+    clusters at each node, which the chain rule through the node offsets
+    needs.
+    """
+
+    loglik: float
+    posterior: np.ndarray
+    slot_score: np.ndarray
+    node_score: np.ndarray
+
+
 class LoglikKernel:
     """Vectorized per-cluster log-likelihood evaluation for one dataset.
 
     Precomputes the count matrix and multinomial coefficients once; the
-    estimation layer then calls ``conditional``/``marginal`` thousands of
-    times with different parameter proposals.
+    estimation layer then calls ``marginal_and_score`` thousands of times
+    with different parameter proposals.
     """
 
     def __init__(self, dataset: Dataset, link: LinkFamily):
@@ -100,24 +124,60 @@ class LoglikKernel:
         ``node_offsets`` has shape (Q,) for a shared deviation or (Q, K-1)
         for slot-wise deviations.
         """
+        deltas = self._node_predictors(intercepts, slopes, node_offsets)
+        logp, feasible = log_category_probabilities(self.link, deltas)
+        return self._count_loglik(logp, feasible)
+
+    def _node_predictors(self, intercepts, slopes, node_offsets) -> np.ndarray:
         base = self._base_predictors(intercepts, slopes)
         node_offsets = np.asarray(node_offsets, dtype=float)
         if node_offsets.ndim == 1:
-            deltas = base[:, None, :] + node_offsets[None, :, None]
-        else:
-            deltas = base[:, None, :] + node_offsets[None, :, :]
-        logp, feasible = log_category_probabilities(self.link, deltas)
-        return self._count_loglik(logp, feasible)
+            return base[:, None, :] + node_offsets[None, :, None]
+        return base[:, None, :] + node_offsets[None, :, :]
+
+    @staticmethod
+    def _integrate(ll: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log-sum-exp over nodes: per-cluster log of sum_q w_q exp(ll_q)
+        without the multinomial constant, the shifted node masses, and
+        their weighted sums."""
+        m = ll.max(axis=1, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        mass = np.exp(ll - m)
+        total = mass @ weights
+        with np.errstate(divide="ignore"):
+            out = np.log(total) + m[:, 0]
+        return out, mass, total
 
     def marginal(self, intercepts, slopes, node_offsets, weights) -> np.ndarray:
         """Per-cluster marginal log-likelihood over quadrature nodes, with
         log-sum-exp stabilization. ``weights`` has shape (Q,)."""
         ll = self.node_logliks(intercepts, slopes, node_offsets)
-        m = ll.max(axis=1, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(divide="ignore"):
-            out = np.log(np.exp(ll - m) @ weights) + m[:, 0]
-        return out + self.log_coef
+        return self._integrate(ll, weights)[0] + self.log_coef
+
+    def marginal_and_score(self, intercepts, slopes, node_offsets, weights) -> MarginalScore:
+        """Summed marginal log-likelihood with the posterior weights and the
+        node-averaged score per slot, in one pass over the node arrays.
+
+        Takes the arguments of ``marginal``; a model without a random
+        effect is one node at 0 with weight 1. The score with respect to
+        any parameter follows by the chain rule: intercept k from column k
+        of ``slot_score`` summed over clusters, slopes from X' times its row
+        sums, node-offset parameters from ``node_score``. Infeasible nodes
+        get zero posterior weight and contribute nothing to the score.
+        """
+        deltas = self._node_predictors(intercepts, slopes, node_offsets)
+        logp, feasible = log_category_probabilities(self.link, deltas)
+        ll = self._count_loglik(logp, feasible)
+        out, mass, total = self._integrate(ll, weights)
+        loglik = float((out + self.log_coef).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            posterior = mass * (np.asarray(weights)[None, :] / total[:, None])
+        counts = self.y[:, None, :]
+        score = predictor_score(self.link, deltas, logp, counts)
+        if not feasible.all():
+            score = np.where(feasible[..., None], score, 0.0)
+        weighted = posterior[..., None] * score
+        return MarginalScore(loglik, posterior, weighted.sum(axis=1), weighted.sum(axis=0))
 
 
 def _node_offsets(params: ParameterVector, rule) -> tuple[np.ndarray, np.ndarray]:

@@ -113,6 +113,23 @@ class BivariateRandomEffect:
         l22 = self.sigma2 * np.sqrt(max(0.0, 1.0 - self.rho**2))
         return np.array([[self.sigma1, 0.0], [self.rho * self.sigma2, l22]])
 
+    def cholesky_derivatives(self) -> np.ndarray:
+        """Derivatives of ``cholesky_factor()`` with respect to log sigma1,
+        log sigma2 and atanh rho, stacked along the first axis (3, 2, 2).
+
+        All stay finite at rho = +-1: the derivative of l22 with respect to
+        atanh rho is -rho * sigma2 * sqrt(1 - rho^2), which vanishes there.
+        """
+        s1, s2, rho = self.sigma1, self.sigma2, self.rho
+        root = np.sqrt(max(0.0, 1.0 - rho**2))
+        return np.array(
+            [
+                [[s1, 0.0], [0.0, 0.0]],
+                [[0.0, 0.0], [rho * s2, s2 * root]],
+                [[0.0, 0.0], [s2 * (1.0 - rho**2), -rho * s2 * root]],
+            ]
+        )
+
 
 RandomEffect = Union[NoRandomEffect, UnivariateRandomEffect, BivariateRandomEffect]
 
@@ -362,6 +379,45 @@ def _log_probs_cr(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         [log_h[..., :1], log_h[..., 1:] + surv[..., :-1], surv[..., -1:]], axis=-1
     )
     return logp, np.ones(d.shape[:-1], dtype=bool)
+
+
+def predictor_score(
+    link: LinkFamily, deltas: np.ndarray, logp: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Derivative of the count log-likelihood sum_j y_j log p_j with respect
+    to each of the K-1 boundary predictors, shape (..., K-1).
+
+    ``logp`` comes from log_category_probabilities at ``deltas``; ``counts``
+    broadcasts against it. With F the logistic function:
+
+    - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
+    - adjacent categories:  g_k = sum_{j<=k} y_j - N P(Y <= k);
+    - continuation ratio:   g_k = y_k - F(d_k) sum_{j>=k} y_j.
+
+    Rows infeasible under proportional odds carry garbage, as in ``logp``;
+    so does a proportional-odds category with zero probability (two equal
+    predictors).
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if link is LinkFamily.PROPORTIONAL_ODDS:
+        # log F'(d) = -|d| - 2 log(1 + e^-|d|); F'(d) / p is formed in log
+        # space, so it stays bounded unless p -> 0
+        u = -np.abs(deltas)
+        log_density = u - 2.0 * np.log1p(np.exp(u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = counts[..., :-1] * np.exp(log_density - logp[..., :-1])
+            score -= counts[..., 1:] * np.exp(log_density - logp[..., 1:])
+        return score
+    if link is LinkFamily.ADJACENT_CATEGORIES:
+        at_or_below = np.cumsum(counts, axis=-1)[..., :-1]
+        size = counts.sum(axis=-1, keepdims=True)
+        return at_or_below - size * np.cumsum(np.exp(logp[..., :-1]), axis=-1)
+    if link is LinkFamily.CONTINUATION_RATIO:
+        reached = np.cumsum(counts[..., ::-1], axis=-1)[..., :0:-1]
+        with np.errstate(over="ignore"):
+            stop = 1.0 / (1.0 + np.exp(-deltas))  # F(d), exactly 0 below -709
+        return counts[..., :-1] - stop * reached
+    raise ValueError(f"unknown link family: {link!r}")
 
 
 def recover_predictors(link: LinkFamily, probs: np.ndarray) -> np.ndarray:

@@ -56,6 +56,20 @@ def gauss_hermite(order: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=nodes, weights=weights, order=int(order))
 
 
+@lru_cache(maxsize=None)
+def standard_tensor_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs (Q, 2) and weights of the tensor product of two
+    standardized rules of the given order: expectations under a standard
+    bivariate normal. Any bivariate normal's nodes are these pairs mapped
+    through its Cholesky factor."""
+    base = gauss_hermite(order)
+    nodes = np.column_stack([np.repeat(base.nodes, order), np.tile(base.nodes, order)])
+    weights = np.outer(base.weights, base.weights).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def bivariate_rule(order: int, sigma1: float, sigma2: float, rho: float) -> QuadratureRule2D:
     """Tensor-product rule for a bivariate normal with standard deviations
     sigma1, sigma2 and correlation rho.
@@ -64,13 +78,9 @@ def bivariate_rule(order: int, sigma1: float, sigma2: float, rho: float) -> Quad
     rho = +-1 degenerates cleanly to nodes on the correlation diagonal.
     """
     re = BivariateRandomEffect(sigma1=sigma1, sigma2=sigma2, rho=rho)  # validates
-    base = gauss_hermite(order)
-    t1 = np.repeat(base.nodes, order)
-    t2 = np.tile(base.nodes, order)
-    weights = np.outer(base.weights, base.weights).ravel()
-    nodes = np.column_stack([t1, t2]) @ re.cholesky_factor().T
+    grid, weights = standard_tensor_grid(order)
+    nodes = grid @ re.cholesky_factor().T
     nodes.flags.writeable = False
-    weights.flags.writeable = False
     return QuadratureRule2D(nodes=nodes, weights=weights, order=int(order))
 
 

@@ -66,6 +66,38 @@ class TestGofCommand:
         assert payload["gof"]["chi2"]["statistic"] == pytest.approx(146.1, abs=0.5)
         assert payload["gof"]["aic"] == pytest.approx(384.1, abs=1.0)
 
+    def test_json_keys_unchanged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "gof", "--link", "po", "--random-effects", "one", "--format", "json",
+        )
+        assert code == 0
+        assert _key_paths(json.loads(out)) == [
+            "fit", "fit.model", "fit.model.link", "fit.model.random_effects",
+            "fit.loglik", "fit.converged", "fit.iterations", "fit.n_parameters",
+            "fit.parameters", "fit.parameters.[].name", "fit.parameters.[].estimate",
+            "fit.parameters.[].se", "fit.parameters.[].p_value",
+            "fit.parameters.[].ci_lower", "fit.parameters.[].ci_upper",
+            "fit.diagnostics", "fit.diagnostics.gradient_max_scaled",
+            "fit.diagnostics.optimizer_message",
+            "gof", "gof.chi2", "gof.chi2.statistic", "gof.chi2.df", "gof.chi2.p_value",
+            "gof.C", "gof.C.statistic", "gof.C.df", "gof.C.p_value", "gof.aic",
+            "gof.icc", "gof.icc.value", "gof.icc.se", "gof.icc.p_value",
+            "gof.icc.ci_lower", "gof.icc.ci_upper",
+        ]
+
+
+def _key_paths(node, prefix=""):
+    """Dotted key paths of a JSON tree in document order; list items are
+    represented by their first element under ``[]``."""
+    paths = []
+    if isinstance(node, dict):
+        for key, value in node.items():
+            paths.append(prefix + key)
+            paths += _key_paths(value, f"{prefix}{key}.")
+    elif isinstance(node, list) and node:
+        paths += _key_paths(node[0], prefix + "[].")
+    return paths
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):
@@ -142,6 +174,24 @@ class TestErrors:
         )
         assert code == 1
         assert err.startswith("error: DatasetParseError:")
+
+    @pytest.mark.parametrize(
+        "variable, value, allowed",
+        [
+            ("ORDMIXED_ORDER", "ten", "an integer in [1, 100]"),
+            ("ORDMIXED_ORDER", "101", "an integer in [1, 100]"),
+            ("ORDMIXED_ORDER", "0", "an integer in [1, 100]"),
+            ("ORDMIXED_WORKERS", "2.5", "an integer >= 1"),
+            ("ORDMIXED_WORKERS", "0", "an integer >= 1"),
+        ],
+    )
+    def test_invalid_environment_override(self, capsys, monkeypatch, variable, value, allowed):
+        monkeypatch.setenv(variable, value)
+        code, out, err = run_cli(
+            capsys, "simulate", "--link", "po", "--replications", "2",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: {variable} must be {allowed}, got {value!r}\n"
 
     def test_bad_flag_single_line(self, capsys):
         with pytest.raises(SystemExit) as exc:

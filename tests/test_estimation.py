@@ -16,7 +16,19 @@ from ordmixed import (
     strawberry_dataset,
     total_loglik,
 )
-from ordmixed.estimation import _central_gradient
+from ordmixed.estimation import (
+    _ATANH_RHO_BOUND,
+    _LOG_SIGMA_ZERO,
+    _PENALTY,
+    RE_STRUCTURES,
+    _central_gradient,
+    _clipped_covariance,
+    _Minimand,
+    _Objective,
+    _Parameterization,
+    _restrict,
+)
+from ordmixed.likelihood import LoglikKernel
 from ordmixed.model import (
     FixedEffects,
     ParameterVector,
@@ -58,6 +70,29 @@ class TestNumericalCovariance:
         assert err.value.eigenvalues.shape == (1,)
         assert err.value.eigenvalues[0] < 0
 
+    def test_gradient_argument_gives_the_same_matrix(self):
+        def objective(t):
+            return -0.5 * (2.0 * t[0] ** 2 + t[0] * t[1] + 4.0 * t[1] ** 2)
+
+        def gradient(t):
+            return -0.5 * np.array([4.0 * t[0] + t[1], t[0] + 8.0 * t[1]])
+
+        at = np.array([0.3, -0.2])
+        np.testing.assert_allclose(
+            numerical_covariance(objective, at, gradient=gradient),
+            numerical_covariance(objective, at),
+            atol=1e-7,
+        )
+
+    def test_singular_information_gets_pseudo_inverse(self):
+        # the objective ignores t[1]: the information is diag(2, 0)
+        with pytest.raises(CovarianceUnavailableError) as err:
+            numerical_covariance(lambda t: -(t[0] ** 2), np.array([0.5, 1.0]))
+        np.testing.assert_allclose(err.value.information, np.diag([2.0, 0.0]), atol=1e-6)
+        np.testing.assert_allclose(
+            _clipped_covariance(err.value.information), np.diag([0.5, 0.0]), atol=1e-6
+        )
+
 
 class TestFit:
     def test_degenerate_category_raises(self):
@@ -96,11 +131,8 @@ class TestFit:
             FitOptions(max_iterations=0)
 
     def test_gradient_small_at_optimum(self, strawberry, po_univariate):
-        from ordmixed.likelihood import LoglikKernel
-        from ordmixed.estimation import _Parameterization, _make_loglik
-
         param = _Parameterization(2, strawberry.slope_names(), "univariate")
-        loglik = _make_loglik(LoglikKernel(strawberry, PO), param, 30)
+        loglik = _Objective(LoglikKernel(strawberry, PO), param, 30).value
         theta = param.pack(po_univariate.estimates)
         grad = _central_gradient(loglik, theta)
         scaled = np.abs(grad) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(po_univariate.loglik))
@@ -177,6 +209,76 @@ class TestFit:
         assert warm.converged
         np.testing.assert_allclose(warm.values, po_univariate.values, atol=1e-4)
         assert warm.n_evaluations < po_univariate.n_evaluations
+
+
+def _random_theta(rng, param, edge=False):
+    """A proposal with increasing cutpoints; ``edge`` puts the standard
+    deviations just above the sigma = 0 report threshold and |rho| near 1."""
+    c1 = rng.uniform(-2.5, -0.5)
+    cutpoints = [c1, c1 + rng.uniform(0.3, 2.0)]
+    slopes = rng.normal(0.0, 0.5, param.n_slopes)
+    if param.structure == "univariate":
+        tail = [_LOG_SIGMA_ZERO + 0.5 if edge else rng.uniform(-1.5, 1.0)]
+    elif param.structure == "bivariate":
+        tail = [rng.uniform(-1.5, 0.7), rng.uniform(-1.5, 0.7), rng.uniform(-3.0, 3.0)]
+        if edge:
+            tail = [_LOG_SIGMA_ZERO + 0.5, tail[1], rng.choice([-1, 1]) * (_ATANH_RHO_BOUND - 6)]
+    else:
+        tail = []
+    return np.concatenate([cutpoints, slopes, tail])
+
+
+class TestAnalyticScore:
+    @pytest.mark.parametrize("model", ["full", "intercept"])
+    @pytest.mark.parametrize("structure", RE_STRUCTURES)
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_matches_central_differences(self, strawberry, link, structure, model):
+        names = strawberry.slope_names() if model == "full" else ()
+        param = _Parameterization(2, names, structure)
+        kernel = LoglikKernel(_restrict(strawberry, names), link)
+        order = 12 if structure == "bivariate" else 30
+        objective = _Objective(kernel, param, order)
+        value = objective.value
+        rng = np.random.default_rng([3, len(names), RE_STRUCTURES.index(structure)])
+        for edge in (False, False, False, True):
+            theta = _random_theta(rng, param, edge)
+            loglik, score = objective(theta)
+            assert loglik == pytest.approx(value(theta), rel=1e-12)
+            oracle = _central_gradient(value, theta)
+            # relative to the largest component: near sigma = 0 the
+            # variance component's own derivative is below the oracle's noise
+            assert np.max(np.abs(score - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("structure", ["none", "univariate"])
+    def test_decreasing_po_cutpoints_return_penalty(self, strawberry, structure):
+        param = _Parameterization(2, strawberry.slope_names(), structure)
+        minimand = _Minimand(_Objective(LoglikKernel(strawberry, PO), param, 30))
+        theta = np.concatenate([[1.0, -1.0], np.zeros(param.n_slopes), [0.0] * param.n_variance])
+        value, gradient = minimand(theta)
+        assert value == _PENALTY
+        np.testing.assert_array_equal(gradient, np.zeros(param.size))
+
+    def test_n_evaluations_counts_every_score_call(self, strawberry, monkeypatch):
+        calls = []
+        original = LoglikKernel.marginal_and_score
+
+        def counted(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(LoglikKernel, "marginal_and_score", counted)
+        result = fit(strawberry, PO, "univariate")
+        # the nested start fit, the optimizer, and 2p score calls for the Hessian
+        assert result.n_evaluations == len(calls)
+        assert len(calls) > 2 * result.n_parameters
+
+    def test_standard_errors_match_differenced_values(self, strawberry, po_univariate):
+        param = _Parameterization(2, strawberry.slope_names(), "univariate")
+        value = _Objective(LoglikKernel(strawberry, PO), param, 30).value
+        theta = param.pack(po_univariate.estimates)
+        jac = param.delta_jacobian(theta)
+        se = np.sqrt(np.diag(numerical_covariance(value, theta)) * jac**2)
+        np.testing.assert_allclose(po_univariate.se, se, rtol=1e-4)
 
 
 class TestInterceptModel:

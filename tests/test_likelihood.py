@@ -17,7 +17,7 @@ from ordmixed import (
     marginal_cluster_loglik,
     total_loglik,
 )
-from ordmixed.likelihood import multinomial_log_coefficient
+from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
 
 
 def make_cluster(counts, covariates=()):
@@ -177,3 +177,38 @@ class TestTotal:
         fe = FixedEffects(intercepts=[0.5, -0.5], slopes=np.empty(0))
         params = ParameterVector(fixed=fe, re=NoRandomEffect())
         assert total_loglik(ds, params, LinkFamily.PROPORTIONAL_ODDS) == -np.inf
+
+
+class TestMarginalAndScore:
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        rng = np.random.default_rng(5)
+        clusters = tuple(
+            make_cluster(rng.multinomial(8, [0.3, 0.3, 0.4]), rng.normal(size=2))
+            for _ in range(12)
+        )
+        return LoglikKernel(Dataset(clusters=clusters), LinkFamily.PROPORTIONAL_ODDS)
+
+    def test_value_is_the_summed_marginal(self, kernel):
+        rule = gauss_hermite(15)
+        args = (np.array([-0.8, 0.6]), np.array([0.3, -0.2]), 1.2 * rule.nodes, rule.weights)
+        r = kernel.marginal_and_score(*args)
+        assert r.loglik == float(kernel.marginal(*args).sum())
+        np.testing.assert_allclose(r.posterior.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(r.slot_score.sum(axis=0), r.node_score.sum(axis=0), rtol=1e-10)
+
+    def test_one_node_at_zero_is_the_conditional(self, kernel):
+        c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
+        r = kernel.marginal_and_score(c, b, np.zeros(1), np.ones(1))
+        assert r.loglik == pytest.approx(float(kernel.conditional(c, b).sum()), rel=1e-14)
+        np.testing.assert_array_equal(r.posterior, np.ones((12, 1)))
+
+    def test_infeasible_nodes_get_zero_weight(self, kernel):
+        # slot-wise offsets that reverse the cutpoints at two of three nodes
+        offsets = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]])
+        r = kernel.marginal_and_score(
+            np.array([-0.8, 0.6]), np.array([0.3, -0.2]), offsets, np.full(3, 1 / 3)
+        )
+        np.testing.assert_array_equal(r.posterior[:, 1:], 0.0)
+        assert np.all(np.isfinite(r.slot_score)) and np.all(np.isfinite(r.node_score))
+        np.testing.assert_array_equal(r.node_score[1:], 0.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmixed import (
+    BivariateRandomEffect,
     Cluster,
     Dataset,
     FixedEffects,
@@ -13,6 +14,7 @@ from ordmixed import (
     linear_predictors,
     recover_predictors,
 )
+from ordmixed.model import log_category_probabilities, predictor_score
 
 ALL_LINKS = list(LinkFamily)
 
@@ -137,6 +139,67 @@ class TestCategoryProbabilities:
         for i in range(7):
             row = category_probabilities(LinkFamily.PROPORTIONAL_ODDS, d[i])
             np.testing.assert_allclose(batch[i], row, atol=1e-15)
+
+
+class TestPredictorScore:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(ALL_LINKS),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=0, max_value=6), min_size=5, max_size=5),
+    )
+    def test_matches_central_differences(self, link, values, count_list):
+        d = np.array(values)
+        if link is LinkFamily.PROPORTIONAL_ODDS:
+            # spread the sorted predictors so no category has vanishing mass
+            d = np.sort(d) + 0.2 * np.arange(d.size)
+        counts = np.array(count_list[: d.size + 1], dtype=float)
+
+        def loglik(delta):
+            return float(counts @ log_category_probabilities(link, delta)[0])
+
+        logp, _ = log_category_probabilities(link, d)
+        score = predictor_score(link, d, logp, counts)
+        h = 1e-6
+        for k in range(d.size):
+            up, dn = d.copy(), d.copy()
+            up[k] += h
+            dn[k] -= h
+            assert score[k] == pytest.approx((loglik(up) - loglik(dn)) / (2 * h), abs=1e-5)
+
+    def test_broadcasts_over_nodes(self):
+        d = np.array([[-1.0, 0.5], [-0.2, 1.5], [0.0, 0.1]])
+        counts = np.array([2.0, 0.0, 5.0])
+        for link in ALL_LINKS:
+            logp, _ = log_category_probabilities(link, d)
+            batch = predictor_score(link, d, logp, counts[None, :])
+            rows = [predictor_score(link, d[i], logp[i], counts) for i in range(3)]
+            np.testing.assert_allclose(batch, np.array(rows), rtol=1e-14)
+
+
+class TestCholeskyDerivatives:
+    @pytest.mark.parametrize("rho", [-0.999, -0.3, 0.0, 0.6, 0.9999])
+    def test_match_central_differences(self, rho):
+        theta = np.array([np.log(0.7), np.log(1.8), np.arctanh(rho)])
+
+        def factor(t):
+            return BivariateRandomEffect(np.exp(t[0]), np.exp(t[1]), np.tanh(t[2])).cholesky_factor()
+
+        derivs = BivariateRandomEffect(0.7, 1.8, rho).cholesky_derivatives()
+        h = 1e-6
+        for i in range(3):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += h
+            dn[i] -= h
+            np.testing.assert_allclose(
+                derivs[i], (factor(up) - factor(dn)) / (2 * h), atol=1e-7
+            )
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_finite_at_perfect_correlation(self, rho):
+        derivs = BivariateRandomEffect(0.7, 1.8, rho).cholesky_derivatives()
+        assert np.all(np.isfinite(derivs))
+        np.testing.assert_array_equal(derivs[2], np.zeros((2, 2)))
 
 
 class TestDataModel:
