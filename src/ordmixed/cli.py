@@ -63,24 +63,29 @@ def _load(args) -> object:
     return load_dataset(args.data, schema)
 
 
+def _checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """An integer setting in [low, high], or a ValueError naming it."""
+    allowed = f"an integer in [{low}, {high}]" if high is not None else f"an integer >= {low}"
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or number < low or (high is not None and number > high):
+        raise ValueError(f"{name} must be {allowed}, got {value!r}")
+    return number
+
+
 def _env_int(name: str, low: int, high: int | None = None) -> int | None:
     """An integer environment override, None when unset or empty."""
     text = os.environ.get(name)
     if not text:
         return None
-    allowed = f"an integer in [{low}, {high}]" if high is not None else f"an integer >= {low}"
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < low or (high is not None and value > high):
-        raise ValueError(f"{name} must be {allowed}, got {text!r}")
-    return value
+    return _checked_int(name, text, low, high)
 
 
 def _order(args) -> int | None:
     if args.order is not None:
-        return args.order
+        return _checked_int("--order", args.order, 1, MAX_ORDER)
     return _env_int("ORDMIXED_ORDER", 1, MAX_ORDER)
 
 

@@ -95,7 +95,9 @@ class FitResult:
 
     ``names`` orders the reported parameters (intercepts, slopes, then
     variance components); ``covariance`` is on the reported scale. The
-    95% interval is estimate +- 1.96 standard errors. ``n_evaluations``
+    95% interval is estimate +- 1.96 standard errors. A standard deviation
+    on its bound (listed in ``diagnostics["boundary"]``) is reported as 0
+    with NaN standard error, interval and p-value. ``n_evaluations``
     counts every value-and-score evaluation the fit made: the nested
     homogeneous start fit, the optimizer's, the convergence check's and
     the standard-error Hessian's.
@@ -407,15 +409,22 @@ def _fit_impl(
     re_structure: str,
     opts: FitOptions,
     slope_names: tuple[str, ...],
+    kernel: LoglikKernel | None = None,
 ) -> FitResult:
+    """Fit with the covariates named in ``slope_names``: all of the
+    dataset's (full model) or none (intercept model). ``kernel`` is that
+    model's likelihood kernel when the caller already built one."""
     param = _Parameterization(dataset.n_categories - 1, slope_names, re_structure)
     order = opts.quadrature_order
     if order is None:
         order = DEFAULT_ORDER_2D if re_structure == "bivariate" else DEFAULT_ORDER_1D
 
-    objective = _Objective(LoglikKernel(_restrict(dataset, slope_names), link), param, order)
+    if kernel is None:
+        columns = [dataset.slope_names().index(name) for name in slope_names]
+        kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
+    objective = _Objective(kernel, param, order)
     theta0, start_evaluations = _starting_point(
-        dataset, link, re_structure, opts, param, slope_names
+        dataset, link, re_structure, opts, param, slope_names, kernel
     )
     negloglik = _Minimand(objective)
 
@@ -507,12 +516,14 @@ def _fit_impl(
         se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
 
     values = param.reported(theta_hat)
-    if "sigma" in boundary:
-        values[vi] = 0.0
-    if "sigma1" in boundary:
-        values[vi] = 0.0
-    if "sigma2" in boundary:
-        values[vi + 1] = 0.0
+    # a standard deviation on its bound is reported as 0; the delta method
+    # has no meaning there, so it gets no standard error or interval
+    at_zero = [
+        i for i, name in enumerate(param.names[vi:], vi)
+        if name in boundary and name != "rho"
+    ]
+    values[at_zero] = 0.0
+    se[at_zero] = np.nan
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = values / se
@@ -566,16 +577,6 @@ def _apply_boundary(params: ParameterVector, boundary: list[str]) -> ParameterVe
     return replace(params, re=re)
 
 
-def _restrict(dataset: Dataset, slope_names: tuple[str, ...]) -> Dataset:
-    """Dataset view with all covariates (full model) or none (intercept model)."""
-    if slope_names == dataset.slope_names():
-        return dataset
-    clusters = tuple(
-        Cluster(covariates=np.empty(0), counts=c.counts) for c in dataset.clusters
-    )
-    return Dataset(clusters=clusters)
-
-
 def _starting_point(
     dataset: Dataset,
     link: LinkFamily,
@@ -583,8 +584,10 @@ def _starting_point(
     opts: FitOptions,
     param: _Parameterization,
     slope_names: tuple[str, ...],
+    kernel: LoglikKernel,
 ) -> tuple[np.ndarray, int]:
-    """Starting vector and the evaluations spent finding it."""
+    """Starting vector and the evaluations spent finding it; a nested
+    homogeneous fit on the same kernel seeds a random-effect model."""
     start = opts.starting_values
     if start is not None and _structure_of(start) == re_structure:
         if (
@@ -597,7 +600,7 @@ def _starting_point(
         intercepts = _empirical_intercepts(dataset, link)
         return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
     base_opts = replace(opts, starting_values=None, standard_errors=False)
-    base = _fit_impl(dataset, link, "none", base_opts, slope_names)
+    base = _fit_impl(dataset, link, "none", base_opts, slope_names, kernel)
     tail = {
         "univariate": [math.log(0.5)],
         "bivariate": [math.log(0.5), math.log(0.5), 0.0],

@@ -9,7 +9,15 @@ nodes and -inf when no node is feasible.
 
 The score of the marginal log-likelihood is the posterior-weighted average
 of the conditional score over the nodes (the Fisher identity), so one pass
-over the (n, Q, K) arrays yields the value and the score together.
+over the node arrays yields the value and the score together.
+
+``LoglikKernel`` lays the predictors out slot-major: an array of shape
+(K-1, n, Q) whose leading axis is the category boundary, so each boundary
+is one contiguous (n, Q) plane of clusters by nodes. ``model.slot_terms``
+evaluates a link on those planes, giving K log-probability planes and K-1
+score planes; the counts, stored as (K, n, 1), weight them plane by plane,
+and the posterior contractions are matrix-vector products over the node
+and cluster axes. No array with a short trailing category axis is built.
 """
 
 from __future__ import annotations
@@ -27,16 +35,20 @@ from .model import (
     NoRandomEffect,
     ParameterVector,
     UnivariateRandomEffect,
-    log_category_probabilities,
-    predictor_score,
+    log_category_probabilities,  # noqa: F401  (instrumentation looks the link layer up here)
+    slot_terms,
 )
 from .quadrature import QuadratureRule1D, QuadratureRule2D
 
 
+def _log_coefficients(counts: np.ndarray) -> np.ndarray:
+    """log(N! / (y_1! ... y_K!)) along the last axis of a count array."""
+    return gammaln(counts.sum(axis=-1) + 1.0) - gammaln(counts + 1.0).sum(axis=-1)
+
+
 def multinomial_log_coefficient(counts: np.ndarray) -> float:
     """log(N! / (y_1! ... y_K!)) for one cluster's counts."""
-    counts = np.asarray(counts)
-    return float(gammaln(counts.sum() + 1.0) - gammaln(counts + 1.0).sum())
+    return float(_log_coefficients(np.asarray(counts)))
 
 
 def conditional_cluster_loglik(cluster: Cluster, probs: np.ndarray) -> float:
@@ -72,35 +84,57 @@ class MarginalScore(NamedTuple):
 class LoglikKernel:
     """Vectorized per-cluster log-likelihood evaluation for one dataset.
 
-    Precomputes the count matrix and multinomial coefficients once; the
-    estimation layer then calls ``marginal_and_score`` thousands of times
-    with different parameter proposals.
+    Precomputes the counts, stored slot-major as (K, n, 1) so that each
+    category's counts broadcast against an (n, Q) predictor plane, and the
+    multinomial coefficients once; the estimation layer then calls
+    ``marginal_and_score`` thousands of times with different parameter
+    proposals. ``covariates`` replaces the dataset's covariate matrix by
+    another with the same rows, such as a subset of its columns.
     """
 
-    def __init__(self, dataset: Dataset, link: LinkFamily):
+    def __init__(self, dataset: Dataset, link: LinkFamily, covariates: np.ndarray | None = None):
         self.link = link
-        self.x = dataset.covariate_matrix
-        self.y = dataset.count_matrix.astype(float)
-        self.ypos = dataset.count_matrix > 0
-        self.log_coef = np.array(
-            [multinomial_log_coefficient(c.counts) for c in dataset.clusters]
-        )
-        self.n_boundaries = dataset.n_categories - 1
-
-    def _base_predictors(self, intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        eta = self.x @ slopes if slopes.size else np.zeros(self.x.shape[0])
-        return intercepts[None, :] + eta[:, None]
-
-    def _count_loglik(self, logp: np.ndarray, feasible: np.ndarray) -> np.ndarray:
-        if logp.ndim == 2:
-            y, ypos = self.y, self.ypos
+        if covariates is None:
+            self.x = dataset.covariate_matrix
         else:
-            y, ypos = self.y[:, None, :], self.ypos[:, None, :]
+            self.x = np.asarray(covariates, dtype=float)
+            if self.x.ndim != 2 or self.x.shape[0] != dataset.n_clusters:
+                raise ValueError("covariates must have one row per cluster")
+        counts = dataset.count_matrix
+        self.y = counts.astype(float)
+        self.log_coef = _log_coefficients(counts)
+        self.n_boundaries = dataset.n_categories - 1
+        self._counts = np.ascontiguousarray(self.y.T)[:, :, None]
+        # the clusters with no count in each category, where 0 log 0 = 0
+        # overrides a log-probability of -inf
+        self._empty = [np.flatnonzero(column == 0) for column in counts.T]
+
+    def _predictors(self, intercepts, slopes, offsets) -> np.ndarray:
+        """Slot-major predictors (K-1, n, Q): boundary plane k holds
+        intercept k plus the covariate term plus ``offsets``, which
+        broadcasts against (K-1, n, Q)."""
+        base = np.asarray(intercepts, dtype=float)[:, None] + (self.x @ slopes)[None, :]
+        return base[:, :, None] + offsets
+
+    @staticmethod
+    def _node_offsets(node_offsets) -> np.ndarray:
+        node_offsets = np.asarray(node_offsets, dtype=float)
+        return node_offsets if node_offsets.ndim == 1 else node_offsets.T[:, None, :]
+
+    def _count_loglik(self, terms) -> np.ndarray:
+        """sum_j y_j log p_j over the category planes, with 0 log 0 = 0;
+        -inf at infeasible nodes."""
+        logp = terms.logp
         with np.errstate(invalid="ignore"):
-            terms = np.where(ypos, y * logp, 0.0)
-        ll = terms.sum(axis=-1)
-        if not feasible.all():
-            ll = np.where(feasible, ll, -np.inf)
+            ll = self._counts[0] * logp[0]
+            ll[self._empty[0]] = 0.0
+            term = np.empty_like(ll)
+            for j in range(1, len(logp)):
+                np.multiply(self._counts[j], logp[j], out=term)
+                term[self._empty[j]] = 0.0
+                ll += term
+        if terms.feasible is not None and not terms.feasible.all():
+            ll = np.where(terms.feasible, ll, -np.inf)
         return ll
 
     def conditional(self, intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -110,12 +144,13 @@ class LoglikKernel:
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
         """Per-cluster conditional log-likelihood with per-cluster predictor
         offsets of shape (n,), (n, K-1), or None for zeros."""
-        deltas = self._base_predictors(intercepts, slopes)
-        if offsets is not None:
+        if offsets is None:
+            offsets = 0.0
+        else:
             offsets = np.asarray(offsets, dtype=float)
-            deltas = deltas + (offsets[:, None] if offsets.ndim == 1 else offsets)
-        logp, feasible = log_category_probabilities(self.link, deltas)
-        return self._count_loglik(logp, feasible) + self.log_coef
+            offsets = offsets[:, None] if offsets.ndim == 1 else offsets.T[:, :, None]
+        deltas = self._predictors(intercepts, slopes, offsets)
+        return self._count_loglik(slot_terms(self.link, deltas))[:, 0] + self.log_coef
 
     def node_logliks(self, intercepts, slopes, node_offsets) -> np.ndarray:
         """Conditional log-likelihood of every cluster at every offset node,
@@ -124,16 +159,8 @@ class LoglikKernel:
         ``node_offsets`` has shape (Q,) for a shared deviation or (Q, K-1)
         for slot-wise deviations.
         """
-        deltas = self._node_predictors(intercepts, slopes, node_offsets)
-        logp, feasible = log_category_probabilities(self.link, deltas)
-        return self._count_loglik(logp, feasible)
-
-    def _node_predictors(self, intercepts, slopes, node_offsets) -> np.ndarray:
-        base = self._base_predictors(intercepts, slopes)
-        node_offsets = np.asarray(node_offsets, dtype=float)
-        if node_offsets.ndim == 1:
-            return base[:, None, :] + node_offsets[None, :, None]
-        return base[:, None, :] + node_offsets[None, :, :]
+        deltas = self._predictors(intercepts, slopes, self._node_offsets(node_offsets))
+        return self._count_loglik(slot_terms(self.link, deltas))
 
     @staticmethod
     def _integrate(ll: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,7 +169,8 @@ class LoglikKernel:
         their weighted sums."""
         m = ll.max(axis=1, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
-        mass = np.exp(ll - m)
+        mass = np.subtract(ll, m)
+        np.exp(mass, out=mass)
         total = mass @ weights
         with np.errstate(divide="ignore"):
             out = np.log(total) + m[:, 0]
@@ -165,19 +193,27 @@ class LoglikKernel:
         sums, node-offset parameters from ``node_score``. Infeasible nodes
         get zero posterior weight and contribute nothing to the score.
         """
-        deltas = self._node_predictors(intercepts, slopes, node_offsets)
-        logp, feasible = log_category_probabilities(self.link, deltas)
-        ll = self._count_loglik(logp, feasible)
-        out, mass, total = self._integrate(ll, weights)
+        weights = np.asarray(weights, dtype=float)
+        deltas = self._predictors(intercepts, slopes, self._node_offsets(node_offsets))
+        terms = slot_terms(self.link, deltas, self._counts)
+        out, mass, total = self._integrate(self._count_loglik(terms), weights)
         loglik = float((out + self.log_coef).sum())
+        infeasible = terms.feasible is not None and not terms.feasible.all()
+        slot_score = np.empty((mass.shape[0], self.n_boundaries))
+        node_score = np.empty((mass.shape[1], self.n_boundaries))
+        # a cluster with no feasible node has total 0 and a -inf loglik
         with np.errstate(divide="ignore", invalid="ignore"):
-            posterior = mass * (np.asarray(weights)[None, :] / total[:, None])
-        counts = self.y[:, None, :]
-        score = predictor_score(self.link, deltas, logp, counts)
-        if not feasible.all():
-            score = np.where(feasible[..., None], score, 0.0)
-        weighted = posterior[..., None] * score
-        return MarginalScore(loglik, posterior, weighted.sum(axis=1), weighted.sum(axis=0))
+            posterior = mass * (weights[None, :] / total[:, None])
+            inverse_total = 1.0 / total
+            for k, weighted in enumerate(terms.score):
+                if infeasible:
+                    weighted[~terms.feasible] = 0.0
+                weighted *= mass
+                # posterior-weighted sums over nodes and over clusters, as
+                # matrix-vector products instead of reductions over short axes
+                slot_score[:, k] = (weighted @ weights) * inverse_total
+                node_score[:, k] = weights * (inverse_total @ weighted)
+        return MarginalScore(loglik, posterior, slot_score, node_score)
 
 
 def _node_offsets(params: ParameterVector, rule) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -318,25 +318,6 @@ def category_probabilities(link: LinkFamily, deltas: np.ndarray) -> np.ndarray:
     return np.exp(logp)
 
 
-def log_category_probabilities(link: LinkFamily, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log category probabilities plus a feasibility mask.
-
-    Returns ``(logp, feasible)`` where ``logp`` has shape ``(..., K)`` and
-    ``feasible`` has shape ``(...,)``. Rows that are infeasible under
-    proportional odds carry garbage in ``logp`` and False in the mask; the
-    other families are feasible everywhere. Computed in log space so that
-    large predictor magnitudes stay finite.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if link is LinkFamily.PROPORTIONAL_ODDS:
-        return _log_probs_po(deltas)
-    if link is LinkFamily.ADJACENT_CATEGORIES:
-        return _log_probs_acl(deltas)
-    if link is LinkFamily.CONTINUATION_RATIO:
-        return _log_probs_cr(deltas)
-    raise ValueError(f"unknown link family: {link!r}")
-
-
 def _expit(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -346,39 +327,194 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_probs_po(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    feasible = np.all(np.diff(d, axis=-1) >= 0.0, axis=-1)
-    first = -np.logaddexp(0.0, -d[..., :1])
-    last = -np.logaddexp(0.0, d[..., -1:])
-    if d.shape[-1] > 1:
-        a, b = d[..., :-1], d[..., 1:]
-        # log(expit(b) - expit(a)) for b >= a, stable for large magnitudes
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mid = b - np.logaddexp(0.0, a) - np.logaddexp(0.0, b) + np.log1p(-np.exp(a - b))
-        logp = np.concatenate([first, mid, last], axis=-1)
-    else:
-        logp = np.concatenate([first, last], axis=-1)
-    return logp, feasible
+class SlotTerms(NamedTuple):
+    """One link evaluation on slot-major predictors d of shape (K-1, ...).
+
+    ``logp`` holds the K log category probabilities and ``score`` the K-1
+    derivatives of sum_j y_j log p_j with respect to each predictor (None
+    when no counts were given), each one plane of the trailing shape.
+    ``feasible`` is the proportional-odds feasibility mask, or None for the
+    families that are feasible everywhere.
+    """
+
+    logp: list
+    feasible: np.ndarray | None
+    score: list | None
 
 
-def _log_probs_acl(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def slot_terms(link: LinkFamily, d, counts=None) -> SlotTerms:
+    """Log category probabilities, feasibility and, given counts, the
+    predictor score, in one pass over slot-major predictors.
+
+    ``d[k]`` is the plane of boundary-k predictors; ``counts[j]`` holds the
+    category-j counts and broadcasts against a plane. Every link works on
+    whole planes, so the short category axis never becomes an inner loop.
+    Computed in log space, so large predictor magnitudes stay finite. With
+    F the logistic function, the score is
+
+    - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
+    - adjacent categories:  g_k = sum_{j<=k} y_j - N P(Y <= k);
+    - continuation ratio:   g_k = y_k - F(d_k) sum_{j>=k} y_j.
+
+    Proportional-odds nodes that are infeasible carry garbage in ``logp``
+    and ``score`` and False in ``feasible``; a proportional-odds category
+    with zero probability (two equal predictors) has log-probability -inf
+    and a score that is not finite.
+    """
+    if link is LinkFamily.PROPORTIONAL_ODDS:
+        return _terms_po(d, counts)
+    if link is LinkFamily.ADJACENT_CATEGORIES:
+        return _terms_acl(d, counts)
+    if link is LinkFamily.CONTINUATION_RATIO:
+        return _terms_cr(d, counts)
+    raise ValueError(f"unknown link family: {link!r}")
+
+
+def _log_logistic(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log F(z) and log(1 - F(z)) for the logistic function F.
+
+    With sp = softplus(z) = log(1 + e^z) these are z - sp and -sp; both are
+    formed from the shared t = log(1 + e^-|z|), as min(z, 0) - t and
+    -(max(z, 0) + t), so neither cancels z against sp when |z| is large.
+    """
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    log_f = np.minimum(z, 0.0)
+    log_f -= t
+    log_not_f = np.maximum(z, 0.0)
+    log_not_f += t
+    np.negative(log_not_f, out=log_not_f)
+    return log_f, log_not_f
+
+
+# The planes are large and the category axis short, so the link functions
+# below update fresh buffers in place rather than allocate a temporary per
+# operation; they never write to the predictor planes they are given.
+
+
+def _terms_po(d, y) -> SlotTerms:
+    # one softplus per predictor: log F, log(1 - F), log F' = their sum
+    log_f, log_not_f = zip(*(_log_logistic(dk) for dk in d))
+    feasible = None
+    logp = [log_f[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, len(d)):
+            a, b = d[k - 1], d[k]
+            step = b >= a
+            feasible = step if feasible is None else feasible & step
+            # log(F(b) - F(a)) = log F(b) + log(1 - F(a)) + log(1 - e^(a-b)) for b >= a
+            middle = np.subtract(a, b)
+            np.exp(middle, out=middle)
+            np.negative(middle, out=middle)
+            np.log1p(middle, out=middle)
+            middle += log_f[k]
+            middle += log_not_f[k - 1]
+            logp.append(middle)
+    logp.append(log_not_f[-1])
+    if y is None:
+        return SlotTerms(logp, feasible, None)
+    last = len(d) - 1
+    score = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(d)):
+            log_density = log_f[k] + log_not_f[k]
+            # F'/p_k for the category below and F'/p_{k+1} for the one above;
+            # at the ends they reduce to 1 - F and F
+            below = log_not_f[0].copy() if k == 0 else np.subtract(log_density, logp[k])
+            if k == last:
+                above = log_f[k].copy()
+            else:
+                above = np.subtract(log_density, logp[k + 1], out=log_density)
+            np.exp(below, out=below)
+            np.exp(above, out=above)
+            below *= y[k]
+            above *= y[k + 1]
+            below -= above
+            score.append(below)
+    return SlotTerms(logp, feasible, score)
+
+
+def _terms_acl(d, y) -> SlotTerms:
     # category k carries the partial sum of predictors k..K-1, category K zero
-    s = np.cumsum(d[..., ::-1], axis=-1)[..., ::-1]
-    s = np.concatenate([s, np.zeros(d.shape[:-1] + (1,))], axis=-1)
-    m = s.max(axis=-1, keepdims=True)
-    logz = m + np.log(np.exp(s - m).sum(axis=-1, keepdims=True))
-    logp = s - logz
-    return logp, np.ones(d.shape[:-1], dtype=bool)
+    sums = [d[-1]]
+    for dk in d[-2::-1]:
+        sums.append(sums[-1] + dk)
+    sums.reverse()
+    m = np.maximum(sums[-1], 0.0)
+    for s in sums[:-1]:
+        np.maximum(m, s, out=m)
+    scaled = [np.subtract(s, m) for s in sums] + [np.negative(m)]
+    for e in scaled:
+        np.exp(e, out=e)
+    z = scaled[0] + scaled[1]
+    for e in scaled[2:]:
+        z += e
+    logz = np.log(z)
+    logz += m
+    logp = [s - logz for s in sums] + [np.negative(logz)]
+    if y is None:
+        return SlotTerms(logp, None, None)
+    size = y[0]
+    for yj in y[1:]:
+        size = size + yj
+    score = []
+    at_or_below, prob_at_or_below = 0.0, 0.0
+    for k in range(len(d)):
+        at_or_below = at_or_below + y[k]
+        prob_at_or_below = prob_at_or_below + np.exp(logp[k])
+        g = prob_at_or_below * -size
+        g += at_or_below
+        score.append(g)
+    return SlotTerms(logp, None, score)
 
 
-def _log_probs_cr(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    log_h = -np.logaddexp(0.0, -d)  # log P(stop at k | reached k)
-    log_c = -np.logaddexp(0.0, d)  # log P(continue past k | reached k)
-    surv = np.cumsum(log_c, axis=-1)
-    logp = np.concatenate(
-        [log_h[..., :1], log_h[..., 1:] + surv[..., :-1], surv[..., -1:]], axis=-1
-    )
-    return logp, np.ones(d.shape[:-1], dtype=bool)
+def _terms_cr(d, y) -> SlotTerms:
+    # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
+    log_stop, log_continue = zip(*(_log_logistic(dk) for dk in d))
+    logp = [log_stop[0]]
+    surv = log_continue[0]
+    for k in range(1, len(d)):
+        logp.append(log_stop[k] + surv)
+        surv = surv + log_continue[k]
+    logp.append(surv)
+    if y is None:
+        return SlotTerms(logp, None, None)
+    reached = [y[-1]]  # sum_{j>=k} y_j, built from the top category down
+    for yj in y[-2::-1]:
+        reached.append(reached[-1] + yj)
+    reached.reverse()
+    score = []
+    for k in range(len(d)):
+        g = np.exp(log_stop[k])  # F(d_k)
+        g *= -reached[k]
+        g += y[k]
+        score.append(g)
+    return SlotTerms(logp, None, score)
+
+
+def _slot_major(a: np.ndarray) -> np.ndarray:
+    """An (..., m) array as m planes, each flattened over the leading axes."""
+    return np.moveaxis(a, -1, 0).reshape(a.shape[-1], -1)
+
+
+def log_category_probabilities(link: LinkFamily, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log category probabilities plus a feasibility mask.
+
+    Returns ``(logp, feasible)`` where ``logp`` has shape ``(..., K)`` and
+    ``feasible`` has shape ``(...,)``. Rows that are infeasible under
+    proportional odds carry garbage in ``logp`` and False in the mask; the
+    other families are feasible everywhere. A view of ``slot_terms`` with
+    the boundary axis last.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    lead = deltas.shape[:-1]
+    terms = slot_terms(link, _slot_major(deltas))
+    logp = np.stack(terms.logp, axis=-1).reshape(lead + (-1,))
+    if terms.feasible is None:
+        return logp, np.ones(lead, dtype=bool)
+    return logp, terms.feasible.reshape(lead)
 
 
 def predictor_score(
@@ -387,37 +523,19 @@ def predictor_score(
     """Derivative of the count log-likelihood sum_j y_j log p_j with respect
     to each of the K-1 boundary predictors, shape (..., K-1).
 
-    ``logp`` comes from log_category_probabilities at ``deltas``; ``counts``
-    broadcasts against it. With F the logistic function:
-
-    - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
-    - adjacent categories:  g_k = sum_{j<=k} y_j - N P(Y <= k);
-    - continuation ratio:   g_k = y_k - F(d_k) sum_{j>=k} y_j.
-
-    Rows infeasible under proportional odds carry garbage, as in ``logp``;
-    so does a proportional-odds category with zero probability (two equal
-    predictors).
+    ``counts`` broadcasts against ``logp``, the value of
+    log_category_probabilities at ``deltas``; the score itself comes from
+    ``slot_terms`` at ``deltas``, which recomputes the intermediates it
+    shares with the log-probabilities, so ``logp`` is not read. Rows
+    infeasible under proportional odds carry garbage, as in ``logp``.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if link is LinkFamily.PROPORTIONAL_ODDS:
-        # log F'(d) = -|d| - 2 log(1 + e^-|d|); F'(d) / p is formed in log
-        # space, so it stays bounded unless p -> 0
-        u = -np.abs(deltas)
-        log_density = u - 2.0 * np.log1p(np.exp(u))
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = counts[..., :-1] * np.exp(log_density - logp[..., :-1])
-            score -= counts[..., 1:] * np.exp(log_density - logp[..., 1:])
-        return score
-    if link is LinkFamily.ADJACENT_CATEGORIES:
-        at_or_below = np.cumsum(counts, axis=-1)[..., :-1]
-        size = counts.sum(axis=-1, keepdims=True)
-        return at_or_below - size * np.cumsum(np.exp(logp[..., :-1]), axis=-1)
-    if link is LinkFamily.CONTINUATION_RATIO:
-        reached = np.cumsum(counts[..., ::-1], axis=-1)[..., :0:-1]
-        with np.errstate(over="ignore"):
-            stop = 1.0 / (1.0 + np.exp(-deltas))  # F(d), exactly 0 below -709
-        return counts[..., :-1] - stop * reached
-    raise ValueError(f"unknown link family: {link!r}")
+    counts = np.asarray(counts, dtype=float)
+    lead = np.broadcast_shapes(deltas.shape[:-1], counts.shape[:-1])
+    deltas = np.broadcast_to(deltas, lead + deltas.shape[-1:])
+    counts = np.broadcast_to(counts, lead + counts.shape[-1:])
+    terms = slot_terms(link, _slot_major(deltas), _slot_major(counts))
+    return np.stack(terms.score, axis=-1).reshape(lead + (-1,))
 
 
 def recover_predictors(link: LinkFamily, probs: np.ndarray) -> np.ndarray:

@@ -193,6 +193,12 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: ValueError: {variable} must be {allowed}, got {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["0", "101"])
+    def test_order_flag_out_of_range(self, capsys, value):
+        code, out, err = run_cli(capsys, "fit", "--link", "po", "--order", value)
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: --order must be an integer in [1, 100], got {value}\n"
+
     def test_bad_flag_single_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--link", "nope"])

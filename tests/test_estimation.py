@@ -26,7 +26,6 @@ from ordmixed.estimation import (
     _Minimand,
     _Objective,
     _Parameterization,
-    _restrict,
 )
 from ordmixed.likelihood import LoglikKernel
 from ordmixed.model import (
@@ -195,6 +194,24 @@ class TestFit:
             mixed.values[:10], homog.values, atol=0.05
         )
 
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    def test_variance_components_at_zero_have_no_standard_error(self, structure):
+        design = SimulationDesign(
+            link=PO,
+            true_params=study_true_parameters(0.0),
+            fits=((PO, "none"),),
+            replications=1,
+            seed=77,
+        )
+        result = fit(generate_dataset(design, 0), PO, structure)
+        zeroed = [i for i, name in enumerate(result.names) if name in ("sigma", "sigma1", "sigma2")]
+        assert set(result.diagnostics["boundary"]) >= {result.names[i] for i in zeroed}
+        np.testing.assert_array_equal(result.values[zeroed], 0.0)
+        for column in (result.se, result.ci_lower, result.ci_upper, result.p_values):
+            assert np.all(np.isnan(column[zeroed]))
+        others = [i for i in range(result.n_parameters) if i not in zeroed]
+        assert np.all(np.isfinite(result.se[others]))
+
     def test_infeasible_starting_values_raise_clearly(self, strawberry):
         bad = ParameterVector(
             fixed=FixedEffects(intercepts=[2.0, -2.0], slopes=np.zeros(8)),
@@ -235,7 +252,7 @@ class TestAnalyticScore:
     def test_matches_central_differences(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, structure)
-        kernel = LoglikKernel(_restrict(strawberry, names), link)
+        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
         order = 12 if structure == "bivariate" else 30
         objective = _Objective(kernel, param, order)
         value = objective.value

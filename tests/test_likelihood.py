@@ -18,6 +18,7 @@ from ordmixed import (
     total_loglik,
 )
 from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
+from ordmixed.model import log_category_probabilities, predictor_score
 
 
 def make_cluster(counts, covariates=()):
@@ -203,12 +204,100 @@ class TestMarginalAndScore:
         assert r.loglik == pytest.approx(float(kernel.conditional(c, b).sum()), rel=1e-14)
         np.testing.assert_array_equal(r.posterior, np.ones((12, 1)))
 
-    def test_infeasible_nodes_get_zero_weight(self, kernel):
-        # slot-wise offsets that reverse the cutpoints at two of three nodes
-        offsets = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]])
-        r = kernel.marginal_and_score(
-            np.array([-0.8, 0.6]), np.array([0.3, -0.2]), offsets, np.full(3, 1 / 3)
-        )
-        np.testing.assert_array_equal(r.posterior[:, 1:], 0.0)
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            # slot-wise offsets that reverse the cutpoints at some nodes
+            [[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]],
+            [[1.5, -1.5], [0.0, 0.0], [0.3, 0.1], [-2.0, 2.0]],
+            [[0.0, 0.0], [-0.7, -0.7], [0.9, -0.9]],
+        ],
+    )
+    def test_infeasible_nodes_get_zero_weight(self, kernel, offsets):
+        offsets = np.array(offsets)
+        c = np.array([-0.8, 0.6])
+        infeasible = np.diff(c + offsets, axis=1)[:, 0] < 0
+        weights = np.full(offsets.shape[0], 1.0 / offsets.shape[0])
+        r = kernel.marginal_and_score(c, np.array([0.3, -0.2]), offsets, weights)
+        assert np.isfinite(r.loglik)
+        np.testing.assert_array_equal(r.posterior[:, infeasible], 0.0)
+        assert np.all(r.posterior[:, ~infeasible] > 0.0)
         assert np.all(np.isfinite(r.slot_score)) and np.all(np.isfinite(r.node_score))
-        np.testing.assert_array_equal(r.node_score[1:], 0.0)
+        np.testing.assert_array_equal(r.node_score[infeasible], 0.0)
+
+
+def _wrapper_kernel_oracle(link, kernel, c, b, node_offsets, weights):
+    """Node log-likelihoods and the score from the (..., K) wrappers on
+    cluster-major (n, Q, K-1) predictors, without the multinomial constant."""
+    offsets = np.asarray(node_offsets, dtype=float)
+    if offsets.ndim == 1:
+        offsets = np.repeat(offsets[:, None], c.size, axis=1)
+    deltas = c[None, None, :] + (kernel.x @ b)[:, None, None] + offsets[None, :, :]
+    logp, feasible = log_category_probabilities(link, deltas)
+    y = kernel.y[:, None, :]
+    with np.errstate(invalid="ignore"):
+        ll = np.where(y > 0, y * logp, 0.0).sum(axis=-1)
+    ll = np.where(feasible, ll, -np.inf)
+    post = np.exp(ll - ll.max(axis=1, keepdims=True)) * weights
+    post /= post.sum(axis=1, keepdims=True)
+    score = np.where(feasible[..., None], predictor_score(link, deltas, logp, y), 0.0)
+    weighted = post[..., None] * score
+    return ll, weighted.sum(axis=1), weighted.sum(axis=0)
+
+
+class TestSlotMajorKernel:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        rng = np.random.default_rng(8)
+        # category 2 is empty in some clusters, so its 0 log 0 mask is exercised
+        return Dataset(
+            clusters=tuple(
+                make_cluster(rng.multinomial(6, [0.4, 0.15, 0.45]), rng.normal(size=3))
+                for _ in range(9)
+            )
+        )
+
+    @pytest.mark.parametrize("kind", ["univariate", "bivariate"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_matches_the_wrappers_on_cluster_major_arrays(self, dataset, link, kind):
+        rng = np.random.default_rng([9, list(LinkFamily).index(link)])
+        kernel = LoglikKernel(dataset, link)
+        assert np.any(kernel.y[:, 1] == 0)
+        c, b = np.array([-0.6, 0.7]), rng.normal(scale=0.4, size=3)
+        if kind == "univariate":
+            rule = gauss_hermite(7)
+            offsets, weights = 0.9 * rule.nodes, rule.weights
+        else:
+            offsets, weights = rng.normal(scale=0.8, size=(11, 2)), np.full(11, 1.0 / 11)
+        ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
+        np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
+        r = kernel.marginal_and_score(c, b, offsets, weights)
+        assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
+        np.testing.assert_allclose(r.slot_score, slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r.node_score, node, rtol=1e-12, atol=1e-12)
+
+    def test_equal_po_predictors(self):
+        clusters = (make_cluster([3, 0, 2]), make_cluster([1, 1, 1]))
+        kernel = LoglikKernel(Dataset(clusters=clusters), LinkFamily.PROPORTIONAL_ODDS)
+        nodes = np.array([-1.0, 0.0, 1.0])
+        ll = kernel.node_logliks(np.array([0.2, 0.2]), np.empty(0), nodes)
+        # cluster 1 has probabilities (F, 0, 1 - F) with F the logistic
+        # function at the shared predictor; cluster 2 needs the empty category
+        f = 1.0 / (1.0 + np.exp(-(0.2 + nodes)))
+        np.testing.assert_allclose(ll[0], 3 * np.log(f) + 2 * np.log1p(-f), rtol=1e-13)
+        np.testing.assert_array_equal(ll[1], -np.inf)
+
+    def test_covariate_columns_replace_the_dataset_matrix(self, dataset):
+        c, b = np.array([-0.6, 0.7]), np.array([0.2])
+        narrow = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, dataset.covariate_matrix[:, :1])
+        full = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO)
+        np.testing.assert_array_equal(
+            narrow.conditional(c, b), full.conditional(c, np.array([0.2, 0.0, 0.0]))
+        )
+        with pytest.raises(ValueError):
+            LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, np.zeros((3, 1)))
+
+    def test_log_coefficients_match_the_per_cluster_function(self, dataset):
+        kernel = LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
+        expected = [multinomial_log_coefficient(cl.counts) for cl in dataset.clusters]
+        np.testing.assert_array_equal(kernel.log_coef, expected)

@@ -176,6 +176,21 @@ class TestPredictorScore:
             rows = [predictor_score(link, d[i], logp[i], counts) for i in range(3)]
             np.testing.assert_allclose(batch, np.array(rows), rtol=1e-14)
 
+    @pytest.mark.parametrize("d", [[-800.0, -799.0], [799.0, 800.0], [-800.0, 800.0]])
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_extreme_predictors_stay_finite(self, link, d):
+        d = np.array(d)
+        logp, feasible = log_category_probabilities(link, d)
+        assert feasible and np.all(np.isfinite(logp))
+        assert np.logaddexp.reduce(logp) == pytest.approx(0.0, abs=1e-12)
+        score = predictor_score(link, d, logp, np.array([3.0, 2.0, 4.0]))
+        assert np.all(np.isfinite(score))
+
+    def test_equal_po_predictors_empty_the_middle_category(self):
+        logp, feasible = log_category_probabilities(LinkFamily.PROPORTIONAL_ODDS, np.array([0.4, 0.4]))
+        assert feasible and logp[1] == -np.inf
+        np.testing.assert_allclose(np.exp(logp[[0, 2]]).sum(), 1.0, rtol=1e-15)
+
 
 class TestCholeskyDerivatives:
     @pytest.mark.parametrize("rho", [-0.999, -0.3, 0.0, 0.6, 0.9999])
