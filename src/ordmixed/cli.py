@@ -153,7 +153,7 @@ def _parse_fit_list(specs: list[str]) -> tuple[tuple[LinkFamily, str], ...]:
 
 def _workers(args) -> int | None:
     if args.workers is not None:
-        return args.workers
+        return _checked_int("--workers", args.workers, 1)
     return _env_int("ORDMIXED_WORKERS", 1)
 
 

@@ -30,6 +30,7 @@ from .model import (
     NoRandomEffect,
     ParameterVector,
     UnivariateRandomEffect,
+    recover_predictors,
 )
 from .quadrature import (
     DEFAULT_ORDER_1D,
@@ -310,20 +311,6 @@ class _Minimand:
         return self._memo[1], self._memo[2].copy()
 
 
-def _empirical_intercepts(dataset: Dataset, link: LinkFamily) -> np.ndarray:
-    """Feasible starting intercepts from the pooled category proportions."""
-    totals = dataset.count_matrix.sum(axis=0).astype(float)
-    p = np.clip(totals / totals.sum(), 1e-6, None)
-    p = p / p.sum()
-    if link is LinkFamily.PROPORTIONAL_ODDS:
-        cum = np.cumsum(p)[:-1]
-        return np.log(cum) - np.log1p(-cum)
-    if link is LinkFamily.ADJACENT_CATEGORIES:
-        return np.log(p[:-1]) - np.log(p[1:])
-    tail = np.cumsum(p[::-1])[::-1]
-    return np.log(p[:-1]) - np.log(tail[1:])
-
-
 def _central_gradient(f: Callable, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
     grad = np.empty_like(theta)
     for i in range(theta.size):
@@ -597,7 +584,10 @@ def _starting_point(
             return param.pack(start), 0
         raise ValueError("starting values do not match the model dimensions")
     if re_structure == "none":
-        intercepts = _empirical_intercepts(dataset, link)
+        # feasible intercepts from the pooled category proportions
+        totals = dataset.count_matrix.sum(axis=0).astype(float)
+        p = np.clip(totals / totals.sum(), 1e-6, None)
+        intercepts = recover_predictors(link, p / p.sum())
         return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
     base_opts = replace(opts, starting_values=None, standard_errors=False)
     base = _fit_impl(dataset, link, "none", base_opts, slope_names, kernel)
@@ -778,17 +768,17 @@ def _fd_grad_hess(f, z, h, r):
 
 
 def _newton_step(grad, hess):
-    n, r = grad.shape
-    step = np.empty_like(grad)
-    for idx in range(n):
-        h = hess[idx]
-        try:
-            s = np.linalg.solve(-h, grad[idx])
-            if not np.all(np.isfinite(s)) or grad[idx] @ s < 0:
-                s = grad[idx]
-        except np.linalg.LinAlgError:
-            s = grad[idx]
-        step[idx] = s
+    """Newton ascent steps for every row: -hess^-1 grad, or the gradient
+    itself where that is not finite or not an ascent direction."""
+    try:
+        step = np.linalg.solve(-hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(grad) == 1:
+            return grad.copy()
+        # one singular matrix fails the whole batch: solve row by row
+        return np.concatenate([_newton_step(grad[[i]], hess[[i]]) for i in range(len(grad))])
+    bad = ~np.all(np.isfinite(step), axis=1) | ((grad * step).sum(axis=1) < 0)
+    step[bad] = grad[bad]
     return step
 
 

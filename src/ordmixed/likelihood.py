@@ -18,6 +18,15 @@ evaluates a link on those planes, giving K log-probability planes and K-1
 score planes; the counts, stored as (K, n, 1), weight them plane by plane,
 and the posterior contractions are matrix-vector products over the node
 and cluster axes. No array with a short trailing category axis is built.
+
+The kernel writes every intermediate into its workspace: for each node
+count Q, a stack of (rows, Q) planes allocated on the first call with that
+Q and reused by every later one, so repeated calls allocate only the
+arrays they return, which are always fresh. A plane holds at most
+``_BLOCK_ELEMENTS`` elements; when n * Q is larger, the clusters are
+evaluated in row blocks through the same planes, so the kernel's memory is
+bounded by the block plus its outputs. Because the planes are shared, a
+kernel serves one caller at a time.
 """
 
 from __future__ import annotations
@@ -34,11 +43,14 @@ from .model import (
     LinkFamily,
     NoRandomEffect,
     ParameterVector,
+    PlaneStack,
     UnivariateRandomEffect,
     log_category_probabilities,  # noqa: F401  (instrumentation looks the link layer up here)
     slot_terms,
 )
 from .quadrature import QuadratureRule1D, QuadratureRule2D
+
+_BLOCK_ELEMENTS = 2**16  # most elements in one workspace plane (512 KB)
 
 
 def _log_coefficients(counts: np.ndarray) -> np.ndarray:
@@ -81,6 +93,17 @@ class MarginalScore(NamedTuple):
     node_score: np.ndarray
 
 
+class _Workspace(NamedTuple):
+    """A kernel's memory for one node count Q: the slot-major predictors
+    (K-1, rows, Q), the stack of (rows, Q) planes for everything derived
+    from them, and the row blocks, each (first row, end row, the clusters
+    with an empty category in the block)."""
+
+    predictors: np.ndarray
+    planes: PlaneStack
+    blocks: list
+
+
 class LoglikKernel:
     """Vectorized per-cluster log-likelihood evaluation for one dataset.
 
@@ -90,6 +113,14 @@ class LoglikKernel:
     ``marginal_and_score`` thousands of times with different parameter
     proposals. ``covariates`` replaces the dataset's covariate matrix by
     another with the same rows, such as a subset of its columns.
+
+    The kernel owns its workspace: for each node count Q, a stack of
+    (rows, Q) planes allocated on the first call with that Q and reused by
+    every later one, so a call allocates only the arrays it returns. A
+    plane holds at most ``_BLOCK_ELEMENTS`` elements; more clusters than
+    fit are evaluated in row blocks through the same planes. Because the
+    planes are shared, a kernel serves one caller at a time: it is not for
+    concurrent calls from several threads.
     """
 
     def __init__(self, dataset: Dataset, link: LinkFamily, covariates: np.ndarray | None = None):
@@ -108,34 +139,72 @@ class LoglikKernel:
         # the clusters with no count in each category, where 0 log 0 = 0
         # overrides a log-probability of -inf
         self._empty = [np.flatnonzero(column == 0) for column in counts.T]
+        self._workspaces: dict[int, _Workspace] = {}
 
-    def _predictors(self, intercepts, slopes, offsets) -> np.ndarray:
-        """Slot-major predictors (K-1, n, Q): boundary plane k holds
-        intercept k plus the covariate term plus ``offsets``, which
-        broadcasts against (K-1, n, Q)."""
+    def _workspace(self, n_nodes: int) -> _Workspace:
+        if n_nodes not in self._workspaces:
+            n = self.x.shape[0]
+            rows = max(1, _BLOCK_ELEMENTS // n_nodes)
+            # whole groups of 8 rows keep BLAS's grouping of the rows in the
+            # node contractions, so a row's results do not depend on its block
+            rows = min(n, rows - rows % 8 if rows >= 8 else rows)
+            blocks = []
+            for lo in range(0, n, rows):
+                hi = min(n, lo + rows)
+                empty = [e[(e >= lo) & (e < hi)] - lo for e in self._empty]
+                blocks.append((lo, hi, empty))
+            self._workspaces[n_nodes] = _Workspace(
+                np.empty((self.n_boundaries, rows, n_nodes)), PlaneStack((rows, n_nodes)), blocks
+            )
+        return self._workspaces[n_nodes]
+
+    def _blocks(self, intercepts, slopes, offsets, n_nodes: int, score: bool = False):
+        """Evaluate the link block by block in the workspace planes.
+
+        ``offsets`` is an array that broadcasts against the slot-major
+        predictors (K-1, n, Q); one with a cluster axis of length n > 1 is
+        cut to each block's rows. Yields, per row block, its first and end rows, the ``SlotTerms``
+        (with the score planes when ``score``), the node log-likelihoods
+        without the multinomial constant and the infeasibility mask (None
+        when every node is feasible); all of them live in the workspace and
+        are overwritten by the next block or call.
+        """
+        ws = self._workspace(n_nodes)
         base = np.asarray(intercepts, dtype=float)[:, None] + (self.x @ slopes)[None, :]
-        return base[:, :, None] + offsets
+        per_cluster = offsets.ndim >= 2 and offsets.shape[-2] > 1
+        for lo, hi, empty in ws.blocks:
+            ws.planes.reset(hi - lo)
+            d = ws.predictors[:, : hi - lo]
+            np.add(base[:, lo:hi, None], offsets[..., lo:hi, :] if per_cluster else offsets, out=d)
+            counts = self._counts[:, lo:hi]
+            terms = slot_terms(self.link, d, counts if score else None, ws.planes)
+            ll, infeasible = self._count_loglik(terms, counts, empty, ws.planes)
+            yield lo, hi, terms, ll, infeasible
 
     @staticmethod
     def _node_offsets(node_offsets) -> np.ndarray:
         node_offsets = np.asarray(node_offsets, dtype=float)
         return node_offsets if node_offsets.ndim == 1 else node_offsets.T[:, None, :]
 
-    def _count_loglik(self, terms) -> np.ndarray:
-        """sum_j y_j log p_j over the category planes, with 0 log 0 = 0;
-        -inf at infeasible nodes."""
+    @staticmethod
+    def _count_loglik(terms, counts, empty, work) -> tuple[np.ndarray, np.ndarray | None]:
+        """sum_j y_j log p_j over the category planes, with 0 log 0 = 0 at
+        the ``empty`` rows of each category; -inf at infeasible nodes,
+        which the returned mask marks (None when there are none)."""
         logp = terms.logp
         with np.errstate(invalid="ignore"):
-            ll = self._counts[0] * logp[0]
-            ll[self._empty[0]] = 0.0
-            term = np.empty_like(ll)
+            ll = np.multiply(counts[0], logp[0], out=work.take())
+            ll[empty[0]] = 0.0
+            term = work.take()
             for j in range(1, len(logp)):
-                np.multiply(self._counts[j], logp[j], out=term)
-                term[self._empty[j]] = 0.0
+                np.multiply(counts[j], logp[j], out=term)
+                term[empty[j]] = 0.0
                 ll += term
+        infeasible = None
         if terms.feasible is not None and not terms.feasible.all():
-            ll = np.where(terms.feasible, ll, -np.inf)
-        return ll
+            infeasible = np.logical_not(terms.feasible, out=work.take(bool))
+            np.copyto(ll, -np.inf, where=infeasible)
+        return ll, infeasible
 
     def conditional(self, intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """Per-cluster conditional log-likelihood at zero random effect."""
@@ -145,12 +214,14 @@ class LoglikKernel:
         """Per-cluster conditional log-likelihood with per-cluster predictor
         offsets of shape (n,), (n, K-1), or None for zeros."""
         if offsets is None:
-            offsets = 0.0
+            offsets = np.zeros(1)
         else:
             offsets = np.asarray(offsets, dtype=float)
             offsets = offsets[:, None] if offsets.ndim == 1 else offsets.T[:, :, None]
-        deltas = self._predictors(intercepts, slopes, offsets)
-        return self._count_loglik(slot_terms(self.link, deltas))[:, 0] + self.log_coef
+        out = np.empty(self.x.shape[0])
+        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets, 1):
+            np.add(ll[:, 0], self.log_coef[lo:hi], out=out[lo:hi])
+        return out
 
     def node_logliks(self, intercepts, slopes, node_offsets) -> np.ndarray:
         """Conditional log-likelihood of every cluster at every offset node,
@@ -159,28 +230,36 @@ class LoglikKernel:
         ``node_offsets`` has shape (Q,) for a shared deviation or (Q, K-1)
         for slot-wise deviations.
         """
-        deltas = self._predictors(intercepts, slopes, self._node_offsets(node_offsets))
-        return self._count_loglik(slot_terms(self.link, deltas))
+        offsets = self._node_offsets(node_offsets)
+        out = np.empty((self.x.shape[0], offsets.shape[-1]))
+        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets, out.shape[1]):
+            out[lo:hi] = ll
+        return out
 
     @staticmethod
-    def _integrate(ll: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Log-sum-exp over nodes: per-cluster log of sum_q w_q exp(ll_q)
-        without the multinomial constant, the shifted node masses, and
-        their weighted sums."""
+    def _integrate(ll: np.ndarray, weights, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-sum-exp over nodes: writes to ``out`` the per-cluster log of
+        sum_q w_q exp(ll_q) without the multinomial constant, and returns
+        the shifted node masses (written over ``ll``) and their weighted
+        sums."""
         m = ll.max(axis=1, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
-        mass = np.subtract(ll, m)
+        mass = np.subtract(ll, m, out=ll)
         np.exp(mass, out=mass)
         total = mass @ weights
         with np.errstate(divide="ignore"):
-            out = np.log(total) + m[:, 0]
-        return out, mass, total
+            np.add(np.log(total), m[:, 0], out=out)
+        return mass, total
 
     def marginal(self, intercepts, slopes, node_offsets, weights) -> np.ndarray:
         """Per-cluster marginal log-likelihood over quadrature nodes, with
         log-sum-exp stabilization. ``weights`` has shape (Q,)."""
-        ll = self.node_logliks(intercepts, slopes, node_offsets)
-        return self._integrate(ll, weights)[0] + self.log_coef
+        weights = np.asarray(weights, dtype=float)
+        out = np.empty(self.x.shape[0])
+        offsets = self._node_offsets(node_offsets)
+        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets, weights.size):
+            self._integrate(ll, weights, out[lo:hi])
+        return out + self.log_coef
 
     def marginal_and_score(self, intercepts, slopes, node_offsets, weights) -> MarginalScore:
         """Summed marginal log-likelihood with the posterior weights and the
@@ -194,25 +273,31 @@ class LoglikKernel:
         get zero posterior weight and contribute nothing to the score.
         """
         weights = np.asarray(weights, dtype=float)
-        deltas = self._predictors(intercepts, slopes, self._node_offsets(node_offsets))
-        terms = slot_terms(self.link, deltas, self._counts)
-        out, mass, total = self._integrate(self._count_loglik(terms), weights)
+        n, n_nodes = self.x.shape[0], weights.size
+        out = np.empty(n)
+        posterior = np.empty((n, n_nodes))
+        slot_score = np.empty((n, self.n_boundaries))
+        node_score = np.empty((n_nodes, self.n_boundaries))
+        offsets = self._node_offsets(node_offsets)
+        blocks = self._blocks(intercepts, slopes, offsets, n_nodes, score=True)
+        for lo, hi, terms, ll, infeasible in blocks:
+            mass, total = self._integrate(ll, weights, out[lo:hi])
+            # a cluster with no feasible node has total 0 and a -inf loglik
+            with np.errstate(divide="ignore", invalid="ignore"):
+                block_posterior = np.divide(weights[None, :], total[:, None], out=posterior[lo:hi])
+                block_posterior *= mass
+                inverse_total = 1.0 / total
+                for k, weighted in enumerate(terms.score):
+                    if infeasible is not None:
+                        np.copyto(weighted, 0.0, where=infeasible)
+                    weighted *= mass
+                    # posterior-weighted sums over nodes and over clusters, as
+                    # matrix-vector products instead of reductions over short axes
+                    slot_score[lo:hi, k] = (weighted @ weights) * inverse_total
+                    node_k = weights * (inverse_total @ weighted)
+                    # the first block sets the sums over clusters, later ones add
+                    node_score[:, k] = node_score[:, k] + node_k if lo else node_k
         loglik = float((out + self.log_coef).sum())
-        infeasible = terms.feasible is not None and not terms.feasible.all()
-        slot_score = np.empty((mass.shape[0], self.n_boundaries))
-        node_score = np.empty((mass.shape[1], self.n_boundaries))
-        # a cluster with no feasible node has total 0 and a -inf loglik
-        with np.errstate(divide="ignore", invalid="ignore"):
-            posterior = mass * (weights[None, :] / total[:, None])
-            inverse_total = 1.0 / total
-            for k, weighted in enumerate(terms.score):
-                if infeasible:
-                    weighted[~terms.feasible] = 0.0
-                weighted *= mass
-                # posterior-weighted sums over nodes and over clusters, as
-                # matrix-vector products instead of reductions over short axes
-                slot_score[:, k] = (weighted @ weights) * inverse_total
-                node_score[:, k] = weights * (inverse_total @ weighted)
         return MarginalScore(loglik, posterior, slot_score, node_score)
 
 

@@ -17,7 +17,8 @@ slot (univariate) or one value per boundary (bivariate, which requires
 K = 3 so that there is one component per intercept).
 
 All values here are immutable after construction and safe to share across
-workers.
+workers, except ``PlaneStack``, the scratch memory a likelihood kernel
+keeps for one caller.
 """
 
 from __future__ import annotations
@@ -342,15 +343,48 @@ class SlotTerms(NamedTuple):
     score: list | None
 
 
-def slot_terms(link: LinkFamily, d, counts=None) -> SlotTerms:
+class PlaneStack:
+    """Scratch planes of one shape, handed out in order by ``take``.
+
+    Float and boolean planes of shape ``shape`` are allocated on first use
+    and kept. ``reset(rows)`` rewinds the stack, so the next ``take`` hands
+    out the first plane again, cut to its leading ``rows``: a caller that
+    keeps a stack reuses the same memory on every pass, while a new stack
+    is fresh memory. A plane taken since the last reset is never handed
+    out twice.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self.rows = self.shape[0]
+        self._planes = ([], [])  # float, bool
+        self._taken = [0, 0]
+
+    def reset(self, rows: int) -> None:
+        self.rows = rows
+        self._taken = [0, 0]
+
+    def take(self, dtype=float) -> np.ndarray:
+        kind = dtype is bool
+        planes, i = self._planes[kind], self._taken[kind]
+        if i == len(planes):
+            planes.append(np.empty(self.shape, dtype=dtype))
+        self._taken[kind] = i + 1
+        return planes[i] if self.rows == self.shape[0] else planes[i][: self.rows]
+
+
+def slot_terms(link: LinkFamily, d, counts=None, work: PlaneStack | None = None) -> SlotTerms:
     """Log category probabilities, feasibility and, given counts, the
     predictor score, in one pass over slot-major predictors.
 
     ``d[k]`` is the plane of boundary-k predictors; ``counts[j]`` holds the
     category-j counts and broadcasts against a plane. Every link works on
     whole planes, so the short category axis never becomes an inner loop.
-    Computed in log space, so large predictor magnitudes stay finite. With
-    F the logistic function, the score is
+    Every plane the link writes, the returned ones included, is taken from
+    ``work``, a stack of planes shaped like ``d[k]``; without one they come
+    from a new stack, so the results are fresh arrays. Computed in log
+    space, so large predictor magnitudes stay finite. With F the logistic
+    function, the score is
 
     - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
     - adjacent categories:  g_k = sum_{j<=k} y_j - N P(Y <= k);
@@ -361,51 +395,58 @@ def slot_terms(link: LinkFamily, d, counts=None) -> SlotTerms:
     with zero probability (two equal predictors) has log-probability -inf
     and a score that is not finite.
     """
+    if work is None:
+        work = PlaneStack(np.shape(d[0]))
     if link is LinkFamily.PROPORTIONAL_ODDS:
-        return _terms_po(d, counts)
+        return _terms_po(d, counts, work)
     if link is LinkFamily.ADJACENT_CATEGORIES:
-        return _terms_acl(d, counts)
+        return _terms_acl(d, counts, work)
     if link is LinkFamily.CONTINUATION_RATIO:
-        return _terms_cr(d, counts)
+        return _terms_cr(d, counts, work)
     raise ValueError(f"unknown link family: {link!r}")
 
 
-def _log_logistic(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log F(z) and log(1 - F(z)) for the logistic function F.
+def _log_logistic(z: np.ndarray, work: PlaneStack, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log F(z) and log(1 - F(z)) for the logistic function F, in two planes
+    taken from ``work``; ``t`` is a scratch plane.
 
     With sp = softplus(z) = log(1 + e^z) these are z - sp and -sp; both are
     formed from the shared t = log(1 + e^-|z|), as min(z, 0) - t and
     -(max(z, 0) + t), so neither cancels z against sp when |z| is large.
     """
-    t = np.abs(z)
-    np.negative(t, out=t)
+    np.copysign(z, -1.0, out=t)  # -|z|
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    log_f = np.minimum(z, 0.0)
+    log_f = np.minimum(z, 0.0, out=work.take())
     log_f -= t
-    log_not_f = np.maximum(z, 0.0)
+    log_not_f = np.maximum(z, 0.0, out=work.take())
     log_not_f += t
     np.negative(log_not_f, out=log_not_f)
     return log_f, log_not_f
 
 
 # The planes are large and the category axis short, so the link functions
-# below update fresh buffers in place rather than allocate a temporary per
-# operation; they never write to the predictor planes they are given.
+# below write every result into a plane taken from the stack, updating it in
+# place rather than allocating a temporary per operation, and reuse scratch
+# planes whose values are spent; they never write to the predictor planes
+# they are given.
 
 
-def _terms_po(d, y) -> SlotTerms:
+def _terms_po(d, y, work) -> SlotTerms:
     # one softplus per predictor: log F, log(1 - F), log F' = their sum
-    log_f, log_not_f = zip(*(_log_logistic(dk) for dk in d))
+    scratch = work.take()
+    log_f, log_not_f = zip(*(_log_logistic(dk, work, scratch) for dk in d))
     feasible = None
     logp = [log_f[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, len(d)):
             a, b = d[k - 1], d[k]
-            step = b >= a
-            feasible = step if feasible is None else feasible & step
+            if feasible is None:
+                feasible = np.greater_equal(b, a, out=work.take(bool))
+            else:
+                feasible &= np.greater_equal(b, a, out=work.take(bool))
             # log(F(b) - F(a)) = log F(b) + log(1 - F(a)) + log(1 - e^(a-b)) for b >= a
-            middle = np.subtract(a, b)
+            middle = np.subtract(a, b, out=work.take())
             np.exp(middle, out=middle)
             np.negative(middle, out=middle)
             np.log1p(middle, out=middle)
@@ -417,18 +458,23 @@ def _terms_po(d, y) -> SlotTerms:
         return SlotTerms(logp, feasible, None)
     last = len(d) - 1
     score = []
+    log_density = work.take()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(d)):
-            log_density = log_f[k] + log_not_f[k]
+            np.add(log_f[k], log_not_f[k], out=log_density)
             # F'/p_k for the category below and F'/p_{k+1} for the one above;
             # at the ends they reduce to 1 - F and F
-            below = log_not_f[0].copy() if k == 0 else np.subtract(log_density, logp[k])
-            if k == last:
-                above = log_f[k].copy()
+            below = work.take()
+            if k == 0:
+                np.exp(log_not_f[0], out=below)
             else:
-                above = np.subtract(log_density, logp[k + 1], out=log_density)
-            np.exp(below, out=below)
-            np.exp(above, out=above)
+                np.subtract(log_density, logp[k], out=below)
+                np.exp(below, out=below)
+            if k == last:
+                above = np.exp(log_f[k], out=scratch)
+            else:
+                above = np.subtract(log_density, logp[k + 1], out=scratch)
+                np.exp(above, out=above)
             below *= y[k]
             above *= y[k + 1]
             below -= above
@@ -436,48 +482,54 @@ def _terms_po(d, y) -> SlotTerms:
     return SlotTerms(logp, feasible, score)
 
 
-def _terms_acl(d, y) -> SlotTerms:
+def _terms_acl(d, y, work) -> SlotTerms:
     # category k carries the partial sum of predictors k..K-1, category K zero
     sums = [d[-1]]
     for dk in d[-2::-1]:
-        sums.append(sums[-1] + dk)
+        sums.append(np.add(sums[-1], dk, out=work.take()))
     sums.reverse()
-    m = np.maximum(sums[-1], 0.0)
+    m = np.maximum(sums[-1], 0.0, out=work.take())
     for s in sums[:-1]:
         np.maximum(m, s, out=m)
-    scaled = [np.subtract(s, m) for s in sums] + [np.negative(m)]
+    scaled = [np.subtract(s, m, out=work.take()) for s in sums]
+    scaled.append(np.negative(m, out=work.take()))
     for e in scaled:
         np.exp(e, out=e)
-    z = scaled[0] + scaled[1]
+    z = np.add(scaled[0], scaled[1], out=work.take())
     for e in scaled[2:]:
         z += e
-    logz = np.log(z)
+    logz = np.log(z, out=z)
     logz += m
-    logp = [s - logz for s in sums] + [np.negative(logz)]
+    # the scaled planes are spent: they take the log-probabilities
+    logp = [np.subtract(s, logz, out=e) for s, e in zip(sums, scaled)]
+    logp.append(np.negative(logz, out=scaled[-1]))
     if y is None:
         return SlotTerms(logp, None, None)
     size = y[0]
     for yj in y[1:]:
         size = size + yj
     score = []
-    at_or_below, prob_at_or_below = 0.0, 0.0
+    at_or_below = 0.0
+    prob_at_or_below = np.exp(logp[0], out=m)
     for k in range(len(d)):
         at_or_below = at_or_below + y[k]
-        prob_at_or_below = prob_at_or_below + np.exp(logp[k])
-        g = prob_at_or_below * -size
+        if k:
+            prob_at_or_below += np.exp(logp[k], out=z)
+        g = np.multiply(prob_at_or_below, -size, out=work.take())
         g += at_or_below
         score.append(g)
     return SlotTerms(logp, None, score)
 
 
-def _terms_cr(d, y) -> SlotTerms:
+def _terms_cr(d, y, work) -> SlotTerms:
     # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
-    log_stop, log_continue = zip(*(_log_logistic(dk) for dk in d))
+    scratch = work.take()
+    log_stop, log_continue = zip(*(_log_logistic(dk, work, scratch) for dk in d))
     logp = [log_stop[0]]
     surv = log_continue[0]
     for k in range(1, len(d)):
-        logp.append(log_stop[k] + surv)
-        surv = surv + log_continue[k]
+        logp.append(np.add(log_stop[k], surv, out=work.take()))
+        surv = np.add(surv, log_continue[k], out=log_continue[k])
     logp.append(surv)
     if y is None:
         return SlotTerms(logp, None, None)
@@ -487,7 +539,7 @@ def _terms_cr(d, y) -> SlotTerms:
     reached.reverse()
     score = []
     for k in range(len(d)):
-        g = np.exp(log_stop[k])  # F(d_k)
+        g = np.exp(log_stop[k], out=work.take())  # F(d_k)
         g *= -reached[k]
         g += y[k]
         score.append(g)

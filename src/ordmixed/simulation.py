@@ -253,6 +253,8 @@ def run_study(
     replications, and the interval mean +- 1.96 sd / sqrt(R). Replications
     that fail to converge are excluded from the aggregates and counted;
     more than 20% exclusions for any model raises StudyQualityError.
+    ``workers`` processes (at least 1; by default ORDMIXED_WORKERS, else
+    1) share the replications.
     """
     if fit_options is None:
         fit_options = FitOptions(standard_errors=False)
@@ -260,6 +262,8 @@ def run_study(
         fit_options = replace(fit_options, standard_errors=False)
     if workers is None:
         workers = int(os.environ.get("ORDMIXED_WORKERS", "1"))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     indices = range(design.replications)
     if workers > 1 and design.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

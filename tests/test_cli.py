@@ -199,6 +199,14 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: ValueError: --order must be an integer in [1, 100], got {value}\n"
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_workers_flag_below_one(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "simulate", "--link", "po", "--replications", "2", "--workers", value,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: ValueError: --workers must be an integer >= 1, got {value}\n"
+
     def test_bad_flag_single_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--link", "nope"])

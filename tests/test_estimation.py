@@ -24,6 +24,7 @@ from ordmixed.estimation import (
     _central_gradient,
     _clipped_covariance,
     _Minimand,
+    _newton_step,
     _Objective,
     _Parameterization,
 )
@@ -358,3 +359,31 @@ class TestEmpiricalBayes:
         homog = fit(strawberry, PO, "none", FAST)
         with pytest.raises(ValueError):
             predict_random_effects(strawberry, homog.estimates, PO)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_newton_step_matches_the_row_loop(self, r):
+        rng = np.random.default_rng(r)
+        grad = rng.normal(size=(40, r))
+        a = rng.normal(size=(40, r, r))
+        hess = -(a @ a.transpose(0, 2, 1)) - 0.1 * np.eye(r)
+        hess[3] = -hess[3]  # ascent fails: the step falls back to the gradient
+        hess[5, 0, 0] = np.nan
+        expected = _newton_step_reference(grad, hess)
+        np.testing.assert_array_equal(_newton_step(grad, hess), expected)
+        hess[7] = 0.0  # singular: the batched solve fails and rows are solved one by one
+        np.testing.assert_array_equal(_newton_step(grad, hess), _newton_step_reference(grad, hess))
+        np.testing.assert_array_equal(_newton_step(grad, hess)[7], grad[7])
+
+
+def _newton_step_reference(grad, hess):
+    """The Newton step solved cluster by cluster."""
+    step = np.empty_like(grad)
+    for idx in range(grad.shape[0]):
+        try:
+            s = np.linalg.solve(-hess[idx], grad[idx])
+            if not np.all(np.isfinite(s)) or grad[idx] @ s < 0:
+                s = grad[idx]
+        except np.linalg.LinAlgError:
+            s = grad[idx]
+        step[idx] = s
+    return step

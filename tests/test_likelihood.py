@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from ordmixed import (
     conditional_cluster_loglik,
     gauss_hermite,
     marginal_cluster_loglik,
+    strawberry_dataset,
     total_loglik,
 )
-from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
+from ordmixed import likelihood
+from ordmixed.likelihood import LoglikKernel, MarginalScore, multinomial_log_coefficient
 from ordmixed.model import log_category_probabilities, predictor_score
+from ordmixed.quadrature import standard_tensor_grid
 
 
 def make_cluster(counts, covariates=()):
@@ -301,3 +305,105 @@ class TestSlotMajorKernel:
         kernel = LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
         expected = [multinomial_log_coefficient(cl.counts) for cl in dataset.clusters]
         np.testing.assert_array_equal(kernel.log_coef, expected)
+
+
+
+def _arrays(result):
+    """The arrays of a kernel result: a MarginalScore's fields, or itself."""
+    if isinstance(result, MarginalScore):
+        return (np.array(result.loglik),) + tuple(result[1:])
+    return (result,)
+
+
+class TestWorkspace:
+    @pytest.fixture(scope="class")
+    def large(self):
+        # 960 clusters of 50 over the 48-plot design, the benchmark's shape
+        rng = np.random.default_rng(11)
+        x = np.tile(strawberry_dataset().covariate_matrix, (20, 1))
+        counts = rng.multinomial(50, [0.3, 0.25, 0.45], size=x.shape[0])
+        return Dataset(clusters=tuple(make_cluster(y, row) for y, row in zip(counts, x)))
+
+    @staticmethod
+    def _calls(dataset):
+        """Every kernel method at node counts 30, 1, 40 and 30 again, each
+        time at another scale of the nodes."""
+        c, b = np.array([-0.6, 0.4]), np.linspace(-0.3, 0.3, dataset.n_covariates)
+        eb = np.random.default_rng(2).normal(size=(dataset.n_clusters, 2))
+        calls = []
+        groups = ((1.2, 30, eb), (1.0, 1, eb[:, 0]), (0.8, 40, eb), (1.5, 30, None))
+        for scale, q, eb_offsets in groups:
+            rule = gauss_hermite(q)
+            nodes = scale * rule.nodes
+            calls += [
+                ("marginal_and_score", (c, b, nodes, rule.weights)),
+                ("node_logliks", (c, b, nodes)),
+                ("conditional_at", (c, b, eb_offsets)),
+                ("marginal", (c, b, nodes, rule.weights)),
+            ]
+        return calls
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_interleaved_calls_match_a_fresh_kernel(self, large, link):
+        kernel = LoglikKernel(large, link)
+        for method, args in self._calls(large):
+            got = _arrays(getattr(kernel, method)(*args))
+            want = _arrays(getattr(LoglikKernel(large, link), method)(*args))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_returned_arrays_are_not_the_workspace(self, large):
+        kernel = LoglikKernel(large, LinkFamily.PROPORTIONAL_ODDS)
+        calls = self._calls(large)
+        results = [_arrays(getattr(kernel, method)(*args)) for method, args in calls]
+        kept = [tuple(a.copy() for a in r) for r in results]
+        # later calls leave earlier results as they were ...
+        for r, k in zip(results, kept):
+            for a, b in zip(r, k):
+                np.testing.assert_array_equal(a, b)
+        # ... and writing into a result does not reach the next call
+        for (method, args), r, k in zip(calls, results, kept):
+            for a in r:
+                a[...] = np.nan
+            for a, b in zip(_arrays(getattr(kernel, method)(*args)), k):
+                np.testing.assert_array_equal(a, b)
+
+    def test_a_warm_call_allocates_only_its_results(self, large):
+        kernel = LoglikKernel(large, LinkFamily.PROPORTIONAL_ODDS)
+        rule = gauss_hermite(30)
+        args = (np.array([-0.6, 0.4]), np.full(large.n_covariates, 0.1), 1.2 * rule.nodes,
+                rule.weights)
+        kernel.marginal_and_score(*args)
+        plane = 8 * large.n_clusters * rule.order
+        tracemalloc.start()
+        try:
+            kernel.marginal_and_score(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * plane
+
+    @pytest.mark.parametrize("kind", ["univariate", "bivariate"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_row_blocks_match_one_block(self, monkeypatch, link, kind):
+        ds = strawberry_dataset()
+        c, b = np.array([-1.2, 0.5]), np.linspace(-0.4, 0.6, ds.n_covariates)
+        if kind == "univariate":
+            rule = gauss_hermite(20)
+            offsets, weights = 0.8 * rule.nodes, rule.weights
+        else:
+            # slot-wise offsets that reverse the PO cutpoints at some nodes
+            offsets, weights = standard_tensor_grid(6)
+            offsets = offsets @ np.array([[1.3, 0.0], [-0.4, 0.9]]).T
+        one = LoglikKernel(ds, link).marginal_and_score(c, b, offsets, weights)
+        monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9 * len(weights))
+        kernel = LoglikKernel(ds, link)
+        blocked = kernel.marginal_and_score(c, b, offsets, weights)
+        assert len(kernel._workspace(len(weights)).blocks) == 6
+        np.testing.assert_array_equal(blocked.posterior, one.posterior)
+        np.testing.assert_array_equal(blocked.slot_score, one.slot_score)
+        assert blocked.loglik == pytest.approx(one.loglik, rel=1e-12)
+        np.testing.assert_allclose(blocked.node_score, one.node_score, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(
+            kernel.node_logliks(c, b, offsets), LoglikKernel(ds, link).node_logliks(c, b, offsets)
+        )

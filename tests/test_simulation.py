@@ -11,6 +11,7 @@ from ordmixed import (
     category_probabilities,
     gauss_hermite,
 )
+from ordmixed import simulation
 from ordmixed.io import render_tree, summary_tree
 from ordmixed.simulation import (
     InvalidDesignError,
@@ -143,6 +144,14 @@ class TestRunStudy:
         serial = render_tree(summary_tree(run_study(design, opts, workers=1)), "json")
         parallel = render_tree(summary_tree(run_study(design, opts, workers=3)), "json")
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_raise_before_any_work(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(simulation, "_replicate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_study(small_design(replications=2), FitOptions(quadrature_order=10), workers)
+        assert calls == []
 
     def test_ci_rule_mean_pm_1p96_sd_over_sqrt_r(self):
         design = small_design(replications=5)
