@@ -4,10 +4,14 @@ The optimizer (L-BFGS-B) works on an unconstrained parameterization (log
 standard deviations, atanh correlation) with the analytic score: the
 posterior-weighted average of the conditional score over the quadrature
 nodes, mapped to the parameters by the chain rule. Standard errors come
-from the observed information, built by central differences of that score
-and mapped back to the reported scale by the delta method.
-Proportional-odds proposals outside the feasible region evaluate to -inf
-and simply shrink the line-search step.
+from the observed information, formed in one kernel pass by Louis'
+identity: each cluster's Hessian is the posterior mean of the conditional
+Hessian plus the posterior covariance of the conditional score, on the same
+nodes. The same chain rule maps it to the parameters, and the delta method
+to the reported scale. Proportional-odds proposals outside the feasible
+region evaluate to -inf and simply shrink the line-search step.
+Empirical-Bayes modes come from Newton steps on each link's closed-form
+score and curvature.
 """
 
 from __future__ import annotations
@@ -100,8 +104,9 @@ class FitResult:
     on its bound (listed in ``diagnostics["boundary"]``) is reported as 0
     with NaN standard error, interval and p-value. ``n_evaluations``
     counts every value-and-score evaluation the fit made: the nested
-    homogeneous start fit, the optimizer's, the convergence check's and
-    the standard-error Hessian's.
+    homogeneous start fit, the optimizer's and the convergence check's.
+    The standard errors add one information pass of the kernel, which is
+    not counted.
     """
 
     estimates: ParameterVector
@@ -243,30 +248,35 @@ class _Objective:
         else:
             self.nodes, self.weights = standard_tensor_grid(order)
 
-    def _offsets(self, tail) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def _offsets(self, tail, second: bool = False):
         """Node offsets and their derivatives with respect to each variance
-        parameter; (Q,) arrays are shared by every predictor slot."""
+        parameter; (Q,) arrays are shared by every predictor slot. With
+        ``second``, also the second derivatives, shape (T, T, K-1, Q) for T
+        variance parameters, else None."""
+        k1 = self.kernel.n_boundaries
         if self.param.structure == "none":
-            return self.nodes, ()
+            return self.nodes, (), np.zeros((0, 0, k1, 1)) if second else None
         if self.param.structure == "univariate":
             offsets = math.exp(tail[0]) * self.nodes
-            return offsets, (offsets,)  # d(sigma t) / d(log sigma) = sigma t
+            # d(sigma t) / d(log sigma) = sigma t, and so is the second derivative
+            return offsets, (offsets,), np.tile(offsets, (1, 1, k1, 1)) if second else None
         re = BivariateRandomEffect(
             sigma1=math.exp(tail[0]), sigma2=math.exp(tail[1]), rho=math.tanh(tail[2])
         )
         offsets = self.nodes @ re.cholesky_factor().T
-        return offsets, tuple(self.nodes @ d.T for d in re.cholesky_derivatives())
+        first = tuple(self.nodes @ d.T for d in re.cholesky_derivatives())
+        return offsets, first, re.cholesky_second_derivatives() @ self.nodes.T if second else None
 
     def value(self, theta: np.ndarray) -> float:
         c, b, tail = self.param.split(theta)
         if self.param.structure == "none":
             return self.kernel.conditional(c, b).sum()
-        offsets, _ = self._offsets(tail)
+        offsets, _, _ = self._offsets(tail)
         return self.kernel.marginal(c, b, offsets, self.weights).sum()
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         c, b, tail = self.param.split(theta)
-        offsets, derivatives = self._offsets(tail)
+        offsets, derivatives, _ = self._offsets(tail)
         r = self.kernel.marginal_and_score(c, b, offsets, self.weights)
         variance = [
             np.sum(r.node_score * (d if d.ndim == 2 else d[:, None])) for d in derivatives
@@ -275,6 +285,39 @@ class _Objective:
             [r.slot_score.sum(axis=0), self.kernel.x.T @ r.slot_score.sum(axis=1), variance]
         )
         return r.loglik, score
+
+    def information(self, theta: np.ndarray) -> np.ndarray:
+        """Observed information, the negative Hessian of the log-likelihood,
+        at ``theta``, in one kernel pass.
+
+        By Louis' identity each cluster's Hessian is the posterior mean of
+        the conditional Hessian plus the posterior covariance of the
+        conditional score. The kernel forms them in the coordinates of its
+        node features, the derivatives of the boundary predictors with
+        respect to the intercepts, the linear predictor x'b and each
+        variance parameter. Cluster i's slopes then take x_i times the
+        linear predictor's row and column, and the variance parameters add
+        the node-summed score times the offsets' second derivatives.
+        """
+        c, b, tail = self.param.split(theta)
+        k1, n_slopes, n_variance = c.size, b.size, tail.size
+        offsets, derivatives, second = self._offsets(tail, second=True)
+        features = np.zeros((self.weights.size, k1, k1 + 1 + n_variance))
+        features[:, :, :k1] = np.eye(k1)
+        features[:, :, k1] = 1.0
+        for t, d in enumerate(derivatives):
+            features[:, :, k1 + 1 + t] = d if d.ndim == 2 else d[:, None]
+        m = self.kernel.louis_moments(c, b, offsets, self.weights, features)
+        cluster_hess = m.second - m.mean[:, :, None] * m.mean[:, None, :]
+        # basis[i] maps the feature coordinates to the parameters for cluster i
+        v = k1 + n_slopes
+        basis = np.zeros((len(m.mean), self.param.size, features.shape[-1]))
+        basis[:, :k1, :k1] = np.eye(k1)
+        basis[:, k1:v, k1] = self.kernel.x
+        basis[:, v:, k1 + 1 :] = np.eye(n_variance)
+        hess = np.einsum("npr,nqr->pq", basis @ cluster_hess, basis)
+        hess[v:, v:] += np.einsum("stkq,qk->st", second, m.node_score)
+        return -0.5 * (hess + hess.T)
 
 
 class _Minimand:
@@ -294,14 +337,11 @@ class _Minimand:
         self.last_value = np.nan
         self._memo = None
 
-    def loglik_and_score(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        self.calls += 1
-        return self.objective(theta)
-
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = np.asarray(theta, dtype=float)
         if self._memo is None or not np.array_equal(theta, self._memo[0]):
-            value, score = self.loglik_and_score(theta)
+            self.calls += 1
+            value, score = self.objective(theta)
             if np.isfinite(value) and np.all(np.isfinite(score)):
                 self._memo = (theta.copy(), -float(value), -score)
                 self.last_value = -float(value)
@@ -341,9 +381,10 @@ def numerical_covariance(
     """Inverse negative Hessian of a log-likelihood-style objective.
 
     The Hessian is central differences of ``gradient`` (2p gradient calls),
-    which defaults to central differences of ``objective``; the fit passes
-    its analytic score. A singular or indefinite negative Hessian raises
-    CovarianceUnavailableError carrying the eigenvalues and the matrix.
+    which defaults to central differences of ``objective``. A singular or
+    indefinite negative Hessian raises CovarianceUnavailableError carrying
+    the eigenvalues and the matrix. The fit itself uses its objective's
+    closed-form information instead.
     """
     at = np.asarray(at, dtype=float)
     if gradient is None:
@@ -351,8 +392,13 @@ def numerical_covariance(
         def gradient(t):
             return _central_gradient(objective, t)
 
-    info = _information(gradient, at)
-    eig = np.linalg.eigvalsh(info) if np.all(np.isfinite(info)) else np.full(at.size, np.nan)
+    return _inverse_information(_information(gradient, at))
+
+
+def _inverse_information(info: np.ndarray) -> np.ndarray:
+    """Inverse of an information matrix; a singular or indefinite one raises
+    CovarianceUnavailableError carrying the eigenvalues and the matrix."""
+    eig = np.linalg.eigvalsh(info) if np.all(np.isfinite(info)) else np.full(len(info), np.nan)
     if not np.all(np.isfinite(eig)) or eig.min() <= 0.0:
         raise CovarianceUnavailableError(
             "negative Hessian is singular or indefinite", eigenvalues=eig, information=info
@@ -488,10 +534,7 @@ def _fit_impl(
     if opts.standard_errors:
         jac = param.delta_jacobian(theta_hat)
         try:
-            cov_theta = numerical_covariance(
-                objective.value, theta_hat,
-                gradient=lambda t: negloglik.loglik_and_score(t)[1],
-            )
+            cov_theta = _inverse_information(objective.information(theta_hat))
         except CovarianceUnavailableError as err:
             if np.all(np.isfinite(err.information)):
                 cov_theta = _clipped_covariance(err.information)
@@ -656,8 +699,7 @@ def predict_random_effects(
     if isinstance(re, UnivariateRandomEffect):
         if re.sigma <= 1e-8:
             return np.zeros((n, k1))
-        eps = _univariate_posterior(kernel, fe, re.sigma, method, order)
-        return np.repeat(eps[:, None], k1, axis=1)
+        return _univariate_posterior(kernel, fe, re.sigma, method, order)
 
     if dataset.n_categories != 3:
         raise ValueError("a bivariate random effect requires exactly 3 categories")
@@ -670,24 +712,10 @@ def _univariate_posterior(kernel, fe, sigma, method, order) -> np.ndarray:
     grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes)
     if method == "mean":
         alpha = _softmax(grid_ll + np.log(rule.weights)[None, :])
-        return alpha @ nodes
-
-    def posterior(e):
-        return kernel.conditional_at(fe.intercepts, fe.slopes, e) - 0.5 * (e / sigma) ** 2
-
+        return np.repeat((alpha @ nodes)[:, None], kernel.n_boundaries, axis=1)
     prior = -0.5 * (nodes / sigma) ** 2
-    e = nodes[np.argmax(grid_ll + prior[None, :], axis=1)].astype(float)
-    h = 1e-5
-    for _ in range(80):
-        f0, fp, fm = posterior(e), posterior(e + h), posterior(e - h)
-        grad = (fp - fm) / (2.0 * h)
-        curv = (fp - 2.0 * f0 + fm) / h**2
-        step = grad / np.where(curv < -1e-9, -curv, 1.0)
-        np.clip(step, -1.0, 1.0, out=step)
-        e = e + step
-        if np.max(np.abs(grad)) < 1e-9:
-            break
-    return e
+    seeds = rule.nodes[np.argmax(grid_ll + prior[None, :], axis=1), None]
+    return _posterior_modes(kernel, fe, np.full((kernel.n_boundaries, 1), sigma), seeds)
 
 
 def _bivariate_posterior(kernel, fe, re, method, order) -> np.ndarray:
@@ -714,57 +742,31 @@ def _bivariate_posterior(kernel, fe, re, method, order) -> np.ndarray:
         alpha = _softmax(grid_post + logw[None, :])
         return alpha @ eps_grid
 
-    z = zgrid[np.argmax(grid_post + logw[None, :], axis=1)].astype(float)
+    seeds = zgrid[np.argmax(grid_post + logw[None, :], axis=1)]
+    return _posterior_modes(kernel, fe, amat, seeds)
 
-    def posterior(zz):
-        return (
-            kernel.conditional_at(fe.intercepts, fe.slopes, zz @ amat.T)
-            - 0.5 * (zz**2).sum(axis=1)
-        )
 
-    h = 1e-5
+def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
+    """Posterior-mode predictor offsets, shape (n, K-1), for standardized
+    effects z (n, r) whose offsets are z @ loading.T, by Newton ascent from
+    the seeds z.
+
+    The log posterior is the conditional log-likelihood plus the standard
+    normal log-density of z, so its gradient is loading' g - z and its
+    Hessian loading' H loading - I, with g and H the link's closed-form
+    score and curvature with respect to the boundary predictors. Steps are
+    clipped to 1 in each coordinate.
+    """
+    identity = np.eye(loading.shape[1])
     for _ in range(80):
-        grad, hess = _fd_grad_hess(posterior, z, h, r)
-        step = _newton_step(grad, hess)
+        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, z @ loading.T)
+        grad = terms.score @ loading - z
+        step = _newton_step(grad, loading.T @ terms.curvature @ loading - identity)
         np.clip(step, -1.0, 1.0, out=step)
         z = z + step
         if np.max(np.abs(grad)) < 1e-8:
             break
-    return z @ amat.T
-
-
-def _fd_grad_hess(f, z, h, r):
-    n = z.shape[0]
-    f0 = f(z)
-    grad = np.empty((n, r))
-    hess = np.empty((n, r, r))
-    shifted = {}
-    for i in range(r):
-        zp, zm = z.copy(), z.copy()
-        zp[:, i] += h
-        zm[:, i] -= h
-        fp, fm = f(zp), f(zm)
-        shifted[i] = (fp, fm)
-        grad[:, i] = (fp - fm) / (2.0 * h)
-        hess[:, i, i] = (fp - 2.0 * f0 + fm) / h**2
-    for i in range(r):
-        for j in range(i + 1, r):
-            zpp = z.copy()
-            zpp[:, i] += h
-            zpp[:, j] += h
-            zmm = z.copy()
-            zmm[:, i] -= h
-            zmm[:, j] -= h
-            zpm = z.copy()
-            zpm[:, i] += h
-            zpm[:, j] -= h
-            zmp = z.copy()
-            zmp[:, i] -= h
-            zmp[:, j] += h
-            cross = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4.0 * h * h)
-            hess[:, i, j] = cross
-            hess[:, j, i] = cross
-    return grad, hess
+    return z @ loading.T
 
 
 def _newton_step(grad, hess):

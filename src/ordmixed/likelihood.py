@@ -9,15 +9,20 @@ nodes and -inf when no node is feasible.
 
 The score of the marginal log-likelihood is the posterior-weighted average
 of the conditional score over the nodes (the Fisher identity), so one pass
-over the node arrays yields the value and the score together.
+over the node arrays yields the value and the score together. Its Hessian is
+the posterior mean of the conditional Hessian plus the posterior covariance
+of the conditional score (Louis' identity), so a second pass, which also
+evaluates each link's closed-form curvature, yields the observed
+information.
 
 ``LoglikKernel`` lays the predictors out slot-major: an array of shape
 (K-1, n, Q) whose leading axis is the category boundary, so each boundary
 is one contiguous (n, Q) plane of clusters by nodes. ``model.slot_terms``
-evaluates a link on those planes, giving K log-probability planes and K-1
-score planes; the counts, stored as (K, n, 1), weight them plane by plane,
-and the posterior contractions are matrix-vector products over the node
-and cluster axes. No array with a short trailing category axis is built.
+evaluates a link on those planes, giving K log-probability planes, K-1
+score planes and, when asked, the curvature planes; the counts, stored as
+(K, n, 1), weight them plane by plane, and the posterior contractions are
+matrix products over the node and cluster axes. No array with a short
+trailing category axis is built.
 
 The kernel writes every intermediate into its workspace: for each node
 count Q, a stack of (rows, Q) planes allocated on the first call with that
@@ -79,18 +84,46 @@ def conditional_cluster_loglik(cluster: Cluster, probs: np.ndarray) -> float:
 class MarginalScore(NamedTuple):
     """Summed marginal log-likelihood and its score per predictor slot.
 
-    ``posterior`` (n, Q) holds each cluster's posterior weights over the
-    nodes; ``slot_score`` (n, K-1) is the posterior average of each
-    cluster's conditional score with respect to its boundary predictors;
+    ``slot_score`` (n, K-1) is the posterior average of each cluster's
+    conditional score with respect to its boundary predictors;
     ``node_score`` (Q, K-1) is the same posterior-weighted score summed over
     clusters at each node, which the chain rule through the node offsets
     needs.
     """
 
     loglik: float
-    posterior: np.ndarray
     slot_score: np.ndarray
     node_score: np.ndarray
+
+
+class LouisMoments(NamedTuple):
+    """The posterior moments of one marginal pass that Louis' identity needs.
+
+    With g and H the conditional score and curvature with respect to a
+    cluster's K-1 boundary predictors at node q, and M_q the (K-1, r) node
+    features the caller passed (the derivatives of the predictors with
+    respect to r coordinates), ``mean`` (n, r) holds each cluster's
+    posterior mean of M_q' g and ``second`` (n, r, r) its posterior mean of
+    M_q' (H + g g') M_q; the Hessian of the cluster's marginal log-likelihood
+    in those coordinates is ``second`` minus the outer product of ``mean``,
+    plus the score times any second derivatives of the predictors, for
+    which ``node_score`` (Q, K-1), as in ``MarginalScore``, suffices when
+    those derivatives depend on the node alone.
+    """
+
+    loglik: float
+    mean: np.ndarray
+    second: np.ndarray
+    node_score: np.ndarray
+
+
+class ConditionalTerms(NamedTuple):
+    """Per-cluster conditional log-likelihood (n,), with its score (n, K-1)
+    and curvature (n, K-1, K-1) with respect to the boundary predictors."""
+
+    loglik: np.ndarray
+    score: np.ndarray
+    curvature: np.ndarray
 
 
 class _Workspace(NamedTuple):
@@ -158,13 +191,15 @@ class LoglikKernel:
             )
         return self._workspaces[n_nodes]
 
-    def _blocks(self, intercepts, slopes, offsets, n_nodes: int, score: bool = False):
+    def _blocks(self, intercepts, slopes, offsets, n_nodes: int, derivatives: int = 0):
         """Evaluate the link block by block in the workspace planes.
 
         ``offsets`` is an array that broadcasts against the slot-major
         predictors (K-1, n, Q); one with a cluster axis of length n > 1 is
-        cut to each block's rows. Yields, per row block, its first and end rows, the ``SlotTerms``
-        (with the score planes when ``score``), the node log-likelihoods
+        cut to each block's rows. Yields, per row block, its first and end
+        rows, the ``SlotTerms`` (with the score planes when ``derivatives``
+        is 1 or more, and the curvature planes when it is 2), the node
+        log-likelihoods
         without the multinomial constant and the infeasibility mask (None
         when every node is feasible); all of them live in the workspace and
         are overwritten by the next block or call.
@@ -177,7 +212,9 @@ class LoglikKernel:
             d = ws.predictors[:, : hi - lo]
             np.add(base[:, lo:hi, None], offsets[..., lo:hi, :] if per_cluster else offsets, out=d)
             counts = self._counts[:, lo:hi]
-            terms = slot_terms(self.link, d, counts if score else None, ws.planes)
+            terms = slot_terms(
+                self.link, d, counts if derivatives else None, ws.planes, derivatives > 1
+            )
             ll, infeasible = self._count_loglik(terms, counts, empty, ws.planes)
             yield lo, hi, terms, ll, infeasible
 
@@ -223,6 +260,22 @@ class LoglikKernel:
             np.add(ll[:, 0], self.log_coef[lo:hi], out=out[lo:hi])
         return out
 
+    def conditional_terms(self, intercepts, slopes, offsets) -> ConditionalTerms:
+        """Per-cluster conditional log-likelihood, score and curvature with
+        respect to the boundary predictors, at per-cluster predictor offsets
+        of shape (n, K-1)."""
+        offsets = np.asarray(offsets, dtype=float).T[:, :, None]
+        n, k1 = self.x.shape[0], self.n_boundaries
+        loglik, score = np.empty(n), np.empty((n, k1))
+        curvature = np.zeros((n, k1, k1))
+        for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, 1, derivatives=2):
+            np.add(ll[:, 0], self.log_coef[lo:hi], out=loglik[lo:hi])
+            for k, g in enumerate(terms.score):
+                score[lo:hi, k] = g[:, 0]
+            for (k, l), h in terms.curvature.items():
+                curvature[lo:hi, k, l] = curvature[lo:hi, l, k] = h[:, 0]
+        return ConditionalTerms(loglik, score, curvature)
+
     def node_logliks(self, intercepts, slopes, node_offsets) -> np.ndarray:
         """Conditional log-likelihood of every cluster at every offset node,
         shape (n, Q), without the multinomial constant.
@@ -262,8 +315,8 @@ class LoglikKernel:
         return out + self.log_coef
 
     def marginal_and_score(self, intercepts, slopes, node_offsets, weights) -> MarginalScore:
-        """Summed marginal log-likelihood with the posterior weights and the
-        node-averaged score per slot, in one pass over the node arrays.
+        """Summed marginal log-likelihood with the node-averaged score per
+        slot, in one pass over the node arrays.
 
         Takes the arguments of ``marginal``; a model without a random
         effect is one node at 0 with weight 1. The score with respect to
@@ -275,17 +328,14 @@ class LoglikKernel:
         weights = np.asarray(weights, dtype=float)
         n, n_nodes = self.x.shape[0], weights.size
         out = np.empty(n)
-        posterior = np.empty((n, n_nodes))
         slot_score = np.empty((n, self.n_boundaries))
         node_score = np.empty((n_nodes, self.n_boundaries))
         offsets = self._node_offsets(node_offsets)
-        blocks = self._blocks(intercepts, slopes, offsets, n_nodes, score=True)
+        blocks = self._blocks(intercepts, slopes, offsets, n_nodes, derivatives=1)
         for lo, hi, terms, ll, infeasible in blocks:
             mass, total = self._integrate(ll, weights, out[lo:hi])
             # a cluster with no feasible node has total 0 and a -inf loglik
             with np.errstate(divide="ignore", invalid="ignore"):
-                block_posterior = np.divide(weights[None, :], total[:, None], out=posterior[lo:hi])
-                block_posterior *= mass
                 inverse_total = 1.0 / total
                 for k, weighted in enumerate(terms.score):
                     if infeasible is not None:
@@ -298,7 +348,57 @@ class LoglikKernel:
                     # the first block sets the sums over clusters, later ones add
                     node_score[:, k] = node_score[:, k] + node_k if lo else node_k
         loglik = float((out + self.log_coef).sum())
-        return MarginalScore(loglik, posterior, slot_score, node_score)
+        return MarginalScore(loglik, slot_score, node_score)
+
+    def louis_moments(self, intercepts, slopes, node_offsets, weights, features) -> LouisMoments:
+        """The posterior moments of the conditional score and curvature that
+        Louis' identity needs, in one pass over the node arrays.
+
+        Takes the arguments of ``marginal`` and the node features M, shape
+        (Q, K-1, r); see ``LouisMoments``. Infeasible nodes get zero
+        posterior weight and contribute nothing.
+        """
+        weights = np.asarray(weights, dtype=float)
+        features = np.asarray(features, dtype=float)
+        n, n_nodes, r = self.x.shape[0], weights.size, features.shape[-1]
+        # the outer product of the features of boundaries k and l, r * r
+        # values per node, for k <= l; an off-diagonal pair also stands for
+        # (l, k), whose curvature and score product are the same planes
+        pairs = {}
+        for k in range(self.n_boundaries):
+            for l in range(k, self.n_boundaries):
+                outer = features[:, k, :, None] * features[:, l, None, :]
+                if k != l:
+                    outer = outer + outer.transpose(0, 2, 1)
+                pairs[k, l] = outer.reshape(n_nodes, r * r)
+        out = np.empty(n)
+        mean = np.zeros((n, r))
+        second = np.zeros((n, r * r))
+        node_score = np.zeros((n_nodes, self.n_boundaries))
+        work = self._workspace(n_nodes).planes
+        offsets = self._node_offsets(node_offsets)
+        blocks = self._blocks(intercepts, slopes, offsets, n_nodes, derivatives=2)
+        for lo, hi, terms, ll, infeasible in blocks:
+            mass, total = self._integrate(ll, weights, out[lo:hi])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                posterior = np.divide(weights[None, :], total[:, None], out=work.take())
+                posterior *= mass
+            if infeasible is not None:
+                for plane in terms.score + list(terms.curvature.values()):
+                    np.copyto(plane, 0.0, where=infeasible)
+            term = work.take()
+            for (k, l), pair in pairs.items():
+                np.multiply(terms.score[k], terms.score[l], out=term)
+                if (k, l) in terms.curvature:
+                    term += terms.curvature[k, l]
+                term *= posterior
+                second[lo:hi] += term @ pair
+            for k, weighted in enumerate(terms.score):
+                weighted *= posterior
+                mean[lo:hi] += weighted @ features[:, k]
+                node_score[:, k] += weighted.sum(axis=0)
+        loglik = float((out + self.log_coef).sum())
+        return LouisMoments(loglik, mean, second.reshape(n, r, r), node_score)
 
 
 def _node_offsets(params: ParameterVector, rule) -> tuple[np.ndarray, np.ndarray]:

@@ -131,6 +131,27 @@ class BivariateRandomEffect:
             ]
         )
 
+    def cholesky_second_derivatives(self) -> np.ndarray:
+        """Second derivatives of ``cholesky_factor()`` with respect to each
+        pair of log sigma1, log sigma2 and atanh rho, shape (3, 3, 2, 2).
+
+        The first row of the factor is sigma1 alone and the second is sigma2
+        times a function of rho. So twice in log sigma1, or in log sigma2,
+        the derivative repeats the first derivative; log sigma2 with atanh
+        rho repeats the first derivative in atanh rho; log sigma1 with
+        either other parameter vanishes. All stay finite at rho = +-1,
+        where every factor of sqrt(1 - rho^2) vanishes.
+        """
+        s2, rho = self.sigma2, self.rho
+        first = self.cholesky_derivatives()
+        root = np.sqrt(max(0.0, 1.0 - rho**2))
+        second = np.zeros((3, 3, 2, 2))
+        second[0, 0] = first[0]
+        second[1, 1] = first[1]
+        second[1, 2] = second[2, 1] = first[2]
+        second[2, 2, 1] = [-2.0 * rho * s2 * (1.0 - rho**2), -s2 * root * (1.0 - 2.0 * rho**2)]
+        return second
+
 
 RandomEffect = Union[NoRandomEffect, UnivariateRandomEffect, BivariateRandomEffect]
 
@@ -334,13 +355,17 @@ class SlotTerms(NamedTuple):
     ``logp`` holds the K log category probabilities and ``score`` the K-1
     derivatives of sum_j y_j log p_j with respect to each predictor (None
     when no counts were given), each one plane of the trailing shape.
-    ``feasible`` is the proportional-odds feasibility mask, or None for the
-    families that are feasible everywhere.
+    ``curvature`` maps a boundary pair (k, l), k <= l, to the plane of the
+    second derivative of sum_j y_j log p_j with respect to predictors k and
+    l; pairs whose second derivative is zero for the link are left out, and
+    it is None unless asked for. ``feasible`` is the proportional-odds
+    feasibility mask, or None for the families that are feasible everywhere.
     """
 
     logp: list
     feasible: np.ndarray | None
     score: list | None
+    curvature: dict | None = None
 
 
 class PlaneStack:
@@ -373,9 +398,12 @@ class PlaneStack:
         return planes[i] if self.rows == self.shape[0] else planes[i][: self.rows]
 
 
-def slot_terms(link: LinkFamily, d, counts=None, work: PlaneStack | None = None) -> SlotTerms:
+def slot_terms(
+    link: LinkFamily, d, counts=None, work: PlaneStack | None = None, curvature: bool = False
+) -> SlotTerms:
     """Log category probabilities, feasibility and, given counts, the
-    predictor score, in one pass over slot-major predictors.
+    predictor score and, with ``curvature``, its derivatives, in one pass
+    over slot-major predictors.
 
     ``d[k]`` is the plane of boundary-k predictors; ``counts[j]`` holds the
     category-j counts and broadcasts against a plane. Every link works on
@@ -384,25 +412,35 @@ def slot_terms(link: LinkFamily, d, counts=None, work: PlaneStack | None = None)
     ``work``, a stack of planes shaped like ``d[k]``; without one they come
     from a new stack, so the results are fresh arrays. Computed in log
     space, so large predictor magnitudes stay finite. With F the logistic
-    function, the score is
+    function, N = sum_j y_j and C_k = P(Y <= k), the score is
 
     - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
-    - adjacent categories:  g_k = sum_{j<=k} y_j - N P(Y <= k);
-    - continuation ratio:   g_k = y_k - F(d_k) sum_{j>=k} y_j.
+    - adjacent categories:  g_k = sum_{j<=k} y_j - N C_k;
+    - continuation ratio:   g_k = y_k - F(d_k) sum_{j>=k} y_j;
 
-    Proportional-odds nodes that are infeasible carry garbage in ``logp``
-    and ``score`` and False in ``feasible``; a proportional-odds category
-    with zero probability (two equal predictors) has log-probability -inf
-    and a score that is not finite.
+    and its derivatives H_kl with respect to d_l are, from the same
+    intermediates (F'' = F' (1 - 2F), and 1 - 2F(d) = -tanh(d / 2)),
+
+    - proportional odds (tridiagonal):
+      H_kk = F''_k (y_k / p_k - y_{k+1} / p_{k+1})
+      - F'_k^2 (y_k / p_k^2 + y_{k+1} / p_{k+1}^2),
+      H_{k,k+1} = F'_k F'_{k+1} y_{k+1} / p_{k+1}^2;
+    - adjacent categories:  H_kl = -N (C_min(k,l) - C_k C_l);
+    - continuation ratio (diagonal): H_kk = -F'(d_k) sum_{j>=k} y_j.
+
+    Proportional-odds nodes that are infeasible carry garbage in ``logp``,
+    ``score`` and ``curvature`` and False in ``feasible``; a
+    proportional-odds category with zero probability (two equal predictors)
+    has log-probability -inf and a score and curvature that are not finite.
     """
     if work is None:
         work = PlaneStack(np.shape(d[0]))
     if link is LinkFamily.PROPORTIONAL_ODDS:
-        return _terms_po(d, counts, work)
+        return _terms_po(d, counts, work, curvature)
     if link is LinkFamily.ADJACENT_CATEGORIES:
-        return _terms_acl(d, counts, work)
+        return _terms_acl(d, counts, work, curvature)
     if link is LinkFamily.CONTINUATION_RATIO:
-        return _terms_cr(d, counts, work)
+        return _terms_cr(d, counts, work, curvature)
     raise ValueError(f"unknown link family: {link!r}")
 
 
@@ -432,7 +470,7 @@ def _log_logistic(z: np.ndarray, work: PlaneStack, t: np.ndarray) -> tuple[np.nd
 # they are given.
 
 
-def _terms_po(d, y, work) -> SlotTerms:
+def _terms_po(d, y, work, curvature) -> SlotTerms:
     # one softplus per predictor: log F, log(1 - F), log F' = their sum
     scratch = work.take()
     log_f, log_not_f = zip(*(_log_logistic(dk, work, scratch) for dk in d))
@@ -458,6 +496,7 @@ def _terms_po(d, y, work) -> SlotTerms:
         return SlotTerms(logp, feasible, None)
     last = len(d) - 1
     score = []
+    hess = {} if curvature else None
     log_density = work.take()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(d)):
@@ -470,19 +509,42 @@ def _terms_po(d, y, work) -> SlotTerms:
             else:
                 np.subtract(log_density, logp[k], out=below)
                 np.exp(below, out=below)
+            above = work.take() if curvature else scratch
             if k == last:
-                above = np.exp(log_f[k], out=scratch)
+                np.exp(log_f[k], out=above)
             else:
-                above = np.subtract(log_density, logp[k + 1], out=scratch)
+                np.subtract(log_density, logp[k + 1], out=above)
                 np.exp(above, out=above)
-            below *= y[k]
-            above *= y[k + 1]
-            below -= above
-            score.append(below)
-    return SlotTerms(logp, feasible, score)
+            if not curvature:
+                below *= y[k]
+                above *= y[k + 1]
+                below -= above
+                score.append(below)
+                continue
+            # the curvature reads below and above again, so the score gets
+            # its own plane, by the same operations
+            g = np.multiply(below, y[k], out=work.take())
+            g -= np.multiply(above, y[k + 1], out=scratch)
+            score.append(g)
+            h = np.multiply(d[k], -0.5, out=work.take())
+            np.tanh(h, out=h)  # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
+            h *= g
+            t = np.square(below, out=scratch)
+            t *= y[k]
+            h -= t
+            np.square(above, out=t)
+            t *= y[k + 1]
+            h -= t
+            hess[k, k] = h
+            if k:
+                off = np.multiply(previous_above, below, out=work.take())
+                off *= y[k]
+                hess[k - 1, k] = off
+            previous_above = above
+    return SlotTerms(logp, feasible, score, hess)
 
 
-def _terms_acl(d, y, work) -> SlotTerms:
+def _terms_acl(d, y, work, curvature) -> SlotTerms:
     # category k carries the partial sum of predictors k..K-1, category K zero
     sums = [d[-1]]
     for dk in d[-2::-1]:
@@ -509,6 +571,7 @@ def _terms_acl(d, y, work) -> SlotTerms:
     for yj in y[1:]:
         size = size + yj
     score = []
+    cumulative = []  # C_k, kept for the curvature
     at_or_below = 0.0
     prob_at_or_below = np.exp(logp[0], out=m)
     for k in range(len(d)):
@@ -518,13 +581,30 @@ def _terms_acl(d, y, work) -> SlotTerms:
         g = np.multiply(prob_at_or_below, -size, out=work.take())
         g += at_or_below
         score.append(g)
-    return SlotTerms(logp, None, score)
+        if curvature:
+            cumulative.append(work.take())
+            np.copyto(cumulative[-1], prob_at_or_below)
+    if not curvature:
+        return SlotTerms(logp, None, score)
+    # H_kl = -N C_k (1 - C_l) for k <= l; z is spent and takes -N (1 - C_l)
+    hess = {}
+    for l, c_l in enumerate(cumulative):
+        np.subtract(c_l, 1.0, out=z)
+        z *= size
+        for k in range(l + 1):
+            hess[k, l] = np.multiply(cumulative[k], z, out=work.take())
+    return SlotTerms(logp, None, score, hess)
 
 
-def _terms_cr(d, y, work) -> SlotTerms:
+def _terms_cr(d, y, work, curvature) -> SlotTerms:
     # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
     scratch = work.take()
     log_stop, log_continue = zip(*(_log_logistic(dk, work, scratch) for dk in d))
+    density = []  # F'(d_k) = F (1 - F), before log_continue turns into survival
+    if curvature:
+        for stop, cont in zip(log_stop, log_continue):
+            f1 = np.add(stop, cont, out=work.take())
+            density.append(np.exp(f1, out=f1))
     logp = [log_stop[0]]
     surv = log_continue[0]
     for k in range(1, len(d)):
@@ -543,7 +623,11 @@ def _terms_cr(d, y, work) -> SlotTerms:
         g *= -reached[k]
         g += y[k]
         score.append(g)
-    return SlotTerms(logp, None, score)
+    if not curvature:
+        return SlotTerms(logp, None, score)
+    for k, f1 in enumerate(density):
+        f1 *= -reached[k]
+    return SlotTerms(logp, None, score, {(k, k): f1 for k, f1 in enumerate(density)})
 
 
 def _slot_major(a: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from ordmixed.estimation import (
     RE_STRUCTURES,
     _central_gradient,
     _clipped_covariance,
+    _information,
     _Minimand,
     _newton_step,
     _Objective,
@@ -35,8 +36,13 @@ from ordmixed.model import (
     UnivariateRandomEffect,
     category_probabilities,
 )
-from ordmixed.quadrature import gauss_hermite
-from ordmixed.simulation import SimulationDesign, generate_dataset, study_true_parameters
+from ordmixed.quadrature import gauss_hermite, standard_tensor_grid
+from ordmixed.simulation import (
+    SimulationDesign,
+    factorial_design,
+    generate_dataset,
+    study_true_parameters,
+)
 
 PO = LinkFamily.PROPORTIONAL_ODDS
 FAST = FitOptions(standard_errors=False)
@@ -286,9 +292,27 @@ class TestAnalyticScore:
 
         monkeypatch.setattr(LoglikKernel, "marginal_and_score", counted)
         result = fit(strawberry, PO, "univariate")
-        # the nested start fit, the optimizer, and 2p score calls for the Hessian
+        # the nested start fit and the optimizer; the standard errors take
+        # one information pass, which is not a score call
         assert result.n_evaluations == len(calls)
         assert len(calls) > 2 * result.n_parameters
+
+    @pytest.mark.parametrize("model", ["full", "intercept"])
+    @pytest.mark.parametrize("structure", RE_STRUCTURES)
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_information_matches_differences_of_the_score(self, strawberry, link, structure, model):
+        names = strawberry.slope_names() if model == "full" else ()
+        param = _Parameterization(2, names, structure)
+        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
+        # the points of test_matches_central_differences; the edge point has
+        # |atanh rho| = 6, or log sigma near the zero threshold
+        rng = np.random.default_rng([3, len(names), RE_STRUCTURES.index(structure)])
+        for edge in (False, False, False, True):
+            theta = _random_theta(rng, param, edge)
+            oracle = _information(lambda t: objective(t)[1], theta)
+            info = objective.information(theta)
+            assert np.max(np.abs(info - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
     def test_standard_errors_match_differenced_values(self, strawberry, po_univariate):
         param = _Parameterization(2, strawberry.slope_names(), "univariate")
@@ -373,6 +397,142 @@ class TestEmpiricalBayes:
         hess[7] = 0.0  # singular: the batched solve fails and rows are solved one by one
         np.testing.assert_array_equal(_newton_step(grad, hess), _newton_step_reference(grad, hess))
         np.testing.assert_array_equal(_newton_step(grad, hess)[7], grad[7])
+
+
+@pytest.fixture(scope="module")
+def large_clusters():
+    """960 clusters of 50 on the 48-plot factorial design drawn at the study's
+    true parameters with sigma 1.5, as the benchmark's large_clusters
+    workload builds them for seed 0, block 0."""
+    x = np.tile(factorial_design()[0], (20, 1))
+    truth = study_true_parameters(1.5)
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    eps = truth.re.sigma * rng.standard_normal(x.shape[0])
+    deltas = truth.fixed.intercepts[None, :] + (x @ truth.fixed.slopes + eps)[:, None]
+    counts = rng.multinomial(50, category_probabilities(PO, deltas))
+    return Dataset(clusters=tuple(Cluster(covariates=row, counts=y) for row, y in zip(x, counts)))
+
+
+@pytest.fixture(scope="module")
+def random_effect_fits(strawberry):
+    return {
+        (link, structure): fit(strawberry, link, structure, FAST).estimates
+        for link in LinkFamily
+        for structure in ("univariate", "bivariate")
+    }
+
+
+class TestPosteriorModes:
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_match_the_differencing_newton_loop(self, strawberry, random_effect_fits, link, structure):
+        params = random_effect_fits[link, structure]
+        modes = predict_random_effects(strawberry, params, link)
+        np.testing.assert_allclose(modes, _modes_reference(strawberry, params, link), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_match_the_differencing_newton_loop_on_large_clusters(self, large_clusters, link):
+        params = study_true_parameters(1.5)
+        modes = predict_random_effects(large_clusters, params, link)
+        np.testing.assert_allclose(
+            modes, _modes_reference(large_clusters, params, link), rtol=0, atol=1e-8
+        )
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_gradient_vanishes_within_ten_iterations(self, large_clusters, monkeypatch, link):
+        params = study_true_parameters(1.5)
+        sigma, fe = params.re.sigma, params.fixed
+        gradients = []
+        original = LoglikKernel.conditional_terms
+
+        def recorded(self, intercepts, slopes, offsets):
+            terms = original(self, intercepts, slopes, offsets)
+            # the log posterior's gradient in z = offset / sigma
+            gradients.append(np.max(np.abs(sigma * terms.score.sum(axis=1) - offsets[:, 0] / sigma)))
+            return terms
+
+        monkeypatch.setattr(LoglikKernel, "conditional_terms", recorded)
+        modes = predict_random_effects(large_clusters, params, link)
+        assert len(gradients) <= 10 and gradients[-1] < 1e-8
+        at_mode = original(LoglikKernel(large_clusters, link), fe.intercepts, fe.slopes, modes)
+        assert np.max(np.abs(sigma * at_mode.score.sum(axis=1) - modes[:, 0] / sigma)) < 1e-8
+
+
+def _modes_reference(dataset, params, link):
+    """Posterior modes by Newton steps on differenced values of the log
+    posterior, seeded as the library seeds them."""
+    kernel = LoglikKernel(dataset, link)
+    fe, re = params.fixed, params.re
+    if isinstance(re, UnivariateRandomEffect):
+        sigma = re.sigma
+        rule = gauss_hermite(40)
+        nodes = sigma * rule.nodes
+        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes)
+
+        def posterior(e):
+            return kernel.conditional_at(fe.intercepts, fe.slopes, e) - 0.5 * (e / sigma) ** 2
+
+        prior = -0.5 * (nodes / sigma) ** 2
+        e = nodes[np.argmax(grid_ll + prior[None, :], axis=1)].astype(float)
+        h = 1e-5
+        for _ in range(80):
+            f0, fp, fm = posterior(e), posterior(e + h), posterior(e - h)
+            grad = (fp - fm) / (2.0 * h)
+            curv = (fp - 2.0 * f0 + fm) / h**2
+            step = grad / np.where(curv < -1e-9, -curv, 1.0)
+            np.clip(step, -1.0, 1.0, out=step)
+            e = e + step
+            if np.max(np.abs(grad)) < 1e-9:
+                break
+        return np.repeat(e[:, None], 2, axis=1)
+
+    eigval, eigvec = np.linalg.eigh(re.covariance())
+    keep = eigval > max(1e-12, 1e-12 * eigval.max())
+    amat = eigvec[:, keep] * np.sqrt(eigval[keep])
+    r = amat.shape[1]
+    base = gauss_hermite(25)
+    if r == 1:
+        zgrid, logw = base.nodes[:, None], np.log(base.weights)
+    else:
+        zgrid, weights = standard_tensor_grid(base.order)
+        logw = np.log(weights)
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, zgrid @ amat.T)
+    grid_post = grid_ll - 0.5 * (zgrid**2).sum(axis=1)[None, :]
+    z = zgrid[np.argmax(grid_post + logw[None, :], axis=1)].astype(float)
+
+    def posterior(zz):
+        return (
+            kernel.conditional_at(fe.intercepts, fe.slopes, zz @ amat.T)
+            - 0.5 * (zz**2).sum(axis=1)
+        )
+
+    h = 1e-5
+    for _ in range(80):
+        f0 = posterior(z)
+        grad, hess = np.empty((z.shape[0], r)), np.empty((z.shape[0], r, r))
+        for i in range(r):
+            zp, zm = z.copy(), z.copy()
+            zp[:, i] += h
+            zm[:, i] -= h
+            fp, fm = posterior(zp), posterior(zm)
+            grad[:, i] = (fp - fm) / (2.0 * h)
+            hess[:, i, i] = (fp - 2.0 * f0 + fm) / h**2
+        for i in range(r):
+            for j in range(i + 1, r):
+                shifted = {}
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    zz = z.copy()
+                    zz[:, i] += si * h
+                    zz[:, j] += sj * h
+                    shifted[si, sj] = posterior(zz)
+                cross = (shifted[1, 1] - shifted[1, -1] - shifted[-1, 1] + shifted[-1, -1]) / (4 * h * h)
+                hess[:, i, j] = hess[:, j, i] = cross
+        step = _newton_step_reference(grad, hess)
+        np.clip(step, -1.0, 1.0, out=step)
+        z = z + step
+        if np.max(np.abs(grad)) < 1e-8:
+            break
+    return z @ amat.T
 
 
 def _newton_step_reference(grad, hess):

@@ -20,7 +20,7 @@ from ordmixed import (
     total_loglik,
 )
 from ordmixed import likelihood
-from ordmixed.likelihood import LoglikKernel, MarginalScore, multinomial_log_coefficient
+from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
 from ordmixed.model import log_category_probabilities, predictor_score
 from ordmixed.quadrature import standard_tensor_grid
 
@@ -184,6 +184,15 @@ class TestTotal:
         assert total_loglik(ds, params, LinkFamily.PROPORTIONAL_ODDS) == -np.inf
 
 
+def _posterior(kernel, intercepts, slopes, node_offsets, weights):
+    """Each cluster's posterior weights over the nodes, from the node
+    log-likelihoods and the log weights."""
+    with np.errstate(divide="ignore"):
+        log_mass = kernel.node_logliks(intercepts, slopes, node_offsets) + np.log(weights)
+    mass = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
+    return mass / mass.sum(axis=1, keepdims=True)
+
+
 class TestMarginalAndScore:
     @pytest.fixture(scope="class")
     def kernel(self):
@@ -199,14 +208,14 @@ class TestMarginalAndScore:
         args = (np.array([-0.8, 0.6]), np.array([0.3, -0.2]), 1.2 * rule.nodes, rule.weights)
         r = kernel.marginal_and_score(*args)
         assert r.loglik == float(kernel.marginal(*args).sum())
-        np.testing.assert_allclose(r.posterior.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(_posterior(kernel, *args).sum(axis=1), 1.0, rtol=1e-12)
         np.testing.assert_allclose(r.slot_score.sum(axis=0), r.node_score.sum(axis=0), rtol=1e-10)
 
     def test_one_node_at_zero_is_the_conditional(self, kernel):
         c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
         r = kernel.marginal_and_score(c, b, np.zeros(1), np.ones(1))
         assert r.loglik == pytest.approx(float(kernel.conditional(c, b).sum()), rel=1e-14)
-        np.testing.assert_array_equal(r.posterior, np.ones((12, 1)))
+        np.testing.assert_array_equal(_posterior(kernel, c, b, np.zeros(1), np.ones(1)), np.ones((12, 1)))
 
     @pytest.mark.parametrize(
         "offsets",
@@ -223,9 +232,10 @@ class TestMarginalAndScore:
         infeasible = np.diff(c + offsets, axis=1)[:, 0] < 0
         weights = np.full(offsets.shape[0], 1.0 / offsets.shape[0])
         r = kernel.marginal_and_score(c, np.array([0.3, -0.2]), offsets, weights)
+        posterior = _posterior(kernel, c, np.array([0.3, -0.2]), offsets, weights)
         assert np.isfinite(r.loglik)
-        np.testing.assert_array_equal(r.posterior[:, infeasible], 0.0)
-        assert np.all(r.posterior[:, ~infeasible] > 0.0)
+        np.testing.assert_array_equal(posterior[:, infeasible], 0.0)
+        assert np.all(posterior[:, ~infeasible] > 0.0)
         assert np.all(np.isfinite(r.slot_score)) and np.all(np.isfinite(r.node_score))
         np.testing.assert_array_equal(r.node_score[infeasible], 0.0)
 
@@ -309,10 +319,20 @@ class TestSlotMajorKernel:
 
 
 def _arrays(result):
-    """The arrays of a kernel result: a MarginalScore's fields, or itself."""
-    if isinstance(result, MarginalScore):
-        return (np.array(result.loglik),) + tuple(result[1:])
+    """The arrays of a kernel result: a named tuple's fields, or itself."""
+    if isinstance(result, tuple):
+        return tuple(np.asarray(a) for a in result)
     return (result,)
+
+
+def _features(nodes, n_boundaries=2):
+    """Node features for ``louis_moments``: the intercepts, the linear
+    predictor and a scale of the (Q,) nodes shared by every slot."""
+    features = np.zeros((nodes.size, n_boundaries, n_boundaries + 2))
+    features[:, :, :n_boundaries] = np.eye(n_boundaries)
+    features[:, :, n_boundaries] = 1.0
+    features[:, :, n_boundaries + 1] = nodes[:, None]
+    return features
 
 
 class TestWorkspace:
@@ -337,8 +357,10 @@ class TestWorkspace:
             nodes = scale * rule.nodes
             calls += [
                 ("marginal_and_score", (c, b, nodes, rule.weights)),
+                ("louis_moments", (c, b, nodes, rule.weights, _features(nodes))),
                 ("node_logliks", (c, b, nodes)),
                 ("conditional_at", (c, b, eb_offsets)),
+                ("conditional_terms", (c, b, scale * eb)),
                 ("marginal", (c, b, nodes, rule.weights)),
             ]
         return calls
@@ -395,15 +417,31 @@ class TestWorkspace:
             # slot-wise offsets that reverse the PO cutpoints at some nodes
             offsets, weights = standard_tensor_grid(6)
             offsets = offsets @ np.array([[1.3, 0.0], [-0.4, 0.9]]).T
-        one = LoglikKernel(ds, link).marginal_and_score(c, b, offsets, weights)
+        features = _features(np.linspace(-1.0, 1.0, len(weights)))
+        eb = np.random.default_rng(4).normal(size=(ds.n_clusters, 2))
+        whole = LoglikKernel(ds, link)
+        one = whole.marginal_and_score(c, b, offsets, weights)
+        one_posterior = _posterior(whole, c, b, offsets, weights)
+        one_moments = whole.louis_moments(c, b, offsets, weights, features)
+        one_terms = whole.conditional_terms(c, b, eb)
         monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9 * len(weights))
         kernel = LoglikKernel(ds, link)
         blocked = kernel.marginal_and_score(c, b, offsets, weights)
         assert len(kernel._workspace(len(weights)).blocks) == 6
-        np.testing.assert_array_equal(blocked.posterior, one.posterior)
+        np.testing.assert_array_equal(_posterior(kernel, c, b, offsets, weights), one_posterior)
         np.testing.assert_array_equal(blocked.slot_score, one.slot_score)
         assert blocked.loglik == pytest.approx(one.loglik, rel=1e-12)
         np.testing.assert_allclose(blocked.node_score, one.node_score, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(
             kernel.node_logliks(c, b, offsets), LoglikKernel(ds, link).node_logliks(c, b, offsets)
         )
+        moments = kernel.louis_moments(c, b, offsets, weights, features)
+        assert moments.loglik == pytest.approx(one_moments.loglik, rel=1e-12)
+        for got, want in zip(moments[1:], one_moments[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # one node per cluster: 9 elements make the same 6 blocks
+        monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9)
+        kernel = LoglikKernel(ds, link)
+        for got, want in zip(kernel.conditional_terms(c, b, eb), one_terms):
+            np.testing.assert_array_equal(got, want)
+        assert len(kernel._workspace(1).blocks) == 6

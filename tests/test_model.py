@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordmixed import (
@@ -14,7 +14,7 @@ from ordmixed import (
     linear_predictors,
     recover_predictors,
 )
-from ordmixed.model import log_category_probabilities, predictor_score
+from ordmixed.model import log_category_probabilities, predictor_score, slot_terms
 
 ALL_LINKS = list(LinkFamily)
 
@@ -192,22 +192,96 @@ class TestPredictorScore:
         np.testing.assert_allclose(np.exp(logp[[0, 2]]).sum(), 1.0, rtol=1e-15)
 
 
+def curvature_matrix(link, d, counts):
+    """The curvature planes of ``slot_terms`` at one predictor vector, as a
+    symmetric (K-1, K-1) matrix."""
+    terms = slot_terms(link, d[:, None], counts[:, None], curvature=True)
+    hess = np.zeros((d.size, d.size))
+    for (k, l), plane in terms.curvature.items():
+        hess[k, l] = hess[l, k] = plane[0]
+    return hess
+
+
+class TestCurvature:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(ALL_LINKS),
+        st.lists(st.floats(min_value=-800.0, max_value=800.0), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=0, max_value=6), min_size=5, max_size=5),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @example(LinkFamily.PROPORTIONAL_ODDS, [-800.0, 800.0], [0, 4, 0], 1e-3)
+    @example(LinkFamily.PROPORTIONAL_ODDS, [800.0, 800.0, 800.0], [3, 0, 2, 5], 1e-3)
+    @example(LinkFamily.ADJACENT_CATEGORIES, [800.0, -800.0, 3.0], [0, 2, 0, 5], 1e-3)
+    @example(LinkFamily.CONTINUATION_RATIO, [-800.0, 0.5, 800.0], [2, 0, 1, 0], 1e-3)
+    def test_matches_central_differences_of_the_score(self, link, values, count_list, gap):
+        d = np.array(values)
+        if link is LinkFamily.PROPORTIONAL_ODDS:
+            # equal draws become predictors ``gap`` apart, so that the steps
+            # below stay feasible
+            d = np.sort(d) + gap * np.arange(d.size)
+        counts = np.array(count_list[: d.size + 1], dtype=float)
+
+        def score(delta):
+            return predictor_score(link, delta, log_category_probabilities(link, delta)[0], counts)
+
+        hess = curvature_matrix(link, d, counts)
+        h = 1e-6 * gap if link is LinkFamily.PROPORTIONAL_ODDS else 1e-6
+        oracle = np.empty_like(hess)
+        for l in range(d.size):
+            up, dn = d.copy(), d.copy()
+            up[l] += h
+            dn[l] -= h
+            # the step as represented, which at |d| = 800 is not exactly 2h
+            oracle[:, l] = (score(up) - score(dn)) / (up[l] - dn[l])
+        assert np.all(np.isfinite(hess))
+        np.testing.assert_allclose(hess, oracle, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(oracle).max()))
+
+    @pytest.mark.parametrize("counts", [[3, 0, 2], [3, 1, 2]])
+    def test_equal_po_predictors_give_no_finite_curvature(self, counts):
+        # the middle category has zero probability, as for the score
+        d, counts = np.array([0.4, 0.4]), np.array(counts, dtype=float)
+        logp, _ = log_category_probabilities(LinkFamily.PROPORTIONAL_ODDS, d)
+        assert not np.any(np.isfinite(predictor_score(LinkFamily.PROPORTIONAL_ODDS, d, logp, counts)))
+        with np.errstate(invalid="ignore"):
+            hess = curvature_matrix(LinkFamily.PROPORTIONAL_ODDS, d, counts)
+        assert not np.any(np.isfinite(hess))
+
+    def test_structure_of_the_planes(self):
+        d, counts = np.array([-1.0, 0.0, 1.0, 2.0]), np.array([1.0, 2.0, 0.0, 3.0, 1.0])
+        pairs = {
+            LinkFamily.PROPORTIONAL_ODDS: {(k, l) for k in range(4) for l in (k, k + 1) if l < 4},
+            LinkFamily.ADJACENT_CATEGORIES: {(k, l) for k in range(4) for l in range(k, 4)},
+            LinkFamily.CONTINUATION_RATIO: {(k, k) for k in range(4)},
+        }
+        for link, expected in pairs.items():
+            assert set(slot_terms(link, d[:, None], counts[:, None], curvature=True).curvature) == expected
+            assert slot_terms(link, d[:, None], counts[:, None]).curvature is None
+
+
 class TestCholeskyDerivatives:
     @pytest.mark.parametrize("rho", [-0.999, -0.3, 0.0, 0.6, 0.9999])
     def test_match_central_differences(self, rho):
         theta = np.array([np.log(0.7), np.log(1.8), np.arctanh(rho)])
 
-        def factor(t):
-            return BivariateRandomEffect(np.exp(t[0]), np.exp(t[1]), np.tanh(t[2])).cholesky_factor()
+        def effect(t):
+            return BivariateRandomEffect(np.exp(t[0]), np.exp(t[1]), np.tanh(t[2]))
 
         derivs = BivariateRandomEffect(0.7, 1.8, rho).cholesky_derivatives()
+        second = BivariateRandomEffect(0.7, 1.8, rho).cholesky_second_derivatives()
         h = 1e-6
         for i in range(3):
             up, dn = theta.copy(), theta.copy()
             up[i] += h
             dn[i] -= h
             np.testing.assert_allclose(
-                derivs[i], (factor(up) - factor(dn)) / (2 * h), atol=1e-7
+                derivs[i], (effect(up).cholesky_factor() - effect(dn).cholesky_factor()) / (2 * h),
+                atol=1e-7,
+            )
+            np.testing.assert_allclose(
+                second[:, i],
+                (effect(up).cholesky_derivatives() - effect(dn).cholesky_derivatives()) / (2 * h),
+                atol=1e-7,
             )
 
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
@@ -215,6 +289,9 @@ class TestCholeskyDerivatives:
         derivs = BivariateRandomEffect(0.7, 1.8, rho).cholesky_derivatives()
         assert np.all(np.isfinite(derivs))
         np.testing.assert_array_equal(derivs[2], np.zeros((2, 2)))
+        second = BivariateRandomEffect(0.7, 1.8, rho).cholesky_second_derivatives()
+        assert np.all(np.isfinite(second))
+        np.testing.assert_array_equal(second[2], np.zeros((3, 2, 2)))
 
 
 class TestDataModel:
