@@ -22,7 +22,7 @@ from .io import (
     render_tree,
     summary_tree,
 )
-from .model import LinkFamily
+from .model import BivariateRandomEffect, LinkFamily
 from .published import published_table
 from .quadrature import MAX_ORDER
 from .simulation import (
@@ -161,13 +161,8 @@ def _cmd_simulate(args) -> str:
     if args.sigma1 is not None or args.sigma2 is not None or args.rho is not None:
         if None in (args.sigma1, args.sigma2, args.rho):
             raise ValueError("bivariate generation needs --sigma1, --sigma2, and --rho")
-        from .model import BivariateRandomEffect, ParameterVector
-
-        base = study_true_parameters(0.0)
-        true = ParameterVector(
-            fixed=base.fixed,
-            re=BivariateRandomEffect(args.sigma1, args.sigma2, args.rho),
-        )
+        re = BivariateRandomEffect(args.sigma1, args.sigma2, args.rho)
+        true = replace(study_true_parameters(0.0), re=re)
     else:
         true = study_true_parameters(args.sigma)
     fits = _parse_fit_list(args.fit) if args.fit else _parse_fit_list(
@@ -210,7 +205,8 @@ def _reproduce_strawberry(args, table) -> dict:
                     for name in full.names}
         if report.icc is not None:
             computed["icc"] = (report.icc, report.icc_se)
-        rows.extend(_versus_rows(column, payload, computed, report))
+        gof = {key: getattr(report, key) for key in _GOF_KEYS}
+        rows.extend(_versus_rows(column, payload, computed, gof))
     return {"preset": args.preset, "kind": "strawberry",
             "link": table["link"], "rows": rows}
 
@@ -232,8 +228,8 @@ def _reproduce_study(args, table) -> dict:
         computed = {row.name: (row.mean, row.sd) for row in model.parameters}
         if model.mean_icc is not None:
             computed["icc"] = (model.mean_icc, None)
-        gof_like = _StudyGof(model)
-        rows.extend(_versus_rows(column, payload, computed, gof_like))
+        gof = {key: getattr(model, f"mean_{key}") for key in _GOF_KEYS}
+        rows.extend(_versus_rows(column, payload, computed, gof))
     return {
         "preset": args.preset, "kind": "study",
         "generator": table["generator_link"], "sigma": table["sigma"],
@@ -241,18 +237,14 @@ def _reproduce_study(args, table) -> dict:
     }
 
 
-class _StudyGof:
-    def __init__(self, model):
-        self.chi2 = model.mean_chi2
-        self.chi2_p = model.mean_chi2_p
-        self.chi2_df = model.chi2_df
-        self.C = model.mean_C
-        self.C_p = model.mean_C_p
-        self.C_df = model.C_df
-        self.aic = model.mean_aic
+# the statistics a published table may print beside its estimates, in the
+# order of the rows
+_GOF_KEYS = ("chi2", "C", "aic", "chi2_p", "C_p")
 
 
-def _versus_rows(column, payload, computed, report) -> list[dict]:
+def _versus_rows(column, payload, computed, gof) -> list[dict]:
+    """Published against computed rows: ``computed`` maps a parameter name
+    to its estimate and spread, ``gof`` each of ``_GOF_KEYS`` to its value."""
     rows = []
     for name, (pub_first, pub_second) in payload["params"].items():
         got = computed.get(_published_name(name))
@@ -260,15 +252,10 @@ def _versus_rows(column, payload, computed, report) -> list[dict]:
                          None if got is None else got[0]))
         rows.append(_row(column, name, "spread", pub_second,
                          None if got is None or got[1] is None else got[1]))
-    pub_gof = payload["gof"]
-    for key in ("chi2", "C", "aic"):
-        if key in pub_gof:
-            rows.append(_row(column, key, "statistic", pub_gof[key],
-                             getattr(report, key)))
-    for key in ("chi2_p", "C_p"):
-        if key in pub_gof:
-            rows.append(_row(column, key, "p_value", pub_gof[key],
-                             getattr(report, key)))
+    for key in _GOF_KEYS:
+        if key in payload["gof"]:
+            field = "p_value" if key.endswith("_p") else "statistic"
+            rows.append(_row(column, key, field, payload["gof"][key], gof[key]))
     return rows
 
 

@@ -17,29 +17,28 @@ score and curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import erfc
+from scipy.special import erfc, softmax
 
 from .likelihood import LoglikKernel
 from .model import (
-    BivariateRandomEffect,
     Cluster,
     Dataset,
     FixedEffects,
     LinkFamily,
     NoRandomEffect,
     ParameterVector,
-    UnivariateRandomEffect,
+    random_effect_class,
     recover_predictors,
 )
 from .quadrature import (
     DEFAULT_ORDER_1D,
     DEFAULT_ORDER_2D,
-    gauss_hermite,
+    gauss_hermite,  # noqa: F401  (instrumentation looks the rule up here)
     standard_tensor_grid,
 )
 
@@ -49,8 +48,6 @@ _LOG_SIGMA_FLOOR = -12.0  # optimizer box, well below the sigma = 0 report thres
 _LOG_SIGMA_ZERO = -8.0  # log sigma below this is reported as sigma = 0
 _ATANH_RHO_BOUND = 12.0
 _GRAD_TOL = 1e-4
-
-RE_STRUCTURES = ("none", "univariate", "bivariate")
 
 
 class EstimationDegenerateError(ValueError):
@@ -132,155 +129,116 @@ class FitResult:
 
 
 class _Parameterization:
-    """Maps between the unconstrained optimizer vector and model values."""
+    """Maps between the unconstrained optimizer vector and model values.
 
-    def __init__(self, n_intercepts: int, slope_names: tuple[str, ...], structure: str):
-        if structure not in RE_STRUCTURES:
-            raise ValueError(f"unknown random-effect structure: {structure!r}")
+    The vector holds the intercepts, the slopes and then the random
+    effect's names, each on its unconstrained scale: atanh for a
+    correlation, log for a standard deviation.
+    """
+
+    def __init__(self, n_intercepts: int, slope_names: tuple[str, ...], effect: type):
         self.n_intercepts = n_intercepts
         self.n_slopes = len(slope_names)
-        self.structure = structure
-        variance_names = {
-            "none": (),
-            "univariate": ("sigma",),
-            "bivariate": ("sigma1", "sigma2", "rho"),
-        }[structure]
-        self.names = (
-            tuple(f"c{i + 1}" for i in range(n_intercepts))
-            + tuple(slope_names)
-            + variance_names
-        )
-        self.n_variance = len(variance_names)
+        self.n_fixed = n_intercepts + self.n_slopes
+        self.effect = effect
+        self.names = tuple(f"c{i + 1}" for i in range(n_intercepts)) + tuple(slope_names) + effect.names
+        self.n_variance = len(effect.names)
         self.size = len(self.names)
+        self._correlation = [name in effect.correlations for name in effect.names]
 
     def split(self, theta: np.ndarray):
         a = self.n_intercepts
-        b = a + self.n_slopes
+        b = self.n_fixed
         return theta[:a], theta[a:b], theta[b:]
 
     def pack(self, params: ParameterVector) -> np.ndarray:
         fe = params.fixed
-        tail: list[float] = []
-        if self.structure == "univariate":
-            tail = [math.log(max(params.re.sigma, 1e-4))]
-        elif self.structure == "bivariate":
-            re = params.re
-            tail = [
-                math.log(max(re.sigma1, 1e-4)),
-                math.log(max(re.sigma2, 1e-4)),
-                math.atanh(np.clip(re.rho, -0.999999, 0.999999)),
-            ]
+        tail = [
+            math.atanh(np.clip(v, -0.999999, 0.999999)) if corr else math.log(max(v, 1e-4))
+            for v, corr in zip(astuple(params.re), self._correlation)
+        ]
         return np.concatenate([fe.intercepts, fe.slopes, tail])
+
+    def random_effect(self, tail: np.ndarray):
+        return self.effect(*[
+            math.tanh(t) if corr else math.exp(t) for t, corr in zip(tail.tolist(), self._correlation)
+        ])
 
     def unpack(self, theta: np.ndarray) -> ParameterVector:
         intercepts, slopes, tail = self.split(theta)
-        if self.structure == "none":
-            re = NoRandomEffect()
-        elif self.structure == "univariate":
-            re = UnivariateRandomEffect(sigma=math.exp(tail[0]))
-        else:
-            re = BivariateRandomEffect(
-                sigma1=math.exp(tail[0]),
-                sigma2=math.exp(tail[1]),
-                rho=math.tanh(tail[2]),
-            )
-        return ParameterVector(fixed=FixedEffects(intercepts=intercepts, slopes=slopes), re=re)
+        return ParameterVector(
+            fixed=FixedEffects(intercepts=intercepts, slopes=slopes), re=self.random_effect(tail)
+        )
 
     def reported(self, theta: np.ndarray) -> np.ndarray:
         out = np.array(theta, dtype=float)
-        i = self.n_intercepts + self.n_slopes
-        if self.structure == "univariate":
-            out[i] = math.exp(theta[i])
-        elif self.structure == "bivariate":
-            out[i] = math.exp(theta[i])
-            out[i + 1] = math.exp(theta[i + 1])
-            out[i + 2] = math.tanh(theta[i + 2])
+        out[self.n_fixed :] = astuple(self.random_effect(theta[self.n_fixed :]))
         return out
 
     def delta_jacobian(self, theta: np.ndarray) -> np.ndarray:
         """Diagonal of d(reported)/d(theta) for the delta method."""
         jac = np.ones_like(theta)
-        i = self.n_intercepts + self.n_slopes
-        if self.structure == "univariate":
-            jac[i] = math.exp(theta[i])
-        elif self.structure == "bivariate":
-            jac[i] = math.exp(theta[i])
-            jac[i + 1] = math.exp(theta[i + 1])
-            jac[i + 2] = 1.0 - math.tanh(theta[i + 2]) ** 2
+        for i, corr in enumerate(self._correlation, self.n_fixed):
+            jac[i] = 1.0 - math.tanh(theta[i]) ** 2 if corr else math.exp(theta[i])
         return jac
 
     def bounds(self) -> list[tuple[float | None, float | None]]:
-        free: list[tuple[float | None, float | None]] = [(None, None)] * (
-            self.n_intercepts + self.n_slopes
+        return [(None, None)] * self.n_fixed + [
+            (-_ATANH_RHO_BOUND, _ATANH_RHO_BOUND) if corr else (_LOG_SIGMA_FLOOR, None)
+            for corr in self._correlation
+        ]
+
+    def boundary(self, theta: np.ndarray) -> tuple[str, ...]:
+        """The random effect's names on their bounds at ``theta``: standard
+        deviations below the sigma = 0 report threshold, correlations at
+        their box."""
+        return tuple(
+            name
+            for name, corr, t in zip(self.effect.names, self._correlation, theta[self.n_fixed :])
+            if (abs(t) > _ATANH_RHO_BOUND - 1e-6 if corr else t < _LOG_SIGMA_ZERO)
         )
-        if self.structure == "univariate":
-            free.append((_LOG_SIGMA_FLOOR, None))
-        elif self.structure == "bivariate":
-            free.extend(
-                [
-                    (_LOG_SIGMA_FLOOR, None),
-                    (_LOG_SIGMA_FLOOR, None),
-                    (-_ATANH_RHO_BOUND, _ATANH_RHO_BOUND),
-                ]
-            )
-        return free
 
 
 class _Objective:
     """Total log-likelihood of the unconstrained vector, with its score.
 
-    Node offsets are standardized nodes mapped through the random effect:
-    scaled by sigma in every slot for a univariate effect, through
-    ``BivariateRandomEffect.cholesky_factor()`` for a bivariate one, and a
-    single node at 0 with weight 1 without one. Calling the objective gives
-    ``(loglik, score)``; ``value`` gives the log-likelihood alone through
-    ``LoglikKernel.marginal``/``conditional``.
+    The node offsets are standardized nodes z (Q, dim) mapped through the
+    random effect's loading A, z A', so one chain rule serves every
+    structure; without a random effect they are a single node at 0 with
+    weight 1. Calling the objective gives ``(loglik, score)``; ``value``
+    gives the log-likelihood alone through ``LoglikKernel.marginal``.
     """
 
     def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
         self.kernel = kernel
         self.param = param
-        if param.structure == "none":
-            self.nodes, self.weights = np.zeros(1), np.ones(1)
-        elif param.structure == "univariate":
-            rule = gauss_hermite(order)
-            self.nodes, self.weights = rule.nodes, rule.weights
-        else:
-            self.nodes, self.weights = standard_tensor_grid(order)
+        self.nodes, self.weights = standard_tensor_grid(order, param.effect.dim)
+        self._last = (None, None)
 
-    def _offsets(self, tail, second: bool = False):
-        """Node offsets and their derivatives with respect to each variance
-        parameter; (Q,) arrays are shared by every predictor slot. With
-        ``second``, also the second derivatives, shape (T, T, K-1, Q) for T
-        variance parameters, else None."""
-        k1 = self.kernel.n_boundaries
-        if self.param.structure == "none":
-            return self.nodes, (), np.zeros((0, 0, k1, 1)) if second else None
-        if self.param.structure == "univariate":
-            offsets = math.exp(tail[0]) * self.nodes
-            # d(sigma t) / d(log sigma) = sigma t, and so is the second derivative
-            return offsets, (offsets,), np.tile(offsets, (1, 1, k1, 1)) if second else None
-        re = BivariateRandomEffect(
-            sigma1=math.exp(tail[0]), sigma2=math.exp(tail[1]), rho=math.tanh(tail[2])
-        )
-        offsets = self.nodes @ re.cholesky_factor().T
-        first = tuple(self.nodes @ d.T for d in re.cholesky_derivatives())
-        return offsets, first, re.cholesky_second_derivatives() @ self.nodes.T if second else None
+    def _offsets(self, tail):
+        """Node offsets (Q, K-1) and their derivatives with respect to each
+        variance parameter, each (Q, K-1). Those of the last ``tail`` are
+        kept, so a model without variance parameters maps its node once."""
+        key = tail.tobytes()
+        if key != self._last[0]:
+            k1 = self.kernel.n_boundaries
+            re = self.param.random_effect(tail)
+            # laid out so that the kernel's slot-major view of it is contiguous
+            offsets = np.dot(re.loading(k1), self.nodes.T).T
+            first = [np.dot(self.nodes, d.T) for d in re.loading_derivatives(k1)]
+            self._last = (key, (offsets, first))
+        return self._last[1]
 
     def value(self, theta: np.ndarray) -> float:
         c, b, tail = self.param.split(theta)
-        if self.param.structure == "none":
-            return self.kernel.conditional(c, b).sum()
-        offsets, _, _ = self._offsets(tail)
+        offsets, _ = self._offsets(tail)
         return self.kernel.marginal(c, b, offsets, self.weights).sum()
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         c, b, tail = self.param.split(theta)
-        offsets, derivatives, _ = self._offsets(tail)
+        offsets, derivatives = self._offsets(tail)
         r = self.kernel.marginal_and_score(c, b, offsets, self.weights)
-        variance = [
-            np.sum(r.node_score * (d if d.ndim == 2 else d[:, None])) for d in derivatives
-        ]
+        variance = [np.sum(r.node_score * d) for d in derivatives]
         score = np.concatenate(
             [r.slot_score.sum(axis=0), self.kernel.x.T @ r.slot_score.sum(axis=1), variance]
         )
@@ -301,12 +259,13 @@ class _Objective:
         """
         c, b, tail = self.param.split(theta)
         k1, n_slopes, n_variance = c.size, b.size, tail.size
-        offsets, derivatives, second = self._offsets(tail, second=True)
+        offsets, derivatives = self._offsets(tail)
+        second = self.param.random_effect(tail).loading_second_derivatives(k1) @ self.nodes.T
         features = np.zeros((self.weights.size, k1, k1 + 1 + n_variance))
         features[:, :, :k1] = np.eye(k1)
         features[:, :, k1] = 1.0
         for t, d in enumerate(derivatives):
-            features[:, :, k1 + 1 + t] = d if d.ndim == 2 else d[:, None]
+            features[:, :, k1 + 1 + t] = d
         m = self.kernel.louis_moments(c, b, offsets, self.weights, features)
         cluster_hess = m.second - m.mean[:, :, None] * m.mean[:, None, :]
         # basis[i] maps the feature coordinates to the parameters for cluster i
@@ -415,50 +374,42 @@ def _clipped_covariance(info: np.ndarray) -> np.ndarray:
     return (eigvec * inv) @ eigvec.T
 
 
-def _validate_data(dataset: Dataset, re_structure: str) -> None:
-    if re_structure not in RE_STRUCTURES:
-        raise ValueError(f"unknown random-effect structure: {re_structure!r}")
-    if re_structure == "bivariate" and dataset.n_categories != 3:
-        raise ValueError("a bivariate random effect requires exactly 3 categories")
+def _validate_data(dataset: Dataset, re_structure: str) -> type:
+    """The random-effect class of ``re_structure``, once the data can carry
+    it: the effect fits K and every category is observed somewhere."""
+    effect = random_effect_class(re_structure)
+    effect.check_boundaries(dataset.n_categories - 1)
     totals = dataset.count_matrix.sum(axis=0)
     if np.any(totals == 0):
         empty = [int(k) + 1 for k in np.flatnonzero(totals == 0)]
         raise EstimationDegenerateError(
             f"categories never observed anywhere in the data: {empty}"
         )
-
-
-def _structure_of(params: ParameterVector) -> str:
-    if isinstance(params.re, NoRandomEffect):
-        return "none"
-    if isinstance(params.re, UnivariateRandomEffect):
-        return "univariate"
-    return "bivariate"
+    return effect
 
 
 def _fit_impl(
     dataset: Dataset,
     link: LinkFamily,
-    re_structure: str,
+    effect: type,
     opts: FitOptions,
     slope_names: tuple[str, ...],
     kernel: LoglikKernel | None = None,
 ) -> FitResult:
-    """Fit with the covariates named in ``slope_names``: all of the
-    dataset's (full model) or none (intercept model). ``kernel`` is that
-    model's likelihood kernel when the caller already built one."""
-    param = _Parameterization(dataset.n_categories - 1, slope_names, re_structure)
+    """Fit with the random-effect class ``effect`` and the covariates named
+    in ``slope_names``: all of the dataset's (full model) or none (intercept
+    model). ``kernel`` is that model's likelihood kernel when the caller
+    already built one."""
+    param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
     order = opts.quadrature_order
     if order is None:
-        order = DEFAULT_ORDER_2D if re_structure == "bivariate" else DEFAULT_ORDER_1D
+        order = DEFAULT_ORDER_2D if effect.dim == 2 else DEFAULT_ORDER_1D
 
     if kernel is None:
         columns = [dataset.slope_names().index(name) for name in slope_names]
         kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
     objective = _Objective(kernel, param, order)
-    theta0, start_evaluations = _starting_point(
-        dataset, link, re_structure, opts, param, slope_names, kernel
-    )
+    theta0, start_evaluations = _starting_point(dataset, link, opts, param, slope_names, kernel)
     negloglik = _Minimand(objective)
 
     bounds = param.bounds()
@@ -515,19 +466,9 @@ def _fit_impl(
         "gradient_max_scaled": float(np.abs(scaled_grad).max()),
         "optimizer_message": str(res.message),
     }
-    vi = param.n_intercepts + param.n_slopes
-    boundary = []
-    if re_structure == "univariate" and theta_hat[vi] < _LOG_SIGMA_ZERO:
-        boundary.append("sigma")
-    if re_structure == "bivariate":
-        if theta_hat[vi] < _LOG_SIGMA_ZERO:
-            boundary.append("sigma1")
-        if theta_hat[vi + 1] < _LOG_SIGMA_ZERO:
-            boundary.append("sigma2")
-        if abs(theta_hat[vi + 2]) > _ATANH_RHO_BOUND - 1e-6:
-            boundary.append("rho")
+    boundary = param.boundary(theta_hat)
     if boundary:
-        diagnostics["boundary"] = tuple(boundary)
+        diagnostics["boundary"] = boundary
 
     covariance = None
     se = np.full(param.size, np.nan)
@@ -548,25 +489,23 @@ def _fit_impl(
     values = param.reported(theta_hat)
     # a standard deviation on its bound is reported as 0; the delta method
     # has no meaning there, so it gets no standard error or interval
-    at_zero = [
-        i for i, name in enumerate(param.names[vi:], vi)
-        if name in boundary and name != "rho"
-    ]
-    values[at_zero] = 0.0
-    se[at_zero] = np.nan
+    at_zero = [name for name in boundary if name not in effect.correlations]
+    index = [param.n_fixed + effect.names.index(name) for name in at_zero]
+    values[index] = 0.0
+    se[index] = np.nan
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = values / se
         p_values = erfc(np.abs(z) / np.sqrt(2.0))
 
     estimates = param.unpack(theta_hat)
-    if boundary:
-        estimates = _apply_boundary(estimates, boundary)
+    if at_zero:
+        estimates = replace(estimates, re=replace(estimates.re, **dict.fromkeys(at_zero, 0.0)))
 
     return FitResult(
         estimates=estimates,
         link=link,
-        re_structure=re_structure,
+        re_structure=effect.structure,
         names=param.names,
         values=values,
         se=se,
@@ -579,7 +518,7 @@ def _fit_impl(
         ci_lower=values - Z_95 * se,
         ci_upper=values + Z_95 * se,
         n_parameters=param.size,
-        n_fixed_parameters=param.n_intercepts + param.n_slopes,
+        n_fixed_parameters=param.n_fixed,
         diagnostics=diagnostics,
     )
 
@@ -594,52 +533,35 @@ def _active_bounds(theta: np.ndarray, bounds) -> np.ndarray:
     return active
 
 
-def _apply_boundary(params: ParameterVector, boundary: list[str]) -> ParameterVector:
-    re = params.re
-    if isinstance(re, UnivariateRandomEffect) and "sigma" in boundary:
-        re = UnivariateRandomEffect(sigma=0.0)
-    elif isinstance(re, BivariateRandomEffect):
-        re = BivariateRandomEffect(
-            sigma1=0.0 if "sigma1" in boundary else re.sigma1,
-            sigma2=0.0 if "sigma2" in boundary else re.sigma2,
-            rho=re.rho,
-        )
-    return replace(params, re=re)
-
-
 def _starting_point(
     dataset: Dataset,
     link: LinkFamily,
-    re_structure: str,
     opts: FitOptions,
     param: _Parameterization,
     slope_names: tuple[str, ...],
     kernel: LoglikKernel,
 ) -> tuple[np.ndarray, int]:
     """Starting vector and the evaluations spent finding it; a nested
-    homogeneous fit on the same kernel seeds a random-effect model."""
+    homogeneous fit on the same kernel seeds a random-effect model, whose
+    own parameters start at the class's default."""
     start = opts.starting_values
-    if start is not None and _structure_of(start) == re_structure:
+    if start is not None and type(start.re) is param.effect:
         if (
             start.fixed.intercepts.size == param.n_intercepts
             and start.fixed.slopes.size == param.n_slopes
         ):
             return param.pack(start), 0
         raise ValueError("starting values do not match the model dimensions")
-    if re_structure == "none":
+    if param.effect is NoRandomEffect:
         # feasible intercepts from the pooled category proportions
         totals = dataset.count_matrix.sum(axis=0).astype(float)
         p = np.clip(totals / totals.sum(), 1e-6, None)
         intercepts = recover_predictors(link, p / p.sum())
         return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
     base_opts = replace(opts, starting_values=None, standard_errors=False)
-    base = _fit_impl(dataset, link, "none", base_opts, slope_names, kernel)
-    tail = {
-        "univariate": [math.log(0.5)],
-        "bivariate": [math.log(0.5), math.log(0.5), 0.0],
-    }[re_structure]
-    theta = np.concatenate([base.estimates.fixed.intercepts, base.estimates.fixed.slopes, tail])
-    return theta, base.n_evaluations
+    base = _fit_impl(dataset, link, NoRandomEffect, base_opts, slope_names, kernel)
+    start = ParameterVector(fixed=base.estimates.fixed, re=param.effect.start())
+    return param.pack(start), base.n_evaluations
 
 
 def fit(
@@ -654,8 +576,8 @@ def fit(
     deviations started at 0.5 and the correlation at 0. Non-convergence
     after the jittered restarts is reported in the result, not raised.
     """
-    _validate_data(dataset, re_structure)
-    return _fit_impl(dataset, link, re_structure, opts, dataset.slope_names())
+    effect = _validate_data(dataset, re_structure)
+    return _fit_impl(dataset, link, effect, opts, dataset.slope_names())
 
 
 def fit_intercept_model(
@@ -666,10 +588,10 @@ def fit_intercept_model(
 ) -> FitResult:
     """Fit with every slope fixed at zero, keeping the same random-effect
     structure as the model it will be compared against."""
-    _validate_data(dataset, re_structure)
+    effect = _validate_data(dataset, re_structure)
     if opts.starting_values is not None and opts.starting_values.fixed.slopes.size:
         opts = replace(opts, starting_values=None)
-    return _fit_impl(dataset, link, re_structure, opts, ())
+    return _fit_impl(dataset, link, effect, opts, ())
 
 
 def predict_random_effects(
@@ -688,62 +610,23 @@ def predict_random_effects(
     """
     if method not in ("mode", "mean"):
         raise ValueError(f"unknown prediction method: {method!r}")
+    re = params.re
+    if not re.dim:
+        raise ValueError("random-effect prediction requires a random-effect fit")
+    k1 = dataset.n_categories - 1
+    loading = re.loading(k1)
+    if np.abs(loading).max() <= 1e-8:
+        return np.zeros((dataset.n_clusters, k1))
     kernel = LoglikKernel(dataset, link)
     fe = params.fixed
-    n = dataset.n_clusters
-    k1 = dataset.n_categories - 1
-    re = params.re
-    if isinstance(re, NoRandomEffect):
-        raise ValueError("random-effect prediction requires a random-effect fit")
-
-    if isinstance(re, UnivariateRandomEffect):
-        if re.sigma <= 1e-8:
-            return np.zeros((n, k1))
-        return _univariate_posterior(kernel, fe, re.sigma, method, order)
-
-    if dataset.n_categories != 3:
-        raise ValueError("a bivariate random effect requires exactly 3 categories")
-    return _bivariate_posterior(kernel, fe, re, method, order)
-
-
-def _univariate_posterior(kernel, fe, sigma, method, order) -> np.ndarray:
-    rule = gauss_hermite(order)
-    nodes = sigma * rule.nodes
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes)
+    # a grid of two or more dimensions takes at most 25 nodes per axis
+    z, weights = standard_tensor_grid(order if re.dim == 1 else min(order, 25), re.dim)
+    offsets = z @ loading.T
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)
     if method == "mean":
-        alpha = _softmax(grid_ll + np.log(rule.weights)[None, :])
-        return np.repeat((alpha @ nodes)[:, None], kernel.n_boundaries, axis=1)
-    prior = -0.5 * (nodes / sigma) ** 2
-    seeds = rule.nodes[np.argmax(grid_ll + prior[None, :], axis=1), None]
-    return _posterior_modes(kernel, fe, np.full((kernel.n_boundaries, 1), sigma), seeds)
-
-
-def _bivariate_posterior(kernel, fe, re, method, order) -> np.ndarray:
-    cov = re.covariance()
-    eigval, eigvec = np.linalg.eigh(cov)
-    keep = eigval > max(1e-12, 1e-12 * eigval.max())
-    amat = eigvec[:, keep] * np.sqrt(eigval[keep])  # (2, r), eps = amat @ z
-    r = amat.shape[1]
-    if r == 0:
-        return np.zeros((kernel.x.shape[0], 2))
-
-    base = gauss_hermite(min(order, 25))
-    if r == 1:
-        zgrid = base.nodes[:, None]
-        logw = np.log(base.weights)
-    else:
-        zgrid, weights = standard_tensor_grid(base.order)
-        logw = np.log(weights)
-    eps_grid = zgrid @ amat.T  # (Q, 2)
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, eps_grid)
-    grid_post = grid_ll - 0.5 * (zgrid**2).sum(axis=1)[None, :]
-
-    if method == "mean":
-        alpha = _softmax(grid_post + logw[None, :])
-        return alpha @ eps_grid
-
-    seeds = zgrid[np.argmax(grid_post + logw[None, :], axis=1)]
-    return _posterior_modes(kernel, fe, amat, seeds)
+        return softmax(grid_ll + np.log(weights)[None, :], axis=1) @ offsets
+    seeds = z[np.argmax(grid_ll - 0.5 * (z**2).sum(axis=1)[None, :], axis=1)]
+    return _posterior_modes(kernel, fe, loading, seeds)
 
 
 def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
@@ -782,13 +665,6 @@ def _newton_step(grad, hess):
     bad = ~np.all(np.isfinite(step), axis=1) | ((grad * step).sum(axis=1) < 0)
     step[bad] = grad[bad]
     return step
-
-
-def _softmax(logw: np.ndarray) -> np.ndarray:
-    m = logw.max(axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    w = np.exp(logw - m)
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def empirical_bayes(cluster: Cluster, fit_result: FitResult, link: LinkFamily) -> np.ndarray:

@@ -15,18 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .estimation import FitResult, predict_random_effects
-from .model import (
-    BivariateRandomEffect,
-    Dataset,
-    LinkFamily,
-    NoRandomEffect,
-    UnivariateRandomEffect,
-    category_probabilities,
-)
+from .estimation import Z_95, FitResult, predict_random_effects
+from .model import Dataset, LinkFamily, category_probabilities
 
 LOGISTIC_VARIANCE = math.pi**2 / 3.0
-Z_95 = 1.96
 
 
 class DegenerateCellError(ValueError):
@@ -75,7 +67,7 @@ def expected_counts(
     fe = fit.estimates.fixed
     eta = dataset.covariate_matrix @ fe.slopes if fe.slopes.size else 0.0
     deltas = fe.intercepts[None, :] + np.atleast_1d(eta)[:, None]
-    if not isinstance(fit.estimates.re, NoRandomEffect):
+    if fit.estimates.re.dim:
         deltas = deltas + predict_random_effects(
             dataset, fit.estimates, link, method=prediction
         )
@@ -136,15 +128,6 @@ def aic(fit: FitResult) -> float:
     return -2.0 * fit.loglik + 2.0 * fit.n_parameters
 
 
-def latent_variance(re) -> float:
-    """Cluster-level variance on the latent logistic scale."""
-    if isinstance(re, UnivariateRandomEffect):
-        return re.sigma**2
-    if isinstance(re, BivariateRandomEffect):
-        return re.sigma1**2 + re.sigma2**2 + 2.0 * re.rho * re.sigma1 * re.sigma2
-    raise ValueError("intraclass correlation requires a random effect")
-
-
 def icc(re, covariance: np.ndarray | None = None):
     """Intraclass correlation v / (v + pi^2 / 3) with v the cluster-level
     variance, plus its delta-method standard error when the fit covariance
@@ -154,25 +137,13 @@ def icc(re, covariance: np.ndarray | None = None):
     univariate effect or (sigma1, sigma2, rho) for a bivariate one. When it
     is missing the SE, p-value, and interval are returned as None.
     """
-    v = latent_variance(re)
+    v, dv_dnames = re.latent_variance()
     value = v / (v + LOGISTIC_VARIANCE)
     if covariance is None:
         return value, None, None, None
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     dv = LOGISTIC_VARIANCE / (v + LOGISTIC_VARIANCE) ** 2
-    if isinstance(re, UnivariateRandomEffect):
-        grad = np.array([2.0 * re.sigma]) * dv
-    else:
-        grad = (
-            np.array(
-                [
-                    2.0 * re.sigma1 + 2.0 * re.rho * re.sigma2,
-                    2.0 * re.sigma2 + 2.0 * re.rho * re.sigma1,
-                    2.0 * re.sigma1 * re.sigma2,
-                ]
-            )
-            * dv
-        )
+    grad = dv_dnames * dv
     if cov.shape != (grad.size, grad.size):
         raise ValueError(
             f"covariance block has shape {cov.shape}, expected {(grad.size, grad.size)}"
@@ -187,13 +158,11 @@ def icc(re, covariance: np.ndarray | None = None):
 
 
 def variance_component_covariance(fit: FitResult) -> np.ndarray | None:
-    """Reported-scale covariance block of the variance components."""
-    if fit.covariance is None:
+    """Reported-scale covariance block of the variance components, the
+    parameters after the fixed effects."""
+    if fit.covariance is None or fit.n_parameters == fit.n_fixed_parameters:
         return None
-    idx = [i for i, name in enumerate(fit.names) if name in ("sigma", "sigma1", "sigma2", "rho")]
-    if not idx:
-        return None
-    return fit.covariance[np.ix_(idx, idx)]
+    return fit.covariance[fit.n_fixed_parameters :, fit.n_fixed_parameters :]
 
 
 def gof_report(
@@ -206,7 +175,7 @@ def gof_report(
     chi2, chi2_df, chi2_p = pearson_chi2(dataset, fit, fit.link, prediction)
     c_stat, c_df, c_p = likelihood_ratio_C(fit, intercept)
     aic_value = aic(fit)
-    if isinstance(fit.estimates.re, NoRandomEffect):
+    if not fit.estimates.re.dim:
         return GofReport(chi2, chi2_df, chi2_p, c_stat, c_df, c_p, aic_value)
     value, se, p, ci = icc(fit.estimates.re, variance_component_covariance(fit))
     return GofReport(

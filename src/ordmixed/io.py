@@ -13,7 +13,7 @@ values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -209,19 +209,11 @@ def summary_tree(summary) -> dict:
             }
             for row in model.parameters
         ]
-        models[key] = {
-            "parameters": params,
-            "mean_chi2": model.mean_chi2,
-            "mean_chi2_p": model.mean_chi2_p,
-            "chi2_df": model.chi2_df,
-            "mean_C": model.mean_C,
-            "mean_C_p": model.mean_C_p,
-            "C_df": model.C_df,
-            "mean_aic": model.mean_aic,
-            "mean_icc": model.mean_icc,
-            "replications_used": model.replications_used,
-            "non_convergent": model.non_convergent,
-        }
+        # the parameter rows, then the summary's statistics in field order
+        entry = {f.name: getattr(model, f.name) for f in fields(model)}
+        del entry["link"], entry["re_structure"]
+        entry["parameters"] = params
+        models[key] = entry
     return {
         "generator": {
             "link": summary.generator_link.value,

@@ -42,18 +42,15 @@ import numpy as np
 from scipy.special import gammaln
 
 from .model import (
-    BivariateRandomEffect,
     Cluster,
     Dataset,
     LinkFamily,
-    NoRandomEffect,
     ParameterVector,
     PlaneStack,
-    UnivariateRandomEffect,
     log_category_probabilities,  # noqa: F401  (instrumentation looks the link layer up here)
     slot_terms,
 )
-from .quadrature import QuadratureRule1D, QuadratureRule2D
+from .quadrature import QuadratureRule2D
 
 _BLOCK_ELEMENTS = 2**16  # most elements in one workspace plane (512 KB)
 
@@ -401,52 +398,36 @@ class LoglikKernel:
         return LouisMoments(loglik, mean, second.reshape(n, r, r), node_score)
 
 
-def _node_offsets(params: ParameterVector, rule) -> tuple[np.ndarray, np.ndarray]:
-    re = params.re
-    if isinstance(re, UnivariateRandomEffect):
-        if not isinstance(rule, QuadratureRule1D):
-            raise ValueError("univariate random effect requires a 1-d quadrature rule")
-        return re.sigma * rule.nodes, rule.weights
-    if isinstance(re, BivariateRandomEffect):
-        if not isinstance(rule, QuadratureRule2D):
-            raise ValueError("bivariate random effect requires a 2-d quadrature rule")
-        return rule.nodes, rule.weights
-    raise ValueError("no random effect: use the conditional likelihood directly")
-
-
 def marginal_cluster_loglik(
     cluster: Cluster, params: ParameterVector, link: LinkFamily, rule
 ) -> float:
-    """Cluster log-likelihood with the random effect integrated out.
-
-    For a univariate effect the scaled node enters every predictor slot
-    identically; for a bivariate effect the (pre-scaled) node pair enters
-    slot-wise. The bivariate rule must already carry the effect's
-    covariance (build it with the same sigma1, sigma2, rho).
-    """
-    ds = Dataset(clusters=(cluster,))
-    kernel = LoglikKernel(ds, link)
-    offsets, weights = _node_offsets(params, rule)
-    return float(
-        kernel.marginal(params.fixed.intercepts, params.fixed.slopes, offsets, weights)[0]
-    )
+    """Cluster log-likelihood with the random effect integrated out, as
+    ``cluster_logliks`` gives it."""
+    return float(cluster_logliks(Dataset(clusters=(cluster,)), params, link, rule)[0])
 
 
 def cluster_logliks(
     dataset: Dataset, params: ParameterVector, link: LinkFamily, rule=None
 ) -> np.ndarray:
-    """Per-cluster log-likelihood vector: conditional at zero deviation for
-    homogeneous parameters, marginal otherwise."""
+    """Per-cluster log-likelihood vector: conditional at zero deviation when
+    the random effect's loading A is zero (no effect, or sigma = 0), else
+    marginal over the rule. A standardized rule's nodes z enter as z A'; a
+    ``QuadratureRule2D`` from ``bivariate_rule`` already carries the
+    effect's covariance, so its nodes are the offsets themselves."""
     kernel = LoglikKernel(dataset, link)
     fe = params.fixed
-    if isinstance(params.re, NoRandomEffect):
-        return kernel.conditional(fe.intercepts, fe.slopes)
-    if isinstance(params.re, UnivariateRandomEffect) and params.re.sigma == 0.0:
+    loading = params.re.loading(kernel.n_boundaries)
+    if not loading.any():
         return kernel.conditional(fe.intercepts, fe.slopes)
     if rule is None:
         raise ValueError("a quadrature rule is required when a random effect is present")
-    offsets, weights = _node_offsets(params, rule)
-    return kernel.marginal(fe.intercepts, fe.slopes, offsets, weights)
+    nodes = np.reshape(rule.nodes, (rule.weights.size, -1))
+    if nodes.shape[1] != loading.shape[1]:
+        raise ValueError(
+            f"a {params.re.structure} random effect requires a {loading.shape[1]}-d quadrature rule"
+        )
+    offsets = nodes if isinstance(rule, QuadratureRule2D) else nodes @ loading.T
+    return kernel.marginal(fe.intercepts, fe.slopes, offsets, rule.weights)
 
 
 def total_loglik(

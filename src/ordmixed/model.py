@@ -12,9 +12,11 @@ family that fixes which log-odds each predictor equals:
   any higher category.
 
 Observations come in clusters that share a covariate vector. A cluster-level
-random deviation may be added to the predictors: the same scalar in every
-slot (univariate) or one value per boundary (bivariate, which requires
-K = 3 so that there is one component per intercept).
+random deviation A z may be added to the predictors, with z standard normal
+and A the effect's (K-1, d) loading: none (d = 0), the same scalar in every
+slot (univariate, A = sigma times ones) or one value per boundary (bivariate,
+A the Cholesky factor, which requires K = 3 so that there is one component
+per intercept).
 
 All values here are immutable after construction and safe to share across
 workers, except ``PlaneStack``, the scratch memory a likelihood kernel
@@ -23,10 +25,11 @@ keeps for one caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -67,59 +70,131 @@ class FixedEffects:
         return self.intercepts.size + 1
 
 
+class _RandomEffectSpec:
+    """What the three random-effect classes share: a cluster's K-1
+    predictor offsets are A z, with z standard normal of ``dim`` components
+    and A = ``loading(K-1)`` (MIXOR's Cholesky form, Hedeker & Gibbons 1994).
+
+    ``names`` are the fields in reported order. The optimizer sees the
+    names in ``correlations`` on the atanh scale and the others, standard
+    deviations, on the log scale; the loading derivatives are in those
+    coordinates. ``n_boundaries``, when set, is the only K-1 the effect fits.
+    """
+
+    structure: ClassVar[str]
+    names: ClassVar[tuple[str, ...]] = ()
+    correlations: ClassVar[tuple[str, ...]] = ()
+    dim: ClassVar[int] = 0
+    n_boundaries: ClassVar[int | None] = None
+
+    @classmethod
+    def check_boundaries(cls, k1: int) -> None:
+        if cls.n_boundaries not in (None, k1):
+            raise ValueError(
+                f"a {cls.structure} random effect requires exactly {cls.n_boundaries + 1} categories"
+            )
+
+    @classmethod
+    def start(cls):
+        """The default start: standard deviations 0.5, correlations 0."""
+        return cls(**{name: 0.0 if name in cls.correlations else 0.5 for name in cls.names})
+
+    def __post_init__(self):
+        for name in self.names:
+            v = getattr(self, name)
+            if name in self.correlations:
+                if not math.isfinite(v) or abs(v) > 1:
+                    raise ValueError(f"{name} must lie in [-1, 1], got {v}")
+            elif not math.isfinite(v) or v < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
+    # empty without names; an effect with names overrides all three
+
+    def loading(self, k1: int) -> np.ndarray:
+        """The loading A, shape (K-1, dim), of K-1 predictor slots."""
+        return np.zeros((k1, self.dim))
+
+    def loading_derivatives(self, k1: int) -> np.ndarray:
+        """Derivatives of A with respect to each unconstrained coordinate,
+        shape (T, K-1, dim) for T names."""
+        return np.zeros((len(self.names), k1, self.dim))
+
+    def loading_second_derivatives(self, k1: int) -> np.ndarray:
+        """Second derivatives of A with respect to each pair of
+        unconstrained coordinates, shape (T, T, K-1, dim)."""
+        return np.zeros((len(self.names), len(self.names), k1, self.dim))
+
+    def latent_variance(self) -> tuple[float, np.ndarray]:
+        """The cluster-level variance on the latent logistic scale, which
+        the intraclass correlation reads, and its gradient in the names."""
+        raise ValueError("intraclass correlation requires a random effect")
+
+
 @dataclass(frozen=True)
-class NoRandomEffect:
+class NoRandomEffect(_RandomEffectSpec):
     """Homogeneous clusters: no random deviation in the predictors."""
 
+    structure: ClassVar[str] = "none"
+
 
 @dataclass(frozen=True)
-class UnivariateRandomEffect:
-    """One normal deviation per cluster, shared by every predictor slot."""
+class UnivariateRandomEffect(_RandomEffectSpec):
+    """One normal deviation per cluster, shared by every predictor slot:
+    the loading is sigma times a column of ones."""
+
+    structure: ClassVar[str] = "univariate"
+    names: ClassVar[tuple[str, ...]] = ("sigma",)
+    dim: ClassVar[int] = 1
 
     sigma: float
 
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+    def loading(self, k1: int) -> np.ndarray:
+        return np.array([[self.sigma]] * k1)
+
+    # sigma times a fixed column is its own derivative in log sigma, to any order
+
+    def loading_derivatives(self, k1: int) -> np.ndarray:
+        return np.array([[[self.sigma]] * k1])
+
+    def loading_second_derivatives(self, k1: int) -> np.ndarray:
+        return np.array([[[[self.sigma]] * k1]])
+
+    def latent_variance(self) -> tuple[float, np.ndarray]:
+        return self.sigma**2, np.array([2.0 * self.sigma])
 
 
 @dataclass(frozen=True)
-class BivariateRandomEffect:
+class BivariateRandomEffect(_RandomEffectSpec):
     """One normal deviation per predictor slot (requires K = 3), with
-    standard deviations sigma1, sigma2 and correlation rho."""
+    standard deviations sigma1, sigma2 and correlation rho. The loading is
+    the covariance's lower-triangular Cholesky factor."""
+
+    structure: ClassVar[str] = "bivariate"
+    names: ClassVar[tuple[str, ...]] = ("sigma1", "sigma2", "rho")
+    correlations: ClassVar[tuple[str, ...]] = ("rho",)
+    dim: ClassVar[int] = 2
+    n_boundaries: ClassVar[int | None] = 2
 
     sigma1: float
     sigma2: float
     rho: float
 
-    def __post_init__(self):
-        for name in ("sigma1", "sigma2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not np.isfinite(self.rho) or abs(self.rho) > 1:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
-
-    def covariance(self) -> np.ndarray:
-        off = self.rho * self.sigma1 * self.sigma2
-        return np.array([[self.sigma1**2, off], [off, self.sigma2**2]])
-
-    def cholesky_factor(self) -> np.ndarray:
+    def loading(self, k1: int) -> np.ndarray:
         """Lower-triangular factor L with L L' equal to the covariance.
 
         For rho = +-1 the factor is rank deficient with a zero second
         column rather than an error, so perfectly correlated deviations
         remain representable.
         """
+        self.check_boundaries(k1)
         l22 = self.sigma2 * np.sqrt(max(0.0, 1.0 - self.rho**2))
         return np.array([[self.sigma1, 0.0], [self.rho * self.sigma2, l22]])
 
-    def cholesky_derivatives(self) -> np.ndarray:
-        """Derivatives of ``cholesky_factor()`` with respect to log sigma1,
-        log sigma2 and atanh rho, stacked along the first axis (3, 2, 2).
-
-        All stay finite at rho = +-1: the derivative of l22 with respect to
-        atanh rho is -rho * sigma2 * sqrt(1 - rho^2), which vanishes there.
+    def loading_derivatives(self, k1: int) -> np.ndarray:
+        """Derivatives with respect to log sigma1, log sigma2 and atanh rho,
+        (3, 2, 2). All stay finite at rho = +-1: the derivative of l22 with
+        respect to atanh rho is -rho * sigma2 * sqrt(1 - rho^2), which
+        vanishes there.
         """
         s1, s2, rho = self.sigma1, self.sigma2, self.rho
         root = np.sqrt(max(0.0, 1.0 - rho**2))
@@ -131,9 +206,8 @@ class BivariateRandomEffect:
             ]
         )
 
-    def cholesky_second_derivatives(self) -> np.ndarray:
-        """Second derivatives of ``cholesky_factor()`` with respect to each
-        pair of log sigma1, log sigma2 and atanh rho, shape (3, 3, 2, 2).
+    def loading_second_derivatives(self, k1: int) -> np.ndarray:
+        """Second derivatives, (3, 3, 2, 2).
 
         The first row of the factor is sigma1 alone and the second is sigma2
         times a function of rho. So twice in log sigma1, or in log sigma2,
@@ -143,7 +217,7 @@ class BivariateRandomEffect:
         where every factor of sqrt(1 - rho^2) vanishes.
         """
         s2, rho = self.sigma2, self.rho
-        first = self.cholesky_derivatives()
+        first = self.loading_derivatives(k1)
         root = np.sqrt(max(0.0, 1.0 - rho**2))
         second = np.zeros((3, 3, 2, 2))
         second[0, 0] = first[0]
@@ -152,8 +226,26 @@ class BivariateRandomEffect:
         second[2, 2, 1] = [-2.0 * rho * s2 * (1.0 - rho**2), -s2 * root * (1.0 - 2.0 * rho**2)]
         return second
 
+    def latent_variance(self) -> tuple[float, np.ndarray]:
+        s1, s2, rho = self.sigma1, self.sigma2, self.rho
+        gradient = np.array([2.0 * s1 + 2.0 * rho * s2, 2.0 * s2 + 2.0 * rho * s1, 2.0 * s1 * s2])
+        return s1**2 + s2**2 + 2.0 * rho * s1 * s2, gradient
+
 
 RandomEffect = Union[NoRandomEffect, UnivariateRandomEffect, BivariateRandomEffect]
+
+# the public structure names, as ``fit`` and ``FitResult.re_structure`` spell them
+RANDOM_EFFECTS = {
+    effect.structure: effect
+    for effect in (NoRandomEffect, UnivariateRandomEffect, BivariateRandomEffect)
+}
+
+
+def random_effect_class(structure: str) -> type:
+    """The random-effect class a structure name stands for."""
+    if structure not in RANDOM_EFFECTS:
+        raise ValueError(f"unknown random-effect structure: {structure!r}")
+    return RANDOM_EFFECTS[structure]
 
 
 @dataclass(frozen=True)
@@ -325,28 +417,12 @@ def category_probabilities(link: LinkFamily, deltas: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one predictor (K >= 2)")
     if not np.all(np.isfinite(deltas)):
         raise ValueError("predictors must be finite")
-    if link is LinkFamily.PROPORTIONAL_ODDS:
-        if not np.all(np.diff(deltas, axis=-1) >= 0.0):
-            raise InfeasibleParametersError(
-                "proportional-odds predictors must be non-decreasing across boundaries"
-            )
-        gamma = _expit(deltas)
-        shape = deltas.shape[:-1]
-        cum = np.concatenate(
-            [np.zeros(shape + (1,)), gamma, np.ones(shape + (1,))], axis=-1
+    logp, feasible = log_category_probabilities(link, deltas)
+    if not feasible.all():
+        raise InfeasibleParametersError(
+            "proportional-odds predictors must be non-decreasing across boundaries"
         )
-        return np.diff(cum, axis=-1)
-    logp, _ = log_category_probabilities(link, deltas)
     return np.exp(logp)
-
-
-def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class SlotTerms(NamedTuple):

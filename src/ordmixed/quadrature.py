@@ -9,6 +9,7 @@ integrated without any change to the weights.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,14 +58,19 @@ def gauss_hermite(order: int) -> QuadratureRule1D:
 
 
 @lru_cache(maxsize=None)
-def standard_tensor_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node pairs (Q, 2) and weights of the tensor product of two
-    standardized rules of the given order: expectations under a standard
-    bivariate normal. Any bivariate normal's nodes are these pairs mapped
-    through its Cholesky factor."""
-    base = gauss_hermite(order)
-    nodes = np.column_stack([np.repeat(base.nodes, order), np.tile(base.nodes, order)])
-    weights = np.outer(base.weights, base.weights).ravel()
+def standard_tensor_grid(order: int, dim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Node tuples (Q, dim) and weights of the tensor product of ``dim``
+    standardized rules of the given order, the last axis varying fastest:
+    expectations under a standard ``dim``-variate normal. Any normal's nodes
+    are these tuples mapped through a loading whose product with its
+    transpose is the covariance. For dim = 0 the grid is one empty node
+    with weight 1."""
+    if dim == 0:
+        nodes, weights = np.zeros((1, 0)), np.ones(1)
+    else:
+        base = gauss_hermite(order)
+        nodes = np.array(list(itertools.product(base.nodes, repeat=dim)))
+        weights = np.prod(list(itertools.product(base.weights, repeat=dim)), axis=1)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -79,7 +85,7 @@ def bivariate_rule(order: int, sigma1: float, sigma2: float, rho: float) -> Quad
     """
     re = BivariateRandomEffect(sigma1=sigma1, sigma2=sigma2, rho=rho)  # validates
     grid, weights = standard_tensor_grid(order)
-    nodes = grid @ re.cholesky_factor().T
+    nodes = grid @ re.loading(2).T
     nodes.flags.writeable = False
     return QuadratureRule2D(nodes=nodes, weights=weights, order=int(order))
 

@@ -13,13 +13,13 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .estimation import FitOptions, fit, fit_intercept_model
+from .estimation import Z_95, FitOptions, fit, fit_intercept_model
 from .gof import gof_report
 from .model import (
-    BivariateRandomEffect,
     Cluster,
     Dataset,
     FixedEffects,
@@ -29,6 +29,7 @@ from .model import (
     ParameterVector,
     UnivariateRandomEffect,
     category_probabilities,
+    random_effect_class,
 )
 
 
@@ -151,9 +152,10 @@ def _replication_rng(seed: int, index: int) -> np.random.Generator:
 def generate_dataset(design: SimulationDesign, replication_index: int) -> Dataset:
     """Draw one clustered dataset from the design's generator.
 
-    Per cluster: draw the random deviation from its normal law, invert the
-    link at the true parameters, and draw the counts from a multinomial.
-    The stream is derived from (seed, replication index).
+    Per cluster: draw the random deviation A z from its normal law, with z
+    standard normal and A the effect's loading, invert the link at the true
+    parameters, and draw the counts from a multinomial. The stream is
+    derived from (seed, replication index).
     """
     x, names, levels = factorial_design(design.factors)
     fe = design.true_params.fixed
@@ -164,17 +166,11 @@ def generate_dataset(design: SimulationDesign, replication_index: int) -> Datase
     rng = _replication_rng(design.seed, replication_index)
     n = x.shape[0]
     k1 = fe.intercepts.size
-    re = design.true_params.re
-    if isinstance(re, NoRandomEffect):
-        offsets = np.zeros((n, k1))
-    elif isinstance(re, UnivariateRandomEffect):
-        offsets = np.repeat(re.sigma * rng.standard_normal((n, 1)), k1, axis=1)
-    elif isinstance(re, BivariateRandomEffect):
-        if k1 != 2:
-            raise InvalidDesignError("bivariate generator requires K = 3")
-        offsets = rng.standard_normal((n, 2)) @ re.cholesky_factor().T
-    else:
-        raise InvalidDesignError(f"unsupported random-effect spec: {re!r}")
+    try:
+        loading = design.true_params.re.loading(k1)
+    except ValueError as err:
+        raise InvalidDesignError(f"the generator's random effect does not fit K: {err}") from None
+    offsets = rng.standard_normal((n, loading.shape[1])) @ loading.T
     deltas = fe.intercepts[None, :] + (x @ fe.slopes)[:, None] + offsets
     try:
         probs = category_probabilities(design.link, deltas)
@@ -202,16 +198,14 @@ def _replicate(design: SimulationDesign, fit_options: FitOptions, index: int) ->
     for link, structure in design.fits:
         key = model_key(link, structure)
         try:
+            effect = random_effect_class(structure)
             opts = fit_options
-            if structure != "none" and link in base_fits:
-                seed_fit = base_fits[link]
-                start = ParameterVector(
-                    fixed=seed_fit.estimates.fixed,
-                    re=_initial_re(structure),
-                )
+            if effect.dim and link in base_fits:
+                # the homogeneous fit seeds the random-effect model's fixed effects
+                start = ParameterVector(fixed=base_fits[link].estimates.fixed, re=effect.start())
                 opts = replace(fit_options, starting_values=start)
             full = fit(dataset, link, structure, opts)
-            if structure == "none":
+            if not effect.dim:
                 base_fits[link] = full
             intercept = fit_intercept_model(dataset, link, structure, fit_options)
             report = gof_report(dataset, full, intercept)
@@ -219,27 +213,9 @@ def _replicate(design: SimulationDesign, fit_options: FitOptions, index: int) ->
             out[key] = {"ok": False, "error": f"{type(err).__name__}: {err}"}
             continue
         ok = full.converged and intercept.converged
-        out[key] = {
-            "ok": ok,
-            "values": full.values,
-            "names": full.names,
-            "loglik": full.loglik,
-            "chi2": report.chi2,
-            "chi2_p": report.chi2_p,
-            "chi2_df": report.chi2_df,
-            "C": report.C,
-            "C_p": report.C_p,
-            "C_df": report.C_df,
-            "aic": report.aic,
-            "icc": report.icc,
-        }
+        # the fit's reported values beside every field of the GoF panel
+        out[key] = {"ok": ok, "values": full.values, "names": full.names, **vars(report)}
     return out
-
-
-def _initial_re(structure: str):
-    if structure == "univariate":
-        return UnivariateRandomEffect(sigma=0.5)
-    return BivariateRandomEffect(sigma1=0.5, sigma2=0.5, rho=0.0)
 
 
 def run_study(
@@ -269,7 +245,7 @@ def run_study(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, design.replications // (4 * workers))
             results = list(
-                pool.map(_ReplicateTask(design, fit_options), indices, chunksize=chunk)
+                pool.map(partial(_replicate, design, fit_options), indices, chunksize=chunk)
             )
     else:
         results = [_replicate(design, fit_options, i) for i in indices]
@@ -296,7 +272,7 @@ def run_study(
             mean = float(values[:, j].mean())
             if r_used > 1:
                 sd = float(values[:, j].std(ddof=1))
-                half = 1.96 * sd / np.sqrt(r_used)
+                half = Z_95 * sd / np.sqrt(r_used)
                 rows.append(ParameterSummaryRow(name, mean, sd, mean - half, mean + half))
             else:
                 rows.append(ParameterSummaryRow(name, mean, None, None, None))
@@ -316,29 +292,11 @@ def run_study(
             replications_used=r_used,
             non_convergent=n_bad,
         )
-    re = design.true_params.re
-    generator_re = (
-        "none"
-        if isinstance(re, NoRandomEffect)
-        else "univariate"
-        if isinstance(re, UnivariateRandomEffect)
-        else "bivariate"
-    )
     return SimulationSummary(
         generator_link=design.link,
-        generator_re=generator_re,
+        generator_re=design.true_params.re.structure,
         seed=design.seed,
         replications=design.replications,
         models=models,
     )
 
-
-class _ReplicateTask:
-    """Picklable per-index task for process pools."""
-
-    def __init__(self, design: SimulationDesign, fit_options: FitOptions):
-        self.design = design
-        self.fit_options = fit_options
-
-    def __call__(self, index: int) -> dict:
-        return _replicate(self.design, self.fit_options, index)

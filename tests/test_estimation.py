@@ -20,7 +20,6 @@ from ordmixed.estimation import (
     _ATANH_RHO_BOUND,
     _LOG_SIGMA_ZERO,
     _PENALTY,
-    RE_STRUCTURES,
     _central_gradient,
     _clipped_covariance,
     _information,
@@ -31,6 +30,8 @@ from ordmixed.estimation import (
 )
 from ordmixed.likelihood import LoglikKernel
 from ordmixed.model import (
+    RANDOM_EFFECTS,
+    BivariateRandomEffect,
     FixedEffects,
     ParameterVector,
     UnivariateRandomEffect,
@@ -46,6 +47,7 @@ from ordmixed.simulation import (
 
 PO = LinkFamily.PROPORTIONAL_ODDS
 FAST = FitOptions(standard_errors=False)
+RE_STRUCTURES = tuple(RANDOM_EFFECTS)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +139,7 @@ class TestFit:
             FitOptions(max_iterations=0)
 
     def test_gradient_small_at_optimum(self, strawberry, po_univariate):
-        param = _Parameterization(2, strawberry.slope_names(), "univariate")
+        param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
         loglik = _Objective(LoglikKernel(strawberry, PO), param, 30).value
         theta = param.pack(po_univariate.estimates)
         grad = _central_gradient(loglik, theta)
@@ -241,9 +243,9 @@ def _random_theta(rng, param, edge=False):
     c1 = rng.uniform(-2.5, -0.5)
     cutpoints = [c1, c1 + rng.uniform(0.3, 2.0)]
     slopes = rng.normal(0.0, 0.5, param.n_slopes)
-    if param.structure == "univariate":
+    if param.effect is UnivariateRandomEffect:
         tail = [_LOG_SIGMA_ZERO + 0.5 if edge else rng.uniform(-1.5, 1.0)]
-    elif param.structure == "bivariate":
+    elif param.effect is BivariateRandomEffect:
         tail = [rng.uniform(-1.5, 0.7), rng.uniform(-1.5, 0.7), rng.uniform(-3.0, 3.0)]
         if edge:
             tail = [_LOG_SIGMA_ZERO + 0.5, tail[1], rng.choice([-1, 1]) * (_ATANH_RHO_BOUND - 6)]
@@ -258,7 +260,7 @@ class TestAnalyticScore:
     @pytest.mark.parametrize("link", list(LinkFamily))
     def test_matches_central_differences(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
-        param = _Parameterization(2, names, structure)
+        param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
         kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
         order = 12 if structure == "bivariate" else 30
         objective = _Objective(kernel, param, order)
@@ -275,7 +277,7 @@ class TestAnalyticScore:
 
     @pytest.mark.parametrize("structure", ["none", "univariate"])
     def test_decreasing_po_cutpoints_return_penalty(self, strawberry, structure):
-        param = _Parameterization(2, strawberry.slope_names(), structure)
+        param = _Parameterization(2, strawberry.slope_names(), RANDOM_EFFECTS[structure])
         minimand = _Minimand(_Objective(LoglikKernel(strawberry, PO), param, 30))
         theta = np.concatenate([[1.0, -1.0], np.zeros(param.n_slopes), [0.0] * param.n_variance])
         value, gradient = minimand(theta)
@@ -302,7 +304,7 @@ class TestAnalyticScore:
     @pytest.mark.parametrize("link", list(LinkFamily))
     def test_information_matches_differences_of_the_score(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
-        param = _Parameterization(2, names, structure)
+        param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
         kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
         objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
         # the points of test_matches_central_differences; the edge point has
@@ -315,7 +317,7 @@ class TestAnalyticScore:
             assert np.max(np.abs(info - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
     def test_standard_errors_match_differenced_values(self, strawberry, po_univariate):
-        param = _Parameterization(2, strawberry.slope_names(), "univariate")
+        param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
         value = _Objective(LoglikKernel(strawberry, PO), param, 30).value
         theta = param.pack(po_univariate.estimates)
         jac = param.delta_jacobian(theta)
@@ -438,6 +440,22 @@ class TestPosteriorModes:
             modes, _modes_reference(large_clusters, params, link), rtol=0, atol=1e-8
         )
 
+    # the mean integrates on a 25 x 25 grid against 40 nodes for one effect
+    @pytest.mark.parametrize("method, atol", [("mode", 1e-8), ("mean", 1e-4)])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_rank_one_cholesky_loading_is_the_shared_deviation(
+        self, strawberry, random_effect_fits, link, method, atol
+    ):
+        params = random_effect_fits[link, "univariate"]
+        sigma = params.re.sigma
+        perfect = ParameterVector(fixed=params.fixed, re=BivariateRandomEffect(sigma, sigma, 1.0))
+        np.testing.assert_allclose(
+            predict_random_effects(strawberry, perfect, link, method),
+            predict_random_effects(strawberry, params, link, method),
+            rtol=0,
+            atol=atol,
+        )
+
     @pytest.mark.parametrize("link", list(LinkFamily))
     def test_gradient_vanishes_within_ten_iterations(self, large_clusters, monkeypatch, link):
         params = study_true_parameters(1.5)
@@ -486,7 +504,7 @@ def _modes_reference(dataset, params, link):
                 break
         return np.repeat(e[:, None], 2, axis=1)
 
-    eigval, eigvec = np.linalg.eigh(re.covariance())
+    eigval, eigvec = np.linalg.eigh(re.loading(2) @ re.loading(2).T)
     keep = eigval > max(1e-12, 1e-12 * eigval.max())
     amat = eigvec[:, keep] * np.sqrt(eigval[keep])
     r = amat.shape[1]

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +12,14 @@ from ordmixed import (
     FixedEffects,
     InfeasibleParametersError,
     LinkFamily,
+    NoRandomEffect,
+    ParameterVector,
+    UnivariateRandomEffect,
     category_probabilities,
     linear_predictors,
     recover_predictors,
 )
+from ordmixed.estimation import _Parameterization
 from ordmixed.model import log_category_probabilities, predictor_score, slot_terms
 
 ALL_LINKS = list(LinkFamily)
@@ -259,37 +265,83 @@ class TestCurvature:
             assert slot_terms(link, d[:, None], counts[:, None]).curvature is None
 
 
-class TestCholeskyDerivatives:
-    @pytest.mark.parametrize("rho", [-0.999, -0.3, 0.0, 0.6, 0.9999])
-    def test_match_central_differences(self, rho):
-        theta = np.array([np.log(0.7), np.log(1.8), np.arctanh(rho)])
+EFFECTS = [
+    NoRandomEffect(),
+    UnivariateRandomEffect(0.7),
+    UnivariateRandomEffect(2.5),
+    *(BivariateRandomEffect(0.7, 1.8, rho) for rho in (-0.999, -0.3, 0.0, 0.6, 0.9999)),
+]
 
-        def effect(t):
-            return BivariateRandomEffect(np.exp(t[0]), np.exp(t[1]), np.tanh(t[2]))
 
-        derivs = BivariateRandomEffect(0.7, 1.8, rho).cholesky_derivatives()
-        second = BivariateRandomEffect(0.7, 1.8, rho).cholesky_second_derivatives()
+class TestLoadingDerivatives:
+    """Each random-effect class's loading A (K-1, dim) and its derivatives
+    in the optimizer's unconstrained coordinates."""
+
+    @staticmethod
+    def _packed(effect, k1=2):
+        param = _Parameterization(k1, (), type(effect))
+        fixed = FixedEffects(intercepts=np.linspace(-1.0, 1.0, k1), slopes=np.zeros(0))
+        theta = param.pack(ParameterVector(fixed=fixed, re=effect))
+        return param, theta
+
+    @pytest.mark.parametrize("effect", EFFECTS, ids=repr)
+    def test_match_central_differences(self, effect):
+        k1 = 2
+        param, theta = self._packed(effect, k1)
+        tail = theta[param.n_fixed :]
+        first = effect.loading_derivatives(k1)
+        second = effect.loading_second_derivatives(k1)
+        n = len(effect.names)
+        assert effect.loading(k1).shape == (k1, effect.dim)
+        assert first.shape == (n, k1, effect.dim)
+        assert second.shape == (n, n, k1, effect.dim)
         h = 1e-6
-        for i in range(3):
-            up, dn = theta.copy(), theta.copy()
+        for i in range(n):
+            up, dn = tail.copy(), tail.copy()
             up[i] += h
             dn[i] -= h
+            at_up, at_dn = param.random_effect(up), param.random_effect(dn)
             np.testing.assert_allclose(
-                derivs[i], (effect(up).cholesky_factor() - effect(dn).cholesky_factor()) / (2 * h),
-                atol=1e-7,
+                first[i], (at_up.loading(k1) - at_dn.loading(k1)) / (2 * h), atol=1e-7
             )
             np.testing.assert_allclose(
                 second[:, i],
-                (effect(up).cholesky_derivatives() - effect(dn).cholesky_derivatives()) / (2 * h),
+                (at_up.loading_derivatives(k1) - at_dn.loading_derivatives(k1)) / (2 * h),
                 atol=1e-7,
             )
 
+    @pytest.mark.parametrize("effect", EFFECTS, ids=repr)
+    def test_pack_unpack_round_trip(self, effect):
+        param, theta = self._packed(effect)
+        assert param.names[param.n_fixed :] == effect.names
+        assert type(param.unpack(theta).re) is type(effect)
+        values = astuple(effect)
+        np.testing.assert_allclose(astuple(param.unpack(theta).re), values, rtol=1e-12)
+        np.testing.assert_allclose(param.reported(theta)[param.n_fixed :], values, rtol=1e-12)
+        np.testing.assert_allclose(param.unpack(theta).re.loading(2), effect.loading(2), rtol=1e-12)
+        # the delta method's Jacobian is the derivative of the reported values
+        h = 1e-6
+        for i in range(param.n_fixed, param.size):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += h
+            dn[i] -= h
+            slope = (param.reported(up)[i] - param.reported(dn)[i]) / (2 * h)
+            assert param.delta_jacobian(theta)[i] == pytest.approx(slope, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("k1", [1, 3, 4])
+    def test_univariate_loading_is_sigma_in_every_slot(self, k1):
+        effect = UnivariateRandomEffect(0.7)
+        np.testing.assert_array_equal(effect.loading(k1), np.full((k1, 1), 0.7))
+        np.testing.assert_array_equal(effect.loading_derivatives(k1)[0], effect.loading(k1))
+        with pytest.raises(ValueError, match="exactly 3 categories"):
+            BivariateRandomEffect(0.7, 0.5, 0.1).loading(k1)
+
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
     def test_finite_at_perfect_correlation(self, rho):
-        derivs = BivariateRandomEffect(0.7, 1.8, rho).cholesky_derivatives()
+        derivs = BivariateRandomEffect(0.7, 1.8, rho).loading_derivatives(2)
         assert np.all(np.isfinite(derivs))
         np.testing.assert_array_equal(derivs[2], np.zeros((2, 2)))
-        second = BivariateRandomEffect(0.7, 1.8, rho).cholesky_second_derivatives()
+        second = BivariateRandomEffect(0.7, 1.8, rho).loading_second_derivatives(2)
         assert np.all(np.isfinite(second))
         np.testing.assert_array_equal(second[2], np.zeros((3, 2, 2)))
 
