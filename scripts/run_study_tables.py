@@ -7,8 +7,8 @@ fitted by all three link families with and without a univariate random
 effect. One summary block per (generator, fitted link) pair is printed,
 which is the layout of the published tables 8 through 25.
 
-Takes a few minutes single-threaded; set --workers (or ORDMIXED_WORKERS)
-to parallelize across replications.
+Takes a few minutes single-threaded; set --workers to parallelize across
+replications.
 """
 
 import argparse
@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     parser.add_argument("--replications", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--order", type=int, default=20, help="quadrature order")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--sigma", type=float, action="append", default=None,
                         help="generator sigma (repeatable; default 0.6 and 1.5)")
     parser.add_argument("--format", default="text", choices=["text", "csv", "json"])

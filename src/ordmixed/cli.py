@@ -151,10 +151,10 @@ def _parse_fit_list(specs: list[str]) -> tuple[tuple[LinkFamily, str], ...]:
     return tuple(fits)
 
 
-def _workers(args) -> int | None:
+def _workers(args) -> int:
     if args.workers is not None:
         return _checked_int("--workers", args.workers, 1)
-    return _env_int("ORDMIXED_WORKERS", 1)
+    return _env_int("ORDMIXED_WORKERS", 1) or 1
 
 
 def _cmd_simulate(args) -> str:

@@ -205,8 +205,7 @@ class _Objective:
     The node offsets are standardized nodes z (Q, dim) mapped through the
     random effect's loading A, z A', so one chain rule serves every
     structure; without a random effect they are a single node at 0 with
-    weight 1. Calling the objective gives ``(loglik, score)``; ``value``
-    gives the log-likelihood alone through ``LoglikKernel.marginal``.
+    weight 1. Calling the objective gives ``(loglik, score)``.
     """
 
     def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
@@ -228,11 +227,6 @@ class _Objective:
             first = [np.dot(self.nodes, d.T) for d in re.loading_derivatives(k1)]
             self._last = (key, (offsets, first))
         return self._last[1]
-
-    def value(self, theta: np.ndarray) -> float:
-        c, b, tail = self.param.split(theta)
-        offsets, _ = self._offsets(tail)
-        return self.kernel.marginal(c, b, offsets, self.weights).sum()
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         c, b, tail = self.param.split(theta)
@@ -285,9 +279,9 @@ class _Minimand:
 
     A point where the log-likelihood or its score is not finite (an
     infeasible proportional-odds proposal, say) returns _PENALTY with a
-    zero gradient. The last point is remembered, so the optimizer's first
-    call at a start that was just screened, or a convergence check at the
-    last iterate, costs nothing.
+    zero gradient. The last point is remembered by its bytes, so the
+    optimizer's first call at a start that was just screened, or a
+    convergence check at the last iterate, costs nothing.
     """
 
     def __init__(self, objective: Callable):
@@ -298,14 +292,15 @@ class _Minimand:
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = np.asarray(theta, dtype=float)
-        if self._memo is None or not np.array_equal(theta, self._memo[0]):
+        key = theta.tobytes()
+        if self._memo is None or key != self._memo[0]:
             self.calls += 1
             value, score = self.objective(theta)
             if np.isfinite(value) and np.all(np.isfinite(score)):
-                self._memo = (theta.copy(), -float(value), -score)
+                self._memo = (key, -float(value), -score)
                 self.last_value = -float(value)
             else:
-                self._memo = (theta.copy(), _PENALTY, np.zeros(theta.size))
+                self._memo = (key, _PENALTY, np.zeros(theta.size))
                 self.last_value = np.inf
         return self._memo[1], self._memo[2].copy()
 

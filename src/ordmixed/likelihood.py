@@ -24,6 +24,13 @@ score planes and, when asked, the curvature planes; the counts, stored as
 matrix products over the node and cluster axes. No array with a short
 trailing category axis is built.
 
+Every pass takes predictor offsets that broadcast against (n, Q, K-1),
+clusters by nodes by boundaries: a 2-d array is node offsets (Q, K-1)
+shared by every cluster, such as the nodes z of a rule mapped through a
+random effect's loading A, z A'; a 3-d one gives each cluster its own
+nodes. No random effect is one node at 0 with weight 1, and the
+conditional passes at per-cluster offsets (n, K-1) are the one-node case.
+
 The kernel writes every intermediate into its workspace: for each node
 count Q, a stack of (rows, Q) planes allocated on the first call with that
 Q and reused by every later one, so repeated calls allocate only the
@@ -123,6 +130,15 @@ class ConditionalTerms(NamedTuple):
     curvature: np.ndarray
 
 
+def _slot_major(offsets) -> np.ndarray:
+    """The slot-major view (K-1, n or 1, Q) of offsets that broadcast
+    against (n, Q, K-1); a 2-d array is node offsets (Q, K-1)."""
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim == 2:
+        offsets = offsets[None]
+    return offsets.transpose(2, 0, 1)
+
+
 class _Workspace(NamedTuple):
     """A kernel's memory for one node count Q: the slot-major predictors
     (K-1, rows, Q), the stack of (rows, Q) planes for everything derived
@@ -188,37 +204,30 @@ class LoglikKernel:
             )
         return self._workspaces[n_nodes]
 
-    def _blocks(self, intercepts, slopes, offsets, n_nodes: int, derivatives: int = 0):
-        """Evaluate the link block by block in the workspace planes.
-
-        ``offsets`` is an array that broadcasts against the slot-major
-        predictors (K-1, n, Q); one with a cluster axis of length n > 1 is
-        cut to each block's rows. Yields, per row block, its first and end
-        rows, the ``SlotTerms`` (with the score planes when ``derivatives``
-        is 1 or more, and the curvature planes when it is 2), the node
-        log-likelihoods
-        without the multinomial constant and the infeasibility mask (None
-        when every node is feasible); all of them live in the workspace and
-        are overwritten by the next block or call.
+    def _blocks(self, intercepts, slopes, offsets, derivatives: int = 0):
+        """Evaluate the link block by block in the workspace planes, at
+        offsets that broadcast against (n, Q, K-1); per-cluster ones are cut
+        to each block's rows. Yields, per row block, its first and end rows,
+        the ``SlotTerms`` (with the score planes when ``derivatives`` is 1
+        or more, and the curvature planes when it is 2), the node
+        log-likelihoods without the multinomial constant and the
+        infeasibility mask (None when every node is feasible); all of them
+        live in the workspace and are overwritten by the next block or call.
         """
-        ws = self._workspace(n_nodes)
+        offsets = _slot_major(offsets)
+        ws = self._workspace(offsets.shape[-1])
         base = np.asarray(intercepts, dtype=float)[:, None] + (self.x @ slopes)[None, :]
-        per_cluster = offsets.ndim >= 2 and offsets.shape[-2] > 1
+        per_cluster = offsets.shape[1] > 1
         for lo, hi, empty in ws.blocks:
             ws.planes.reset(hi - lo)
             d = ws.predictors[:, : hi - lo]
-            np.add(base[:, lo:hi, None], offsets[..., lo:hi, :] if per_cluster else offsets, out=d)
+            np.add(base[:, lo:hi, None], offsets[:, lo:hi] if per_cluster else offsets, out=d)
             counts = self._counts[:, lo:hi]
             terms = slot_terms(
                 self.link, d, counts if derivatives else None, ws.planes, derivatives > 1
             )
             ll, infeasible = self._count_loglik(terms, counts, empty, ws.planes)
             yield lo, hi, terms, ll, infeasible
-
-    @staticmethod
-    def _node_offsets(node_offsets) -> np.ndarray:
-        node_offsets = np.asarray(node_offsets, dtype=float)
-        return node_offsets if node_offsets.ndim == 1 else node_offsets.T[:, None, :]
 
     @staticmethod
     def _count_loglik(terms, counts, empty, work) -> tuple[np.ndarray, np.ndarray | None]:
@@ -240,51 +249,36 @@ class LoglikKernel:
             np.copyto(ll, -np.inf, where=infeasible)
         return ll, infeasible
 
-    def conditional(self, intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """Per-cluster conditional log-likelihood at zero random effect."""
-        return self.conditional_at(intercepts, slopes, None)
+    def node_logliks(self, intercepts, slopes, offsets) -> np.ndarray:
+        """Conditional log-likelihood of every cluster at every node, shape
+        (n, Q), without the multinomial constant, at offsets that broadcast
+        against (n, Q, K-1)."""
+        out = np.empty((self.x.shape[0], np.shape(offsets)[-2]))
+        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets):
+            out[lo:hi] = ll
+        return out
 
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
-        """Per-cluster conditional log-likelihood with per-cluster predictor
-        offsets of shape (n,), (n, K-1), or None for zeros."""
-        if offsets is None:
-            offsets = np.zeros(1)
-        else:
-            offsets = np.asarray(offsets, dtype=float)
-            offsets = offsets[:, None] if offsets.ndim == 1 else offsets.T[:, :, None]
-        out = np.empty(self.x.shape[0])
-        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets, 1):
-            np.add(ll[:, 0], self.log_coef[lo:hi], out=out[lo:hi])
-        return out
+        """Per-cluster conditional log-likelihood at per-cluster offsets
+        (n, K-1): the one-node case of ``node_logliks``, with its constant."""
+        ll = self.node_logliks(intercepts, slopes, np.asarray(offsets, dtype=float)[:, None])
+        return ll[:, 0] + self.log_coef
 
     def conditional_terms(self, intercepts, slopes, offsets) -> ConditionalTerms:
         """Per-cluster conditional log-likelihood, score and curvature with
         respect to the boundary predictors, at per-cluster predictor offsets
-        of shape (n, K-1)."""
-        offsets = np.asarray(offsets, dtype=float).T[:, :, None]
+        (n, K-1), evaluated as one node per cluster."""
+        offsets = np.asarray(offsets, dtype=float)[:, None]
         n, k1 = self.x.shape[0], self.n_boundaries
         loglik, score = np.empty(n), np.empty((n, k1))
         curvature = np.zeros((n, k1, k1))
-        for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, 1, derivatives=2):
+        for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, derivatives=2):
             np.add(ll[:, 0], self.log_coef[lo:hi], out=loglik[lo:hi])
             for k, g in enumerate(terms.score):
                 score[lo:hi, k] = g[:, 0]
             for (k, l), h in terms.curvature.items():
                 curvature[lo:hi, k, l] = curvature[lo:hi, l, k] = h[:, 0]
         return ConditionalTerms(loglik, score, curvature)
-
-    def node_logliks(self, intercepts, slopes, node_offsets) -> np.ndarray:
-        """Conditional log-likelihood of every cluster at every offset node,
-        shape (n, Q), without the multinomial constant.
-
-        ``node_offsets`` has shape (Q,) for a shared deviation or (Q, K-1)
-        for slot-wise deviations.
-        """
-        offsets = self._node_offsets(node_offsets)
-        out = np.empty((self.x.shape[0], offsets.shape[-1]))
-        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets, out.shape[1]):
-            out[lo:hi] = ll
-        return out
 
     @staticmethod
     def _integrate(ll: np.ndarray, weights, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,42 +295,49 @@ class LoglikKernel:
             np.add(np.log(total), m[:, 0], out=out)
         return mass, total
 
-    def marginal(self, intercepts, slopes, node_offsets, weights) -> np.ndarray:
+    def _integrated(self, out, intercepts, slopes, offsets, weights, derivatives: int = 0):
+        """``_blocks`` integrated over the nodes: writes the log-marginal
+        without the multinomial constant to ``out``, and yields per block
+        its rows, the ``SlotTerms`` with score and curvature zero at
+        infeasible nodes, the shifted node masses and their weighted sums."""
+        blocks = self._blocks(intercepts, slopes, offsets, derivatives)
+        for lo, hi, terms, ll, infeasible in blocks:
+            mass, total = self._integrate(ll, weights, out[lo:hi])
+            if infeasible is not None and derivatives:
+                for plane in terms.score + list((terms.curvature or {}).values()):
+                    np.copyto(plane, 0.0, where=infeasible)
+            yield lo, hi, terms, mass, total
+
+    def marginal(self, intercepts, slopes, offsets, weights) -> np.ndarray:
         """Per-cluster marginal log-likelihood over quadrature nodes, with
-        log-sum-exp stabilization. ``weights`` has shape (Q,)."""
+        log-sum-exp stabilization, at offsets that broadcast against
+        (n, Q, K-1) and weights (Q,)."""
         weights = np.asarray(weights, dtype=float)
         out = np.empty(self.x.shape[0])
-        offsets = self._node_offsets(node_offsets)
-        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets, weights.size):
-            self._integrate(ll, weights, out[lo:hi])
+        for _ in self._integrated(out, intercepts, slopes, offsets, weights):
+            pass
         return out + self.log_coef
 
-    def marginal_and_score(self, intercepts, slopes, node_offsets, weights) -> MarginalScore:
+    def marginal_and_score(self, intercepts, slopes, offsets, weights) -> MarginalScore:
         """Summed marginal log-likelihood with the node-averaged score per
         slot, in one pass over the node arrays.
 
-        Takes the arguments of ``marginal``; a model without a random
-        effect is one node at 0 with weight 1. The score with respect to
-        any parameter follows by the chain rule: intercept k from column k
-        of ``slot_score`` summed over clusters, slopes from X' times its row
+        Takes the arguments of ``marginal``. The score with respect to any
+        parameter follows by the chain rule: intercept k from column k of
+        ``slot_score`` summed over clusters, slopes from X' times its row
         sums, node-offset parameters from ``node_score``. Infeasible nodes
         get zero posterior weight and contribute nothing to the score.
         """
         weights = np.asarray(weights, dtype=float)
-        n, n_nodes = self.x.shape[0], weights.size
-        out = np.empty(n)
-        slot_score = np.empty((n, self.n_boundaries))
-        node_score = np.empty((n_nodes, self.n_boundaries))
-        offsets = self._node_offsets(node_offsets)
-        blocks = self._blocks(intercepts, slopes, offsets, n_nodes, derivatives=1)
-        for lo, hi, terms, ll, infeasible in blocks:
-            mass, total = self._integrate(ll, weights, out[lo:hi])
+        n = self.x.shape[0]
+        out, slot_score = np.empty(n), np.empty((n, self.n_boundaries))
+        node_score = np.empty((weights.size, self.n_boundaries))
+        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=1)
+        for lo, hi, terms, mass, total in blocks:
             # a cluster with no feasible node has total 0 and a -inf loglik
             with np.errstate(divide="ignore", invalid="ignore"):
                 inverse_total = 1.0 / total
                 for k, weighted in enumerate(terms.score):
-                    if infeasible is not None:
-                        np.copyto(weighted, 0.0, where=infeasible)
                     weighted *= mass
                     # posterior-weighted sums over nodes and over clusters, as
                     # matrix-vector products instead of reductions over short axes
@@ -347,7 +348,7 @@ class LoglikKernel:
         loglik = float((out + self.log_coef).sum())
         return MarginalScore(loglik, slot_score, node_score)
 
-    def louis_moments(self, intercepts, slopes, node_offsets, weights, features) -> LouisMoments:
+    def louis_moments(self, intercepts, slopes, offsets, weights, features) -> LouisMoments:
         """The posterior moments of the conditional score and curvature that
         Louis' identity needs, in one pass over the node arrays.
 
@@ -368,21 +369,14 @@ class LoglikKernel:
                 if k != l:
                     outer = outer + outer.transpose(0, 2, 1)
                 pairs[k, l] = outer.reshape(n_nodes, r * r)
-        out = np.empty(n)
-        mean = np.zeros((n, r))
-        second = np.zeros((n, r * r))
+        out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
         node_score = np.zeros((n_nodes, self.n_boundaries))
         work = self._workspace(n_nodes).planes
-        offsets = self._node_offsets(node_offsets)
-        blocks = self._blocks(intercepts, slopes, offsets, n_nodes, derivatives=2)
-        for lo, hi, terms, ll, infeasible in blocks:
-            mass, total = self._integrate(ll, weights, out[lo:hi])
+        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=2)
+        for lo, hi, terms, mass, total in blocks:
             with np.errstate(divide="ignore", invalid="ignore"):
                 posterior = np.divide(weights[None, :], total[:, None], out=work.take())
                 posterior *= mass
-            if infeasible is not None:
-                for plane in terms.score + list(terms.curvature.values()):
-                    np.copyto(plane, 0.0, where=infeasible)
             term = work.take()
             for (k, l), pair in pairs.items():
                 np.multiply(terms.score[k], terms.score[l], out=term)
@@ -409,25 +403,29 @@ def marginal_cluster_loglik(
 def cluster_logliks(
     dataset: Dataset, params: ParameterVector, link: LinkFamily, rule=None
 ) -> np.ndarray:
-    """Per-cluster log-likelihood vector: conditional at zero deviation when
-    the random effect's loading A is zero (no effect, or sigma = 0), else
-    marginal over the rule. A standardized rule's nodes z enter as z A'; a
-    ``QuadratureRule2D`` from ``bivariate_rule`` already carries the
-    effect's covariance, so its nodes are the offsets themselves."""
+    """Per-cluster log-likelihood vector from one ``LoglikKernel.marginal``
+    pass: one node at zero deviation with weight 1 when the random effect's
+    loading A is zero (no effect, or sigma = 0), else the rule's nodes. A
+    standardized rule's nodes z enter as z A'; a ``QuadratureRule2D`` from
+    ``bivariate_rule`` already carries the effect's covariance, so its
+    nodes are the offsets themselves."""
     kernel = LoglikKernel(dataset, link)
     fe = params.fixed
     loading = params.re.loading(kernel.n_boundaries)
     if not loading.any():
-        return kernel.conditional(fe.intercepts, fe.slopes)
-    if rule is None:
+        offsets, weights = np.zeros((1, kernel.n_boundaries)), np.ones(1)
+    elif rule is None:
         raise ValueError("a quadrature rule is required when a random effect is present")
-    nodes = np.reshape(rule.nodes, (rule.weights.size, -1))
-    if nodes.shape[1] != loading.shape[1]:
-        raise ValueError(
-            f"a {params.re.structure} random effect requires a {loading.shape[1]}-d quadrature rule"
-        )
-    offsets = nodes if isinstance(rule, QuadratureRule2D) else nodes @ loading.T
-    return kernel.marginal(fe.intercepts, fe.slopes, offsets, rule.weights)
+    else:
+        nodes = np.reshape(rule.nodes, (rule.weights.size, -1))
+        if nodes.shape[1] != loading.shape[1]:
+            raise ValueError(
+                f"a {params.re.structure} random effect requires a "
+                f"{loading.shape[1]}-d quadrature rule"
+            )
+        offsets = nodes if isinstance(rule, QuadratureRule2D) else nodes @ loading.T
+        weights = rule.weights
+    return kernel.marginal(fe.intercepts, fe.slopes, offsets, weights)
 
 
 def total_loglik(

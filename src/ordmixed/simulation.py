@@ -10,7 +10,6 @@ summaries, serial or parallel.
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -221,7 +220,7 @@ def _replicate(design: SimulationDesign, fit_options: FitOptions, index: int) ->
 def run_study(
     design: SimulationDesign,
     fit_options: FitOptions | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SimulationSummary:
     """Run the full replication study and aggregate.
 
@@ -229,15 +228,12 @@ def run_study(
     replications, and the interval mean +- 1.96 sd / sqrt(R). Replications
     that fail to converge are excluded from the aggregates and counted;
     more than 20% exclusions for any model raises StudyQualityError.
-    ``workers`` processes (at least 1; by default ORDMIXED_WORKERS, else
-    1) share the replications.
+    ``workers`` processes (at least 1) share the replications.
     """
     if fit_options is None:
         fit_options = FitOptions(standard_errors=False)
     elif fit_options.standard_errors:
         fit_options = replace(fit_options, standard_errors=False)
-    if workers is None:
-        workers = int(os.environ.get("ORDMIXED_WORKERS", "1"))
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     indices = range(design.replications)

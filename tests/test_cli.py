@@ -136,6 +136,18 @@ class TestSimulateCommand:
         # different quadrature orders shift the fitted values slightly
         assert low != high
 
+    def test_empty_workers_variable_counts_as_unset(self, capsys, monkeypatch):
+        argv = [
+            "simulate", "--link", "po", "--replications", "2", "--seed", "4",
+            "--fit", "po:none", "--format", "json",
+        ]
+        monkeypatch.setenv("ORDMIXED_WORKERS", "")
+        code, empty, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        monkeypatch.delenv("ORDMIXED_WORKERS")
+        code, unset, _ = run_cli(capsys, *argv)
+        assert code == 0 and empty == unset
+
 
 class TestReproduceCommand:
     def test_table2_deltas_are_small(self, capsys):

@@ -140,7 +140,7 @@ class TestFit:
 
     def test_gradient_small_at_optimum(self, strawberry, po_univariate):
         param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
-        loglik = _Objective(LoglikKernel(strawberry, PO), param, 30).value
+        loglik = _marginal_value(_Objective(LoglikKernel(strawberry, PO), param, 30))
         theta = param.pack(po_univariate.estimates)
         grad = _central_gradient(loglik, theta)
         scaled = np.abs(grad) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(po_univariate.loglik))
@@ -237,6 +237,18 @@ class TestFit:
         assert warm.n_evaluations < po_univariate.n_evaluations
 
 
+def _marginal_value(objective):
+    """The objective's log-likelihood alone, summed from
+    ``LoglikKernel.marginal`` at the objective's node offsets."""
+
+    def value(theta):
+        c, b, tail = objective.param.split(theta)
+        offsets, _ = objective._offsets(tail)
+        return objective.kernel.marginal(c, b, offsets, objective.weights).sum()
+
+    return value
+
+
 def _random_theta(rng, param, edge=False):
     """A proposal with increasing cutpoints; ``edge`` puts the standard
     deviations just above the sigma = 0 report threshold and |rho| near 1."""
@@ -264,7 +276,7 @@ class TestAnalyticScore:
         kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
         order = 12 if structure == "bivariate" else 30
         objective = _Objective(kernel, param, order)
-        value = objective.value
+        value = _marginal_value(objective)
         rng = np.random.default_rng([3, len(names), RE_STRUCTURES.index(structure)])
         for edge in (False, False, False, True):
             theta = _random_theta(rng, param, edge)
@@ -318,7 +330,7 @@ class TestAnalyticScore:
 
     def test_standard_errors_match_differenced_values(self, strawberry, po_univariate):
         param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
-        value = _Objective(LoglikKernel(strawberry, PO), param, 30).value
+        value = _marginal_value(_Objective(LoglikKernel(strawberry, PO), param, 30))
         theta = param.pack(po_univariate.estimates)
         jac = param.delta_jacobian(theta)
         se = np.sqrt(np.diag(numerical_covariance(value, theta)) * jac**2)
@@ -485,10 +497,12 @@ def _modes_reference(dataset, params, link):
         sigma = re.sigma
         rule = gauss_hermite(40)
         nodes = sigma * rule.nodes
-        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes)
+        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes[:, None])
 
         def posterior(e):
-            return kernel.conditional_at(fe.intercepts, fe.slopes, e) - 0.5 * (e / sigma) ** 2
+            return (
+                kernel.conditional_at(fe.intercepts, fe.slopes, e[:, None]) - 0.5 * (e / sigma) ** 2
+            )
 
         prior = -0.5 * (nodes / sigma) ** 2
         e = nodes[np.argmax(grid_ll + prior[None, :], axis=1)].astype(float)

@@ -205,7 +205,8 @@ class TestMarginalAndScore:
 
     def test_value_is_the_summed_marginal(self, kernel):
         rule = gauss_hermite(15)
-        args = (np.array([-0.8, 0.6]), np.array([0.3, -0.2]), 1.2 * rule.nodes, rule.weights)
+        offsets = 1.2 * rule.nodes[:, None]
+        args = (np.array([-0.8, 0.6]), np.array([0.3, -0.2]), offsets, rule.weights)
         r = kernel.marginal_and_score(*args)
         assert r.loglik == float(kernel.marginal(*args).sum())
         np.testing.assert_allclose(_posterior(kernel, *args).sum(axis=1), 1.0, rtol=1e-12)
@@ -213,9 +214,12 @@ class TestMarginalAndScore:
 
     def test_one_node_at_zero_is_the_conditional(self, kernel):
         c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
-        r = kernel.marginal_and_score(c, b, np.zeros(1), np.ones(1))
-        assert r.loglik == pytest.approx(float(kernel.conditional(c, b).sum()), rel=1e-14)
-        np.testing.assert_array_equal(_posterior(kernel, c, b, np.zeros(1), np.ones(1)), np.ones((12, 1)))
+        r = kernel.marginal_and_score(c, b, np.zeros((1, 2)), np.ones(1))
+        conditional = kernel.conditional_at(c, b, np.zeros((12, 2)))
+        assert r.loglik == pytest.approx(float(conditional.sum()), rel=1e-14)
+        np.testing.assert_array_equal(
+            _posterior(kernel, c, b, np.zeros((1, 2)), np.ones(1)), np.ones((12, 1))
+        )
 
     @pytest.mark.parametrize(
         "offsets",
@@ -240,13 +244,11 @@ class TestMarginalAndScore:
         np.testing.assert_array_equal(r.node_score[infeasible], 0.0)
 
 
-def _wrapper_kernel_oracle(link, kernel, c, b, node_offsets, weights):
+def _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights):
     """Node log-likelihoods and the score from the (..., K) wrappers on
-    cluster-major (n, Q, K-1) predictors, without the multinomial constant."""
-    offsets = np.asarray(node_offsets, dtype=float)
-    if offsets.ndim == 1:
-        offsets = np.repeat(offsets[:, None], c.size, axis=1)
-    deltas = c[None, None, :] + (kernel.x @ b)[:, None, None] + offsets[None, :, :]
+    cluster-major (n, Q, K-1) predictors, without the multinomial constant,
+    at (Q, K-1) node offsets or (n, Q, K-1) per-cluster ones."""
+    deltas = c[None, None, :] + (kernel.x @ b)[:, None, None] + np.asarray(offsets, dtype=float)
     logp, feasible = log_category_probabilities(link, deltas)
     y = kernel.y[:, None, :]
     with np.errstate(invalid="ignore"):
@@ -280,7 +282,7 @@ class TestSlotMajorKernel:
         c, b = np.array([-0.6, 0.7]), rng.normal(scale=0.4, size=3)
         if kind == "univariate":
             rule = gauss_hermite(7)
-            offsets, weights = 0.9 * rule.nodes, rule.weights
+            offsets, weights = 0.9 * rule.nodes[:, None], rule.weights
         else:
             offsets, weights = rng.normal(scale=0.8, size=(11, 2)), np.full(11, 1.0 / 11)
         ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
@@ -294,7 +296,7 @@ class TestSlotMajorKernel:
         clusters = (make_cluster([3, 0, 2]), make_cluster([1, 1, 1]))
         kernel = LoglikKernel(Dataset(clusters=clusters), LinkFamily.PROPORTIONAL_ODDS)
         nodes = np.array([-1.0, 0.0, 1.0])
-        ll = kernel.node_logliks(np.array([0.2, 0.2]), np.empty(0), nodes)
+        ll = kernel.node_logliks(np.array([0.2, 0.2]), np.empty(0), nodes[:, None])
         # cluster 1 has probabilities (F, 0, 1 - F) with F the logistic
         # function at the shared predictor; cluster 2 needs the empty category
         f = 1.0 / (1.0 + np.exp(-(0.2 + nodes)))
@@ -305,8 +307,10 @@ class TestSlotMajorKernel:
         c, b = np.array([-0.6, 0.7]), np.array([0.2])
         narrow = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, dataset.covariate_matrix[:, :1])
         full = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO)
+        zero = np.zeros((dataset.n_clusters, 2))
         np.testing.assert_array_equal(
-            narrow.conditional(c, b), full.conditional(c, np.array([0.2, 0.0, 0.0]))
+            narrow.conditional_at(c, b, zero),
+            full.conditional_at(c, np.array([0.2, 0.0, 0.0]), zero),
         )
         with pytest.raises(ValueError):
             LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, np.zeros((3, 1)))
@@ -351,17 +355,18 @@ class TestWorkspace:
         c, b = np.array([-0.6, 0.4]), np.linspace(-0.3, 0.3, dataset.n_covariates)
         eb = np.random.default_rng(2).normal(size=(dataset.n_clusters, 2))
         calls = []
-        groups = ((1.2, 30, eb), (1.0, 1, eb[:, 0]), (0.8, 40, eb), (1.5, 30, None))
+        groups = ((1.2, 30, eb), (1.0, 1, eb[:, :1]), (0.8, 40, eb), (1.5, 30, np.zeros_like(eb)))
         for scale, q, eb_offsets in groups:
             rule = gauss_hermite(q)
             nodes = scale * rule.nodes
+            offsets = nodes[:, None]
             calls += [
-                ("marginal_and_score", (c, b, nodes, rule.weights)),
-                ("louis_moments", (c, b, nodes, rule.weights, _features(nodes))),
-                ("node_logliks", (c, b, nodes)),
+                ("marginal_and_score", (c, b, offsets, rule.weights)),
+                ("louis_moments", (c, b, offsets, rule.weights, _features(nodes))),
+                ("node_logliks", (c, b, offsets)),
                 ("conditional_at", (c, b, eb_offsets)),
                 ("conditional_terms", (c, b, scale * eb)),
-                ("marginal", (c, b, nodes, rule.weights)),
+                ("marginal", (c, b, offsets, rule.weights)),
             ]
         return calls
 
@@ -393,8 +398,8 @@ class TestWorkspace:
     def test_a_warm_call_allocates_only_its_results(self, large):
         kernel = LoglikKernel(large, LinkFamily.PROPORTIONAL_ODDS)
         rule = gauss_hermite(30)
-        args = (np.array([-0.6, 0.4]), np.full(large.n_covariates, 0.1), 1.2 * rule.nodes,
-                rule.weights)
+        args = (np.array([-0.6, 0.4]), np.full(large.n_covariates, 0.1),
+                1.2 * rule.nodes[:, None], rule.weights)
         kernel.marginal_and_score(*args)
         plane = 8 * large.n_clusters * rule.order
         tracemalloc.start()
@@ -412,7 +417,7 @@ class TestWorkspace:
         c, b = np.array([-1.2, 0.5]), np.linspace(-0.4, 0.6, ds.n_covariates)
         if kind == "univariate":
             rule = gauss_hermite(20)
-            offsets, weights = 0.8 * rule.nodes, rule.weights
+            offsets, weights = 0.8 * rule.nodes[:, None], rule.weights
         else:
             # slot-wise offsets that reverse the PO cutpoints at some nodes
             offsets, weights = standard_tensor_grid(6)
@@ -445,3 +450,52 @@ class TestWorkspace:
         for got, want in zip(kernel.conditional_terms(c, b, eb), one_terms):
             np.testing.assert_array_equal(got, want)
         assert len(kernel._workspace(1).blocks) == 6
+
+
+class TestPerClusterNodeOffsets:
+    """Offsets (n, Q, K-1): a node set of each cluster's own, the layout of
+    nodes centred on each cluster."""
+
+    @staticmethod
+    def _results(kernel, c, b, offsets, weights, features):
+        return [
+            kernel.node_logliks(c, b, offsets),
+            kernel.marginal(c, b, offsets, weights),
+            *kernel.marginal_and_score(c, b, offsets, weights),
+            *kernel.louis_moments(c, b, offsets, weights, features),
+        ]
+
+    @pytest.mark.parametrize("n_blocks", [1, 6])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_match_shared_nodes_and_the_wrappers(self, monkeypatch, link, n_blocks):
+        ds = strawberry_dataset()
+        rng = np.random.default_rng([12, list(LinkFamily).index(link)])
+        c, b = np.array([-1.2, 0.5]), np.linspace(-0.4, 0.6, ds.n_covariates)
+        # slot-wise offsets that reverse the PO cutpoints at some nodes
+        nodes, weights = standard_tensor_grid(6)
+        shared = nodes @ np.array([[1.3, 0.0], [-0.4, 0.9]]).T
+        features = _features(np.linspace(-1.0, 1.0, len(weights)))
+        if n_blocks > 1:
+            monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9 * len(weights))
+        kernel = LoglikKernel(ds, link)
+        assert len(kernel._workspace(len(weights)).blocks) == n_blocks
+        # the shared nodes repeated for every cluster give the same bits
+        repeated = np.broadcast_to(shared, (ds.n_clusters, *shared.shape))
+        got = self._results(kernel, c, b, repeated, weights, features)
+        want = self._results(kernel, c, b, shared, weights, features)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # nodes of each cluster's own
+        offsets = shared + rng.normal(scale=0.4, size=(ds.n_clusters, *shared.shape))
+        ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
+        np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
+        r = kernel.marginal_and_score(c, b, offsets, weights)
+        assert np.isfinite(r.loglik)
+        assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
+        np.testing.assert_allclose(r.slot_score, slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r.node_score, node, rtol=1e-12, atol=1e-12)
+        moments = kernel.louis_moments(c, b, offsets, weights, features)
+        assert moments.loglik == pytest.approx(r.loglik, rel=1e-14)
+        # the features' first two columns are the intercepts, whose mean is the slot score
+        np.testing.assert_allclose(moments.mean[:, :2], slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(moments.node_score, node, rtol=1e-12, atol=1e-12)

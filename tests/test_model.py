@@ -220,6 +220,7 @@ class TestCurvature:
     @example(LinkFamily.PROPORTIONAL_ODDS, [800.0, 800.0, 800.0], [3, 0, 2, 5], 1e-3)
     @example(LinkFamily.ADJACENT_CATEGORIES, [800.0, -800.0, 3.0], [0, 2, 0, 5], 1e-3)
     @example(LinkFamily.CONTINUATION_RATIO, [-800.0, 0.5, 800.0], [2, 0, 1, 0], 1e-3)
+    @example(LinkFamily.PROPORTIONAL_ODDS, [-790.0, -795.0], [0, 2, 0, 0, 0], 2.0**-7)
     def test_matches_central_differences_of_the_score(self, link, values, count_list, gap):
         d = np.array(values)
         if link is LinkFamily.PROPORTIONAL_ODDS:
@@ -232,7 +233,10 @@ class TestCurvature:
             return predictor_score(link, delta, log_category_probabilities(link, delta)[0], counts)
 
         hess = curvature_matrix(link, d, counts)
-        h = 1e-6 * gap if link is LinkFamily.PROPORTIONAL_ODDS else 1e-6
+        h = 1e-6
+        if link is LinkFamily.PROPORTIONAL_ODDS:
+            # a step below the smallest spacing keeps the predictors ordered
+            h *= np.diff(d).min(initial=1.0)
         oracle = np.empty_like(hess)
         for l in range(d.size):
             up, dn = d.copy(), d.copy()
