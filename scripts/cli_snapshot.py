@@ -4,9 +4,10 @@
 For each link (po, acl, crl) and random-effect flag (none, one, two) it
 writes ``fit-<link>-<re>.json`` and ``gof-<link>-<re>.json``, the output of
 ``ordmixed fit`` and ``ordmixed gof`` with ``--format json``, plus
-``simulate-po.txt``, the text output of ``ordmixed simulate --link po
---replications 20``. Run it on two checkouts and compare them with
-``diff -r``:
+``simulate-po.json``, the JSON output of ``ordmixed simulate --link po
+--replications 20`` fitting seven models (every link homogeneous and
+univariate, and PO bivariate), so study summaries are compared at full
+precision. Run it on two checkouts and compare them with ``diff -r``:
 
     PYTHONPATH=src python scripts/cli_snapshot.py /tmp/after
 """
@@ -21,6 +22,7 @@ from ordmixed.cli import main as cli
 
 LINKS = ("po", "acl", "crl")
 RANDOM_EFFECTS = ("none", "one", "two")
+STUDY_FITS = ("po:none", "po:one", "po:two", "acl:none", "acl:one", "crl:none", "crl:one")
 
 
 def _run(argv: list[str]) -> str:
@@ -42,8 +44,9 @@ def main(argv=None) -> int:
             for re_flag in RANDOM_EFFECTS:
                 text = _run([command, "--link", link, "--random-effects", re_flag, "--format", "json"])
                 (args.directory / f"{command}-{link}-{re_flag}.json").write_text(text)
-    text = _run(["simulate", "--link", "po", "--replications", "20"])
-    (args.directory / "simulate-po.txt").write_text(text)
+    fits = [arg for spec in STUDY_FITS for arg in ("--fit", spec)]
+    text = _run(["simulate", "--link", "po", "--replications", "20", *fits, "--format", "json"])
+    (args.directory / "simulate-po.json").write_text(text)
     print(f"wrote {2 * len(LINKS) * len(RANDOM_EFFECTS) + 1} files to {args.directory}", file=sys.stderr)
     return 0
 

@@ -48,6 +48,8 @@ _LOG_SIGMA_FLOOR = -12.0  # optimizer box, well below the sigma = 0 report thres
 _LOG_SIGMA_ZERO = -8.0  # log sigma below this is reported as sigma = 0
 _ATANH_RHO_BOUND = 12.0
 _GRAD_TOL = 1e-4
+_MAX_ITERATIONS = 500  # L-BFGS-B iterations per attempt
+_EB_ORDER = {1: 40, 2: 25}  # nodes per axis of the empirical-Bayes grid, by effect dimension
 
 
 class EstimationDegenerateError(ValueError):
@@ -68,27 +70,23 @@ class CovarianceUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Controls for the optimizer and the integration rule.
+    """Controls for the integration rule, the start and the output.
 
     ``quadrature_order`` of None picks 30 nodes for a univariate effect and
-    12 per axis for a bivariate effect. ``seed`` feeds the jittered
+    12 per axis for a bivariate effect; a random effect needs at least 2.
+    ``starting_values`` of the model's structure are the start, homogeneous
+    ones a random-effect model's fixed effects. ``seed`` feeds the jittered
     restarts used when the default start fails to converge.
     """
 
     quadrature_order: int | None = None
-    max_iterations: int = 500
-    relative_tolerance: float = 1e-9
     starting_values: ParameterVector | None = None
     seed: int | None = None
     standard_errors: bool = True
 
     def __post_init__(self):
-        if self.relative_tolerance <= 0:
-            raise ValueError("relative_tolerance must be > 0")
         if self.quadrature_order is not None and self.quadrature_order < 1:
             raise ValueError("quadrature_order must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,10 @@ class FitResult:
     95% interval is estimate +- 1.96 standard errors. A standard deviation
     on its bound (listed in ``diagnostics["boundary"]``) is reported as 0
     with NaN standard error, interval and p-value. ``n_evaluations``
-    counts every value-and-score evaluation the fit made: the nested
-    homogeneous start fit, the optimizer's and the convergence check's.
-    The standard errors add one information pass of the kernel, which is
-    not counted.
+    counts every value-and-score evaluation the fit made: a nested
+    homogeneous start fit, if one ran, and every attempt's optimizer and
+    convergence check. The standard errors add one information pass of the
+    kernel, which is not counted.
     """
 
     estimates: ParameterVector
@@ -287,7 +285,6 @@ class _Minimand:
     def __init__(self, objective: Callable):
         self.objective = objective
         self.calls = 0
-        self.last_value = np.nan
         self._memo = None
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -298,10 +295,8 @@ class _Minimand:
             value, score = self.objective(theta)
             if np.isfinite(value) and np.all(np.isfinite(score)):
                 self._memo = (key, -float(value), -score)
-                self.last_value = -float(value)
             else:
                 self._memo = (key, _PENALTY, np.zeros(theta.size))
-                self.last_value = np.inf
         return self._memo[1], self._memo[2].copy()
 
 
@@ -394,11 +389,16 @@ def _fit_impl(
     """Fit with the random-effect class ``effect`` and the covariates named
     in ``slope_names``: all of the dataset's (full model) or none (intercept
     model). ``kernel`` is that model's likelihood kernel when the caller
-    already built one."""
+    already built one. An attempt converges when its value is finite and
+    its scaled gradient off the bounds is below _GRAD_TOL; if neither the
+    start nor three jittered restarts converge, the lowest value is kept."""
     param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
     order = opts.quadrature_order
     if order is None:
         order = DEFAULT_ORDER_2D if effect.dim == 2 else DEFAULT_ORDER_1D
+    if effect.dim and order < 2:
+        # one node puts all the effect's mass at 0: its variance never enters
+        raise ValueError(f"a random effect needs a quadrature order of at least 2, got {order}")
 
     if kernel is None:
         columns = [dataset.slope_names().index(name) for name in slope_names]
@@ -415,16 +415,14 @@ def _fit_impl(
         start = theta0 if attempt == 0 else theta0 + 0.3 * rng.standard_normal(param.size)
         if negloglik(start)[0] >= _PENALTY:
             continue
-        iterate_f: list[float] = []
         res = minimize(
             negloglik,
             start,
             method="L-BFGS-B",
             jac=True,
             bounds=bounds,
-            callback=lambda xk: iterate_f.append(negloglik.last_value),
             options=dict(
-                maxiter=opts.max_iterations,
+                maxiter=_MAX_ITERATIONS,
                 ftol=1e-13,
                 gtol=1e-7,
                 maxcor=25,
@@ -435,16 +433,10 @@ def _fit_impl(
         scale = max(1.0, abs(res.fun))
         scaled_grad = np.abs(grad) * np.maximum(1.0, np.abs(res.x)) / scale
         at_bound = _active_bounds(res.x, bounds)
-        grad_ok = bool(np.all(scaled_grad[~at_bound] < _GRAD_TOL))
-        if len(iterate_f) >= 2:
-            rel_change = abs(iterate_f[-1] - iterate_f[-2]) / max(1.0, abs(iterate_f[-1]))
-        else:
-            rel_change = 0.0
-        ok = grad_ok and rel_change < max(opts.relative_tolerance, 1e-12) and res.fun < _PENALTY
-        if best is None or res.fun < best[0].fun:
+        ok = res.fun < _PENALTY and bool(np.all(scaled_grad[~at_bound] < _GRAD_TOL))
+        if ok or best is None or res.fun < best[0].fun:
             best = (res, grad, scaled_grad)
         if ok:
-            best = (res, grad, scaled_grad)
             converged = True
             break
 
@@ -536,27 +528,29 @@ def _starting_point(
     slope_names: tuple[str, ...],
     kernel: LoglikKernel,
 ) -> tuple[np.ndarray, int]:
-    """Starting vector and the evaluations spent finding it; a nested
-    homogeneous fit on the same kernel seeds a random-effect model, whose
-    own parameters start at the class's default."""
-    start = opts.starting_values
-    if start is not None and type(start.re) is param.effect:
-        if (
-            start.fixed.intercepts.size == param.n_intercepts
-            and start.fixed.slopes.size == param.n_slopes
-        ):
-            return param.pack(start), 0
+    """Starting vector and the evaluations spent finding it.
+
+    ``opts.starting_values`` of the model's own effect class are the start
+    as given. A random-effect model starts its fixed effects at a
+    homogeneous fit, taken from homogeneous ``starting_values`` or else
+    fitted on the same kernel, and its own parameters at the class's
+    default. Starting values of any other structure are ignored."""
+    start, evaluations = opts.starting_values, 0
+    if start is None or type(start.re) not in (param.effect, NoRandomEffect):
+        if param.effect is NoRandomEffect:
+            # feasible intercepts from the pooled category proportions
+            totals = dataset.count_matrix.sum(axis=0).astype(float)
+            p = np.clip(totals / totals.sum(), 1e-6, None)
+            intercepts = recover_predictors(link, p / p.sum())
+            return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
+        base_opts = replace(opts, starting_values=None, standard_errors=False)
+        base = _fit_impl(dataset, link, NoRandomEffect, base_opts, slope_names, kernel)
+        start, evaluations = base.estimates, base.n_evaluations
+    if start.fixed.intercepts.size != param.n_intercepts or start.fixed.slopes.size != param.n_slopes:
         raise ValueError("starting values do not match the model dimensions")
-    if param.effect is NoRandomEffect:
-        # feasible intercepts from the pooled category proportions
-        totals = dataset.count_matrix.sum(axis=0).astype(float)
-        p = np.clip(totals / totals.sum(), 1e-6, None)
-        intercepts = recover_predictors(link, p / p.sum())
-        return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
-    base_opts = replace(opts, starting_values=None, standard_errors=False)
-    base = _fit_impl(dataset, link, NoRandomEffect, base_opts, slope_names, kernel)
-    start = ParameterVector(fixed=base.estimates.fixed, re=param.effect.start())
-    return param.pack(start), base.n_evaluations
+    if type(start.re) is not param.effect:
+        start = ParameterVector(fixed=start.fixed, re=param.effect.start())
+    return param.pack(start), evaluations
 
 
 def fit(
@@ -567,8 +561,8 @@ def fit(
 ) -> FitResult:
     """Maximize the marginal (or conditional) log-likelihood.
 
-    Random-effect fits are seeded by a homogeneous fit with the standard
-    deviations started at 0.5 and the correlation at 0. Non-convergence
+    Random-effect fits start at a homogeneous fit's fixed effects, with the
+    standard deviations at 0.5 and the correlation at 0. Non-convergence
     after the jittered restarts is reported in the result, not raised.
     """
     effect = _validate_data(dataset, re_structure)
@@ -594,14 +588,14 @@ def predict_random_effects(
     params: ParameterVector,
     link: LinkFamily,
     method: str = "mode",
-    order: int = 40,
 ) -> np.ndarray:
     """Empirical-Bayes random-effect predictions for every cluster.
 
     ``mode`` maximizes the conditional log-likelihood plus the normal
     log-density (Newton search seeded by a node-grid scan); ``mean`` is the
-    posterior mean computed by quadrature. Returns shape (n, K-1); a
-    univariate effect is replicated across the slots.
+    posterior mean computed by quadrature, on 40 nodes or a 25 x 25 grid.
+    Returns shape (n, K-1); a univariate effect is replicated across the
+    slots.
     """
     if method not in ("mode", "mean"):
         raise ValueError(f"unknown prediction method: {method!r}")
@@ -614,8 +608,7 @@ def predict_random_effects(
         return np.zeros((dataset.n_clusters, k1))
     kernel = LoglikKernel(dataset, link)
     fe = params.fixed
-    # a grid of two or more dimensions takes at most 25 nodes per axis
-    z, weights = standard_tensor_grid(order if re.dim == 1 else min(order, 25), re.dim)
+    z, weights = standard_tensor_grid(_EB_ORDER[re.dim], re.dim)
     offsets = z @ loading.T
     grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)
     if method == "mean":

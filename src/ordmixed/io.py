@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -45,20 +45,19 @@ class FactorSchema:
             if levels < 1:
                 raise ValueError(f"factor {name!r} must have at least one level")
 
-    def covariate_names(self) -> tuple[str, ...]:
-        names = []
-        for name, levels in self.factors:
-            names.extend(f"{name}{level}" for level in range(2, levels + 1))
-        return tuple(names)
 
-    def indicators(self, levels: Iterable[int]) -> np.ndarray:
-        row = []
-        for (name, n_levels), level in zip(self.factors, levels):
-            block = np.zeros(n_levels - 1)
-            if level > 1:
-                block[level - 2] = 1.0
-            row.append(block)
-        return np.concatenate(row) if row else np.empty(0)
+def indicator_names(factors: tuple[tuple[str, int], ...]) -> tuple[str, ...]:
+    """Covariate names ``<factor><level>`` of every non-reference level, in
+    factor-major order."""
+    return tuple(f"{name}{level}" for name, levels in factors for level in range(2, levels + 1))
+
+
+def indicator_columns(factors: tuple[tuple[str, int], ...], levels) -> np.ndarray:
+    """Indicator covariates, in ``indicator_names`` order, of factor levels
+    shaped (..., n_factors): a row of levels gives a row of indicators."""
+    pairs = [(j, level) for j, (_, n_levels) in enumerate(factors) for level in range(2, n_levels + 1)]
+    column_factor, column_level = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return (np.asarray(levels)[..., column_factor] == column_level).astype(float)
 
 
 def _split(line: str) -> list[str]:
@@ -120,7 +119,7 @@ def load_dataset(source: str | Path | IO[str], schema: FactorSchema) -> Dataset:
             raise DatasetParseError(f"negative count in {counts!r}", line=i)
         try:
             clusters.append(
-                Cluster(covariates=schema.indicators(levels), counts=np.array(counts))
+                Cluster(covariates=indicator_columns(schema.factors, levels), counts=np.array(counts))
             )
         except ValueError as err:
             raise DatasetParseError(str(err), line=i) from None
@@ -129,7 +128,7 @@ def load_dataset(source: str | Path | IO[str], schema: FactorSchema) -> Dataset:
         raise DatasetParseError(f"{origin}: no cluster rows after the header")
     return Dataset(
         clusters=tuple(clusters),
-        covariate_names=schema.covariate_names(),
+        covariate_names=indicator_names(schema.factors),
         factor_names=tuple(factor_names),
         factor_levels=np.array(levels_rows, dtype=np.int64),
     )

@@ -16,8 +16,10 @@ from functools import partial
 
 import numpy as np
 
+from .datasets import STRAWBERRY_SCHEMA
 from .estimation import Z_95, FitOptions, fit, fit_intercept_model
 from .gof import gof_report
+from .io import indicator_columns, indicator_names
 from .model import (
     Cluster,
     Dataset,
@@ -28,7 +30,6 @@ from .model import (
     ParameterVector,
     UnivariateRandomEffect,
     category_probabilities,
-    random_effect_class,
 )
 
 
@@ -40,7 +41,7 @@ class StudyQualityError(RuntimeError):
     """More than 20% of the replications failed to converge for a model."""
 
 
-DEFAULT_FACTORS = (("male", 3), ("female", 4), ("block", 4))
+DEFAULT_FACTORS = STRAWBERRY_SCHEMA.factors
 
 # canonical true values used by the replication studies, in the factorial
 # design's covariate order
@@ -63,17 +64,8 @@ def factorial_design(
 ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Full-factorial indicator design: covariate matrix, covariate names,
     and the factor-level matrix (level 1 is the reference level)."""
-    names = []
-    for name, levels in factors:
-        names.extend(f"{name}{level}" for level in range(2, levels + 1))
-    level_rows = list(itertools.product(*[range(1, n + 1) for _, n in factors]))
-    x = np.zeros((len(level_rows), len(names)))
-    col = 0
-    for j, (_, n_levels) in enumerate(factors):
-        for level in range(2, n_levels + 1):
-            x[:, col] = [row[j] == level for row in level_rows]
-            col += 1
-    return x, tuple(names), np.array(level_rows, dtype=np.int64)
+    levels = np.array(list(itertools.product(*[range(1, n + 1) for _, n in factors])), dtype=np.int64)
+    return indicator_columns(factors, levels), indicator_names(factors), levels
 
 
 @dataclass(frozen=True)
@@ -190,23 +182,23 @@ def generate_dataset(design: SimulationDesign, replication_index: int) -> Datase
 
 
 def _replicate(design: SimulationDesign, fit_options: FitOptions, index: int) -> dict:
-    """Fit every requested variant on one generated dataset."""
+    """Fit every requested variant on one generated dataset. A link's
+    homogeneous full and intercept estimates are the starting values of its
+    later random-effect fits, which then make no nested homogeneous fit."""
     dataset = generate_dataset(design, index)
     out: dict[str, dict] = {}
-    base_fits: dict[LinkFamily, object] = {}
+    homogeneous: dict[tuple[LinkFamily, int], ParameterVector] = {}
     for link, structure in design.fits:
         key = model_key(link, structure)
         try:
-            effect = random_effect_class(structure)
-            opts = fit_options
-            if effect.dim and link in base_fits:
-                # the homogeneous fit seeds the random-effect model's fixed effects
-                start = ParameterVector(fixed=base_fits[link].estimates.fixed, re=effect.start())
-                opts = replace(fit_options, starting_values=start)
-            full = fit(dataset, link, structure, opts)
-            if not effect.dim:
-                base_fits[link] = full
-            intercept = fit_intercept_model(dataset, link, structure, fit_options)
+            results = []
+            for model, fitter in enumerate((fit, fit_intercept_model)):
+                start = homogeneous.get((link, model))
+                opts = fit_options if start is None else replace(fit_options, starting_values=start)
+                results.append(fitter(dataset, link, structure, opts))
+                if not results[-1].estimates.re.dim:
+                    homogeneous[link, model] = results[-1].estimates
+            full, intercept = results
             report = gof_report(dataset, full, intercept)
         except Exception as err:  # a failed replication is excluded, not fatal
             out[key] = {"ok": False, "error": f"{type(err).__name__}: {err}"}

@@ -211,6 +211,15 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: ValueError: --order must be an integer in [1, 100], got {value}\n"
 
+    @pytest.mark.parametrize("re_flag", ["one", "two"])
+    def test_order_one_with_a_random_effect(self, capsys, re_flag):
+        code, out, err = run_cli(
+            capsys, "fit", "--link", "po", "--random-effects", re_flag, "--order", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ValueError:")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_workers_flag_below_one(self, capsys, value):
         code, out, err = run_cli(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from ordmixed import (
     Cluster,
@@ -16,6 +17,7 @@ from ordmixed import (
     strawberry_dataset,
     total_loglik,
 )
+from ordmixed import estimation
 from ordmixed.estimation import (
     _ATANH_RHO_BOUND,
     _LOG_SIGMA_ZERO,
@@ -132,11 +134,47 @@ class TestFit:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            FitOptions(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
             FitOptions(quadrature_order=0)
-        with pytest.raises(ValueError):
-            FitOptions(max_iterations=0)
+
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    def test_order_one_cannot_identify_a_random_effect(self, strawberry, structure):
+        with pytest.raises(ValueError, match="quadrature order of at least 2, got 1"):
+            fit(strawberry, PO, structure, FitOptions(quadrature_order=1))
+
+    def test_order_one_fits_a_homogeneous_model(self, strawberry):
+        one = fit(strawberry, PO, "none", FitOptions(quadrature_order=1))
+        assert one.converged
+        assert one.loglik == fit(strawberry, PO, "none").loglik
+
+    def test_restarts_when_no_attempt_converges(self, strawberry, monkeypatch):
+        attempts, calls = [], []
+        original = LoglikKernel.marginal_and_score
+
+        def recorded(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            attempts.append(res.fun)
+            return res
+
+        def counted(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimation, "minimize", recorded)
+        monkeypatch.setattr(LoglikKernel, "marginal_and_score", counted)
+        results = []
+        for seed in (0, 0, 1):
+            attempts.clear()
+            calls.clear()
+            result = fit(strawberry, PO, "none", FitOptions(standard_errors=False, seed=seed))
+            assert not result.converged
+            assert len(attempts) == 4
+            assert result.n_evaluations == len(calls)
+            assert result.loglik == -min(attempts)
+            results.append(result)
+        np.testing.assert_array_equal(results[0].values, results[1].values)
+        assert results[0].loglik == results[1].loglik
+        assert results[0].loglik != results[2].loglik
 
     def test_gradient_small_at_optimum(self, strawberry, po_univariate):
         param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
@@ -235,6 +273,26 @@ class TestFit:
         assert warm.converged
         np.testing.assert_allclose(warm.values, po_univariate.values, atol=1e-4)
         assert warm.n_evaluations < po_univariate.n_evaluations
+
+    @pytest.mark.parametrize("model", ["full", "intercept"])
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_homogeneous_starting_values_replace_the_nested_fit(
+        self, strawberry, link, structure, model
+    ):
+        fitter = fit if model == "full" else fit_intercept_model
+        homogeneous = fitter(strawberry, link, "none", FAST)
+        cold = fitter(strawberry, link, structure)
+        warm = fitter(strawberry, link, structure, FitOptions(starting_values=homogeneous.estimates))
+        np.testing.assert_array_equal(warm.values, cold.values)
+        np.testing.assert_array_equal(warm.se, cold.se)
+        assert (warm.loglik, warm.iterations) == (cold.loglik, cold.iterations)
+        assert warm.n_evaluations == cold.n_evaluations - homogeneous.n_evaluations
+
+    def test_homogeneous_starting_values_must_match_the_model(self, strawberry):
+        short = ParameterVector(fixed=FixedEffects(intercepts=[-1.0, 1.0], slopes=np.zeros(3)))
+        with pytest.raises(ValueError, match="do not match the model dimensions"):
+            fit(strawberry, PO, "univariate", FitOptions(starting_values=short))
 
 
 def _marginal_value(objective):

@@ -11,7 +11,7 @@ from ordmixed import (
     category_probabilities,
     gauss_hermite,
 )
-from ordmixed import simulation
+from ordmixed import estimation, simulation
 from ordmixed.io import render_tree, summary_tree
 from ordmixed.simulation import (
     InvalidDesignError,
@@ -137,6 +137,19 @@ class TestRunStudy:
         a = render_tree(summary_tree(run_study(design, opts)), "json")
         b = render_tree(summary_tree(run_study(design, opts)), "json")
         assert a == b
+
+    def test_random_effect_fits_start_at_the_homogeneous_fits(self, monkeypatch):
+        calls = []
+        original = estimation._fit_impl
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_fit_impl", counted)
+        run_study(small_design(replications=3), FitOptions(quadrature_order=10))
+        # full and intercept fits of (po, none) and (po, univariate), none nested
+        assert len(calls) == 4 * 3
 
     def test_parallel_execution_matches_serial(self):
         design = small_design(replications=6)
