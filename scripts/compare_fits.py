@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Compare the fits of two source trees of ordmixed, fit by fit.
+
+    python scripts/compare_fits.py SRC_A SRC_B --blocks 20 --seed 11
+
+Each tree (a checkout holding ``src/ordmixed`` and ``perfbench/``) runs in
+its own subprocess, which fits the strawberry panel (9 fits and their
+intercept fits) and the first ``--blocks`` blocks of the benchmark's
+``study_slice`` and ``large_clusters`` workloads of ``--seed``, and
+records every fit the workloads ask for (not the nested homogeneous start
+fits inside them). The report lists, per workload, the largest
+differences in log-likelihood, estimates and standard errors, every fit
+whose log-likelihood differs by more than ``--tolerance``, every changed
+``converged`` flag, a tally of each side's optimizer messages, and the
+mean ``n_evaluations`` and information passes per fit by link and
+structure on each side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+WORKLOADS = ("strawberry_panel", "study_slice", "large_clusters")
+
+
+def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
+    """Worker: run the workloads of ``tree`` and print one JSON line per fit."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import numpy as np
+    import workloads as bench
+    from ordmixed import estimation, simulation
+
+    current = {"workload": None, "block": None, "index": 0}
+
+    def recorded(fn, kind):
+        def wrapper(dataset, link, re_structure="none", opts=estimation.FitOptions()):
+            result = fn(dataset, link, re_structure, opts)
+            info = result.diagnostics.get("information_passes")
+            line = {
+                "workload": current["workload"], "block": current["block"],
+                "index": current["index"], "link": link.value, "structure": re_structure,
+                "kind": kind, "loglik": result.loglik, "values": result.values.tolist(),
+                "se": [None if math.isnan(v) else v for v in result.se.tolist()],
+                "converged": bool(result.converged), "n_evaluations": result.n_evaluations,
+                "information_passes": info,
+                "message": result.diagnostics.get("optimizer_message"),
+            }
+            current["index"] += 1
+            print(json.dumps(line))
+            return result
+
+        return wrapper
+
+    for owner in (estimation, simulation):
+        owner.fit = recorded(owner.fit, "full")
+        owner.fit_intercept_model = recorded(owner.fit_intercept_model, "intercept")
+    for name in workloads:
+        workload = bench.WORKLOADS[name]
+        for block in range(1 if name == "strawberry_panel" else blocks):
+            current.update(workload=name, block=block, index=0)
+            with np.errstate(all="ignore"):
+                workload.run(workload.build(seed, block))
+
+
+def _fits(tree: Path, args) -> list[dict]:
+    command = [sys.executable, __file__, "--worker", str(tree), "--blocks", str(args.blocks),
+               "--seed", str(args.seed), "--workloads", *args.workloads]
+    done = subprocess.run(command, capture_output=True, text=True, check=True, cwd=tree)
+    return [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
+
+
+def _max_abs_diff(a, b) -> float:
+    pairs = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
+    return max((abs(x - y) for x, y in pairs), default=0.0)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="SRC_A SRC_B")
+    parser.add_argument("--blocks", type=int, default=2, help="study and large-cluster blocks")
+    parser.add_argument("--seed", type=int, default=0, help="the workloads' seed")
+    parser.add_argument("--tolerance", type=float, default=1e-8, help="log-likelihood difference to list")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _record(args.worker.resolve(), args.blocks, args.seed, args.workloads)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, SRC_A and SRC_B")
+    a_fits, b_fits = (_fits(tree.resolve(), args) for tree in args.trees)
+    key = ("workload", "block", "index", "link", "structure", "kind")
+    b_by_key = {tuple(f[k] for k in key): f for f in b_fits}
+    if len(a_fits) != len(b_fits) or any(tuple(f[k] for k in key) not in b_by_key for f in a_fits):
+        print(f"the trees made different fits: {len(a_fits)} against {len(b_fits)}")
+        return 1
+
+    print(f"A = {args.trees[0]}, B = {args.trees[1]}; seed {args.seed}, {args.blocks} blocks")
+    print("differences are B - A")
+    listed, flags = [], []
+    worst = defaultdict(lambda: [0, 0.0, 0.0, 0.0])
+    counts = defaultdict(lambda: [0, 0, 0, 0, 0])
+    for a in a_fits:
+        b = b_by_key[tuple(a[k] for k in key)]
+        label = "{workload} block {block} fit {index} {link} {structure} {kind}".format(**a)
+        delta = b["loglik"] - a["loglik"]
+        w = worst[a["workload"]]
+        w[0] += 1
+        w[1] = max(w[1], abs(delta))
+        w[2] = max(w[2], _max_abs_diff(a["values"], b["values"]))
+        w[3] = max(w[3], _max_abs_diff(a["se"], b["se"]))
+        if not abs(delta) <= args.tolerance:
+            listed.append(f"  {label}: loglik {delta:+.3g}, estimates "
+                          f"{_max_abs_diff(a['values'], b['values']):.3g}; B: {b['message']}")
+        if a["converged"] != b["converged"]:
+            flags.append(f"  {label}: converged {a['converged']} -> {b['converged']}")
+        c = counts[a["workload"], a["link"], a["structure"], a["kind"]]
+        c[0] += 1
+        c[1] += a["n_evaluations"]
+        c[2] += b["n_evaluations"]
+        c[3] += a["information_passes"] or 0
+        c[4] += b["information_passes"] or 0
+
+    print("\nworkload            fits  max|dloglik|  max|destimate|  max|dse|")
+    for name, (n, dl, de, ds) in worst.items():
+        print(f"{name:18s} {n:5d}  {dl:12.3g}  {de:14.3g}  {ds:8.3g}")
+    print(f"\nfits whose log-likelihood differs by more than {args.tolerance:g}: {len(listed)}")
+    print("\n".join(listed))
+    print(f"changed converged flags: {len(flags)}")
+    print("\n".join(flags))
+    for side, fits in (("A", a_fits), ("B", b_fits)):
+        tally = defaultdict(int)
+        for f in fits:
+            tally[f["message"]] += 1
+        print(f"\noptimizer messages, {side}:")
+        for message, n in sorted(tally.items(), key=lambda item: -item[1]):
+            print(f"  {n:5d}  {message}")
+    print("\nmean per fit: n_evaluations A -> B (ratio), information passes A -> B")
+    for (name, link, structure, kind), (n, ea, eb, ia, ib) in sorted(counts.items()):
+        print(f"  {name:16s} {link:4s} {structure:10s} {kind:9s} {n:4d} fits: "
+              f"{ea / n:6.1f} -> {eb / n:6.1f} ({ea / max(eb, 1):4.2f}x), {ia / n:5.1f} -> {ib / n:5.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

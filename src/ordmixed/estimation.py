@@ -1,15 +1,20 @@
 """Maximum-likelihood fitting, standard errors, and random-effect prediction.
 
-The optimizer (L-BFGS-B) works on an unconstrained parameterization (log
-standard deviations, atanh correlation) with the analytic score: the
-posterior-weighted average of the conditional score over the quadrature
-nodes, mapped to the parameters by the chain rule. Standard errors come
-from the observed information, formed in one kernel pass by Louis'
-identity: each cluster's Hessian is the posterior mean of the conditional
-Hessian plus the posterior covariance of the conditional score, on the same
-nodes. The same chain rule maps it to the parameters, and the delta method
-to the reported scale. Proportional-odds proposals outside the feasible
-region evaluate to -inf and simply shrink the line-search step.
+The fit works on an unconstrained parameterization (log standard
+deviations, atanh correlation) by damped, projected Newton-Raphson on the
+exact observed information, as MIXOR fits by Fisher scoring. One kernel
+pass gives the log-likelihood, the score and the information together: by
+Louis' identity each cluster's Hessian is the posterior mean of the
+conditional Hessian plus the posterior covariance of the conditional
+score, on the same nodes, and the score is the posterior mean of the
+conditional score; without a random effect the pass is the conditional
+one at a single node. The chain rule maps them to the parameters, and the
+delta method the covariance to the reported scale. Each Newton step is
+capped, projected onto the box of the variance parameters and halved until
+the log-likelihood does not fall; proportional-odds proposals outside the
+feasible region evaluate to -inf and so are halved too. L-BFGS-B on the
+value and score, with jittered restarts, is the fallback when Newton gives
+up. The standard errors come from the information of the final pass.
 Empirical-Bayes modes come from Newton steps on each link's closed-form
 score and curvature.
 """
@@ -18,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import erfc, softmax
 
@@ -49,6 +55,10 @@ _LOG_SIGMA_ZERO = -8.0  # log sigma below this is reported as sigma = 0
 _ATANH_RHO_BOUND = 12.0
 _GRAD_TOL = 1e-4
 _MAX_ITERATIONS = 500  # L-BFGS-B iterations per attempt
+_NEWTON_ITERATIONS = 50  # Newton steps before the fit falls back to L-BFGS-B
+_NEWTON_HALVINGS = 30  # halvings of one Newton step before the same
+_NEWTON_DECREMENT = 1e-10  # g' I^-1 g at which Newton stops
+_EIGEN_FLOOR = 1e-6  # |eigenvalue| floor of an indefinite information, relative to the largest
 _EB_ORDER = {1: 40, 2: 25}  # nodes per axis of the empirical-Bayes grid, by effect dimension
 
 
@@ -76,7 +86,8 @@ class FitOptions:
     12 per axis for a bivariate effect; a random effect needs at least 2.
     ``starting_values`` of the model's structure are the start, homogeneous
     ones a random-effect model's fixed effects. ``seed`` feeds the jittered
-    restarts used when the default start fails to converge.
+    restarts of the L-BFGS-B fallback, used when Newton gives up and
+    L-BFGS-B from the start does not converge.
     """
 
     quadrature_order: int | None = None
@@ -98,10 +109,13 @@ class FitResult:
     95% interval is estimate +- 1.96 standard errors. A standard deviation
     on its bound (listed in ``diagnostics["boundary"]``) is reported as 0
     with NaN standard error, interval and p-value. ``n_evaluations``
-    counts every value-and-score evaluation the fit made: a nested
-    homogeneous start fit, if one ran, and every attempt's optimizer and
-    convergence check. The standard errors add one information pass of the
-    kernel, which is not counted.
+    counts every kernel pass that gave a value and a score: those of a
+    nested homogeneous start fit, if one ran, of Newton, of the L-BFGS-B
+    fallback and its convergence checks, and of the standard errors when
+    the final pass formed no information. ``diagnostics["information_passes"]``
+    counts those of them that also formed the information, and
+    ``diagnostics["optimizer_message"]`` names the method that decided the
+    estimate, Newton or L-BFGS-B.
     """
 
     estimates: ParameterVector
@@ -180,11 +194,13 @@ class _Parameterization:
             jac[i] = 1.0 - math.tanh(theta[i]) ** 2 if corr else math.exp(theta[i])
         return jac
 
-    def bounds(self) -> list[tuple[float | None, float | None]]:
-        return [(None, None)] * self.n_fixed + [
-            (-_ATANH_RHO_BOUND, _ATANH_RHO_BOUND) if corr else (_LOG_SIGMA_FLOOR, None)
-            for corr in self._correlation
-        ]
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of the vector, infinite where it has none."""
+        corr = np.array(self._correlation, dtype=bool)
+        lower, upper = np.full(self.size, -np.inf), np.full(self.size, np.inf)
+        lower[self.n_fixed :] = np.where(corr, -_ATANH_RHO_BOUND, _LOG_SIGMA_FLOOR)
+        upper[self.n_fixed :] = np.where(corr, _ATANH_RHO_BOUND, np.inf)
+        return lower, upper
 
     def boundary(self, theta: np.ndarray) -> tuple[str, ...]:
         """The random effect's names on their bounds at ``theta``: standard
@@ -197,13 +213,34 @@ class _Parameterization:
         )
 
 
+class _Pass(NamedTuple):
+    """One kernel pass at a point: the log-likelihood, its score and the
+    observed information (the negative Hessian)."""
+
+    loglik: float
+    score: np.ndarray
+    information: np.ndarray
+
+    def finite(self) -> bool:
+        return bool(
+            np.isfinite(self.loglik)
+            and np.all(np.isfinite(self.score))
+            and np.all(np.isfinite(self.information))
+        )
+
+
 class _Objective:
-    """Total log-likelihood of the unconstrained vector, with its score.
+    """Total log-likelihood of the unconstrained vector, with its score and,
+    from ``full``, its observed information.
 
     The node offsets are standardized nodes z (Q, dim) mapped through the
     random effect's loading A, z A', so one chain rule serves every
     structure; without a random effect they are a single node at 0 with
-    weight 1. Calling the objective gives ``(loglik, score)``.
+    weight 1. Calling the objective gives ``(loglik, score)``. ``passes``
+    counts the kernel passes that gave a value and a score, of either kind,
+    and ``information_passes`` those of them that also formed the
+    information. A point whose standard deviation overflows the float range
+    is infeasible: its log-likelihood is -inf.
     """
 
     def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
@@ -211,24 +248,37 @@ class _Objective:
         self.param = param
         self.nodes, self.weights = standard_tensor_grid(order, param.effect.dim)
         self._last = (None, None)
+        self.passes = 0
+        self.information_passes = 0
 
     def _offsets(self, tail):
-        """Node offsets (Q, K-1) and their derivatives with respect to each
-        variance parameter, each (Q, K-1). Those of the last ``tail`` are
-        kept, so a model without variance parameters maps its node once."""
+        """Node offsets (Q, K-1), their derivatives with respect to each
+        variance parameter, each (Q, K-1), and the loading's second
+        derivatives mapped to the nodes, (n_variance, n_variance, K-1, Q);
+        None when the effect cannot be formed. Those of the last ``tail``
+        are kept, so a model without variance parameters maps its node once."""
         key = tail.tobytes()
         if key != self._last[0]:
             k1 = self.kernel.n_boundaries
-            re = self.param.random_effect(tail)
+            try:
+                re = self.param.random_effect(tail)
+            except OverflowError:  # exp of a log standard deviation beyond 709
+                self._last = (key, None)
+                return None
             # laid out so that the kernel's slot-major view of it is contiguous
             offsets = np.dot(re.loading(k1), self.nodes.T).T
             first = [np.dot(self.nodes, d.T) for d in re.loading_derivatives(k1)]
-            self._last = (key, (offsets, first))
+            second = re.loading_second_derivatives(k1) @ self.nodes.T
+            self._last = (key, (offsets, first, second))
         return self._last[1]
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         c, b, tail = self.param.split(theta)
-        offsets, derivatives = self._offsets(tail)
+        mapped = self._offsets(tail)
+        if mapped is None:
+            return -np.inf, np.zeros(theta.size)
+        offsets, derivatives, _ = mapped
+        self.passes += 1
         r = self.kernel.marginal_and_score(c, b, offsets, self.weights)
         variance = [np.sum(r.node_score * d) for d in derivatives]
         score = np.concatenate(
@@ -236,23 +286,50 @@ class _Objective:
         )
         return r.loglik, score
 
+    def full(self, theta: np.ndarray) -> _Pass:
+        """Log-likelihood, score and observed information at ``theta`` in
+        one kernel pass. Without a random effect the fit has one node, where
+        the posterior covariance of Louis' identity is zero, so the pass is
+        ``conditional_terms``' score and curvature summed over clusters."""
+        if self.param.effect.dim:
+            return self._louis(theta)
+        c, b, _ = self.param.split(theta)
+        self.passes += 1
+        self.information_passes += 1
+        t = self.kernel.conditional_terms(c, b, np.zeros((1, c.size)))
+        # the coordinates (intercepts, linear predictor x'b), as in _louis
+        k1 = c.size
+        score = np.empty((len(t.score), k1 + 1))
+        score[:, :k1] = t.score
+        score[:, k1] = t.score.sum(axis=1)
+        hess = np.empty((len(t.score), k1 + 1, k1 + 1))
+        hess[:, :k1, :k1] = t.curvature
+        hess[:, :k1, k1] = hess[:, k1, :k1] = t.curvature.sum(axis=2)
+        hess[:, k1, k1] = hess[:, k1, :k1].sum(axis=1)
+        return self._contract(float(t.loglik.sum()), score, hess)
+
     def information(self, theta: np.ndarray) -> np.ndarray:
         """Observed information, the negative Hessian of the log-likelihood,
-        at ``theta``, in one kernel pass.
+        at ``theta``, by Louis' identity in one kernel pass."""
+        return self._louis(theta).information
 
-        By Louis' identity each cluster's Hessian is the posterior mean of
-        the conditional Hessian plus the posterior covariance of the
-        conditional score. The kernel forms them in the coordinates of its
-        node features, the derivatives of the boundary predictors with
-        respect to the intercepts, the linear predictor x'b and each
-        variance parameter. Cluster i's slopes then take x_i times the
-        linear predictor's row and column, and the variance parameters add
-        the node-summed score times the offsets' second derivatives.
-        """
+    def _louis(self, theta: np.ndarray) -> _Pass:
+        """``full`` by Louis' identity: each cluster's Hessian is the
+        posterior mean of the conditional Hessian plus the posterior
+        covariance of the conditional score. The kernel forms them in the
+        coordinates of its node features, the derivatives of the boundary
+        predictors with respect to the intercepts, the linear predictor x'b
+        and each variance parameter; the variance parameters add the
+        node-summed score times the offsets' second derivatives."""
         c, b, tail = self.param.split(theta)
-        k1, n_slopes, n_variance = c.size, b.size, tail.size
-        offsets, derivatives = self._offsets(tail)
-        second = self.param.random_effect(tail).loading_second_derivatives(k1) @ self.nodes.T
+        k1, n_variance = c.size, tail.size
+        mapped = self._offsets(tail)
+        if mapped is None:
+            size = self.param.size
+            return _Pass(-np.inf, np.zeros(size), np.full((size, size), np.nan))
+        offsets, derivatives, second = mapped
+        self.passes += 1
+        self.information_passes += 1
         features = np.zeros((self.weights.size, k1, k1 + 1 + n_variance))
         features[:, :, :k1] = np.eye(k1)
         features[:, :, k1] = 1.0
@@ -260,20 +337,37 @@ class _Objective:
             features[:, :, k1 + 1 + t] = d
         m = self.kernel.louis_moments(c, b, offsets, self.weights, features)
         cluster_hess = m.second - m.mean[:, :, None] * m.mean[:, None, :]
-        # basis[i] maps the feature coordinates to the parameters for cluster i
-        v = k1 + n_slopes
-        basis = np.zeros((len(m.mean), self.param.size, features.shape[-1]))
-        basis[:, :k1, :k1] = np.eye(k1)
-        basis[:, k1:v, k1] = self.kernel.x
-        basis[:, v:, k1 + 1 :] = np.eye(n_variance)
-        hess = np.einsum("npr,nqr->pq", basis @ cluster_hess, basis)
-        hess[v:, v:] += np.einsum("stkq,qk->st", second, m.node_score)
-        return -0.5 * (hess + hess.T)
+        variance = np.einsum("stkq,qk->st", second, m.node_score)
+        return self._contract(m.loglik, m.mean, cluster_hess, variance)
+
+    def _contract(self, loglik, score, hess, variance=0.0) -> _Pass:
+        """The pass in the parameters, from each cluster's score (n, r) and
+        Hessian (n, r, r) in the coordinates (intercepts, linear predictor
+        x'b, variance parameters) and the variance parameters' extra Hessian
+        term: cluster i's slopes take x_i times the linear predictor's
+        entries, the other coordinates are summed over clusters."""
+        k1, v = self.kernel.n_boundaries, self.param.n_fixed
+        x = self.kernel.x
+        total = hess.sum(axis=0)
+        by_slope = x.T @ hess[:, k1]  # (n_slopes, r)
+        out = np.empty((self.param.size, self.param.size))
+        out[:k1, :k1] = total[:k1, :k1]
+        out[k1:v, :k1] = by_slope[:, :k1]
+        out[k1:v, k1:v] = x.T @ (hess[:, k1, k1, None] * x)
+        out[v:, :k1] = total[k1 + 1 :, :k1]
+        out[v:, k1:v] = by_slope[:, k1 + 1 :].T
+        out[v:, v:] = total[k1 + 1 :, k1 + 1 :] + variance
+        out[:k1, k1:] = out[k1:, :k1].T
+        out[k1:v, v:] = out[v:, k1:v].T
+        gradient = np.concatenate(
+            [score[:, :k1].sum(axis=0), x.T @ score[:, k1], score[:, k1 + 1 :].sum(axis=0)]
+        )
+        return _Pass(loglik, gradient, -0.5 * (out + out.T))
 
 
 class _Minimand:
     """The optimizer's view of an objective: negative log-likelihood and its
-    gradient, counting evaluations.
+    gradient.
 
     A point where the log-likelihood or its score is not finite (an
     infeasible proportional-odds proposal, say) returns _PENALTY with a
@@ -284,14 +378,12 @@ class _Minimand:
 
     def __init__(self, objective: Callable):
         self.objective = objective
-        self.calls = 0
         self._memo = None
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
         if self._memo is None or key != self._memo[0]:
-            self.calls += 1
             value, score = self.objective(theta)
             if np.isfinite(value) and np.all(np.isfinite(score)):
                 self._memo = (key, -float(value), -score)
@@ -389,9 +481,8 @@ def _fit_impl(
     """Fit with the random-effect class ``effect`` and the covariates named
     in ``slope_names``: all of the dataset's (full model) or none (intercept
     model). ``kernel`` is that model's likelihood kernel when the caller
-    already built one. An attempt converges when its value is finite and
-    its scaled gradient off the bounds is below _GRAD_TOL; if neither the
-    start nor three jittered restarts converge, the lowest value is kept."""
+    already built one. Damped Newton runs first; if it gives up, or its
+    optimum fails the convergence test, L-BFGS-B runs from the same start."""
     param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
     order = opts.quadrature_order
     if order is None:
@@ -404,54 +495,21 @@ def _fit_impl(
         columns = [dataset.slope_names().index(name) for name in slope_names]
         kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
     objective = _Objective(kernel, param, order)
-    theta0, start_evaluations = _starting_point(dataset, link, opts, param, slope_names, kernel)
-    negloglik = _Minimand(objective)
+    theta0, base = _starting_point(dataset, link, opts, param, slope_names, kernel)
 
     bounds = param.bounds()
-    rng = np.random.default_rng(np.random.SeedSequence(0 if opts.seed is None else opts.seed))
-    best = None
-    converged = False
-    for attempt in range(4):
-        start = theta0 if attempt == 0 else theta0 + 0.3 * rng.standard_normal(param.size)
-        if negloglik(start)[0] >= _PENALTY:
-            continue
-        res = minimize(
-            negloglik,
-            start,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options=dict(
-                maxiter=_MAX_ITERATIONS,
-                ftol=1e-13,
-                gtol=1e-7,
-                maxcor=25,
-                maxls=60,
-            ),
-        )
-        grad = -negloglik(res.x)[1]
-        scale = max(1.0, abs(res.fun))
-        scaled_grad = np.abs(grad) * np.maximum(1.0, np.abs(res.x)) / scale
-        at_bound = _active_bounds(res.x, bounds)
-        ok = res.fun < _PENALTY and bool(np.all(scaled_grad[~at_bound] < _GRAD_TOL))
-        if ok or best is None or res.fun < best[0].fun:
-            best = (res, grad, scaled_grad)
-        if ok:
-            converged = True
-            break
-
-    if best is None:
-        raise ValueError(
-            "no feasible starting point: the log-likelihood is -inf at the "
-            "supplied starting values and at every jittered restart"
-        )
-    res, grad, scaled_grad = best
-    theta_hat = res.x
-    loglik = -float(res.fun)
+    optimum, failure = _newton(objective, theta0, bounds)
+    if optimum is not None:
+        converged, scaled_grad = _convergence(optimum, bounds)
+        if not converged:
+            optimum, failure = None, "stopped where the convergence test fails"
+    if optimum is None:
+        optimum, converged, scaled_grad = _lbfgsb(objective, theta0, bounds, opts.seed, failure)
+    theta_hat = optimum.theta
 
     diagnostics: dict = {
-        "gradient_max_scaled": float(np.abs(scaled_grad).max()),
-        "optimizer_message": str(res.message),
+        "gradient_max_scaled": float(scaled_grad.max()),
+        "optimizer_message": optimum.message,
     }
     boundary = param.boundary(theta_hat)
     if boundary:
@@ -461,8 +519,11 @@ def _fit_impl(
     se = np.full(param.size, np.nan)
     if opts.standard_errors:
         jac = param.delta_jacobian(theta_hat)
+        information = optimum.information
+        if information is None:
+            information = objective.full(theta_hat).information
         try:
-            cov_theta = _inverse_information(objective.information(theta_hat))
+            cov_theta = _inverse_information(information)
         except CovarianceUnavailableError as err:
             if np.all(np.isfinite(err.information)):
                 cov_theta = _clipped_covariance(err.information)
@@ -472,6 +533,9 @@ def _fit_impl(
             diagnostics["information_eigenvalues"] = tuple(float(v) for v in err.eigenvalues)
         covariance = cov_theta * np.outer(jac, jac)
         se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+    diagnostics["information_passes"] = objective.information_passes + (
+        base.diagnostics["information_passes"] if base else 0
+    )
 
     values = param.reported(theta_hat)
     # a standard deviation on its bound is reported as 0; the delta method
@@ -497,10 +561,10 @@ def _fit_impl(
         values=values,
         se=se,
         covariance=covariance,
-        loglik=loglik,
+        loglik=optimum.loglik,
         converged=converged,
-        iterations=int(res.nit),
-        n_evaluations=start_evaluations + negloglik.calls,
+        iterations=optimum.iterations,
+        n_evaluations=objective.passes + (base.n_evaluations if base else 0),
         p_values=p_values,
         ci_lower=values - Z_95 * se,
         ci_upper=values + Z_95 * se,
@@ -510,14 +574,128 @@ def _fit_impl(
     )
 
 
-def _active_bounds(theta: np.ndarray, bounds) -> np.ndarray:
-    active = np.zeros(theta.size, dtype=bool)
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is not None and theta[i] <= lo + 1e-9:
-            active[i] = True
-        if hi is not None and theta[i] >= hi - 1e-9:
-            active[i] = True
-    return active
+class _Optimum(NamedTuple):
+    """Where an optimizer stopped: the point, its log-likelihood and score,
+    the information of its last pass (None when the pass formed none), the
+    iterations and the stop message."""
+
+    theta: np.ndarray
+    loglik: float
+    score: np.ndarray
+    information: np.ndarray | None
+    iterations: int
+    message: str
+
+
+def _convergence(optimum: _Optimum, bounds) -> tuple[bool, np.ndarray]:
+    """The fit's one convergence test, and the scaled gradient it reads: a
+    finite value, and |score_i| max(1, |theta_i|) / max(1, |loglik|) below
+    _GRAD_TOL on every coordinate off its bounds."""
+    theta = optimum.theta
+    scaled = np.abs(optimum.score) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(optimum.loglik))
+    lower, upper = bounds
+    at_bound = (theta <= lower + 1e-9) | (theta >= upper - 1e-9)
+    ok = optimum.loglik > -_PENALTY and bool(np.all(scaled[~at_bound] < _GRAD_TOL))
+    return ok, scaled
+
+
+def _newton(objective: _Objective, theta: np.ndarray, bounds) -> tuple[_Optimum | None, str | None]:
+    """Damped projected Newton-Raphson ascent on the observed information.
+
+    Each iteration solves on the free coordinates, those not held on a
+    bound by a score that points out of the box; an indefinite information
+    gets the eigenvalue-modified solve. The step is capped at 1 in
+    max-norm, projected onto the box and halved until the log-likelihood
+    does not fall. Every point is evaluated by ``objective.full``, so an
+    accepted step carries the next iteration's information. Stops when
+    the Newton decrement g' I^-1 g is below _NEWTON_DECREMENT with a
+    positive-definite information. Returns the optimum and None, or None
+    and why Newton gave up: a value, score or information that is not
+    finite, the halvings exhausted, or the iteration cap reached.
+    """
+    lower, upper = bounds
+    current = objective.full(theta)
+    if not current.finite():
+        return None, "met a non-finite value at the start"
+    for iteration in range(_NEWTON_ITERATIONS):
+        g = current.score
+        held = ((theta <= lower + 1e-9) & (g <= 0.0)) | ((theta >= upper - 1e-9) & (g >= 0.0))
+        free = ~held
+        direction, decrement = _ascent_direction(g[free], current.information[np.ix_(free, free)])
+        if decrement is not None and decrement < _NEWTON_DECREMENT:
+            message = f"Newton: decrement below {_NEWTON_DECREMENT:g}"
+            return _Optimum(theta, current.loglik, g, current.information, iteration, message), None
+        step = np.zeros(theta.size)
+        step[free] = direction / max(1.0, np.abs(direction).max())
+        for _ in range(_NEWTON_HALVINGS):
+            candidate = np.clip(theta + step, lower, upper)
+            trial = objective.full(candidate)
+            if trial.loglik >= current.loglik:
+                break
+            step *= 0.5
+        else:
+            return None, f"exhausted {_NEWTON_HALVINGS} step halvings"
+        if not trial.finite():
+            return None, "met a non-finite score or information"
+        theta, current = candidate, trial
+    return None, f"reached {_NEWTON_ITERATIONS} iterations"
+
+
+def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """The Newton direction I^-1 g and the decrement g' I^-1 g for a
+    positive-definite information I. An indefinite one gives the direction
+    with each eigenvalue replaced by its absolute value, floored at
+    _EIGEN_FLOOR times the largest, and no decrement."""
+    try:
+        factor = cho_factor(info)
+    except np.linalg.LinAlgError:
+        eigval, eigvec = np.linalg.eigh(info)
+        magnitude = np.abs(eigval)
+        magnitude = np.maximum(magnitude, _EIGEN_FLOOR * magnitude.max())
+        return eigvec @ ((eigvec.T @ g) / magnitude), None
+    direction = cho_solve(factor, g)
+    return direction, float(g @ direction)
+
+
+def _lbfgsb(objective: _Objective, theta0: np.ndarray, bounds, seed, failure: str):
+    """The fallback: L-BFGS-B from ``theta0`` and, if it does not converge,
+    from three jittered restarts, keeping the lowest value. Returns the
+    optimum, whether it converged, and its scaled gradient; its message
+    names ``failure``, why Newton gave up."""
+    negloglik = _Minimand(objective)
+    rng = np.random.default_rng(np.random.SeedSequence(0 if seed is None else seed))
+    best = None
+    for attempt in range(4):
+        start = theta0 if attempt == 0 else theta0 + 0.3 * rng.standard_normal(theta0.size)
+        if negloglik(start)[0] >= _PENALTY:
+            continue
+        res = minimize(
+            negloglik,
+            start,
+            method="L-BFGS-B",
+            jac=True,
+            bounds=list(zip(*bounds)),
+            options=dict(
+                maxiter=_MAX_ITERATIONS,
+                ftol=1e-13,
+                gtol=1e-7,
+                maxcor=25,
+                maxls=60,
+            ),
+        )
+        message = f"L-BFGS-B after Newton {failure}: {res.message}"
+        optimum = _Optimum(res.x, -float(res.fun), -negloglik(res.x)[1], None, int(res.nit), message)
+        ok, scaled_grad = _convergence(optimum, bounds)
+        if ok or best is None or res.fun < -best[0].loglik:
+            best = (optimum, ok, scaled_grad)
+        if ok:
+            break
+    if best is None:
+        raise ValueError(
+            "no feasible starting point: the log-likelihood is -inf at the "
+            "supplied starting values and at every jittered restart"
+        )
+    return best
 
 
 def _starting_point(
@@ -527,30 +705,31 @@ def _starting_point(
     param: _Parameterization,
     slope_names: tuple[str, ...],
     kernel: LoglikKernel,
-) -> tuple[np.ndarray, int]:
-    """Starting vector and the evaluations spent finding it.
+) -> tuple[np.ndarray, FitResult | None]:
+    """Starting vector and the nested homogeneous fit that found it, if one
+    ran.
 
     ``opts.starting_values`` of the model's own effect class are the start
     as given. A random-effect model starts its fixed effects at a
     homogeneous fit, taken from homogeneous ``starting_values`` or else
     fitted on the same kernel, and its own parameters at the class's
     default. Starting values of any other structure are ignored."""
-    start, evaluations = opts.starting_values, 0
+    start, base = opts.starting_values, None
     if start is None or type(start.re) not in (param.effect, NoRandomEffect):
         if param.effect is NoRandomEffect:
             # feasible intercepts from the pooled category proportions
             totals = dataset.count_matrix.sum(axis=0).astype(float)
             p = np.clip(totals / totals.sum(), 1e-6, None)
             intercepts = recover_predictors(link, p / p.sum())
-            return np.concatenate([intercepts, np.zeros(param.n_slopes)]), 0
+            return np.concatenate([intercepts, np.zeros(param.n_slopes)]), None
         base_opts = replace(opts, starting_values=None, standard_errors=False)
         base = _fit_impl(dataset, link, NoRandomEffect, base_opts, slope_names, kernel)
-        start, evaluations = base.estimates, base.n_evaluations
+        start = base.estimates
     if start.fixed.intercepts.size != param.n_intercepts or start.fixed.slopes.size != param.n_slopes:
         raise ValueError("starting values do not match the model dimensions")
     if type(start.re) is not param.effect:
         start = ParameterVector(fixed=start.fixed, re=param.effect.start())
-    return param.pack(start), evaluations
+    return param.pack(start), base
 
 
 def fit(

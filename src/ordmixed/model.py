@@ -507,7 +507,8 @@ def slot_terms(
     Proportional-odds nodes that are infeasible carry garbage in ``logp``,
     ``score`` and ``curvature`` and False in ``feasible``; a
     proportional-odds category with zero probability (two equal predictors)
-    has log-probability -inf and a score and curvature that are not finite.
+    has log-probability -inf, and a score and curvature that are finite
+    where its count is 0 and not finite elsewhere.
     """
     if work is None:
         work = PlaneStack(np.shape(d[0]))
@@ -574,6 +575,10 @@ def _terms_po(d, y, work, curvature) -> SlotTerms:
     score = []
     hess = {} if curvature else None
     log_density = work.take()
+    # every F'/p_j below enters multiplied by y_j; where y_j = 0 it is set to
+    # 0, so that a category of zero probability and zero count (two equal
+    # predictors) adds 0, not 0 x inf, to the score and curvature
+    empty = [e if e.any() else None for e in np.equal(y, 0)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(d)):
             np.add(log_f[k], log_not_f[k], out=log_density)
@@ -591,6 +596,9 @@ def _terms_po(d, y, work, curvature) -> SlotTerms:
             else:
                 np.subtract(log_density, logp[k + 1], out=above)
                 np.exp(above, out=above)
+            for plane, zero in ((below, empty[k]), (above, empty[k + 1])):
+                if zero is not None:
+                    np.copyto(plane, 0.0, where=zero)
             if not curvature:
                 below *= y[k]
                 above *= y[k + 1]

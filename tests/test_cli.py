@@ -78,7 +78,7 @@ class TestGofCommand:
             "fit.parameters.[].se", "fit.parameters.[].p_value",
             "fit.parameters.[].ci_lower", "fit.parameters.[].ci_upper",
             "fit.diagnostics", "fit.diagnostics.gradient_max_scaled",
-            "fit.diagnostics.optimizer_message",
+            "fit.diagnostics.optimizer_message", "fit.diagnostics.information_passes",
             "gof", "gof.chi2", "gof.chi2.statistic", "gof.chi2.df", "gof.chi2.p_value",
             "gof.C", "gof.C.statistic", "gof.C.df", "gof.C.p_value", "gof.aic",
             "gof.icc", "gof.icc.value", "gof.icc.se", "gof.icc.p_value",

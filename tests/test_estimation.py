@@ -149,6 +149,7 @@ class TestFit:
     def test_restarts_when_no_attempt_converges(self, strawberry, monkeypatch):
         attempts, calls = [], []
         original = LoglikKernel.marginal_and_score
+        conditional = LoglikKernel.conditional_terms
 
         def recorded(*args, **kwargs):
             res = minimize(*args, **kwargs)
@@ -159,14 +160,24 @@ class TestFit:
             calls.append(1)
             return original(self, *args)
 
+        def not_finite(self, *args):
+            # Newton's one-node pass, made non-finite, sends the fit to L-BFGS-B
+            calls.append(1)
+            terms = conditional(self, *args)
+            return terms._replace(loglik=np.full_like(terms.loglik, np.nan))
+
         monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
         monkeypatch.setattr(estimation, "minimize", recorded)
         monkeypatch.setattr(LoglikKernel, "marginal_and_score", counted)
+        monkeypatch.setattr(LoglikKernel, "conditional_terms", not_finite)
         results = []
         for seed in (0, 0, 1):
             attempts.clear()
             calls.clear()
             result = fit(strawberry, PO, "none", FitOptions(standard_errors=False, seed=seed))
+            assert result.diagnostics["optimizer_message"].startswith(
+                "L-BFGS-B after Newton met a non-finite value"
+            )
             assert not result.converged
             assert len(attempts) == 4
             assert result.n_evaluations == len(calls)
@@ -301,7 +312,7 @@ def _marginal_value(objective):
 
     def value(theta):
         c, b, tail = objective.param.split(theta)
-        offsets, _ = objective._offsets(tail)
+        offsets = objective._offsets(tail)[0]
         return objective.kernel.marginal(c, b, offsets, objective.weights).sum()
 
     return value
@@ -354,20 +365,38 @@ class TestAnalyticScore:
         assert value == _PENALTY
         np.testing.assert_array_equal(gradient, np.zeros(param.size))
 
-    def test_n_evaluations_counts_every_score_call(self, strawberry, monkeypatch):
-        calls = []
-        original = LoglikKernel.marginal_and_score
+    @pytest.mark.parametrize("newton_iterations", [50, 0], ids=["newton", "fallback"])
+    @pytest.mark.parametrize("structure", ["none", "univariate"])
+    def test_n_evaluations_counts_every_score_call(
+        self, strawberry, monkeypatch, structure, newton_iterations
+    ):
+        calls = {"score": [], "information": []}
 
-        def counted(self, *args):
-            calls.append(1)
-            return original(self, *args)
+        def counted(method, kind):
+            original = getattr(LoglikKernel, method)
 
-        monkeypatch.setattr(LoglikKernel, "marginal_and_score", counted)
-        result = fit(strawberry, PO, "univariate")
-        # the nested start fit and the optimizer; the standard errors take
-        # one information pass, which is not a score call
-        assert result.n_evaluations == len(calls)
-        assert len(calls) > 2 * result.n_parameters
+            def wrapper(self, *args):
+                calls[kind].append(method)
+                return original(self, *args)
+
+            monkeypatch.setattr(LoglikKernel, method, wrapper)
+
+        counted("marginal_and_score", "score")
+        counted("louis_moments", "information")
+        counted("conditional_terms", "information")
+        # no Newton iteration sends every fit, the nested start fit too, to
+        # L-BFGS-B, whose standard errors then take one more information pass
+        monkeypatch.setattr(estimation, "_NEWTON_ITERATIONS", newton_iterations)
+        result = fit(strawberry, PO, structure)
+        assert result.n_evaluations == len(calls["score"]) + len(calls["information"])
+        assert result.diagnostics["information_passes"] == len(calls["information"])
+        assert result.converged
+        if newton_iterations:
+            assert result.diagnostics["optimizer_message"].startswith("Newton")
+            assert calls["score"] == []
+        else:
+            assert result.diagnostics["optimizer_message"].startswith("L-BFGS-B after Newton reached 0")
+            assert len(calls["score"]) > 2 * result.n_parameters
 
     @pytest.mark.parametrize("model", ["full", "intercept"])
     @pytest.mark.parametrize("structure", RE_STRUCTURES)
@@ -393,6 +422,81 @@ class TestAnalyticScore:
         jac = param.delta_jacobian(theta)
         se = np.sqrt(np.diag(numerical_covariance(value, theta)) * jac**2)
         np.testing.assert_allclose(po_univariate.se, se, rtol=1e-4)
+
+    @pytest.mark.parametrize("model", ["full", "intercept"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_homogeneous_one_pass_information_is_louis(self, strawberry, link, model):
+        names = strawberry.slope_names() if model == "full" else ()
+        param = _Parameterization(2, names, RANDOM_EFFECTS["none"])
+        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        objective = _Objective(kernel, param, 1)
+        rng = np.random.default_rng([5, len(names)])
+        for _ in range(3):
+            theta = _random_theta(rng, param)
+            one = objective.full(theta)
+            loglik, score = objective(theta)
+            info = objective.information(theta)
+            assert one.loglik == pytest.approx(loglik, rel=1e-14)
+            np.testing.assert_allclose(one.score, score, rtol=0, atol=1e-10 * np.abs(score).max())
+            np.testing.assert_allclose(one.information, info, rtol=0, atol=1e-10 * np.abs(info).max())
+
+    def test_overflowing_standard_deviation_returns_penalty(self, strawberry):
+        param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
+        objective = _Objective(LoglikKernel(strawberry, PO), param, 30)
+        theta = np.concatenate([[-1.0, 1.0], np.zeros(param.n_slopes), [800.0]])
+        value, gradient = _Minimand(objective)(theta)
+        assert value == _PENALTY
+        np.testing.assert_array_equal(gradient, np.zeros(param.size))
+        assert not objective.full(theta).finite()
+        assert objective.passes == 0
+
+
+class TestNewton:
+    def test_strawberry_fits_match_the_fallback(self, strawberry, monkeypatch):
+        def strawberry_fits():
+            return {
+                (link, structure, fitter.__name__): fitter(strawberry, link, structure)
+                for link in LinkFamily
+                for structure in RE_STRUCTURES
+                for fitter in (fit, fit_intercept_model)
+            }
+
+        by_newton = strawberry_fits()
+        # with no Newton iteration every fit falls back to L-BFGS-B
+        monkeypatch.setattr(estimation, "_NEWTON_ITERATIONS", 0)
+        for key, lbfgsb in strawberry_fits().items():
+            newton = by_newton[key]
+            assert newton.diagnostics["optimizer_message"].startswith("Newton"), key
+            assert lbfgsb.diagnostics["optimizer_message"].startswith("L-BFGS-B"), key
+            assert newton.converged and lbfgsb.converged, key
+            assert newton.loglik == pytest.approx(lbfgsb.loglik, abs=1e-8), key
+            np.testing.assert_allclose(newton.values, lbfgsb.values, rtol=0, atol=1e-5, err_msg=str(key))
+            np.testing.assert_allclose(newton.se, lbfgsb.se, rtol=0, atol=1e-5, err_msg=str(key))
+
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    def test_sigma_zero_data_reports_its_boundary_under_newton(self, structure):
+        design = SimulationDesign(
+            link=PO,
+            true_params=study_true_parameters(0.0),
+            fits=((PO, "none"),),
+            replications=1,
+            seed=77,
+        )
+        result = fit(generate_dataset(design, 0), PO, structure)
+        assert result.converged
+        assert result.diagnostics["optimizer_message"].startswith("Newton")
+        stds = {"sigma", "sigma1", "sigma2"} & set(result.names)
+        assert set(result.diagnostics["boundary"]) >= stds
+
+    def test_indefinite_information_gets_the_eigenvalue_modified_step(self):
+        info = np.diag([4.0, -2.0, 1e-12])
+        g = np.array([1.0, 1.0, 1.0])
+        direction, decrement = estimation._ascent_direction(g, info)
+        assert decrement is None
+        np.testing.assert_allclose(direction, [0.25, 0.5, 1.0 / (4.0 * 1e-6)])
+        direction, decrement = estimation._ascent_direction(g, np.diag([4.0, 2.0, 1.0]))
+        np.testing.assert_allclose(direction, [0.25, 0.5, 1.0])
+        assert decrement == pytest.approx(1.75)
 
 
 class TestInterceptModel:

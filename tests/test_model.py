@@ -247,15 +247,25 @@ class TestCurvature:
         assert np.all(np.isfinite(hess))
         np.testing.assert_allclose(hess, oracle, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(oracle).max()))
 
-    @pytest.mark.parametrize("counts", [[3, 0, 2], [3, 1, 2]])
-    def test_equal_po_predictors_give_no_finite_curvature(self, counts):
-        # the middle category has zero probability, as for the score
-        d, counts = np.array([0.4, 0.4]), np.array(counts, dtype=float)
+    def test_equal_po_predictors_give_no_finite_curvature(self):
+        # the middle category has zero probability and a count: the
+        # log-likelihood is -inf, and so are the score and curvature
+        d, counts = np.array([0.4, 0.4]), np.array([3.0, 1.0, 2.0])
         logp, _ = log_category_probabilities(LinkFamily.PROPORTIONAL_ODDS, d)
         assert not np.any(np.isfinite(predictor_score(LinkFamily.PROPORTIONAL_ODDS, d, logp, counts)))
         with np.errstate(invalid="ignore"):
             hess = curvature_matrix(LinkFamily.PROPORTIONAL_ODDS, d, counts)
         assert not np.any(np.isfinite(hess))
+
+    def test_equal_po_predictors_with_an_empty_middle_category_are_finite(self):
+        # with no count there, the log-likelihood is 3 log F(d1) + 2 log(1 - F(d2))
+        d, counts = np.array([0.4, 0.4]), np.array([3.0, 0.0, 2.0])
+        logp, _ = log_category_probabilities(LinkFamily.PROPORTIONAL_ODDS, d)
+        f = 1.0 / (1.0 + np.exp(-0.4))
+        score = predictor_score(LinkFamily.PROPORTIONAL_ODDS, d, logp, counts)
+        np.testing.assert_allclose(score, [3.0 * (1.0 - f), -2.0 * f], rtol=1e-14)
+        hess = curvature_matrix(LinkFamily.PROPORTIONAL_ODDS, d, counts)
+        np.testing.assert_allclose(hess, np.diag([-3.0, -2.0]) * f * (1.0 - f), rtol=1e-14)
 
     def test_structure_of_the_planes(self):
         d, counts = np.array([-1.0, 0.0, 1.0, 2.0]), np.array([1.0, 2.0, 0.0, 3.0, 1.0])
