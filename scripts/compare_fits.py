@@ -29,9 +29,22 @@ from pathlib import Path
 WORKLOADS = ("strawberry_panel", "study_slice", "large_clusters")
 
 
+def use_tree(tree: Path) -> None:
+    """Make ``tree``'s ``ordmixed`` and benchmark modules the ones imported."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+
+
+def run_worker(script: str, tree: Path, argv: list[str]) -> list[dict]:
+    """Run ``script --worker TREE *argv`` in a subprocess from ``tree`` and
+    return the JSON lines it printed, one per record."""
+    command = [sys.executable, script, "--worker", str(tree), *argv]
+    done = subprocess.run(command, capture_output=True, text=True, check=True, cwd=tree)
+    return [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
+
+
 def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
     """Worker: run the workloads of ``tree`` and print one JSON line per fit."""
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    use_tree(tree)
     import numpy as np
     import workloads as bench
     from ordmixed import estimation, simulation
@@ -69,10 +82,8 @@ def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
 
 
 def _fits(tree: Path, args) -> list[dict]:
-    command = [sys.executable, __file__, "--worker", str(tree), "--blocks", str(args.blocks),
-               "--seed", str(args.seed), "--workloads", *args.workloads]
-    done = subprocess.run(command, capture_output=True, text=True, check=True, cwd=tree)
-    return [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
+    argv = ["--blocks", str(args.blocks), "--seed", str(args.seed), "--workloads", *args.workloads]
+    return run_worker(__file__, tree, argv)
 
 
 def _max_abs_diff(a, b) -> float:

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Time one kernel pass and one Newton pass of two source trees of ordmixed.
+
+    python scripts/pass_timing.py SRC_A SRC_B --rounds 5
+
+Each tree (a checkout holding ``src/ordmixed`` and ``perfbench/``) runs in
+its own subprocess, through ``compare_fits.py``'s runner, once per round;
+the rounds alternate which tree runs first. A subprocess times, for each
+link, the median per-call time of ``LoglikKernel.louis_moments``,
+``marginal_and_score`` and ``conditional_terms``, and of one ``_newton``
+pass (a Newton fit of the univariate model from its usual start, divided
+by the information passes it made), on two datasets:
+
+- 48x20: the first replication of the benchmark's ``study_slice`` block 0,
+  48 clusters at 20 nodes, the size of every study fit;
+- 960x30: ``large_clusters`` block 0, 960 clusters of 50 at the default
+  30 nodes.
+
+The kernel passes run at the study's true parameters (sigma 1.5), the
+conditional pass at zero offsets, as a homogeneous fit calls it. The
+report gives, per size, link and function, the median over the rounds of
+each tree's medians, and B's change against A.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+from collections import defaultdict
+from pathlib import Path
+from time import perf_counter
+
+from compare_fits import run_worker, use_tree
+
+SIZES = {"48x20": ("study_slice", 20, 400, 20), "960x30": ("large_clusters", 30, 40, 4)}
+FUNCTIONS = ("louis_moments", "marginal_and_score", "conditional_terms", "_newton pass")
+
+
+def _median_call(fn, calls: int) -> float:
+    fn()  # fills the kernel's workspace
+    times = []
+    for _ in range(calls):
+        start = perf_counter()
+        fn()
+        times.append(perf_counter() - start)
+    return statistics.median(times)
+
+
+def _measure(tree: Path, seed: int) -> None:
+    """Worker: print one JSON line per size, link and function."""
+    use_tree(tree)
+    import numpy as np
+    import workloads as bench
+    from ordmixed import estimation, simulation
+    from ordmixed.likelihood import LoglikKernel
+    from ordmixed.model import UnivariateRandomEffect
+    from ordmixed.quadrature import standard_tensor_grid
+
+    truth = simulation.study_true_parameters(bench.STUDY_SIGMA)
+    for size, (workload, order, calls, fits) in SIZES.items():
+        inputs = bench.WORKLOADS[workload].build(seed, 0)
+        dataset = inputs.dataset or simulation.generate_dataset(inputs.design, 0)
+        k1 = dataset.n_categories - 1
+        nodes, weights = standard_tensor_grid(order, 1)
+        loading = truth.re.loading(k1)
+        offsets = nodes @ loading.T
+        features = np.zeros((order, k1, k1 + 2))
+        features[:, :, :k1] = np.eye(k1)
+        features[:, :, k1] = 1.0
+        features[:, :, k1 + 1] = offsets  # d offsets / d log sigma
+        c, b = truth.fixed.intercepts, truth.fixed.slopes
+        for tag, link in bench.LINKS.items():
+            kernel = LoglikKernel(dataset, link)
+            timed = {
+                "louis_moments": lambda: kernel.louis_moments(c, b, offsets, weights, features),
+                "marginal_and_score": lambda: kernel.marginal_and_score(c, b, offsets, weights),
+                "conditional_terms": lambda: kernel.conditional_terms(c, b, np.zeros((1, k1))),
+            }
+            for name, fn in timed.items():
+                line = {"size": size, "link": tag, "function": name,
+                        "seconds": _median_call(fn, calls)}
+                print(json.dumps(line))
+            opts = estimation.FitOptions(quadrature_order=order, standard_errors=False)
+            param = estimation._Parameterization(k1, dataset.slope_names(), UnivariateRandomEffect)
+            theta0, _ = estimation._starting_point(
+                dataset, link, opts, param, dataset.slope_names(), kernel
+            )
+            per_pass = []
+            for _ in range(fits + 1):
+                objective = estimation._Objective(kernel, param, order)
+                start = perf_counter()
+                estimation._newton(objective, theta0, param.bounds())
+                per_pass.append((perf_counter() - start) / max(1, objective.information_passes))
+            line = {"size": size, "link": tag, "function": "_newton pass",
+                    "seconds": statistics.median(per_pass[1:])}
+            print(json.dumps(line))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="SRC_A SRC_B")
+    parser.add_argument("--rounds", type=int, default=5, help="subprocesses per tree")
+    parser.add_argument("--seed", type=int, default=0, help="the workloads' seed")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _measure(args.worker.resolve(), args.seed)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give two source trees, SRC_A and SRC_B")
+    trees = [tree.resolve() for tree in args.trees]
+    medians = defaultdict(lambda: ([], []))
+    for round_ in range(args.rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        for side in order:
+            for line in run_worker(__file__, trees[side], ["--seed", str(args.seed)]):
+                medians[line["size"], line["link"], line["function"]][side].append(line["seconds"])
+
+    print(f"A = {args.trees[0]}, B = {args.trees[1]}; seed {args.seed}, {args.rounds} rounds")
+    print("median per call over the rounds, in microseconds\n")
+    print(f"{'size':7s} {'link':4s} {'function':20s} {'A':>9s} {'B':>9s} {'B/A - 1':>8s}")
+    for size in SIZES:
+        for tag in ("po", "acl", "crl"):
+            for name in FUNCTIONS:
+                a, b = (1e6 * statistics.median(v) for v in medians[size, tag, name])
+                print(f"{size:7s} {tag:4s} {name:20s} {a:9.1f} {b:9.1f} {b / a - 1:+8.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

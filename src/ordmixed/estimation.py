@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import erfc, softmax
 
@@ -59,6 +59,7 @@ _NEWTON_ITERATIONS = 50  # Newton steps before the fit falls back to L-BFGS-B
 _NEWTON_HALVINGS = 30  # halvings of one Newton step before the same
 _NEWTON_DECREMENT = 1e-10  # g' I^-1 g at which Newton stops
 _EIGEN_FLOOR = 1e-6  # |eigenvalue| floor of an indefinite information, relative to the largest
+_LOG_SIGMA_FALLING = -3.0  # log sigma below which a falling step tries the floor
 _EB_ORDER = {1: 40, 2: 25}  # nodes per axis of the empirical-Bayes grid, by effect dimension
 
 
@@ -223,9 +224,9 @@ class _Pass(NamedTuple):
 
     def finite(self) -> bool:
         return bool(
-            np.isfinite(self.loglik)
-            and np.all(np.isfinite(self.score))
-            and np.all(np.isfinite(self.information))
+            math.isfinite(self.loglik)
+            and np.isfinite(self.score).all()
+            and np.isfinite(self.information).all()
         )
 
 
@@ -250,6 +251,13 @@ class _Objective:
         self._last = (None, None)
         self.passes = 0
         self.information_passes = 0
+        k1 = kernel.n_boundaries
+        # the node features of the Louis pass: the derivatives of the boundary
+        # predictors with respect to the intercepts and the linear predictor
+        # x'b, fixed, then each variance parameter, written per pass
+        self._features = np.zeros((self.weights.size, k1, k1 + 1 + param.n_variance))
+        self._features[:, :, :k1] = np.eye(k1)
+        self._features[:, :, k1] = 1.0
 
     def _offsets(self, tail):
         """Node offsets (Q, K-1), their derivatives with respect to each
@@ -322,7 +330,7 @@ class _Objective:
         and each variance parameter; the variance parameters add the
         node-summed score times the offsets' second derivatives."""
         c, b, tail = self.param.split(theta)
-        k1, n_variance = c.size, tail.size
+        k1 = c.size
         mapped = self._offsets(tail)
         if mapped is None:
             size = self.param.size
@@ -330,9 +338,7 @@ class _Objective:
         offsets, derivatives, second = mapped
         self.passes += 1
         self.information_passes += 1
-        features = np.zeros((self.weights.size, k1, k1 + 1 + n_variance))
-        features[:, :, :k1] = np.eye(k1)
-        features[:, :, k1] = 1.0
+        features = self._features
         for t, d in enumerate(derivatives):
             features[:, :, k1 + 1 + t] = d
         m = self.kernel.louis_moments(c, b, offsets, self.weights, features)
@@ -603,58 +609,101 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> tuple[_Optimum 
     """Damped projected Newton-Raphson ascent on the observed information.
 
     Each iteration solves on the free coordinates, those not held on a
-    bound by a score that points out of the box; an indefinite information
-    gets the eigenvalue-modified solve. The step is capped at 1 in
-    max-norm, projected onto the box and halved until the log-likelihood
-    does not fall. Every point is evaluated by ``objective.full``, so an
-    accepted step carries the next iteration's information. Stops when
-    the Newton decrement g' I^-1 g is below _NEWTON_DECREMENT with a
-    positive-definite information. Returns the optimum and None, or None
-    and why Newton gave up: a value, score or information that is not
-    finite, the halvings exhausted, or the iteration cap reached.
+    bound by a score that points out of the box; an indefinite or singular
+    information gets the eigenvalue-modified solve. The step is capped at 1
+    in max-norm, projected onto the box and halved until the log-likelihood
+    does not fall. Once the step lowers a log standard deviation that is
+    already below _LOG_SIGMA_FALLING, it is first tried with every log
+    standard deviation it lowers at the floor, and kept if the
+    log-likelihood does not fall and the score there, along the direction in
+    which they fell, points out of the box. Near sigma = 0 the
+    log-likelihood is close to a sigma^2, so a sigma that belongs at 0 would
+    otherwise fall by about 0.5 in log per step; the sigmas of a bivariate
+    effect fall together. After one refused trial the fit tries the floor no
+    more. Every point is evaluated by ``objective.full``, so an accepted
+    step carries the next iteration's information. Stops when the Newton
+    decrement g' I^-1 g is below _NEWTON_DECREMENT with a positive-definite
+    information, or, with a semidefinite one, when the decrement on its
+    identified eigen-directions is below it and the score along the
+    near-null ones passes the convergence test. Returns the optimum and
+    None, or None and why Newton gave up: a value, score or information
+    that is not finite, the halvings exhausted, or the iteration cap
+    reached.
     """
     lower, upper = bounds
+    at_lower, at_upper = lower + 1e-9, upper - 1e-9
+    log_sd = (lower == _LOG_SIGMA_FLOOR) & (upper == np.inf)  # a correlation's box is finite
+    try_floor = True
     current = objective.full(theta)
     if not current.finite():
         return None, "met a non-finite value at the start"
     for iteration in range(_NEWTON_ITERATIONS):
         g = current.score
-        held = ((theta <= lower + 1e-9) & (g <= 0.0)) | ((theta >= upper - 1e-9) & (g >= 0.0))
-        free = ~held
-        direction, decrement = _ascent_direction(g[free], current.information[np.ix_(free, free)])
+        free = ~(((theta <= at_lower) & (g <= 0.0)) | ((theta >= at_upper) & (g >= 0.0)))
+        direction, decrement, null_score = _ascent_direction(
+            g[free], current.information[free][:, free]
+        )
         if decrement is not None and decrement < _NEWTON_DECREMENT:
             message = f"Newton: decrement below {_NEWTON_DECREMENT:g}"
-            return _Optimum(theta, current.loglik, g, current.information, iteration, message), None
+            if null_score is not None:
+                message += " on the identified directions"
+                # the convergence test's scaling, on the near-null directions
+                scaled = np.abs(null_score) * np.maximum(1.0, np.abs(theta[free]))
+                if not np.all(scaled < _GRAD_TOL * max(1.0, abs(current.loglik))):
+                    message = None
+            if message:
+                return _Optimum(theta, current.loglik, g, current.information, iteration, message), None
         step = np.zeros(theta.size)
         step[free] = direction / max(1.0, np.abs(direction).max())
-        for _ in range(_NEWTON_HALVINGS):
-            candidate = np.clip(theta + step, lower, upper)
+        floored = log_sd & (step < 0.0)
+        trial = None
+        if try_floor and (theta[floored] < _LOG_SIGMA_FALLING).any():
+            candidate = np.minimum(np.maximum(theta + step, lower), upper)
+            candidate[floored] = lower[floored]
             trial = objective.full(candidate)
-            if trial.loglik >= current.loglik:
-                break
-            step *= 0.5
-        else:
-            return None, f"exhausted {_NEWTON_HALVINGS} step halvings"
+            # the sigmas belong at 0 only if the floor gains and the score
+            # there, along the direction in which they fell, points out of
+            # the box; otherwise the maximum is inside
+            if not (trial.loglik >= current.loglik and trial.score[floored].sum() <= 0.0):
+                trial, try_floor = None, False
+        if trial is None:
+            for _ in range(_NEWTON_HALVINGS):
+                candidate = np.minimum(np.maximum(theta + step, lower), upper)
+                trial = objective.full(candidate)
+                if trial.loglik >= current.loglik:
+                    break
+                step *= 0.5
+            else:
+                return None, f"exhausted {_NEWTON_HALVINGS} step halvings"
         if not trial.finite():
             return None, "met a non-finite score or information"
         theta, current = candidate, trial
     return None, f"reached {_NEWTON_ITERATIONS} iterations"
 
 
-def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, float | None]:
+def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, float | None, np.ndarray | None]:
     """The Newton direction I^-1 g and the decrement g' I^-1 g for a
-    positive-definite information I. An indefinite one gives the direction
+    positive-definite information I, with None. Otherwise the direction
     with each eigenvalue replaced by its absolute value, floored at
-    _EIGEN_FLOOR times the largest, and no decrement."""
-    try:
-        factor = cho_factor(info)
-    except np.linalg.LinAlgError:
-        eigval, eigvec = np.linalg.eigh(info)
-        magnitude = np.abs(eigval)
-        magnitude = np.maximum(magnitude, _EIGEN_FLOOR * magnitude.max())
-        return eigvec @ ((eigvec.T @ g) / magnitude), None
-    direction = cho_solve(factor, g)
-    return direction, float(g @ direction)
+    _EIGEN_FLOOR times the largest; when no eigenvalue is below minus that
+    floor, the information is semidefinite, and the decrement on the
+    eigen-directions above the floor comes with the score along the others,
+    the near-null directions. An indefinite information gives no decrement
+    and None."""
+    factor, failed = dpotrf(info, lower=False, clean=False)
+    if not failed:
+        direction, _ = dpotrs(factor, g, lower=False)
+        return direction, float(g @ direction), None
+    eigval, eigvec = np.linalg.eigh(info)
+    magnitude = np.abs(eigval)
+    floor = _EIGEN_FLOOR * magnitude.max()
+    projected = eigvec.T @ g
+    direction = eigvec @ (projected / np.maximum(magnitude, floor))
+    if eigval.min() < -floor:
+        return direction, None, None
+    identified = eigval > floor
+    decrement = float(np.sum(projected[identified] ** 2 / eigval[identified]))
+    return direction, decrement, eigvec[:, ~identified] @ projected[~identified]
 
 
 def _lbfgsb(objective: _Objective, theta0: np.ndarray, bounds, seed, failure: str):

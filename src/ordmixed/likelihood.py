@@ -18,11 +18,13 @@ information.
 ``LoglikKernel`` lays the predictors out slot-major: an array of shape
 (K-1, n, Q) whose leading axis is the category boundary, so each boundary
 is one contiguous (n, Q) plane of clusters by nodes. ``model.slot_terms``
-evaluates a link on those planes, giving K log-probability planes, K-1
-score planes and, when asked, the curvature planes; the counts, stored as
-(K, n, 1), weight them plane by plane, and the posterior contractions are
-matrix products over the node and cluster axes. No array with a short
-trailing category axis is built.
+evaluates a link on the whole array at once, giving the (K, n, Q)
+log-probabilities, the (K-1, n, Q) score and, when asked, the (P, n, Q)
+curvature over the link's boundary pairs; the counts, stored as (K, n, 1),
+weight the log-probabilities in one product summed over categories, and
+the posterior contractions are matrix products over the node and cluster
+axes, one per boundary or pair. No array with a short trailing category
+axis is built.
 
 Every pass takes predictor offsets that broadcast against (n, Q, K-1),
 clusters by nodes by boundaries: a 2-d array is node offsets (Q, K-1)
@@ -43,6 +45,7 @@ kernel serves one caller at a time.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,12 +57,31 @@ from .model import (
     LinkFamily,
     ParameterVector,
     PlaneStack,
+    curvature_pairs,
     log_category_probabilities,  # noqa: F401  (instrumentation looks the link layer up here)
     slot_terms,
 )
 from .quadrature import QuadratureRule2D
 
 _BLOCK_ELEMENTS = 2**16  # most elements in one workspace plane (512 KB)
+# A pass meets -inf log-likelihoods (a category of zero probability, nodes
+# that are all infeasible) and 0 x inf products that it then sets to 0, so
+# every public pass runs with these floating-point errors ignored.
+_expected_float_errors = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(link: LinkFamily, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary pairs of the link's curvature as (k, l) index arrays,
+    and those of the Louis pass: the curvature's pairs first, then the
+    remaining pairs k < l, whose score products the pass also needs."""
+    pairs = curvature_pairs(link, k1)
+    upper = [(k, l) for k in range(k1) for l in range(k, k1)]
+    louis = pairs + tuple(p for p in upper if p not in pairs)
+    out = tuple(np.array(p, dtype=int).reshape(-1, 2).T for p in (pairs, louis))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _log_coefficients(counts: np.ndarray) -> np.ndarray:
@@ -141,9 +163,9 @@ def _slot_major(offsets) -> np.ndarray:
 
 class _Workspace(NamedTuple):
     """A kernel's memory for one node count Q: the slot-major predictors
-    (K-1, rows, Q), the stack of (rows, Q) planes for everything derived
-    from them, and the row blocks, each (first row, end row, the clusters
-    with an empty category in the block)."""
+    (K-1, rows, Q), the stack of (rows, Q) planes and stacks of them for
+    everything derived from them, and the row blocks, each (first row, end
+    row, the (category, row) indices of the block's empty categories)."""
 
     predictors: np.ndarray
     planes: PlaneStack
@@ -161,12 +183,13 @@ class LoglikKernel:
     another with the same rows, such as a subset of its columns.
 
     The kernel owns its workspace: for each node count Q, a stack of
-    (rows, Q) planes allocated on the first call with that Q and reused by
-    every later one, so a call allocates only the arrays it returns. A
-    plane holds at most ``_BLOCK_ELEMENTS`` elements; more clusters than
-    fit are evaluated in row blocks through the same planes. Because the
-    planes are shared, a kernel serves one caller at a time: it is not for
-    concurrent calls from several threads.
+    (rows, Q) planes and (m, rows, Q) stacks of them allocated on the first
+    call with that Q and reused by every later one, so a call allocates
+    little more than the arrays it returns. A plane holds at most
+    ``_BLOCK_ELEMENTS`` elements; more clusters than fit are evaluated in
+    row blocks through the same planes. Because the planes are shared, a
+    kernel serves one caller at a time: it is not for concurrent calls
+    from several threads.
     """
 
     def __init__(self, dataset: Dataset, link: LinkFamily, covariates: np.ndarray | None = None):
@@ -182,9 +205,10 @@ class LoglikKernel:
         self.log_coef = _log_coefficients(counts)
         self.n_boundaries = dataset.n_categories - 1
         self._counts = np.ascontiguousarray(self.y.T)[:, :, None]
-        # the clusters with no count in each category, where 0 log 0 = 0
+        # the (category, cluster) cells with no count, where 0 log 0 = 0
         # overrides a log-probability of -inf
-        self._empty = [np.flatnonzero(column == 0) for column in counts.T]
+        self._empty = counts.T == 0
+        self._pairs, self._louis_pairs = _pair_indices(link, self.n_boundaries)
         self._workspaces: dict[int, _Workspace] = {}
 
     def _workspace(self, n_nodes: int) -> _Workspace:
@@ -197,8 +221,7 @@ class LoglikKernel:
             blocks = []
             for lo in range(0, n, rows):
                 hi = min(n, lo + rows)
-                empty = [e[(e >= lo) & (e < hi)] - lo for e in self._empty]
-                blocks.append((lo, hi, empty))
+                blocks.append((lo, hi, np.nonzero(self._empty[:, lo:hi])))
             self._workspaces[n_nodes] = _Workspace(
                 np.empty((self.n_boundaries, rows, n_nodes)), PlaneStack((rows, n_nodes)), blocks
             )
@@ -208,8 +231,8 @@ class LoglikKernel:
         """Evaluate the link block by block in the workspace planes, at
         offsets that broadcast against (n, Q, K-1); per-cluster ones are cut
         to each block's rows. Yields, per row block, its first and end rows,
-        the ``SlotTerms`` (with the score planes when ``derivatives`` is 1
-        or more, and the curvature planes when it is 2), the node
+        the ``SlotTerms`` (with the score when ``derivatives`` is 1 or more,
+        the curvature when it is 2, and ``logp`` spent), the node
         log-likelihoods without the multinomial constant and the
         infeasibility mask (None when every node is feasible); all of them
         live in the workspace and are overwritten by the next block or call.
@@ -231,24 +254,22 @@ class LoglikKernel:
 
     @staticmethod
     def _count_loglik(terms, counts, empty, work) -> tuple[np.ndarray, np.ndarray | None]:
-        """sum_j y_j log p_j over the category planes, with 0 log 0 = 0 at
-        the ``empty`` rows of each category; -inf at infeasible nodes,
-        which the returned mask marks (None when there are none)."""
-        logp = terms.logp
-        with np.errstate(invalid="ignore"):
-            ll = np.multiply(counts[0], logp[0], out=work.take())
-            ll[empty[0]] = 0.0
-            term = work.take()
-            for j in range(1, len(logp)):
-                np.multiply(counts[j], logp[j], out=term)
-                term[empty[j]] = 0.0
-                ll += term
+        """sum_j y_j log p_j over the categories, with 0 log 0 = 0 at the
+        ``empty`` (category, row) cells, written over ``terms.logp``; -inf
+        at infeasible nodes, which the returned mask marks (None when there
+        are none)."""
+        products = np.multiply(counts, terms.logp, out=terms.logp)
+        products[empty] = 0.0
+        ll = np.add(products[0], products[1], out=work.take())
+        for term in products[2:]:
+            ll += term
         infeasible = None
         if terms.feasible is not None and not terms.feasible.all():
-            infeasible = np.logical_not(terms.feasible, out=work.take(bool))
+            infeasible = np.logical_not(terms.feasible, out=work.take(dtype=bool))
             np.copyto(ll, -np.inf, where=infeasible)
         return ll, infeasible
 
+    @_expected_float_errors
     def node_logliks(self, intercepts, slopes, offsets) -> np.ndarray:
         """Conditional log-likelihood of every cluster at every node, shape
         (n, Q), without the multinomial constant, at offsets that broadcast
@@ -264,6 +285,7 @@ class LoglikKernel:
         ll = self.node_logliks(intercepts, slopes, np.asarray(offsets, dtype=float)[:, None])
         return ll[:, 0] + self.log_coef
 
+    @_expected_float_errors
     def conditional_terms(self, intercepts, slopes, offsets) -> ConditionalTerms:
         """Per-cluster conditional log-likelihood, score and curvature with
         respect to the boundary predictors, at per-cluster predictor offsets
@@ -272,12 +294,12 @@ class LoglikKernel:
         n, k1 = self.x.shape[0], self.n_boundaries
         loglik, score = np.empty(n), np.empty((n, k1))
         curvature = np.zeros((n, k1, k1))
+        k, l = self._pairs
         for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, derivatives=2):
             np.add(ll[:, 0], self.log_coef[lo:hi], out=loglik[lo:hi])
-            for k, g in enumerate(terms.score):
-                score[lo:hi, k] = g[:, 0]
-            for (k, l), h in terms.curvature.items():
-                curvature[lo:hi, k, l] = curvature[lo:hi, l, k] = h[:, 0]
+            score[lo:hi] = terms.score[:, :, 0].T
+            block = curvature[lo:hi]
+            block[:, k, l] = block[:, l, k] = terms.curvature[:, :, 0].T
         return ConditionalTerms(loglik, score, curvature)
 
     @staticmethod
@@ -291,8 +313,7 @@ class LoglikKernel:
         mass = np.subtract(ll, m, out=ll)
         np.exp(mass, out=mass)
         total = mass @ weights
-        with np.errstate(divide="ignore"):
-            np.add(np.log(total), m[:, 0], out=out)
+        np.add(np.log(total), m[:, 0], out=out)
         return mass, total
 
     def _integrated(self, out, intercepts, slopes, offsets, weights, derivatives: int = 0):
@@ -304,10 +325,12 @@ class LoglikKernel:
         for lo, hi, terms, ll, infeasible in blocks:
             mass, total = self._integrate(ll, weights, out[lo:hi])
             if infeasible is not None and derivatives:
-                for plane in terms.score + list((terms.curvature or {}).values()):
-                    np.copyto(plane, 0.0, where=infeasible)
+                np.copyto(terms.score, 0.0, where=infeasible)
+                if terms.curvature is not None:
+                    np.copyto(terms.curvature, 0.0, where=infeasible)
             yield lo, hi, terms, mass, total
 
+    @_expected_float_errors
     def marginal(self, intercepts, slopes, offsets, weights) -> np.ndarray:
         """Per-cluster marginal log-likelihood over quadrature nodes, with
         log-sum-exp stabilization, at offsets that broadcast against
@@ -318,6 +341,7 @@ class LoglikKernel:
             pass
         return out + self.log_coef
 
+    @_expected_float_errors
     def marginal_and_score(self, intercepts, slopes, offsets, weights) -> MarginalScore:
         """Summed marginal log-likelihood with the node-averaged score per
         slot, in one pass over the node arrays.
@@ -335,19 +359,18 @@ class LoglikKernel:
         blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=1)
         for lo, hi, terms, mass, total in blocks:
             # a cluster with no feasible node has total 0 and a -inf loglik
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inverse_total = 1.0 / total
-                for k, weighted in enumerate(terms.score):
-                    weighted *= mass
-                    # posterior-weighted sums over nodes and over clusters, as
-                    # matrix-vector products instead of reductions over short axes
-                    slot_score[lo:hi, k] = (weighted @ weights) * inverse_total
-                    node_k = weights * (inverse_total @ weighted)
-                    # the first block sets the sums over clusters, later ones add
-                    node_score[:, k] = node_score[:, k] + node_k if lo else node_k
+            inverse_total = 1.0 / total
+            weighted = np.multiply(terms.score, mass, out=terms.score)
+            # posterior-weighted sums over nodes and over clusters, as
+            # matrix-vector products instead of reductions over short axes
+            np.multiply(weighted @ weights, inverse_total, out=slot_score[lo:hi].T)
+            node = (weights * (inverse_total @ weighted)).T
+            # the first block sets the sums over clusters, later ones add
+            node_score[:] = node_score + node if lo else node
         loglik = float((out + self.log_coef).sum())
         return MarginalScore(loglik, slot_score, node_score)
 
+    @_expected_float_errors
     def louis_moments(self, intercepts, slopes, offsets, weights, features) -> LouisMoments:
         """The posterior moments of the conditional score and curvature that
         Louis' identity needs, in one pass over the node arrays.
@@ -357,37 +380,35 @@ class LoglikKernel:
         posterior weight and contribute nothing.
         """
         weights = np.asarray(weights, dtype=float)
-        features = np.asarray(features, dtype=float)
-        n, n_nodes, r = self.x.shape[0], weights.size, features.shape[-1]
+        # (K-1, Q, r): the features of each boundary
+        features = np.asarray(features, dtype=float).transpose(1, 0, 2)
+        (k1, n_nodes, r), n = features.shape, self.x.shape[0]
         # the outer product of the features of boundaries k and l, r * r
-        # values per node, for k <= l; an off-diagonal pair also stands for
-        # (l, k), whose curvature and score product are the same planes
-        pairs = {}
-        for k in range(self.n_boundaries):
-            for l in range(k, self.n_boundaries):
-                outer = features[:, k, :, None] * features[:, l, None, :]
-                if k != l:
-                    outer = outer + outer.transpose(0, 2, 1)
-                pairs[k, l] = outer.reshape(n_nodes, r * r)
+        # values per node, for each pair k <= l; an off-diagonal pair also
+        # stands for (l, k), whose curvature and score product are the same
+        k, l = self._louis_pairs
+        outer = features[k, :, :, None] * features[l, :, None, :]
+        np.add(outer, outer.swapaxes(-1, -2), out=outer, where=(k != l)[:, None, None, None])
+        outer = outer.reshape(len(k), n_nodes, r * r)
         out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
-        node_score = np.zeros((n_nodes, self.n_boundaries))
+        node_score = np.zeros((n_nodes, k1))
         work = self._workspace(n_nodes).planes
         blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=2)
         for lo, hi, terms, mass, total in blocks:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                posterior = np.divide(weights[None, :], total[:, None], out=work.take())
-                posterior *= mass
-            term = work.take()
-            for (k, l), pair in pairs.items():
-                np.multiply(terms.score[k], terms.score[l], out=term)
-                if (k, l) in terms.curvature:
-                    term += terms.curvature[k, l]
+            posterior = np.divide(weights[None, :], total[:, None], out=work.take())
+            posterior *= mass
+            g, term = terms.score, work.take()
+            # each pair's score product, plus the curvature of the pairs
+            # that lead the list, contracted while it is in cache
+            for p in range(len(k)):
+                np.multiply(g[k[p]], g[l[p]], out=term)
+                if p < len(terms.curvature):
+                    term += terms.curvature[p]
                 term *= posterior
-                second[lo:hi] += term @ pair
-            for k, weighted in enumerate(terms.score):
-                weighted *= posterior
-                mean[lo:hi] += weighted @ features[:, k]
-                node_score[:, k] += weighted.sum(axis=0)
+                second[lo:hi] += term @ outer[p]
+            g *= posterior
+            mean[lo:hi] += np.matmul(g, features).sum(axis=0)
+            node_score += g.sum(axis=1).T
         loglik = float((out + self.log_coef).sum())
         return LouisMoments(loglik, mean, second.reshape(n, r, r), node_score)
 

@@ -428,50 +428,67 @@ def category_probabilities(link: LinkFamily, deltas: np.ndarray) -> np.ndarray:
 class SlotTerms(NamedTuple):
     """One link evaluation on slot-major predictors d of shape (K-1, ...).
 
-    ``logp`` holds the K log category probabilities and ``score`` the K-1
-    derivatives of sum_j y_j log p_j with respect to each predictor (None
-    when no counts were given), each one plane of the trailing shape.
-    ``curvature`` maps a boundary pair (k, l), k <= l, to the plane of the
-    second derivative of sum_j y_j log p_j with respect to predictors k and
-    l; pairs whose second derivative is zero for the link are left out, and
-    it is None unless asked for. ``feasible`` is the proportional-odds
-    feasibility mask, or None for the families that are feasible everywhere.
+    ``logp`` (K, ...) holds the K log category probabilities and ``score``
+    (K-1, ...) the derivatives of sum_j y_j log p_j with respect to each
+    predictor (None when no counts were given). ``curvature`` (P, ...)
+    holds, for the boundary pairs (k, l), k <= l, of
+    ``curvature_pairs(link, K-1)``, the second derivative of
+    sum_j y_j log p_j with respect to predictors k and l; pairs whose
+    second derivative is zero for the link are left out, and it is None
+    unless asked for. ``feasible`` is the proportional-odds feasibility
+    mask, or None for the families that are feasible everywhere.
     """
 
-    logp: list
+    logp: np.ndarray
     feasible: np.ndarray | None
-    score: list | None
-    curvature: dict | None = None
+    score: np.ndarray | None
+    curvature: np.ndarray | None = None
+
+
+def curvature_pairs(link: LinkFamily, n_boundaries: int) -> tuple[tuple[int, int], ...]:
+    """The boundary pairs (k, l), k <= l, whose curvature the link can make
+    nonzero, in the order of ``SlotTerms.curvature``, row by row:
+    proportional odds is tridiagonal, adjacent categories full and
+    continuation ratio diagonal."""
+    if link is LinkFamily.PROPORTIONAL_ODDS:
+        return tuple((k, l) for k in range(n_boundaries) for l in (k, k + 1) if l < n_boundaries)
+    if link is LinkFamily.ADJACENT_CATEGORIES:
+        return tuple((k, l) for k in range(n_boundaries) for l in range(k, n_boundaries))
+    return tuple((k, k) for k in range(n_boundaries))
 
 
 class PlaneStack:
-    """Scratch planes of one shape, handed out in order by ``take``.
+    """Scratch arrays of planes of one shape, handed out in order by
+    ``take``.
 
-    Float and boolean planes of shape ``shape`` are allocated on first use
-    and kept. ``reset(rows)`` rewinds the stack, so the next ``take`` hands
-    out the first plane again, cut to its leading ``rows``: a caller that
-    keeps a stack reuses the same memory on every pass, while a new stack
-    is fresh memory. A plane taken since the last reset is never handed
-    out twice.
+    ``take()`` hands out one plane of shape ``shape``, ``take(m)`` a stack
+    of m of them, shape (m, *shape); float and boolean ones are allocated
+    on first use and kept. ``reset(rows)`` rewinds the stack, so the next
+    ``take`` of each kind hands out the first one again, cut to its leading
+    ``rows``: a caller that keeps a stack reuses the same memory on every
+    pass, while a new stack is fresh memory. An array taken since the last
+    reset is never handed out twice.
     """
 
     def __init__(self, shape):
         self.shape = tuple(shape)
         self.rows = self.shape[0]
-        self._planes = ([], [])  # float, bool
-        self._taken = [0, 0]
+        self._arrays: dict[tuple, list] = {}  # by (count, dtype)
+        self._taken: dict[tuple, int] = {}
 
     def reset(self, rows: int) -> None:
         self.rows = rows
-        self._taken = [0, 0]
+        self._taken.clear()
 
-    def take(self, dtype=float) -> np.ndarray:
-        kind = dtype is bool
-        planes, i = self._planes[kind], self._taken[kind]
-        if i == len(planes):
-            planes.append(np.empty(self.shape, dtype=dtype))
-        self._taken[kind] = i + 1
-        return planes[i] if self.rows == self.shape[0] else planes[i][: self.rows]
+    def take(self, count: int | None = None, dtype=float) -> np.ndarray:
+        key = (count, dtype)
+        arrays, i = self._arrays.setdefault(key, []), self._taken.get(key, 0)
+        if i == len(arrays):
+            arrays.append(np.empty(self.shape if count is None else (count, *self.shape), dtype))
+        self._taken[key] = i + 1
+        if self.rows == self.shape[0]:
+            return arrays[i]
+        return arrays[i][: self.rows] if count is None else arrays[i][:, : self.rows]
 
 
 def slot_terms(
@@ -481,14 +498,16 @@ def slot_terms(
     predictor score and, with ``curvature``, its derivatives, in one pass
     over slot-major predictors.
 
-    ``d[k]`` is the plane of boundary-k predictors; ``counts[j]`` holds the
-    category-j counts and broadcasts against a plane. Every link works on
-    whole planes, so the short category axis never becomes an inner loop.
-    Every plane the link writes, the returned ones included, is taken from
-    ``work``, a stack of planes shaped like ``d[k]``; without one they come
-    from a new stack, so the results are fresh arrays. Computed in log
-    space, so large predictor magnitudes stay finite. With F the logistic
-    function, N = sum_j y_j and C_k = P(Y <= k), the score is
+    ``d`` (K-1, ...) holds one plane of predictors per boundary, and
+    ``counts`` (K, ...) one plane of counts per category, broadcasting
+    against a predictor plane. Every step of a link runs once over all
+    boundaries, on the whole (K-1, ...) array, so neither the short
+    category axis nor the boundary axis becomes an inner loop. Every array
+    the link writes, the returned ones included, is taken from ``work``, a
+    stack of planes shaped like ``d[k]``; without one they come from a new
+    stack, so the results are fresh arrays. Computed in log space, so large
+    predictor magnitudes stay finite. With F the logistic function,
+    N = sum_j y_j and C_k = P(Y <= k), the score is
 
     - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
     - adjacent categories:  g_k = sum_{j<=k} y_j - N C_k;
@@ -502,7 +521,9 @@ def slot_terms(
       - F'_k^2 (y_k / p_k^2 + y_{k+1} / p_{k+1}^2),
       H_{k,k+1} = F'_k F'_{k+1} y_{k+1} / p_{k+1}^2;
     - adjacent categories:  H_kl = -N (C_min(k,l) - C_k C_l);
-    - continuation ratio (diagonal): H_kk = -F'(d_k) sum_{j>=k} y_j.
+    - continuation ratio (diagonal): H_kk = -F'(d_k) sum_{j>=k} y_j;
+
+    stacked in the order of ``curvature_pairs``.
 
     Proportional-odds nodes that are infeasible carry garbage in ``logp``,
     ``score`` and ``curvature`` and False in ``feasible``; a
@@ -521,197 +542,168 @@ def slot_terms(
     raise ValueError(f"unknown link family: {link!r}")
 
 
-def _log_logistic(z: np.ndarray, work: PlaneStack, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log F(z) and log(1 - F(z)) for the logistic function F, in two planes
-    taken from ``work``; ``t`` is a scratch plane.
+def _log_logistic(z: np.ndarray, work: PlaneStack) -> tuple[np.ndarray, np.ndarray]:
+    """log F(z) and log(1 - F(z)) for the logistic function F, for every
+    plane of ``z`` at once, in two arrays taken from ``work``.
 
     With sp = softplus(z) = log(1 + e^z) these are z - sp and -sp; both are
     formed from the shared t = log(1 + e^-|z|), as min(z, 0) - t and
     -(max(z, 0) + t), so neither cancels z against sp when |z| is large.
     """
-    np.copysign(z, -1.0, out=t)  # -|z|
+    t = np.copysign(z, -1.0, out=work.take(len(z)))  # -|z|
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    log_f = np.minimum(z, 0.0, out=work.take())
+    log_f = np.minimum(z, 0.0, out=work.take(len(z)))
     log_f -= t
-    log_not_f = np.maximum(z, 0.0, out=work.take())
+    log_not_f = np.maximum(z, 0.0, out=work.take(len(z)))
     log_not_f += t
     np.negative(log_not_f, out=log_not_f)
     return log_f, log_not_f
 
 
-# The planes are large and the category axis short, so the link functions
-# below write every result into a plane taken from the stack, updating it in
-# place rather than allocating a temporary per operation, and reuse scratch
-# planes whose values are spent; they never write to the predictor planes
-# they are given.
+# The arrays are large and the category axis short, so the link functions
+# below write every result into an array taken from the stack, updating it
+# in place rather than allocating a temporary per operation, and reuse
+# scratch arrays whose values are spent; they never write to the predictor
+# arrays they are given.
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _terms_po(d, y, work, curvature) -> SlotTerms:
     # one softplus per predictor: log F, log(1 - F), log F' = their sum
-    scratch = work.take()
-    log_f, log_not_f = zip(*(_log_logistic(dk, work, scratch) for dk in d))
+    k1 = len(d)
+    log_f, log_not_f = _log_logistic(d, work)
+    logp = work.take(k1 + 1)
+    np.copyto(logp[0], log_f[0])
+    np.copyto(logp[k1], log_not_f[-1])
     feasible = None
-    logp = [log_f[0]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, len(d)):
-            a, b = d[k - 1], d[k]
-            if feasible is None:
-                feasible = np.greater_equal(b, a, out=work.take(bool))
-            else:
-                feasible &= np.greater_equal(b, a, out=work.take(bool))
-            # log(F(b) - F(a)) = log F(b) + log(1 - F(a)) + log(1 - e^(a-b)) for b >= a
-            middle = np.subtract(a, b, out=work.take())
-            np.exp(middle, out=middle)
-            np.negative(middle, out=middle)
-            np.log1p(middle, out=middle)
-            middle += log_f[k]
-            middle += log_not_f[k - 1]
-            logp.append(middle)
-    logp.append(log_not_f[-1])
+    if k1 > 1:
+        # log(F(b) - F(a)) = log F(b) + log(1 - F(a)) + log(1 - e^(a-b)) for b >= a
+        middle = np.subtract(d[:-1], d[1:], out=logp[1:k1])
+        np.exp(middle, out=middle)
+        np.negative(middle, out=middle)
+        np.log1p(middle, out=middle)
+        middle += log_f[1:]
+        middle += log_not_f[:-1]
+        feasible, *others = np.greater_equal(d[1:], d[:-1], out=work.take(k1 - 1, bool))
+        for ordered in others:
+            feasible &= ordered
     if y is None:
         return SlotTerms(logp, feasible, None)
-    last = len(d) - 1
-    score = []
-    hess = {} if curvature else None
-    log_density = work.take()
-    # every F'/p_j below enters multiplied by y_j; where y_j = 0 it is set to
-    # 0, so that a category of zero probability and zero count (two equal
+    # F'/p_k for the category below each boundary and F'/p_{k+1} for the one
+    # above, from log F' = log F + log(1 - F); at the ends they reduce to
+    # 1 - F and F, whose logs log_not_f[0] and log_f[-1] already hold, so
+    # the two arrays take the other ratios in place
+    log_density = np.add(log_f, log_not_f, out=work.take(k1))
+    below, above = log_not_f, log_f
+    np.subtract(log_density[1:], logp[1:k1], out=below[1:])
+    np.subtract(log_density[:-1], logp[1:k1], out=above[:-1])
+    np.exp(below, out=below)
+    np.exp(above, out=above)
+    # every F'/p_j enters multiplied by y_j; where y_j = 0 it is set to 0, so
+    # that a category of zero probability and zero count (two equal
     # predictors) adds 0, not 0 x inf, to the score and curvature
-    empty = [e if e.any() else None for e in np.equal(y, 0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(d)):
-            np.add(log_f[k], log_not_f[k], out=log_density)
-            # F'/p_k for the category below and F'/p_{k+1} for the one above;
-            # at the ends they reduce to 1 - F and F
-            below = work.take()
-            if k == 0:
-                np.exp(log_not_f[0], out=below)
-            else:
-                np.subtract(log_density, logp[k], out=below)
-                np.exp(below, out=below)
-            above = work.take() if curvature else scratch
-            if k == last:
-                np.exp(log_f[k], out=above)
-            else:
-                np.subtract(log_density, logp[k + 1], out=above)
-                np.exp(above, out=above)
-            for plane, zero in ((below, empty[k]), (above, empty[k + 1])):
-                if zero is not None:
-                    np.copyto(plane, 0.0, where=zero)
-            if not curvature:
-                below *= y[k]
-                above *= y[k + 1]
-                below -= above
-                score.append(below)
-                continue
-            # the curvature reads below and above again, so the score gets
-            # its own plane, by the same operations
-            g = np.multiply(below, y[k], out=work.take())
-            g -= np.multiply(above, y[k + 1], out=scratch)
-            score.append(g)
-            h = np.multiply(d[k], -0.5, out=work.take())
-            np.tanh(h, out=h)  # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
-            h *= g
-            t = np.square(below, out=scratch)
-            t *= y[k]
-            h -= t
-            np.square(above, out=t)
-            t *= y[k + 1]
-            h -= t
-            hess[k, k] = h
-            if k:
-                off = np.multiply(previous_above, below, out=work.take())
-                off *= y[k]
-                hess[k - 1, k] = off
-            previous_above = above
+    empty = np.equal(y, 0)
+    if empty.any():
+        np.copyto(below, 0.0, where=empty[:-1])
+        np.copyto(above, 0.0, where=empty[1:])
+    if not curvature:
+        below *= y[:-1]
+        below -= np.multiply(above, y[1:], out=above)
+        return SlotTerms(logp, feasible, below)
+    # the curvature reads the ratios again, so the score gets its own array
+    score = np.multiply(below, y[:-1], out=work.take(k1))
+    score -= np.multiply(above, y[1:], out=log_density)
+    hess = work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
+    diagonal = np.multiply(d, -0.5, out=hess[::2])
+    np.tanh(diagonal, out=diagonal)  # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
+    diagonal *= score
+    t = np.square(below, out=log_density)
+    t *= y[:-1]
+    diagonal -= t
+    np.square(above, out=t)
+    t *= y[1:]
+    diagonal -= t
+    off = np.multiply(above[:-1], below[1:], out=hess[1::2])
+    off *= y[1:-1]
     return SlotTerms(logp, feasible, score, hess)
 
 
 def _terms_acl(d, y, work, curvature) -> SlotTerms:
     # category k carries the partial sum of predictors k..K-1, category K zero
-    sums = [d[-1]]
-    for dk in d[-2::-1]:
-        sums.append(np.add(sums[-1], dk, out=work.take()))
-    sums.reverse()
+    k1 = len(d)
+    sums = work.take(k1)
+    np.copyto(sums[-1], d[-1])
+    for k in range(k1 - 2, -1, -1):
+        np.add(sums[k + 1], d[k], out=sums[k])
     m = np.maximum(sums[-1], 0.0, out=work.take())
     for s in sums[:-1]:
         np.maximum(m, s, out=m)
-    scaled = [np.subtract(s, m, out=work.take()) for s in sums]
-    scaled.append(np.negative(m, out=work.take()))
-    for e in scaled:
-        np.exp(e, out=e)
-    z = np.add(scaled[0], scaled[1], out=work.take())
-    for e in scaled[2:]:
-        z += e
-    logz = np.log(z, out=z)
+    # the scaled exponentials, whose array then takes the log-probabilities
+    logp = work.take(k1 + 1)
+    np.subtract(sums, m, out=logp[:k1])
+    np.negative(m, out=logp[k1])
+    np.exp(logp, out=logp)
+    logz = np.add(logp[0], logp[1], out=work.take())
+    for e in logp[2:]:
+        logz += e
+    np.log(logz, out=logz)
     logz += m
-    # the scaled planes are spent: they take the log-probabilities
-    logp = [np.subtract(s, logz, out=e) for s, e in zip(sums, scaled)]
-    logp.append(np.negative(logz, out=scaled[-1]))
+    np.subtract(sums, logz, out=logp[:k1])
+    np.negative(logz, out=logp[k1])
     if y is None:
         return SlotTerms(logp, None, None)
-    size = y[0]
-    for yj in y[1:]:
-        size = size + yj
-    score = []
-    cumulative = []  # C_k, kept for the curvature
-    at_or_below = 0.0
-    prob_at_or_below = np.exp(logp[0], out=m)
-    for k in range(len(d)):
-        at_or_below = at_or_below + y[k]
-        if k:
-            prob_at_or_below += np.exp(logp[k], out=z)
-        g = np.multiply(prob_at_or_below, -size, out=work.take())
-        g += at_or_below
-        score.append(g)
-        if curvature:
-            cumulative.append(work.take())
-            np.copyto(cumulative[-1], prob_at_or_below)
+    # C_k, from the probabilities of the categories at or below k
+    cumulative = np.exp(logp[:-1], out=work.take(k1))
+    at_or_below = y[:-1].copy()
+    for k in range(1, k1):
+        cumulative[k] += cumulative[k - 1]
+        at_or_below[k] += at_or_below[k - 1]
+    size = at_or_below[-1] + y[-1]
+    score = np.multiply(cumulative, -size, out=work.take(k1))
+    score += at_or_below
     if not curvature:
         return SlotTerms(logp, None, score)
-    # H_kl = -N C_k (1 - C_l) for k <= l; z is spent and takes -N (1 - C_l)
-    hess = {}
-    for l, c_l in enumerate(cumulative):
-        np.subtract(c_l, 1.0, out=z)
-        z *= size
-        for k in range(l + 1):
-            hess[k, l] = np.multiply(cumulative[k], z, out=work.take())
+    # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
+    factor = np.subtract(cumulative, 1.0, out=sums[:k1])
+    factor *= size
+    hess = work.take(k1 * (k1 + 1) // 2)
+    first = 0
+    for k in range(k1):
+        np.multiply(cumulative[k], factor[k:], out=hess[first : first + k1 - k])
+        first += k1 - k
     return SlotTerms(logp, None, score, hess)
 
 
 def _terms_cr(d, y, work, curvature) -> SlotTerms:
     # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
-    scratch = work.take()
-    log_stop, log_continue = zip(*(_log_logistic(dk, work, scratch) for dk in d))
-    density = []  # F'(d_k) = F (1 - F), before log_continue turns into survival
+    k1 = len(d)
+    log_stop, log_continue = _log_logistic(d, work)
     if curvature:
-        for stop, cont in zip(log_stop, log_continue):
-            f1 = np.add(stop, cont, out=work.take())
-            density.append(np.exp(f1, out=f1))
-    logp = [log_stop[0]]
-    surv = log_continue[0]
-    for k in range(1, len(d)):
-        logp.append(np.add(log_stop[k], surv, out=work.take()))
-        surv = np.add(surv, log_continue[k], out=log_continue[k])
-    logp.append(surv)
+        # F'(d_k) = F (1 - F), before log_continue turns into survival
+        density = np.add(log_stop, log_continue, out=work.take(k1))
+        np.exp(density, out=density)
+    survival = log_continue
+    for k in range(1, k1):
+        survival[k] += survival[k - 1]
+    logp = work.take(k1 + 1)
+    np.copyto(logp[0], log_stop[0])
+    np.add(log_stop[1:], survival[:-1], out=logp[1:k1])
+    np.copyto(logp[k1], survival[-1])
     if y is None:
         return SlotTerms(logp, None, None)
-    reached = [y[-1]]  # sum_{j>=k} y_j, built from the top category down
-    for yj in y[-2::-1]:
-        reached.append(reached[-1] + yj)
-    reached.reverse()
-    score = []
-    for k in range(len(d)):
-        g = np.exp(log_stop[k], out=work.take())  # F(d_k)
-        g *= -reached[k]
-        g += y[k]
-        score.append(g)
+    reached = y[:-1].copy()  # sum_{j>=k} y_j, built from the top category down
+    reached[-1] += y[-1]
+    for k in range(k1 - 2, -1, -1):
+        reached[k] += reached[k + 1]
+    np.negative(reached, out=reached)
+    score = np.exp(log_stop, out=work.take(k1))  # F(d_k)
+    score *= reached
+    score += y[:-1]
     if not curvature:
         return SlotTerms(logp, None, score)
-    for k, f1 in enumerate(density):
-        f1 *= -reached[k]
-    return SlotTerms(logp, None, score, {(k, k): f1 for k, f1 in enumerate(density)})
+    density *= reached
+    return SlotTerms(logp, None, score, density)
 
 
 def _slot_major(a: np.ndarray) -> np.ndarray:
@@ -731,7 +723,7 @@ def log_category_probabilities(link: LinkFamily, deltas: np.ndarray) -> tuple[np
     deltas = np.asarray(deltas, dtype=float)
     lead = deltas.shape[:-1]
     terms = slot_terms(link, _slot_major(deltas))
-    logp = np.stack(terms.logp, axis=-1).reshape(lead + (-1,))
+    logp = np.moveaxis(terms.logp, 0, -1).reshape(lead + (-1,))
     if terms.feasible is None:
         return logp, np.ones(lead, dtype=bool)
     return logp, terms.feasible.reshape(lead)
@@ -755,7 +747,7 @@ def predictor_score(
     deltas = np.broadcast_to(deltas, lead + deltas.shape[-1:])
     counts = np.broadcast_to(counts, lead + counts.shape[-1:])
     terms = slot_terms(link, _slot_major(deltas), _slot_major(counts))
-    return np.stack(terms.score, axis=-1).reshape(lead + (-1,))
+    return np.moveaxis(terms.score, 0, -1).reshape(lead + (-1,))
 
 
 def recover_predictors(link: LinkFamily, probs: np.ndarray) -> np.ndarray:

@@ -488,15 +488,69 @@ class TestNewton:
         stds = {"sigma", "sigma1", "sigma2"} & set(result.names)
         assert set(result.diagnostics["boundary"]) >= stds
 
+    # the log-likelihoods of the fits below before the floor step was tried:
+    # 23-28 Newton iterations, each lowering log sigma by about 0.5
+    SIGMA_ZERO_LOGLIK = {
+        (PO, "univariate"): -147.1662184934209,
+        (PO, "bivariate"): -147.1662184933394,
+        (LinkFamily.ADJACENT_CATEGORIES, "univariate"): -147.2631029666701,
+        (LinkFamily.ADJACENT_CATEGORIES, "bivariate"): -147.2631029664035,
+        (LinkFamily.CONTINUATION_RATIO, "univariate"): -147.561974039025,
+        (LinkFamily.CONTINUATION_RATIO, "bivariate"): -147.5619740390797,
+    }
+
+    @pytest.mark.parametrize("link, structure", list(SIGMA_ZERO_LOGLIK), ids=str)
+    def test_sigma_zero_fits_take_the_floor_in_a_few_iterations(self, link, structure):
+        design = SimulationDesign(
+            link=PO,
+            true_params=study_true_parameters(0.0),
+            fits=((PO, "none"),),
+            replications=1,
+            seed=77,
+        )
+        result = fit(generate_dataset(design, 0), link, structure)
+        assert result.converged and result.iterations <= 10
+        assert result.diagnostics["optimizer_message"].startswith("Newton")
+        assert result.diagnostics["boundary"] == tuple(
+            {"univariate": ("sigma",), "bivariate": ("sigma1", "sigma2")}[structure]
+        )
+        assert result.loglik == pytest.approx(self.SIGMA_ZERO_LOGLIK[link, structure], abs=1e-8)
+
+    def test_floor_step_is_refused_where_the_maximum_is_inside(self):
+        # log sigma passes -3 on its way down to the optimum at sigma 0.027,
+        # where the log-likelihood exceeds its value at the floor
+        design = SimulationDesign(
+            link=PO, true_params=study_true_parameters(0.6), fits=((PO, "none"),),
+            replications=20, seed=0,
+        )
+        ds = generate_dataset(design, 15)
+        acl = LinkFamily.ADJACENT_CATEGORIES
+        start = fit(ds, acl, "none", FAST).estimates
+        result = fit(ds, acl, "univariate", FitOptions(standard_errors=False, starting_values=start))
+        assert "boundary" not in result.diagnostics
+        assert result["sigma"] == pytest.approx(0.027068, abs=1e-6)
+        assert result.loglik == pytest.approx(-149.73213234924083, abs=1e-8)
+
     def test_indefinite_information_gets_the_eigenvalue_modified_step(self):
         info = np.diag([4.0, -2.0, 1e-12])
         g = np.array([1.0, 1.0, 1.0])
-        direction, decrement = estimation._ascent_direction(g, info)
-        assert decrement is None
+        direction, decrement, null_score = estimation._ascent_direction(g, info)
+        assert decrement is None and null_score is None
         np.testing.assert_allclose(direction, [0.25, 0.5, 1.0 / (4.0 * 1e-6)])
-        direction, decrement = estimation._ascent_direction(g, np.diag([4.0, 2.0, 1.0]))
+        direction, decrement, null_score = estimation._ascent_direction(g, np.diag([4.0, 2.0, 1.0]))
         np.testing.assert_allclose(direction, [0.25, 0.5, 1.0])
-        assert decrement == pytest.approx(1.75)
+        assert decrement == pytest.approx(1.75) and null_score is None
+
+    def test_semidefinite_information_gives_the_identified_decrement(self):
+        # a null direction at 45 degrees in the last two coordinates
+        basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]) / [1.0, 2**0.5, 2**0.5]
+        info = basis @ np.diag([4.0, 2.0, -1e-13]) @ basis.T  # not positive definite
+        g = np.array([1.0, 1.0, 0.5])
+        direction, decrement, null_score = estimation._ascent_direction(g, info)
+        # g = (1, 1.5 / sqrt 2, 0.5 / sqrt 2) in the eigenbasis
+        assert decrement == pytest.approx(0.25 + 1.125 / 2.0)
+        np.testing.assert_allclose(null_score, [0.0, 0.25, -0.25], atol=1e-15)
+        np.testing.assert_allclose(direction, basis @ ([1.0, 1.5 / 2**0.5, 0.5 / 2**0.5] / np.array([4.0, 2.0, 4e-6])))
 
 
 class TestInterceptModel:
@@ -511,6 +565,14 @@ class TestInterceptModel:
         intercept = fit_intercept_model(ds, LinkFamily.CONTINUATION_RATIO, "none", FAST)
         assert full.loglik == pytest.approx(intercept.loglik, abs=1e-7)
         np.testing.assert_allclose(full.values[:2], intercept.values, atol=1e-4)
+        # the slopes are unidentified, so the information is singular: Newton
+        # decides on the identified directions, where the L-BFGS-B fallback
+        # took 152 passes to the same log-likelihood
+        assert full.diagnostics["optimizer_message"].startswith("Newton"), full.diagnostics
+        assert full.converged and full.n_evaluations <= 10
+        assert full.loglik == pytest.approx(-32.51128591274233, abs=1e-8)
+        with_se = fit(ds, LinkFamily.CONTINUATION_RATIO, "none")
+        assert with_se.diagnostics["covariance_note"].startswith("pseudo-inverse")
 
     def test_keeps_random_effect_structure(self, strawberry):
         intercept = fit_intercept_model(strawberry, PO, "univariate", FAST)

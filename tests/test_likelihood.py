@@ -21,7 +21,7 @@ from ordmixed import (
 )
 from ordmixed import likelihood
 from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
-from ordmixed.model import log_category_probabilities, predictor_score
+from ordmixed.model import curvature_pairs, log_category_probabilities, predictor_score, slot_terms
 from ordmixed.quadrature import standard_tensor_grid
 
 
@@ -499,3 +499,81 @@ class TestPerClusterNodeOffsets:
         # the features' first two columns are the intercepts, whose mean is the slot score
         np.testing.assert_allclose(moments.mean[:, :2], slot, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moments.node_score, node, rtol=1e-12, atol=1e-12)
+
+
+class TestOtherCategoryCounts:
+    """Every kernel pass at K = 2, 4 and 5, where the boundary axis of the
+    slot-major arrays has another length than the K = 3 of the fixtures,
+    with a univariate effect and a cluster that has an empty category."""
+
+    @staticmethod
+    def _setup(k, link):
+        rng = np.random.default_rng([21, k, list(LinkFamily).index(link)])
+        counts = rng.multinomial(9, np.full(k, 1.0 / k), size=8)
+        counts[0, 1] = 0  # an empty category in the first cluster
+        counts[0, 0] += 1
+        clusters = tuple(make_cluster(y, rng.normal(size=2)) for y in counts)
+        kernel = LoglikKernel(Dataset(clusters=clusters), link)
+        # increasing intercepts keep every proportional-odds node feasible
+        c = np.linspace(-1.0, 1.0, k - 1)
+        rule = gauss_hermite(9)
+        return kernel, c, np.array([0.3, -0.2]), rule.nodes, rule.weights
+
+    @staticmethod
+    def _score(kernel, c, b, nodes, weights, point):
+        """The summed ``marginal`` and the score of ``marginal_and_score`` in
+        the coordinates (intercepts, a shift of every predictor, the
+        effect's scale) at ``point``."""
+        k1 = c.size
+        shift, scale = point[k1], point[k1 + 1]
+        offsets = np.repeat(scale * nodes[:, None] + shift, k1, axis=1)
+        r = kernel.marginal_and_score(point[:k1], b, offsets, weights)
+        loglik = float(kernel.marginal(point[:k1], b, offsets, weights).sum())
+        assert r.loglik == pytest.approx(loglik, rel=1e-14)
+        return loglik, np.r_[r.slot_score.sum(axis=0), r.slot_score.sum(), nodes @ r.node_score.sum(axis=1)]
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_louis_moments_and_score_match_differences(self, k, link):
+        kernel, c, b, nodes, weights = self._setup(k, link)
+        k1 = k - 1
+        point = np.r_[c, 0.0, 0.8]
+        features = np.zeros((nodes.size, k1, k1 + 2))
+        features[:, :, :k1] = np.eye(k1)
+        features[:, :, k1] = 1.0
+        features[:, :, k1 + 1] = nodes[:, None]
+        m = kernel.louis_moments(c, b, np.repeat(0.8 * nodes[:, None], k1, axis=1), weights, features)
+        hess = (m.second - m.mean[:, :, None] * m.mean[:, None, :]).sum(axis=0)
+        loglik, score = self._score(kernel, c, b, nodes, weights, point)
+        assert m.loglik == pytest.approx(loglik, rel=1e-14)
+        np.testing.assert_allclose(m.mean.sum(axis=0), score, rtol=1e-12, atol=1e-12)
+        h = 1e-5
+        value_differences, score_differences = np.empty(point.size), np.empty((point.size, point.size))
+        for j in range(point.size):
+            up, down = point.copy(), point.copy()
+            up[j] += h
+            down[j] -= h
+            (l_up, s_up), (l_down, s_down) = (self._score(kernel, c, b, nodes, weights, p) for p in (up, down))
+            value_differences[j] = (l_up - l_down) / (2 * h)
+            score_differences[:, j] = (s_up - s_down) / (2 * h)
+        np.testing.assert_allclose(score, value_differences, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(hess, score_differences, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_conditional_terms_match_slot_terms_row_by_row(self, k, link):
+        kernel, c, b, _, _ = self._setup(k, link)
+        offsets = np.random.default_rng(k).normal(scale=0.1, size=(kernel.y.shape[0], k - 1))
+        terms = kernel.conditional_terms(c, b, offsets)
+        pairs = curvature_pairs(link, k - 1)
+        for i, y in enumerate(kernel.y):
+            d = c + kernel.x[i] @ b + offsets[i]
+            row = slot_terms(link, d[:, None], y[:, None], curvature=True)
+            logp = row.logp[:, 0]
+            expected = kernel.log_coef[i] + np.sum(np.where(y > 0, y * logp, 0.0))
+            assert terms.loglik[i] == pytest.approx(expected, rel=1e-13)
+            np.testing.assert_allclose(terms.score[i], row.score[:, 0], rtol=1e-13, atol=1e-13)
+            hess = np.zeros((k - 1, k - 1))
+            for (p, q), plane in zip(pairs, row.curvature):
+                hess[p, q] = hess[q, p] = plane[0]
+            np.testing.assert_allclose(terms.curvature[i], hess, rtol=1e-13, atol=1e-13)

@@ -20,7 +20,7 @@ from ordmixed import (
     recover_predictors,
 )
 from ordmixed.estimation import _Parameterization
-from ordmixed.model import log_category_probabilities, predictor_score, slot_terms
+from ordmixed.model import curvature_pairs, log_category_probabilities, predictor_score, slot_terms
 
 ALL_LINKS = list(LinkFamily)
 
@@ -199,11 +199,11 @@ class TestPredictorScore:
 
 
 def curvature_matrix(link, d, counts):
-    """The curvature planes of ``slot_terms`` at one predictor vector, as a
+    """The curvature of ``slot_terms`` at one predictor vector, as a
     symmetric (K-1, K-1) matrix."""
     terms = slot_terms(link, d[:, None], counts[:, None], curvature=True)
     hess = np.zeros((d.size, d.size))
-    for (k, l), plane in terms.curvature.items():
+    for (k, l), plane in zip(curvature_pairs(link, d.size), terms.curvature, strict=True):
         hess[k, l] = hess[l, k] = plane[0]
     return hess
 
@@ -275,7 +275,11 @@ class TestCurvature:
             LinkFamily.CONTINUATION_RATIO: {(k, k) for k in range(4)},
         }
         for link, expected in pairs.items():
-            assert set(slot_terms(link, d[:, None], counts[:, None], curvature=True).curvature) == expected
+            listed = curvature_pairs(link, 4)
+            assert set(listed) == expected and len(listed) == len(expected)
+            assert listed == tuple(sorted(listed))  # row by row
+            terms = slot_terms(link, d[:, None], counts[:, None], curvature=True)
+            assert terms.curvature.shape == (len(expected), 1)
             assert slot_terms(link, d[:, None], counts[:, None]).curvature is None
 
 
