@@ -6,10 +6,10 @@
 Each tree (a checkout holding ``src/ordmixed`` and ``perfbench/``) runs in
 its own subprocess, through ``compare_fits.py``'s runner, once per round;
 the rounds alternate which tree runs first. A subprocess times, for each
-link, the median per-call time of ``LoglikKernel.louis_moments``,
-``marginal_and_score`` and ``conditional_terms``, and of one ``_newton``
-pass (a Newton fit of the univariate model from its usual start, divided
-by the information passes it made), on two datasets:
+link, the median per-call time of ``LoglikKernel.louis_moments`` and
+``conditional_terms``, and of one ``_newton`` pass (a Newton fit of the
+univariate model from its usual start, divided by the passes it made), on
+two datasets:
 
 - 48x20: the first replication of the benchmark's ``study_slice`` block 0,
   48 clusters at 20 nodes, the size of every study fit;
@@ -34,7 +34,7 @@ from time import perf_counter
 from compare_fits import run_worker, use_tree
 
 SIZES = {"48x20": ("study_slice", 20, 400, 20), "960x30": ("large_clusters", 30, 40, 4)}
-FUNCTIONS = ("louis_moments", "marginal_and_score", "conditional_terms", "_newton pass")
+FUNCTIONS = ("louis_moments", "conditional_terms", "_newton pass")
 
 
 def _median_call(fn, calls: int) -> float:
@@ -74,7 +74,6 @@ def _measure(tree: Path, seed: int) -> None:
             kernel = LoglikKernel(dataset, link)
             timed = {
                 "louis_moments": lambda: kernel.louis_moments(c, b, offsets, weights, features),
-                "marginal_and_score": lambda: kernel.marginal_and_score(c, b, offsets, weights),
                 "conditional_terms": lambda: kernel.conditional_terms(c, b, np.zeros((1, k1))),
             }
             for name, fn in timed.items():
@@ -91,7 +90,7 @@ def _measure(tree: Path, seed: int) -> None:
                 objective = estimation._Objective(kernel, param, order)
                 start = perf_counter()
                 estimation._newton(objective, theta0, param.bounds())
-                per_pass.append((perf_counter() - start) / max(1, objective.information_passes))
+                per_pass.append((perf_counter() - start) / max(1, objective.passes))
             line = {"size": size, "link": tag, "function": "_newton pass",
                     "seconds": statistics.median(per_pass[1:])}
             print(json.dumps(line))

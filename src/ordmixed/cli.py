@@ -90,7 +90,7 @@ def _order(args) -> int | None:
 
 
 def _fit_options(args) -> FitOptions:
-    return FitOptions(quadrature_order=_order(args), seed=getattr(args, "seed", None))
+    return FitOptions(quadrature_order=_order(args))
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -113,7 +113,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=None, help="quadrature order")
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    p.add_argument("--seed", type=int, default=None, help="seed for restart jitter")
 
 
 def _cmd_fit(args) -> str:

@@ -12,9 +12,10 @@ one at a single node. The chain rule maps them to the parameters, and the
 delta method the covariance to the reported scale. Each Newton step is
 capped, projected onto the box of the variance parameters and halved until
 the log-likelihood does not fall; proportional-odds proposals outside the
-feasible region evaluate to -inf and so are halved too. L-BFGS-B on the
-value and score, with jittered restarts, is the fallback when Newton gives
-up. The standard errors come from the information of the final pass.
+feasible region evaluate to -inf and so are halved too. Newton alone
+decides the fit: where it gives up, the fit reports its last accepted point,
+which the convergence test then judges like any other. The standard errors
+come from the information of that point's pass.
 Empirical-Bayes modes come from Newton steps on each link's closed-form
 score and curvature.
 """
@@ -27,7 +28,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
 from scipy.special import erfc, softmax
 
 from .likelihood import LoglikKernel
@@ -49,13 +49,11 @@ from .quadrature import (
 )
 
 Z_95 = 1.96
-_PENALTY = 1e10  # finite stand-in for -inf inside the line search
 _LOG_SIGMA_FLOOR = -12.0  # optimizer box, well below the sigma = 0 report threshold
 _LOG_SIGMA_ZERO = -8.0  # log sigma below this is reported as sigma = 0
 _ATANH_RHO_BOUND = 12.0
 _GRAD_TOL = 1e-4
-_MAX_ITERATIONS = 500  # L-BFGS-B iterations per attempt
-_NEWTON_ITERATIONS = 50  # Newton steps before the fit falls back to L-BFGS-B
+_NEWTON_ITERATIONS = 50  # Newton steps before the fit gives up, not converged
 _NEWTON_HALVINGS = 30  # halvings of one Newton step before the same
 _NEWTON_DECREMENT = 1e-10  # g' I^-1 g at which Newton stops
 _EIGEN_FLOOR = 1e-6  # |eigenvalue| floor of an indefinite information, relative to the largest
@@ -86,9 +84,8 @@ class FitOptions:
     ``quadrature_order`` of None picks 30 nodes for a univariate effect and
     12 per axis for a bivariate effect; a random effect needs at least 2.
     ``starting_values`` of the model's structure are the start, homogeneous
-    ones a random-effect model's fixed effects. ``seed`` feeds the jittered
-    restarts of the L-BFGS-B fallback, used when Newton gives up and
-    L-BFGS-B from the start does not converge.
+    ones a random-effect model's fixed effects. ``seed`` has no effect: the
+    fit draws no random numbers, and the field stays for callers that set it.
     """
 
     quadrature_order: int | None = None
@@ -110,13 +107,12 @@ class FitResult:
     95% interval is estimate +- 1.96 standard errors. A standard deviation
     on its bound (listed in ``diagnostics["boundary"]``) is reported as 0
     with NaN standard error, interval and p-value. ``n_evaluations``
-    counts every kernel pass that gave a value and a score: those of a
-    nested homogeneous start fit, if one ran, of Newton, of the L-BFGS-B
-    fallback and its convergence checks, and of the standard errors when
-    the final pass formed no information. ``diagnostics["information_passes"]``
-    counts those of them that also formed the information, and
-    ``diagnostics["optimizer_message"]`` names the method that decided the
-    estimate, Newton or L-BFGS-B.
+    counts every kernel pass, each of which gives the value, the score and
+    the information: those of a nested homogeneous start fit, if one ran,
+    and of Newton. ``diagnostics["information_passes"]`` repeats that count,
+    and ``diagnostics["optimizer_message"]`` names why Newton stopped. A fit
+    where Newton gave up reports the last point it accepted; ``converged``
+    is the same scaled-gradient test there, and is usually False.
     """
 
     estimates: ParameterVector
@@ -231,17 +227,15 @@ class _Pass(NamedTuple):
 
 
 class _Objective:
-    """Total log-likelihood of the unconstrained vector, with its score and,
-    from ``full``, its observed information.
+    """Total log-likelihood of the unconstrained vector, with its score and
+    its observed information from one kernel pass, ``full``.
 
     The node offsets are standardized nodes z (Q, dim) mapped through the
     random effect's loading A, z A', so one chain rule serves every
     structure; without a random effect they are a single node at 0 with
-    weight 1. Calling the objective gives ``(loglik, score)``. ``passes``
-    counts the kernel passes that gave a value and a score, of either kind,
-    and ``information_passes`` those of them that also formed the
-    information. A point whose standard deviation overflows the float range
-    is infeasible: its log-likelihood is -inf.
+    weight 1. ``passes`` counts the kernel passes. A point whose standard
+    deviation overflows the float range is infeasible: its log-likelihood
+    is -inf.
     """
 
     def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
@@ -250,7 +244,6 @@ class _Objective:
         self.nodes, self.weights = standard_tensor_grid(order, param.effect.dim)
         self._last = (None, None)
         self.passes = 0
-        self.information_passes = 0
         k1 = kernel.n_boundaries
         # the node features of the Louis pass: the derivatives of the boundary
         # predictors with respect to the intercepts and the linear predictor
@@ -280,20 +273,6 @@ class _Objective:
             self._last = (key, (offsets, first, second))
         return self._last[1]
 
-    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        c, b, tail = self.param.split(theta)
-        mapped = self._offsets(tail)
-        if mapped is None:
-            return -np.inf, np.zeros(theta.size)
-        offsets, derivatives, _ = mapped
-        self.passes += 1
-        r = self.kernel.marginal_and_score(c, b, offsets, self.weights)
-        variance = [np.sum(r.node_score * d) for d in derivatives]
-        score = np.concatenate(
-            [r.slot_score.sum(axis=0), self.kernel.x.T @ r.slot_score.sum(axis=1), variance]
-        )
-        return r.loglik, score
-
     def full(self, theta: np.ndarray) -> _Pass:
         """Log-likelihood, score and observed information at ``theta`` in
         one kernel pass. Without a random effect the fit has one node, where
@@ -303,7 +282,6 @@ class _Objective:
             return self._louis(theta)
         c, b, _ = self.param.split(theta)
         self.passes += 1
-        self.information_passes += 1
         t = self.kernel.conditional_terms(c, b, np.zeros((1, c.size)))
         # the coordinates (intercepts, linear predictor x'b), as in _louis
         k1 = c.size
@@ -315,11 +293,6 @@ class _Objective:
         hess[:, :k1, k1] = hess[:, k1, :k1] = t.curvature.sum(axis=2)
         hess[:, k1, k1] = hess[:, k1, :k1].sum(axis=1)
         return self._contract(float(t.loglik.sum()), score, hess)
-
-    def information(self, theta: np.ndarray) -> np.ndarray:
-        """Observed information, the negative Hessian of the log-likelihood,
-        at ``theta``, by Louis' identity in one kernel pass."""
-        return self._louis(theta).information
 
     def _louis(self, theta: np.ndarray) -> _Pass:
         """``full`` by Louis' identity: each cluster's Hessian is the
@@ -337,7 +310,6 @@ class _Objective:
             return _Pass(-np.inf, np.zeros(size), np.full((size, size), np.nan))
         offsets, derivatives, second = mapped
         self.passes += 1
-        self.information_passes += 1
         features = self._features
         for t, d in enumerate(derivatives):
             features[:, :, k1 + 1 + t] = d
@@ -369,33 +341,6 @@ class _Objective:
             [score[:, :k1].sum(axis=0), x.T @ score[:, k1], score[:, k1 + 1 :].sum(axis=0)]
         )
         return _Pass(loglik, gradient, -0.5 * (out + out.T))
-
-
-class _Minimand:
-    """The optimizer's view of an objective: negative log-likelihood and its
-    gradient.
-
-    A point where the log-likelihood or its score is not finite (an
-    infeasible proportional-odds proposal, say) returns _PENALTY with a
-    zero gradient. The last point is remembered by its bytes, so the
-    optimizer's first call at a start that was just screened, or a
-    convergence check at the last iterate, costs nothing.
-    """
-
-    def __init__(self, objective: Callable):
-        self.objective = objective
-        self._memo = None
-
-    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        if self._memo is None or key != self._memo[0]:
-            value, score = self.objective(theta)
-            if np.isfinite(value) and np.all(np.isfinite(score)):
-                self._memo = (key, -float(value), -score)
-            else:
-                self._memo = (key, _PENALTY, np.zeros(theta.size))
-        return self._memo[1], self._memo[2].copy()
 
 
 def _central_gradient(f: Callable, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -487,8 +432,8 @@ def _fit_impl(
     """Fit with the random-effect class ``effect`` and the covariates named
     in ``slope_names``: all of the dataset's (full model) or none (intercept
     model). ``kernel`` is that model's likelihood kernel when the caller
-    already built one. Damped Newton runs first; if it gives up, or its
-    optimum fails the convergence test, L-BFGS-B runs from the same start."""
+    already built one. Damped Newton decides the fit, and ``_convergence``
+    judges the point where it stopped."""
     param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
     order = opts.quadrature_order
     if order is None:
@@ -504,13 +449,8 @@ def _fit_impl(
     theta0, base = _starting_point(dataset, link, opts, param, slope_names, kernel)
 
     bounds = param.bounds()
-    optimum, failure = _newton(objective, theta0, bounds)
-    if optimum is not None:
-        converged, scaled_grad = _convergence(optimum, bounds)
-        if not converged:
-            optimum, failure = None, "stopped where the convergence test fails"
-    if optimum is None:
-        optimum, converged, scaled_grad = _lbfgsb(objective, theta0, bounds, opts.seed, failure)
+    optimum = _newton(objective, theta0, bounds)
+    converged, scaled_grad = _convergence(optimum, bounds)
     theta_hat = optimum.theta
 
     diagnostics: dict = {
@@ -525,11 +465,8 @@ def _fit_impl(
     se = np.full(param.size, np.nan)
     if opts.standard_errors:
         jac = param.delta_jacobian(theta_hat)
-        information = optimum.information
-        if information is None:
-            information = objective.full(theta_hat).information
         try:
-            cov_theta = _inverse_information(information)
+            cov_theta = _inverse_information(optimum.information)
         except CovarianceUnavailableError as err:
             if np.all(np.isfinite(err.information)):
                 cov_theta = _clipped_covariance(err.information)
@@ -539,9 +476,8 @@ def _fit_impl(
             diagnostics["information_eigenvalues"] = tuple(float(v) for v in err.eigenvalues)
         covariance = cov_theta * np.outer(jac, jac)
         se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    diagnostics["information_passes"] = objective.information_passes + (
-        base.diagnostics["information_passes"] if base else 0
-    )
+    n_evaluations = objective.passes + (base.n_evaluations if base else 0)
+    diagnostics["information_passes"] = n_evaluations
 
     values = param.reported(theta_hat)
     # a standard deviation on its bound is reported as 0; the delta method
@@ -570,7 +506,7 @@ def _fit_impl(
         loglik=optimum.loglik,
         converged=converged,
         iterations=optimum.iterations,
-        n_evaluations=objective.passes + (base.n_evaluations if base else 0),
+        n_evaluations=n_evaluations,
         p_values=p_values,
         ci_lower=values - Z_95 * se,
         ci_upper=values + Z_95 * se,
@@ -581,31 +517,29 @@ def _fit_impl(
 
 
 class _Optimum(NamedTuple):
-    """Where an optimizer stopped: the point, its log-likelihood and score,
-    the information of its last pass (None when the pass formed none), the
-    iterations and the stop message."""
+    """Where Newton stopped: the point, its log-likelihood, score and
+    information, the accepted steps and why it stopped."""
 
     theta: np.ndarray
     loglik: float
     score: np.ndarray
-    information: np.ndarray | None
+    information: np.ndarray
     iterations: int
     message: str
 
 
 def _convergence(optimum: _Optimum, bounds) -> tuple[bool, np.ndarray]:
-    """The fit's one convergence test, and the scaled gradient it reads: a
-    finite value, and |score_i| max(1, |theta_i|) / max(1, |loglik|) below
-    _GRAD_TOL on every coordinate off its bounds."""
+    """The fit's one convergence test, and the scaled gradient it reads:
+    |score_i| max(1, |theta_i|) / max(1, |loglik|) below _GRAD_TOL on every
+    coordinate off its bounds."""
     theta = optimum.theta
     scaled = np.abs(optimum.score) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(optimum.loglik))
     lower, upper = bounds
     at_bound = (theta <= lower + 1e-9) | (theta >= upper - 1e-9)
-    ok = optimum.loglik > -_PENALTY and bool(np.all(scaled[~at_bound] < _GRAD_TOL))
-    return ok, scaled
+    return bool(np.all(scaled[~at_bound] < _GRAD_TOL)), scaled
 
 
-def _newton(objective: _Objective, theta: np.ndarray, bounds) -> tuple[_Optimum | None, str | None]:
+def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
     """Damped projected Newton-Raphson ascent on the observed information.
 
     Each iteration solves on the free coordinates, those not held on a
@@ -625,10 +559,11 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> tuple[_Optimum 
     decrement g' I^-1 g is below _NEWTON_DECREMENT with a positive-definite
     information, or, with a semidefinite one, when the decrement on its
     identified eigen-directions is below it and the score along the
-    near-null ones passes the convergence test. Returns the optimum and
-    None, or None and why Newton gave up: a value, score or information
-    that is not finite, the halvings exhausted, or the iteration cap
-    reached.
+    near-null ones passes the convergence test. Otherwise it gives up: at a
+    step whose score or information is not finite, with the halvings
+    exhausted, or at the iteration cap. Returns the last accepted point with
+    the pass that evaluated it, and a message that names why Newton
+    stopped. A start whose pass is not finite raises ValueError.
     """
     lower, upper = bounds
     at_lower, at_upper = lower + 1e-9, upper - 1e-9
@@ -636,23 +571,26 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> tuple[_Optimum 
     try_floor = True
     current = objective.full(theta)
     if not current.finite():
-        return None, "met a non-finite value at the start"
-    for iteration in range(_NEWTON_ITERATIONS):
+        raise ValueError(
+            "no feasible starting point: the log-likelihood, its score or its "
+            "information is not finite at the starting values"
+        )
+    accepted, stop = 0, f"reached {_NEWTON_ITERATIONS} iterations"
+    while accepted < _NEWTON_ITERATIONS:
         g = current.score
         free = ~(((theta <= at_lower) & (g <= 0.0)) | ((theta >= at_upper) & (g >= 0.0)))
         direction, decrement, null_score = _ascent_direction(
             g[free], current.information[free][:, free]
         )
         if decrement is not None and decrement < _NEWTON_DECREMENT:
-            message = f"Newton: decrement below {_NEWTON_DECREMENT:g}"
-            if null_score is not None:
-                message += " on the identified directions"
-                # the convergence test's scaling, on the near-null directions
-                scaled = np.abs(null_score) * np.maximum(1.0, np.abs(theta[free]))
-                if not np.all(scaled < _GRAD_TOL * max(1.0, abs(current.loglik))):
-                    message = None
-            if message:
-                return _Optimum(theta, current.loglik, g, current.information, iteration, message), None
+            if null_score is None:
+                stop = f"decrement below {_NEWTON_DECREMENT:g}"
+                break
+            # the convergence test's scaling, on the near-null directions
+            scaled = np.abs(null_score) * np.maximum(1.0, np.abs(theta[free]))
+            if np.all(scaled < _GRAD_TOL * max(1.0, abs(current.loglik))):
+                stop = f"decrement below {_NEWTON_DECREMENT:g} on the identified directions"
+                break
         step = np.zeros(theta.size)
         step[free] = direction / max(1.0, np.abs(direction).max())
         floored = log_sd & (step < 0.0)
@@ -674,11 +612,15 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> tuple[_Optimum 
                     break
                 step *= 0.5
             else:
-                return None, f"exhausted {_NEWTON_HALVINGS} step halvings"
+                stop = f"exhausted {_NEWTON_HALVINGS} step halvings"
+                break
         if not trial.finite():
-            return None, "met a non-finite score or information"
+            stop = "met a non-finite score or information"
+            break
         theta, current = candidate, trial
-    return None, f"reached {_NEWTON_ITERATIONS} iterations"
+        accepted += 1
+    message = f"Newton: {stop}"
+    return _Optimum(theta, current.loglik, current.score, current.information, accepted, message)
 
 
 def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, float | None, np.ndarray | None]:
@@ -704,47 +646,6 @@ def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, floa
     identified = eigval > floor
     decrement = float(np.sum(projected[identified] ** 2 / eigval[identified]))
     return direction, decrement, eigvec[:, ~identified] @ projected[~identified]
-
-
-def _lbfgsb(objective: _Objective, theta0: np.ndarray, bounds, seed, failure: str):
-    """The fallback: L-BFGS-B from ``theta0`` and, if it does not converge,
-    from three jittered restarts, keeping the lowest value. Returns the
-    optimum, whether it converged, and its scaled gradient; its message
-    names ``failure``, why Newton gave up."""
-    negloglik = _Minimand(objective)
-    rng = np.random.default_rng(np.random.SeedSequence(0 if seed is None else seed))
-    best = None
-    for attempt in range(4):
-        start = theta0 if attempt == 0 else theta0 + 0.3 * rng.standard_normal(theta0.size)
-        if negloglik(start)[0] >= _PENALTY:
-            continue
-        res = minimize(
-            negloglik,
-            start,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=list(zip(*bounds)),
-            options=dict(
-                maxiter=_MAX_ITERATIONS,
-                ftol=1e-13,
-                gtol=1e-7,
-                maxcor=25,
-                maxls=60,
-            ),
-        )
-        message = f"L-BFGS-B after Newton {failure}: {res.message}"
-        optimum = _Optimum(res.x, -float(res.fun), -negloglik(res.x)[1], None, int(res.nit), message)
-        ok, scaled_grad = _convergence(optimum, bounds)
-        if ok or best is None or res.fun < -best[0].loglik:
-            best = (optimum, ok, scaled_grad)
-        if ok:
-            break
-    if best is None:
-        raise ValueError(
-            "no feasible starting point: the log-likelihood is -inf at the "
-            "supplied starting values and at every jittered restart"
-        )
-    return best
 
 
 def _starting_point(
@@ -791,7 +692,7 @@ def fit(
 
     Random-effect fits start at a homogeneous fit's fixed effects, with the
     standard deviations at 0.5 and the correlation at 0. Non-convergence
-    after the jittered restarts is reported in the result, not raised.
+    is reported in the result, not raised.
     """
     effect = _validate_data(dataset, re_structure)
     return _fit_impl(dataset, link, effect, opts, dataset.slope_names())

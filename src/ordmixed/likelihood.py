@@ -8,12 +8,12 @@ Infeasible proportional-odds proposals contribute zero mass at the offending
 nodes and -inf when no node is feasible.
 
 The score of the marginal log-likelihood is the posterior-weighted average
-of the conditional score over the nodes (the Fisher identity), so one pass
-over the node arrays yields the value and the score together. Its Hessian is
-the posterior mean of the conditional Hessian plus the posterior covariance
-of the conditional score (Louis' identity), so a second pass, which also
-evaluates each link's closed-form curvature, yields the observed
-information.
+of the conditional score over the nodes (the Fisher identity). Its Hessian
+is the posterior mean of the conditional Hessian plus the posterior
+covariance of the conditional score (Louis' identity), so one pass over the
+node arrays, ``louis_moments``, which also evaluates each link's
+closed-form curvature, yields the value, the score and the observed
+information together.
 
 ``LoglikKernel`` lays the predictors out slot-major: an array of shape
 (K-1, n, Q) whose leading axis is the category boundary, so each boundary
@@ -107,21 +107,6 @@ def conditional_cluster_loglik(cluster: Cluster, probs: np.ndarray) -> float:
     return multinomial_log_coefficient(cluster.counts) + float(terms.sum())
 
 
-class MarginalScore(NamedTuple):
-    """Summed marginal log-likelihood and its score per predictor slot.
-
-    ``slot_score`` (n, K-1) is the posterior average of each cluster's
-    conditional score with respect to its boundary predictors;
-    ``node_score`` (Q, K-1) is the same posterior-weighted score summed over
-    clusters at each node, which the chain rule through the node offsets
-    needs.
-    """
-
-    loglik: float
-    slot_score: np.ndarray
-    node_score: np.ndarray
-
-
 class LouisMoments(NamedTuple):
     """The posterior moments of one marginal pass that Louis' identity needs.
 
@@ -133,8 +118,10 @@ class LouisMoments(NamedTuple):
     M_q' (H + g g') M_q; the Hessian of the cluster's marginal log-likelihood
     in those coordinates is ``second`` minus the outer product of ``mean``,
     plus the score times any second derivatives of the predictors, for
-    which ``node_score`` (Q, K-1), as in ``MarginalScore``, suffices when
-    those derivatives depend on the node alone.
+    which ``node_score`` (Q, K-1), the posterior-weighted score g summed
+    over clusters at each node, suffices when those derivatives depend on
+    the node alone. With identity features, ``mean`` is each cluster's
+    score with respect to its boundary predictors.
     """
 
     loglik: float
@@ -178,7 +165,7 @@ class LoglikKernel:
     Precomputes the counts, stored slot-major as (K, n, 1) so that each
     category's counts broadcast against an (n, Q) predictor plane, and the
     multinomial coefficients once; the estimation layer then calls
-    ``marginal_and_score`` thousands of times with different parameter
+    ``louis_moments`` thousands of times with different parameter
     proposals. ``covariates`` replaces the dataset's covariate matrix by
     another with the same rows, such as a subset of its columns.
 
@@ -227,12 +214,12 @@ class LoglikKernel:
             )
         return self._workspaces[n_nodes]
 
-    def _blocks(self, intercepts, slopes, offsets, derivatives: int = 0):
+    def _blocks(self, intercepts, slopes, offsets, derivatives: bool = False):
         """Evaluate the link block by block in the workspace planes, at
         offsets that broadcast against (n, Q, K-1); per-cluster ones are cut
         to each block's rows. Yields, per row block, its first and end rows,
-        the ``SlotTerms`` (with the score when ``derivatives`` is 1 or more,
-        the curvature when it is 2, and ``logp`` spent), the node
+        the ``SlotTerms`` (with the score and curvature when ``derivatives``
+        is set, and ``logp`` spent), the node
         log-likelihoods without the multinomial constant and the
         infeasibility mask (None when every node is feasible); all of them
         live in the workspace and are overwritten by the next block or call.
@@ -246,9 +233,7 @@ class LoglikKernel:
             d = ws.predictors[:, : hi - lo]
             np.add(base[:, lo:hi, None], offsets[:, lo:hi] if per_cluster else offsets, out=d)
             counts = self._counts[:, lo:hi]
-            terms = slot_terms(
-                self.link, d, counts if derivatives else None, ws.planes, derivatives > 1
-            )
+            terms = slot_terms(self.link, d, counts if derivatives else None, ws.planes, derivatives)
             ll, infeasible = self._count_loglik(terms, counts, empty, ws.planes)
             yield lo, hi, terms, ll, infeasible
 
@@ -295,7 +280,7 @@ class LoglikKernel:
         loglik, score = np.empty(n), np.empty((n, k1))
         curvature = np.zeros((n, k1, k1))
         k, l = self._pairs
-        for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, derivatives=2):
+        for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, derivatives=True):
             np.add(ll[:, 0], self.log_coef[lo:hi], out=loglik[lo:hi])
             score[lo:hi] = terms.score[:, :, 0].T
             block = curvature[lo:hi]
@@ -316,7 +301,7 @@ class LoglikKernel:
         np.add(np.log(total), m[:, 0], out=out)
         return mass, total
 
-    def _integrated(self, out, intercepts, slopes, offsets, weights, derivatives: int = 0):
+    def _integrated(self, out, intercepts, slopes, offsets, weights, derivatives: bool = False):
         """``_blocks`` integrated over the nodes: writes the log-marginal
         without the multinomial constant to ``out``, and yields per block
         its rows, the ``SlotTerms`` with score and curvature zero at
@@ -326,8 +311,7 @@ class LoglikKernel:
             mass, total = self._integrate(ll, weights, out[lo:hi])
             if infeasible is not None and derivatives:
                 np.copyto(terms.score, 0.0, where=infeasible)
-                if terms.curvature is not None:
-                    np.copyto(terms.curvature, 0.0, where=infeasible)
+                np.copyto(terms.curvature, 0.0, where=infeasible)
             yield lo, hi, terms, mass, total
 
     @_expected_float_errors
@@ -340,35 +324,6 @@ class LoglikKernel:
         for _ in self._integrated(out, intercepts, slopes, offsets, weights):
             pass
         return out + self.log_coef
-
-    @_expected_float_errors
-    def marginal_and_score(self, intercepts, slopes, offsets, weights) -> MarginalScore:
-        """Summed marginal log-likelihood with the node-averaged score per
-        slot, in one pass over the node arrays.
-
-        Takes the arguments of ``marginal``. The score with respect to any
-        parameter follows by the chain rule: intercept k from column k of
-        ``slot_score`` summed over clusters, slopes from X' times its row
-        sums, node-offset parameters from ``node_score``. Infeasible nodes
-        get zero posterior weight and contribute nothing to the score.
-        """
-        weights = np.asarray(weights, dtype=float)
-        n = self.x.shape[0]
-        out, slot_score = np.empty(n), np.empty((n, self.n_boundaries))
-        node_score = np.empty((weights.size, self.n_boundaries))
-        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=1)
-        for lo, hi, terms, mass, total in blocks:
-            # a cluster with no feasible node has total 0 and a -inf loglik
-            inverse_total = 1.0 / total
-            weighted = np.multiply(terms.score, mass, out=terms.score)
-            # posterior-weighted sums over nodes and over clusters, as
-            # matrix-vector products instead of reductions over short axes
-            np.multiply(weighted @ weights, inverse_total, out=slot_score[lo:hi].T)
-            node = (weights * (inverse_total @ weighted)).T
-            # the first block sets the sums over clusters, later ones add
-            node_score[:] = node_score + node if lo else node
-        loglik = float((out + self.log_coef).sum())
-        return MarginalScore(loglik, slot_score, node_score)
 
     @_expected_float_errors
     def louis_moments(self, intercepts, slopes, offsets, weights, features) -> LouisMoments:
@@ -393,7 +348,7 @@ class LoglikKernel:
         out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
         node_score = np.zeros((n_nodes, k1))
         work = self._workspace(n_nodes).planes
-        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=2)
+        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=True)
         for lo, hi, terms, mass, total in blocks:
             posterior = np.divide(weights[None, :], total[:, None], out=work.take())
             posterior *= mass

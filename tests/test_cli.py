@@ -235,3 +235,11 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ArgumentError:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "gof"])
+    def test_fit_commands_take_no_seed(self, capsys, command):
+        # a fit draws no random numbers, so only the study commands take a seed
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--link", "po", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

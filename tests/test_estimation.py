@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import ordmixed
 from ordmixed import (
     Cluster,
     CovarianceUnavailableError,
@@ -21,14 +27,14 @@ from ordmixed import estimation
 from ordmixed.estimation import (
     _ATANH_RHO_BOUND,
     _LOG_SIGMA_ZERO,
-    _PENALTY,
     _central_gradient,
     _clipped_covariance,
     _information,
-    _Minimand,
+    _inverse_information,
     _newton_step,
     _Objective,
     _Parameterization,
+    _starting_point,
 )
 from ordmixed.likelihood import LoglikKernel
 from ordmixed.model import (
@@ -60,6 +66,14 @@ def strawberry():
 @pytest.fixture(scope="module")
 def po_univariate(strawberry):
     return fit(strawberry, PO, "univariate")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the fit is Newton's alone, so importing the library needs no optimizer
+    code = "import sys, ordmixed; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ordmixed.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 class TestNumericalCovariance:
@@ -146,46 +160,15 @@ class TestFit:
         assert one.converged
         assert one.loglik == fit(strawberry, PO, "none").loglik
 
-    def test_restarts_when_no_attempt_converges(self, strawberry, monkeypatch):
-        attempts, calls = [], []
-        original = LoglikKernel.marginal_and_score
-        conditional = LoglikKernel.conditional_terms
-
-        def recorded(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            attempts.append(res.fun)
-            return res
-
-        def counted(self, *args):
-            calls.append(1)
-            return original(self, *args)
-
-        def not_finite(self, *args):
-            # Newton's one-node pass, made non-finite, sends the fit to L-BFGS-B
-            calls.append(1)
-            terms = conditional(self, *args)
-            return terms._replace(loglik=np.full_like(terms.loglik, np.nan))
-
-        monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
-        monkeypatch.setattr(estimation, "minimize", recorded)
-        monkeypatch.setattr(LoglikKernel, "marginal_and_score", counted)
-        monkeypatch.setattr(LoglikKernel, "conditional_terms", not_finite)
-        results = []
-        for seed in (0, 0, 1):
-            attempts.clear()
-            calls.clear()
-            result = fit(strawberry, PO, "none", FitOptions(standard_errors=False, seed=seed))
-            assert result.diagnostics["optimizer_message"].startswith(
-                "L-BFGS-B after Newton met a non-finite value"
-            )
-            assert not result.converged
-            assert len(attempts) == 4
-            assert result.n_evaluations == len(calls)
-            assert result.loglik == -min(attempts)
-            results.append(result)
-        np.testing.assert_array_equal(results[0].values, results[1].values)
-        assert results[0].loglik == results[1].loglik
-        assert results[0].loglik != results[2].loglik
+    def test_clusters_of_one_observation_do_not_converge(self):
+        # a runaway sigma: the log-likelihood keeps rising as sigma grows
+        design = SimulationDesign(
+            PO, study_true_parameters(0.0), fits=((PO, "none"),), cluster_size=1,
+            replications=10, seed=0,
+        )
+        result = fit(generate_dataset(design, 0), PO, "univariate")
+        assert not result.converged
+        assert result.diagnostics["optimizer_message"].startswith("Newton: reached")
 
     def test_gradient_small_at_optimum(self, strawberry, po_univariate):
         param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
@@ -274,8 +257,8 @@ class TestFit:
         bad = ParameterVector(
             fixed=FixedEffects(intercepts=[2.0, -2.0], slopes=np.zeros(8)),
         )
-        opts = FitOptions(starting_values=bad, standard_errors=False, seed=1)
-        with pytest.raises(ValueError, match="feasible starting point"):
+        opts = FitOptions(starting_values=bad, standard_errors=False)
+        with pytest.raises(ValueError, match="no feasible starting point"):
             fit(strawberry, PO, "none", opts)
 
     def test_explicit_starting_values_are_honored(self, strawberry, po_univariate):
@@ -349,7 +332,7 @@ class TestAnalyticScore:
         rng = np.random.default_rng([3, len(names), RE_STRUCTURES.index(structure)])
         for edge in (False, False, False, True):
             theta = _random_theta(rng, param, edge)
-            loglik, score = objective(theta)
+            loglik, score, _ = objective.full(theta)
             assert loglik == pytest.approx(value(theta), rel=1e-12)
             oracle = _central_gradient(value, theta)
             # relative to the largest component: near sigma = 0 the
@@ -357,46 +340,58 @@ class TestAnalyticScore:
             assert np.max(np.abs(score - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
 
     @pytest.mark.parametrize("structure", ["none", "univariate"])
-    def test_decreasing_po_cutpoints_return_penalty(self, strawberry, structure):
+    def test_decreasing_po_cutpoints_are_infeasible(self, strawberry, structure):
         param = _Parameterization(2, strawberry.slope_names(), RANDOM_EFFECTS[structure])
-        minimand = _Minimand(_Objective(LoglikKernel(strawberry, PO), param, 30))
+        objective = _Objective(LoglikKernel(strawberry, PO), param, 30)
         theta = np.concatenate([[1.0, -1.0], np.zeros(param.n_slopes), [0.0] * param.n_variance])
-        value, gradient = minimand(theta)
-        assert value == _PENALTY
-        np.testing.assert_array_equal(gradient, np.zeros(param.size))
+        one = objective.full(theta)
+        assert one.loglik == -np.inf and not one.finite()
+        opts = FitOptions(starting_values=param.unpack(theta))
+        with pytest.raises(ValueError, match="no feasible starting point"):
+            fit(strawberry, PO, structure, opts)
 
-    @pytest.mark.parametrize("newton_iterations", [50, 0], ids=["newton", "fallback"])
+    @pytest.mark.parametrize("newton_iterations", [50, 1], ids=["newton", "give-up"])
     @pytest.mark.parametrize("structure", ["none", "univariate"])
     def test_n_evaluations_counts_every_score_call(
         self, strawberry, monkeypatch, structure, newton_iterations
     ):
-        calls = {"score": [], "information": []}
-
-        def counted(method, kind):
+        calls, passes = [], []
+        for method in ("louis_moments", "conditional_terms"):
             original = getattr(LoglikKernel, method)
 
-            def wrapper(self, *args):
-                calls[kind].append(method)
-                return original(self, *args)
+            def counted(self, *args, _original=original):
+                calls.append(method)
+                return _original(self, *args)
 
-            monkeypatch.setattr(LoglikKernel, method, wrapper)
+            monkeypatch.setattr(LoglikKernel, method, counted)
+        full = _Objective.full
 
-        counted("marginal_and_score", "score")
-        counted("louis_moments", "information")
-        counted("conditional_terms", "information")
-        # no Newton iteration sends every fit, the nested start fit too, to
-        # L-BFGS-B, whose standard errors then take one more information pass
+        def recorded(self, theta):
+            passes.append((theta, full(self, theta)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(_Objective, "full", recorded)
+        # one Newton step is too few for any strawberry fit, the nested
+        # homogeneous start fit too
         monkeypatch.setattr(estimation, "_NEWTON_ITERATIONS", newton_iterations)
         result = fit(strawberry, PO, structure)
-        assert result.n_evaluations == len(calls["score"]) + len(calls["information"])
-        assert result.diagnostics["information_passes"] == len(calls["information"])
-        assert result.converged
-        if newton_iterations:
-            assert result.diagnostics["optimizer_message"].startswith("Newton")
-            assert calls["score"] == []
+        assert result.n_evaluations == len(calls) == len(passes)
+        assert result.diagnostics["information_passes"] == len(calls)
+        message = result.diagnostics["optimizer_message"]
+        if newton_iterations == 1:
+            assert not result.converged and result.iterations == 1
+            assert message == "Newton: reached 1 iterations"
         else:
-            assert result.diagnostics["optimizer_message"].startswith("L-BFGS-B after Newton reached 0")
-            assert len(calls["score"]) > 2 * result.n_parameters
+            assert result.converged and message.startswith("Newton: decrement")
+        # the estimate is the point of the last pass, whose information
+        # gives the standard errors
+        theta, last = passes[-1]
+        param = _Parameterization(2, strawberry.slope_names(), RANDOM_EFFECTS[structure])
+        np.testing.assert_array_equal(result.values, param.reported(theta))
+        assert result.loglik == last.loglik
+        jac = param.delta_jacobian(theta)
+        expected = np.sqrt(np.diag(_inverse_information(last.information)) * jac**2)
+        np.testing.assert_array_equal(result.se, expected)
 
     @pytest.mark.parametrize("model", ["full", "intercept"])
     @pytest.mark.parametrize("structure", RE_STRUCTURES)
@@ -411,8 +406,8 @@ class TestAnalyticScore:
         rng = np.random.default_rng([3, len(names), RE_STRUCTURES.index(structure)])
         for edge in (False, False, False, True):
             theta = _random_theta(rng, param, edge)
-            oracle = _information(lambda t: objective(t)[1], theta)
-            info = objective.information(theta)
+            oracle = _information(lambda t: objective.full(t).score, theta)
+            info = objective.full(theta).information
             assert np.max(np.abs(info - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
     def test_standard_errors_match_differenced_values(self, strawberry, po_univariate):
@@ -434,44 +429,49 @@ class TestAnalyticScore:
         for _ in range(3):
             theta = _random_theta(rng, param)
             one = objective.full(theta)
-            loglik, score = objective(theta)
-            info = objective.information(theta)
+            loglik, score, info = objective._louis(theta)
             assert one.loglik == pytest.approx(loglik, rel=1e-14)
             np.testing.assert_allclose(one.score, score, rtol=0, atol=1e-10 * np.abs(score).max())
             np.testing.assert_allclose(one.information, info, rtol=0, atol=1e-10 * np.abs(info).max())
 
-    def test_overflowing_standard_deviation_returns_penalty(self, strawberry):
+    def test_overflowing_standard_deviation_is_infeasible(self, strawberry):
         param = _Parameterization(2, strawberry.slope_names(), UnivariateRandomEffect)
         objective = _Objective(LoglikKernel(strawberry, PO), param, 30)
         theta = np.concatenate([[-1.0, 1.0], np.zeros(param.n_slopes), [800.0]])
-        value, gradient = _Minimand(objective)(theta)
-        assert value == _PENALTY
-        np.testing.assert_array_equal(gradient, np.zeros(param.size))
-        assert not objective.full(theta).finite()
+        one = objective.full(theta)
+        assert one.loglik == -np.inf and not one.finite()
+        np.testing.assert_array_equal(one.score, np.zeros(param.size))
         assert objective.passes == 0
 
 
 class TestNewton:
-    def test_strawberry_fits_match_the_fallback(self, strawberry, monkeypatch):
-        def strawberry_fits():
-            return {
-                (link, structure, fitter.__name__): fitter(strawberry, link, structure)
-                for link in LinkFamily
-                for structure in RE_STRUCTURES
-                for fitter in (fit, fit_intercept_model)
-            }
+    @pytest.mark.parametrize("model", ["full", "intercept"])
+    @pytest.mark.parametrize("structure", RE_STRUCTURES)
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_strawberry_fits_match_lbfgsb(self, strawberry, link, structure, model):
+        """Newton decides each strawberry fit, at the maximum that L-BFGS-B
+        finds from the same start on the same log-likelihood and score."""
+        names = strawberry.slope_names() if model == "full" else ()
+        newton = (fit if model == "full" else fit_intercept_model)(strawberry, link, structure)
+        param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
+        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
+        theta0, _ = _starting_point(strawberry, link, FitOptions(), param, names, kernel)
 
-        by_newton = strawberry_fits()
-        # with no Newton iteration every fit falls back to L-BFGS-B
-        monkeypatch.setattr(estimation, "_NEWTON_ITERATIONS", 0)
-        for key, lbfgsb in strawberry_fits().items():
-            newton = by_newton[key]
-            assert newton.diagnostics["optimizer_message"].startswith("Newton"), key
-            assert lbfgsb.diagnostics["optimizer_message"].startswith("L-BFGS-B"), key
-            assert newton.converged and lbfgsb.converged, key
-            assert newton.loglik == pytest.approx(lbfgsb.loglik, abs=1e-8), key
-            np.testing.assert_allclose(newton.values, lbfgsb.values, rtol=0, atol=1e-5, err_msg=str(key))
-            np.testing.assert_allclose(newton.se, lbfgsb.se, rtol=0, atol=1e-5, err_msg=str(key))
+        def negative(theta):
+            one = objective.full(theta)
+            return (-one.loglik, -one.score) if one.finite() else (1e10, np.zeros(theta.size))
+
+        options = dict(maxiter=500, ftol=1e-13, gtol=1e-7, maxcor=25, maxls=60)
+        res = minimize(negative, theta0, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(*param.bounds())), options=options)
+        assert newton.converged
+        assert newton.diagnostics["optimizer_message"].startswith("Newton: decrement")
+        assert newton.loglik == pytest.approx(-res.fun, abs=1e-8)
+        np.testing.assert_allclose(newton.values, param.reported(res.x), rtol=0, atol=1e-5)
+        jac = param.delta_jacobian(res.x)
+        se = np.sqrt(np.diag(_inverse_information(objective.full(res.x).information)) * jac**2)
+        np.testing.assert_allclose(newton.se, se, rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
     def test_sigma_zero_data_reports_its_boundary_under_newton(self, structure):

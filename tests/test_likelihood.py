@@ -193,7 +193,16 @@ def _posterior(kernel, intercepts, slopes, node_offsets, weights):
     return mass / mass.sum(axis=1, keepdims=True)
 
 
-class TestMarginalAndScore:
+def _slot_score(kernel, intercepts, slopes, offsets, weights):
+    """``louis_moments`` with identity node features, whose ``mean`` (n, K-1)
+    is each cluster's posterior-averaged score with respect to its boundary
+    predictors."""
+    k1 = kernel.n_boundaries
+    features = np.broadcast_to(np.eye(k1), (len(weights), k1, k1))
+    return kernel.louis_moments(intercepts, slopes, offsets, weights, features)
+
+
+class TestPosteriorScore:
     @pytest.fixture(scope="class")
     def kernel(self):
         rng = np.random.default_rng(5)
@@ -207,16 +216,17 @@ class TestMarginalAndScore:
         rule = gauss_hermite(15)
         offsets = 1.2 * rule.nodes[:, None]
         args = (np.array([-0.8, 0.6]), np.array([0.3, -0.2]), offsets, rule.weights)
-        r = kernel.marginal_and_score(*args)
+        r = _slot_score(kernel, *args)
         assert r.loglik == float(kernel.marginal(*args).sum())
         np.testing.assert_allclose(_posterior(kernel, *args).sum(axis=1), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(r.slot_score.sum(axis=0), r.node_score.sum(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(r.mean.sum(axis=0), r.node_score.sum(axis=0), rtol=1e-10)
 
     def test_one_node_at_zero_is_the_conditional(self, kernel):
         c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
-        r = kernel.marginal_and_score(c, b, np.zeros((1, 2)), np.ones(1))
-        conditional = kernel.conditional_at(c, b, np.zeros((12, 2)))
-        assert r.loglik == pytest.approx(float(conditional.sum()), rel=1e-14)
+        r = _slot_score(kernel, c, b, np.zeros((1, 2)), np.ones(1))
+        conditional = kernel.conditional_terms(c, b, np.zeros((12, 2)))
+        assert r.loglik == pytest.approx(float(conditional.loglik.sum()), rel=1e-14)
+        np.testing.assert_allclose(r.mean, conditional.score, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(
             _posterior(kernel, c, b, np.zeros((1, 2)), np.ones(1)), np.ones((12, 1))
         )
@@ -235,12 +245,13 @@ class TestMarginalAndScore:
         c = np.array([-0.8, 0.6])
         infeasible = np.diff(c + offsets, axis=1)[:, 0] < 0
         weights = np.full(offsets.shape[0], 1.0 / offsets.shape[0])
-        r = kernel.marginal_and_score(c, np.array([0.3, -0.2]), offsets, weights)
+        r = _slot_score(kernel, c, np.array([0.3, -0.2]), offsets, weights)
         posterior = _posterior(kernel, c, np.array([0.3, -0.2]), offsets, weights)
         assert np.isfinite(r.loglik)
         np.testing.assert_array_equal(posterior[:, infeasible], 0.0)
         assert np.all(posterior[:, ~infeasible] > 0.0)
-        assert np.all(np.isfinite(r.slot_score)) and np.all(np.isfinite(r.node_score))
+        for moment in (r.mean, r.second, r.node_score):
+            assert np.all(np.isfinite(moment))
         np.testing.assert_array_equal(r.node_score[infeasible], 0.0)
 
 
@@ -287,9 +298,9 @@ class TestSlotMajorKernel:
             offsets, weights = rng.normal(scale=0.8, size=(11, 2)), np.full(11, 1.0 / 11)
         ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
         np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
-        r = kernel.marginal_and_score(c, b, offsets, weights)
+        r = _slot_score(kernel, c, b, offsets, weights)
         assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
-        np.testing.assert_allclose(r.slot_score, slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(r.node_score, node, rtol=1e-12, atol=1e-12)
 
     def test_equal_po_predictors(self):
@@ -361,7 +372,6 @@ class TestWorkspace:
             nodes = scale * rule.nodes
             offsets = nodes[:, None]
             calls += [
-                ("marginal_and_score", (c, b, offsets, rule.weights)),
                 ("louis_moments", (c, b, offsets, rule.weights, _features(nodes))),
                 ("node_logliks", (c, b, offsets)),
                 ("conditional_at", (c, b, eb_offsets)),
@@ -400,11 +410,11 @@ class TestWorkspace:
         rule = gauss_hermite(30)
         args = (np.array([-0.6, 0.4]), np.full(large.n_covariates, 0.1),
                 1.2 * rule.nodes[:, None], rule.weights)
-        kernel.marginal_and_score(*args)
+        _slot_score(kernel, *args)
         plane = 8 * large.n_clusters * rule.order
         tracemalloc.start()
         try:
-            kernel.marginal_and_score(*args)
+            _slot_score(kernel, *args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -425,18 +435,13 @@ class TestWorkspace:
         features = _features(np.linspace(-1.0, 1.0, len(weights)))
         eb = np.random.default_rng(4).normal(size=(ds.n_clusters, 2))
         whole = LoglikKernel(ds, link)
-        one = whole.marginal_and_score(c, b, offsets, weights)
         one_posterior = _posterior(whole, c, b, offsets, weights)
         one_moments = whole.louis_moments(c, b, offsets, weights, features)
         one_terms = whole.conditional_terms(c, b, eb)
         monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9 * len(weights))
         kernel = LoglikKernel(ds, link)
-        blocked = kernel.marginal_and_score(c, b, offsets, weights)
-        assert len(kernel._workspace(len(weights)).blocks) == 6
         np.testing.assert_array_equal(_posterior(kernel, c, b, offsets, weights), one_posterior)
-        np.testing.assert_array_equal(blocked.slot_score, one.slot_score)
-        assert blocked.loglik == pytest.approx(one.loglik, rel=1e-12)
-        np.testing.assert_allclose(blocked.node_score, one.node_score, rtol=1e-12, atol=1e-12)
+        assert len(kernel._workspace(len(weights)).blocks) == 6
         np.testing.assert_array_equal(
             kernel.node_logliks(c, b, offsets), LoglikKernel(ds, link).node_logliks(c, b, offsets)
         )
@@ -461,7 +466,6 @@ class TestPerClusterNodeOffsets:
         return [
             kernel.node_logliks(c, b, offsets),
             kernel.marginal(c, b, offsets, weights),
-            *kernel.marginal_and_score(c, b, offsets, weights),
             *kernel.louis_moments(c, b, offsets, weights, features),
         ]
 
@@ -489,10 +493,10 @@ class TestPerClusterNodeOffsets:
         offsets = shared + rng.normal(scale=0.4, size=(ds.n_clusters, *shared.shape))
         ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
         np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
-        r = kernel.marginal_and_score(c, b, offsets, weights)
+        r = _slot_score(kernel, c, b, offsets, weights)
         assert np.isfinite(r.loglik)
         assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
-        np.testing.assert_allclose(r.slot_score, slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(r.node_score, node, rtol=1e-12, atol=1e-12)
         moments = kernel.louis_moments(c, b, offsets, weights, features)
         assert moments.loglik == pytest.approx(r.loglik, rel=1e-14)
@@ -521,16 +525,17 @@ class TestOtherCategoryCounts:
 
     @staticmethod
     def _score(kernel, c, b, nodes, weights, point):
-        """The summed ``marginal`` and the score of ``marginal_and_score`` in
-        the coordinates (intercepts, a shift of every predictor, the
-        effect's scale) at ``point``."""
+        """The summed ``marginal`` and, by the chain rule from the slot and
+        node scores of ``_slot_score``, the score in the coordinates
+        (intercepts, a shift of every predictor, the effect's scale) at
+        ``point``."""
         k1 = c.size
         shift, scale = point[k1], point[k1 + 1]
         offsets = np.repeat(scale * nodes[:, None] + shift, k1, axis=1)
-        r = kernel.marginal_and_score(point[:k1], b, offsets, weights)
+        r = _slot_score(kernel, point[:k1], b, offsets, weights)
         loglik = float(kernel.marginal(point[:k1], b, offsets, weights).sum())
         assert r.loglik == pytest.approx(loglik, rel=1e-14)
-        return loglik, np.r_[r.slot_score.sum(axis=0), r.slot_score.sum(), nodes @ r.node_score.sum(axis=1)]
+        return loglik, np.r_[r.mean.sum(axis=0), r.mean.sum(), nodes @ r.node_score.sum(axis=1)]
 
     @pytest.mark.parametrize("link", list(LinkFamily))
     @pytest.mark.parametrize("k", [2, 4, 5])
