@@ -11,7 +11,8 @@ records every fit the workloads ask for (not the nested homogeneous start
 fits inside them). The report lists, per workload, the largest
 differences in log-likelihood, estimates and standard errors, every fit
 whose log-likelihood differs by more than ``--tolerance``, every changed
-``converged`` flag, a tally of each side's optimizer messages, and the
+``converged`` flag, every fit whose ``n_evaluations`` or optimizer message
+changed, a tally of each side's optimizer messages, and the
 mean ``n_evaluations`` and information passes per fit by link and
 structure on each side.
 """
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
 
     print(f"A = {args.trees[0]}, B = {args.trees[1]}; seed {args.seed}, {args.blocks} blocks")
     print("differences are B - A")
-    listed, flags = [], []
+    listed, flags, paths = [], [], []
     worst = defaultdict(lambda: [0, 0.0, 0.0, 0.0])
     counts = defaultdict(lambda: [0, 0, 0, 0, 0])
     for a in a_fits:
@@ -131,6 +132,9 @@ def main(argv=None) -> int:
                           f"{_max_abs_diff(a['values'], b['values']):.3g}; B: {b['message']}")
         if a["converged"] != b["converged"]:
             flags.append(f"  {label}: converged {a['converged']} -> {b['converged']}")
+        if (a["n_evaluations"], a["message"]) != (b["n_evaluations"], b["message"]):
+            paths.append(f"  {label}: n_evaluations {a['n_evaluations']} -> {b['n_evaluations']}, "
+                         f"{a['message']} -> {b['message']}")
         c = counts[a["workload"], a["link"], a["structure"], a["kind"]]
         c[0] += 1
         c[1] += a["n_evaluations"]
@@ -145,6 +149,8 @@ def main(argv=None) -> int:
     print("\n".join(listed))
     print(f"changed converged flags: {len(flags)}")
     print("\n".join(flags))
+    print(f"fits whose n_evaluations or optimizer message changed: {len(paths)}")
+    print("\n".join(paths))
     for side, fits in (("A", a_fits), ("B", b_fits)):
         tally = defaultdict(int)
         for f in fits:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time one kernel pass and one Newton pass of two source trees of ordmixed.
+"""Time one kernel pass, one Newton pass and one Newton direction of two
+source trees of ordmixed.
 
     python scripts/pass_timing.py SRC_A SRC_B --rounds 5
 
@@ -7,8 +8,9 @@ Each tree (a checkout holding ``src/ordmixed`` and ``perfbench/``) runs in
 its own subprocess, through ``compare_fits.py``'s runner, once per round;
 the rounds alternate which tree runs first. A subprocess times, for each
 link, the median per-call time of ``LoglikKernel.louis_moments`` and
-``conditional_terms``, and of one ``_newton`` pass (a Newton fit of the
-univariate model from its usual start, divided by the passes it made), on
+``conditional_terms``, of one ``_newton`` pass (a Newton fit of the
+univariate model from its usual start, divided by the passes it made) and
+of ``_ascent_direction`` on the score and information of that start, on
 two datasets:
 
 - 48x20: the first replication of the benchmark's ``study_slice`` block 0,
@@ -34,7 +36,7 @@ from time import perf_counter
 from compare_fits import run_worker, use_tree
 
 SIZES = {"48x20": ("study_slice", 20, 400, 20), "960x30": ("large_clusters", 30, 40, 4)}
-FUNCTIONS = ("louis_moments", "conditional_terms", "_newton pass")
+FUNCTIONS = ("louis_moments", "conditional_terms", "_newton pass", "_ascent_direction")
 
 
 def _median_call(fn, calls: int) -> float:
@@ -93,6 +95,12 @@ def _measure(tree: Path, seed: int) -> None:
                 per_pass.append((perf_counter() - start) / max(1, objective.passes))
             line = {"size": size, "link": tag, "function": "_newton pass",
                     "seconds": statistics.median(per_pass[1:])}
+            print(json.dumps(line))
+            p = estimation._Objective(kernel, param, order).full(theta0)
+            line = {"size": size, "link": tag, "function": "_ascent_direction",
+                    "seconds": _median_call(
+                        lambda: estimation._ascent_direction(p.score, p.information), calls
+                    )}
             print(json.dumps(line))
 
 

@@ -14,8 +14,9 @@ capped, projected onto the box of the variance parameters and halved until
 the log-likelihood does not fall; proportional-odds proposals outside the
 feasible region evaluate to -inf and so are halved too. Newton alone
 decides the fit: where it gives up, the fit reports its last accepted point,
-which the convergence test then judges like any other. The standard errors
-come from the information of that point's pass.
+which the convergence test then judges like any other, except that a fit
+that reached the iteration cap has not converged. The standard errors come
+from the information of that point's pass.
 Empirical-Bayes modes come from Newton steps on each link's closed-form
 score and curvature.
 """
@@ -27,8 +28,6 @@ from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import erfc, softmax
 
 from .likelihood import LoglikKernel
 from .model import (
@@ -112,7 +111,8 @@ class FitResult:
     and of Newton. ``diagnostics["information_passes"]`` repeats that count,
     and ``diagnostics["optimizer_message"]`` names why Newton stopped. A fit
     where Newton gave up reports the last point it accepted; ``converged``
-    is the same scaled-gradient test there, and is usually False.
+    is False if it reached the iteration cap, and is otherwise the same
+    scaled-gradient test there, usually False.
     """
 
     estimates: ParameterVector
@@ -489,7 +489,8 @@ def _fit_impl(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = values / se
-        p_values = erfc(np.abs(z) / np.sqrt(2.0))
+    # erfc keeps the NaN z of a standard deviation at 0 and maps an infinite z to 0
+    p_values = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z.tolist()])
 
     estimates = param.unpack(theta_hat)
     if at_zero:
@@ -531,12 +532,15 @@ class _Optimum(NamedTuple):
 def _convergence(optimum: _Optimum, bounds) -> tuple[bool, np.ndarray]:
     """The fit's one convergence test, and the scaled gradient it reads:
     |score_i| max(1, |theta_i|) / max(1, |loglik|) below _GRAD_TOL on every
-    coordinate off its bounds."""
+    coordinate off its bounds, for a Newton that stopped before its
+    iteration cap. A runaway that reaches the cap can pass the gradient
+    test on its flat log-likelihood, so a capped fit has not converged."""
     theta = optimum.theta
     scaled = np.abs(optimum.score) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(optimum.loglik))
     lower, upper = bounds
     at_bound = (theta <= lower + 1e-9) | (theta >= upper - 1e-9)
-    return bool(np.all(scaled[~at_bound] < _GRAD_TOL)), scaled
+    capped = optimum.iterations >= _NEWTON_ITERATIONS
+    return not capped and bool(np.all(scaled[~at_bound] < _GRAD_TOL)), scaled
 
 
 def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
@@ -625,16 +629,19 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
 
 def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, float | None, np.ndarray | None]:
     """The Newton direction I^-1 g and the decrement g' I^-1 g for a
-    positive-definite information I, with None. Otherwise the direction
-    with each eigenvalue replaced by its absolute value, floored at
-    _EIGEN_FLOOR times the largest; when no eigenvalue is below minus that
-    floor, the information is semidefinite, and the decrement on the
-    eigen-directions above the floor comes with the score along the others,
-    the near-null directions. An indefinite information gives no decrement
-    and None."""
-    factor, failed = dpotrf(info, lower=False, clean=False)
-    if not failed:
-        direction, _ = dpotrs(factor, g, lower=False)
+    positive-definite information I, one that has a Cholesky factor, with
+    None. Otherwise the direction with each eigenvalue replaced by its
+    absolute value, floored at _EIGEN_FLOOR times the largest; when no
+    eigenvalue is below minus that floor, the information is semidefinite,
+    and the decrement on the eigen-directions above the floor comes with the
+    score along the others, the near-null directions. An indefinite
+    information gives no decrement and None."""
+    try:
+        np.linalg.cholesky(info)  # the test of positive definiteness
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        direction = np.linalg.solve(info, g)
         return direction, float(g @ direction), None
     eigval, eigvec = np.linalg.eigh(info)
     magnitude = np.abs(eigval)
@@ -741,7 +748,9 @@ def predict_random_effects(
     offsets = z @ loading.T
     grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)
     if method == "mean":
-        return softmax(grid_ll + np.log(weights)[None, :], axis=1) @ offsets
+        log_posterior = grid_ll + np.log(weights)[None, :]
+        posterior = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
+        return (posterior / posterior.sum(axis=1, keepdims=True)) @ offsets
     seeds = z[np.argmax(grid_ll - 0.5 * (z**2).sum(axis=1)[None, :], axis=1)]
     return _posterior_modes(kernel, fe, loading, seeds)
 
@@ -771,14 +780,19 @@ def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
 
 def _newton_step(grad, hess):
     """Newton ascent steps for every row: -hess^-1 grad, or the gradient
-    itself where that is not finite or not an ascent direction."""
-    try:
-        step = np.linalg.solve(-hess, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(grad) == 1:
-            return grad.copy()
-        # one singular matrix fails the whole batch: solve row by row
-        return np.concatenate([_newton_step(grad[[i]], hess[[i]]) for i in range(len(grad))])
+    itself where that is not finite or not an ascent direction. A 1-d
+    effect's step is a division."""
+    if grad.shape[1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = grad / -hess[:, :, 0]
+    else:
+        try:
+            step = np.linalg.solve(-hess, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            if len(grad) == 1:
+                return grad.copy()
+            # one singular matrix fails the whole batch: solve row by row
+            return np.concatenate([_newton_step(grad[[i]], hess[[i]]) for i in range(len(grad))])
     bad = ~np.all(np.isfinite(step), axis=1) | ((grad * step).sum(axis=1) < 0)
     step[bad] = grad[bad]
     return step

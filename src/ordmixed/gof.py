@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .estimation import Z_95, FitResult, predict_random_effects
 from .model import Dataset, LinkFamily, category_probabilities
@@ -49,13 +48,30 @@ class GofReport:
 
 
 def chi_squared_survival(x: float, df: int) -> float:
-    """P(chi-square with df degrees of freedom exceeds x), via the
-    regularized upper incomplete gamma function."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    """P(chi-square with df degrees of freedom exceeds x), for integer df.
+
+    This is Q(df/2, x/2), the regularized upper incomplete gamma function,
+    in closed form (Abramowitz & Stegun 1964, 26.4.4-26.4.5): by
+    Q(a + 1, h) = Q(a, h) + h^a e^-h / a!, it is a finite sum of Poisson-like
+    terms from a = 0 for even df, and from Q(1/2, h) = erfc(sqrt h) for odd df.
+    """
+    if df < 1 or df != int(df):
+        raise ValueError(f"df must be an integer >= 1, got {df}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    half = x / 2.0
+    a = 0.5 * (df % 2)
+    total = math.erfc(math.sqrt(half)) if a else 0.0
+    log_half = math.log(half)
+    while a < df / 2.0:
+        # each term in logs, so that neither h^a nor e^-h overflows alone
+        total += math.exp(a * log_half - half - math.lgamma(a + 1.0))
+        a += 1.0
+    return total
 
 
 def expected_counts(

@@ -45,11 +45,11 @@ kernel serves one caller at a time.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     Cluster,
@@ -85,8 +85,12 @@ def _pair_indices(link: LinkFamily, k1: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_coefficients(counts: np.ndarray) -> np.ndarray:
-    """log(N! / (y_1! ... y_K!)) along the last axis of a count array."""
-    return gammaln(counts.sum(axis=-1) + 1.0) - gammaln(counts + 1.0).sum(axis=-1)
+    """log(N! / (y_1! ... y_K!)) along the last axis of an integer count
+    array, looked up in a table of log k! = lgamma(k + 1) up to the largest
+    total N."""
+    totals = counts.sum(axis=-1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(int(totals.max(initial=0)) + 1)])
+    return log_factorial[totals] - log_factorial[counts].sum(axis=-1)
 
 
 def multinomial_log_coefficient(counts: np.ndarray) -> float:

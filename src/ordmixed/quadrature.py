@@ -4,7 +4,9 @@ Rules are standardized so that the weighted node sum of f equals E[f(T)]
 for T standard normal, exactly for polynomials of degree up to 2*order - 1.
 The bivariate rule tensors two 1-d rules and maps node pairs through the
 Cholesky factor of the requested covariance, so correlated deviations are
-integrated without any change to the weights.
+integrated without any change to the weights. The 1-d nodes and weights
+are numpy's ``hermgauss``, the Golub-Welsch (1969) eigenvalue method with
+one Newton refinement of each node.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
+from numpy.polynomial.hermite import hermgauss
 
 from .model import BivariateRandomEffect
 
@@ -49,7 +51,7 @@ def gauss_hermite(order: int) -> QuadratureRule1D:
     """
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-    u, v = roots_hermite(int(order))
+    u, v = hermgauss(int(order))
     nodes = np.sqrt(2.0) * u
     weights = v / np.sqrt(np.pi)
     nodes.flags.writeable = False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from ordmixed import (
     BivariateRandomEffect,
@@ -45,11 +46,24 @@ class TestChiSquaredSurvival:
         assert chi_squared_survival(70.0, 86) == pytest.approx(0.895, abs=5e-4)
         assert chi_squared_survival(146.1, 86) < 5e-4
 
+    @pytest.mark.parametrize("df", list(range(1, 61)))
+    def test_matches_scipy_chi2_sf(self, df):
+        # oracle: scipy's incomplete gamma function, wherever the survival
+        # is a normal float well above underflow
+        x = np.append(np.linspace(0.0, 200.0, 801), np.inf)
+        expected = chi2.sf(x, df)
+        got = np.array([chi_squared_survival(float(v), df) for v in x])
+        keep = expected > 1e-250
+        np.testing.assert_allclose(got[keep], expected[keep], rtol=1e-12, atol=0)
+        assert np.all(got[~keep] < 1e-249)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             chi_squared_survival(-1.0, 5)
         with pytest.raises(ValueError):
             chi_squared_survival(1.0, 0)
+        with pytest.raises(ValueError):
+            chi_squared_survival(1.0, 2.5)
 
 
 class TestAic:

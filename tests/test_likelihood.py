@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from ordmixed import (
     Cluster,
@@ -330,6 +331,16 @@ class TestSlotMajorKernel:
         kernel = LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
         expected = [multinomial_log_coefficient(cl.counts) for cl in dataset.clusters]
         np.testing.assert_array_equal(kernel.log_coef, expected)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_log_coefficients_match_scipy_gammaln(self, k):
+        # oracle: log N! - sum log y_k! by scipy's log-gamma, on totals up to 2,000
+        rng = np.random.default_rng(k)
+        totals = np.concatenate([np.arange(1, 60), rng.integers(60, 2001, size=200)])
+        counts = np.stack([rng.multinomial(n, rng.dirichlet(np.ones(k))) for n in totals])
+        expected = gammaln(totals + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+        got = likelihood._log_coefficients(counts)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-10)
 
 
 
