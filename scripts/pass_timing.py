@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Time one kernel pass, one Newton pass and one Newton direction of two
-source trees of ordmixed.
+"""Time one kernel pass, one Newton pass, one Newton direction and one
+homogeneous fit of two source trees of ordmixed.
 
     python scripts/pass_timing.py SRC_A SRC_B --rounds 5
 
 Each tree (a checkout holding ``src/ordmixed`` and ``perfbench/``) runs in
 its own subprocess, through ``compare_fits.py``'s runner, once per round;
 the rounds alternate which tree runs first. A subprocess times, for each
-link, the median per-call time of ``LoglikKernel.louis_moments`` and
-``conditional_terms``, of one ``_newton`` pass (a Newton fit of the
-univariate model from its usual start, divided by the passes it made) and
-of ``_ascent_direction`` on the score and information of that start, on
-two datasets:
+link, the median per-call time of:
+
+- ``LoglikKernel.louis_moments`` and ``conditional_terms``;
+- one ``_newton`` pass: a Newton fit of the univariate model from its usual
+  start, divided by the passes it made;
+- the part of that pass spent outside the kernel, the fit's time less its
+  kernel calls' own, per pass;
+- ``_ascent_direction`` on the score and information of that start;
+- a homogeneous intercept fit through ``fit_intercept_model``, which starts
+  at its maximum and so takes one pass and no Newton step: the fixed cost
+  of a fit around its kernel work;
+
+on two datasets:
 
 - 48x20: the first replication of the benchmark's ``study_slice`` block 0,
   48 clusters at 20 nodes, the size of every study fit;
@@ -36,7 +44,10 @@ from time import perf_counter
 from compare_fits import run_worker, use_tree
 
 SIZES = {"48x20": ("study_slice", 20, 400, 20), "960x30": ("large_clusters", 30, 40, 4)}
-FUNCTIONS = ("louis_moments", "conditional_terms", "_newton pass", "_ascent_direction")
+FUNCTIONS = (
+    "louis_moments", "conditional_terms", "_newton pass", "outside the kernel",
+    "_ascent_direction", "intercept fit",
+)
 
 
 def _median_call(fn, calls: int) -> float:
@@ -47,6 +58,18 @@ def _median_call(fn, calls: int) -> float:
         fn()
         times.append(perf_counter() - start)
     return statistics.median(times)
+
+
+def _clocked(fn, clock: list):
+    """``fn``, adding the seconds of each call to ``clock[0]``."""
+
+    def call(*args):
+        start = perf_counter()
+        out = fn(*args)
+        clock[0] += perf_counter() - start
+        return out
+
+    return call
 
 
 def _measure(tree: Path, seed: int) -> None:
@@ -67,10 +90,9 @@ def _measure(tree: Path, seed: int) -> None:
         nodes, weights = standard_tensor_grid(order, 1)
         loading = truth.re.loading(k1)
         offsets = nodes @ loading.T
-        features = np.zeros((order, k1, k1 + 2))
+        features = np.zeros((order, k1, k1 + 1))
         features[:, :, :k1] = np.eye(k1)
-        features[:, :, k1] = 1.0
-        features[:, :, k1 + 1] = offsets  # d offsets / d log sigma
+        features[:, :, k1] = offsets  # d offsets / d log sigma
         c, b = truth.fixed.intercepts, truth.fixed.slopes
         for tag, link in bench.LINKS.items():
             kernel = LoglikKernel(dataset, link)
@@ -87,21 +109,30 @@ def _measure(tree: Path, seed: int) -> None:
             theta0, _ = estimation._starting_point(
                 dataset, link, opts, param, dataset.slope_names(), kernel
             )
-            per_pass = []
+            in_kernel = [0.0]
+            clocked = LoglikKernel(dataset, link)
+            clocked.louis_moments = _clocked(clocked.louis_moments, in_kernel)
+            per_pass, outside = [], []
             for _ in range(fits + 1):
-                objective = estimation._Objective(kernel, param, order)
+                objective = estimation._Objective(clocked, param, order)
+                in_kernel[0] = 0.0
                 start = perf_counter()
                 estimation._newton(objective, theta0, param.bounds())
-                per_pass.append((perf_counter() - start) / max(1, objective.passes))
-            line = {"size": size, "link": tag, "function": "_newton pass",
-                    "seconds": statistics.median(per_pass[1:])}
-            print(json.dumps(line))
+                elapsed = perf_counter() - start
+                per_pass.append(elapsed / max(1, objective.passes))
+                outside.append((elapsed - in_kernel[0]) / max(1, objective.passes))
             p = estimation._Objective(kernel, param, order).full(theta0)
-            line = {"size": size, "link": tag, "function": "_ascent_direction",
-                    "seconds": _median_call(
-                        lambda: estimation._ascent_direction(p.score, p.information), calls
-                    )}
-            print(json.dumps(line))
+            intercept = lambda: estimation.fit_intercept_model(dataset, link, "none", opts)
+            seconds = {
+                "_newton pass": statistics.median(per_pass[1:]),
+                "outside the kernel": statistics.median(outside[1:]),
+                "_ascent_direction": _median_call(
+                    lambda: estimation._ascent_direction(p.score, p.information), calls
+                ),
+                "intercept fit": _median_call(intercept, calls // 4),
+            }
+            for name, value in seconds.items():
+                print(json.dumps({"size": size, "link": tag, "function": name, "seconds": value}))
 
 
 def main(argv=None) -> int:

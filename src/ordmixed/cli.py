@@ -23,7 +23,6 @@ from .io import (
     summary_tree,
 )
 from .model import BivariateRandomEffect, LinkFamily
-from .published import published_table
 from .quadrature import MAX_ORDER
 from .simulation import (
     SimulationDesign,
@@ -181,6 +180,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_reproduce(args) -> str:
+    from .published import published_table  # 978 lines of tables only this command reads
+
     table = published_table(args.preset)
     if table["kind"] == "strawberry":
         tree = _reproduce_strawberry(args, table)

@@ -8,8 +8,9 @@ Louis' identity each cluster's Hessian is the posterior mean of the
 conditional Hessian plus the posterior covariance of the conditional
 score, on the same nodes, and the score is the posterior mean of the
 conditional score; without a random effect the pass is the conditional
-one at a single node. The chain rule maps them to the parameters, and the
-delta method the covariance to the reported scale. Each Newton step is
+one at a single node. The chain rule maps them to the parameters through
+one Jacobian J per fit (``_Objective``), and the delta method the
+covariance to the reported scale. Each Newton step is
 capped, projected onto the box of the variance parameters and halved until
 the log-likelihood does not fall; proportional-odds proposals outside the
 feasible region evaluate to -inf and so are halved too. Newton alone
@@ -168,10 +169,12 @@ class _Parameterization:
         ]
         return np.concatenate([fe.intercepts, fe.slopes, tail])
 
+    def _natural(self, tail: np.ndarray) -> list[float]:
+        """The random effect's values from their unconstrained scale."""
+        return [math.tanh(t) if corr else math.exp(t) for t, corr in zip(tail.tolist(), self._correlation)]
+
     def random_effect(self, tail: np.ndarray):
-        return self.effect(*[
-            math.tanh(t) if corr else math.exp(t) for t, corr in zip(tail.tolist(), self._correlation)
-        ])
+        return self.effect(*self._natural(tail))
 
     def unpack(self, theta: np.ndarray) -> ParameterVector:
         intercepts, slopes, tail = self.split(theta)
@@ -181,7 +184,7 @@ class _Parameterization:
 
     def reported(self, theta: np.ndarray) -> np.ndarray:
         out = np.array(theta, dtype=float)
-        out[self.n_fixed :] = astuple(self.random_effect(theta[self.n_fixed :]))
+        out[self.n_fixed :] = self._natural(theta[self.n_fixed :])
         return out
 
     def delta_jacobian(self, theta: np.ndarray) -> np.ndarray:
@@ -193,11 +196,9 @@ class _Parameterization:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds of the vector, infinite where it has none."""
-        corr = np.array(self._correlation, dtype=bool)
-        lower, upper = np.full(self.size, -np.inf), np.full(self.size, np.inf)
-        lower[self.n_fixed :] = np.where(corr, -_ATANH_RHO_BOUND, _LOG_SIGMA_FLOOR)
-        upper[self.n_fixed :] = np.where(corr, _ATANH_RHO_BOUND, np.inf)
-        return lower, upper
+        lower = [-_ATANH_RHO_BOUND if corr else _LOG_SIGMA_FLOOR for corr in self._correlation]
+        upper = [_ATANH_RHO_BOUND if corr else np.inf for corr in self._correlation]
+        return np.array([-np.inf] * self.n_fixed + lower), np.array([np.inf] * self.n_fixed + upper)
 
     def boundary(self, theta: np.ndarray) -> tuple[str, ...]:
         """The random effect's names on their bounds at ``theta``: standard
@@ -230,6 +231,11 @@ class _Objective:
     """Total log-likelihood of the unconstrained vector, with its score and
     its observed information from one kernel pass, ``full``.
 
+    A pass gives each cluster's score s_i and Hessian H_i with respect to
+    its K-1 boundary predictors and the variance parameters. Their Jacobian
+    J_i (r, p) in the vector is the same at every point, so it is built once,
+    and the pass's score is sum_i J_i' s_i and its Hessian sum_i J_i' H_i J_i.
+
     The node offsets are standardized nodes z (Q, dim) mapped through the
     random effect's loading A, z A', so one chain rule serves every
     structure; without a random effect they are a single node at 0 with
@@ -244,20 +250,24 @@ class _Objective:
         self.nodes, self.weights = standard_tensor_grid(order, param.effect.dim)
         self._last = (None, None)
         self.passes = 0
-        k1 = kernel.n_boundaries
+        k1, v, x = kernel.n_boundaries, param.n_fixed, kernel.x
+        r = k1 + param.n_variance
+        self._jacobian = np.zeros((len(x), r, param.size))
+        self._jacobian[:, :k1, :k1] = np.eye(k1)
+        self._jacobian[:, :k1, k1:v] = x[:, None, :]
+        self._jacobian[:, k1:, v:] = np.eye(param.n_variance)
         # the node features of the Louis pass: the derivatives of the boundary
-        # predictors with respect to the intercepts and the linear predictor
-        # x'b, fixed, then each variance parameter, written per pass
-        self._features = np.zeros((self.weights.size, k1, k1 + 1 + param.n_variance))
+        # predictors with respect to themselves, then to each variance
+        # parameter, which _offsets writes
+        self._features = np.zeros((self.weights.size, k1, r))
         self._features[:, :, :k1] = np.eye(k1)
-        self._features[:, :, k1] = 1.0
 
     def _offsets(self, tail):
-        """Node offsets (Q, K-1), their derivatives with respect to each
-        variance parameter, each (Q, K-1), and the loading's second
-        derivatives mapped to the nodes, (n_variance, n_variance, K-1, Q);
-        None when the effect cannot be formed. Those of the last ``tail``
-        are kept, so a model without variance parameters maps its node once."""
+        """Node offsets (Q, K-1) and the loading's second derivatives mapped
+        to the nodes, (n_variance^2, Q (K-1)), with the offsets' first
+        derivatives written to the node features; None when the effect
+        cannot be formed. Those of the last ``tail`` are kept, so a model
+        without variance parameters maps its node once."""
         key = tail.tobytes()
         if key != self._last[0]:
             k1 = self.kernel.n_boundaries
@@ -268,79 +278,54 @@ class _Objective:
                 return None
             # laid out so that the kernel's slot-major view of it is contiguous
             offsets = np.dot(re.loading(k1), self.nodes.T).T
-            first = [np.dot(self.nodes, d.T) for d in re.loading_derivatives(k1)]
-            second = re.loading_second_derivatives(k1) @ self.nodes.T
-            self._last = (key, (offsets, first, second))
+            self._features[:, :, k1:] = (re.loading_derivatives(k1) @ self.nodes.T).T
+            second = self.nodes @ re.loading_second_derivatives(k1).swapaxes(-1, -2)
+            self._last = (key, (offsets, second.reshape(tail.size**2, offsets.size)))
         return self._last[1]
 
     def full(self, theta: np.ndarray) -> _Pass:
         """Log-likelihood, score and observed information at ``theta`` in
         one kernel pass. Without a random effect the fit has one node, where
         the posterior covariance of Louis' identity is zero, so the pass is
-        ``conditional_terms``' score and curvature summed over clusters."""
+        ``conditional_terms``' score and curvature."""
         if self.param.effect.dim:
             return self._louis(theta)
         c, b, _ = self.param.split(theta)
         self.passes += 1
         t = self.kernel.conditional_terms(c, b, np.zeros((1, c.size)))
-        # the coordinates (intercepts, linear predictor x'b), as in _louis
-        k1 = c.size
-        score = np.empty((len(t.score), k1 + 1))
-        score[:, :k1] = t.score
-        score[:, k1] = t.score.sum(axis=1)
-        hess = np.empty((len(t.score), k1 + 1, k1 + 1))
-        hess[:, :k1, :k1] = t.curvature
-        hess[:, :k1, k1] = hess[:, k1, :k1] = t.curvature.sum(axis=2)
-        hess[:, k1, k1] = hess[:, k1, :k1].sum(axis=1)
-        return self._contract(float(t.loglik.sum()), score, hess)
+        return self._contract(float(t.loglik.sum()), t.score, t.curvature)
 
     def _louis(self, theta: np.ndarray) -> _Pass:
         """``full`` by Louis' identity: each cluster's Hessian is the
         posterior mean of the conditional Hessian plus the posterior
         covariance of the conditional score. The kernel forms them in the
-        coordinates of its node features, the derivatives of the boundary
-        predictors with respect to the intercepts, the linear predictor x'b
-        and each variance parameter; the variance parameters add the
+        coordinates of its node features; the variance parameters add the
         node-summed score times the offsets' second derivatives."""
         c, b, tail = self.param.split(theta)
-        k1 = c.size
         mapped = self._offsets(tail)
         if mapped is None:
             size = self.param.size
             return _Pass(-np.inf, np.zeros(size), np.full((size, size), np.nan))
-        offsets, derivatives, second = mapped
+        offsets, second = mapped
         self.passes += 1
-        features = self._features
-        for t, d in enumerate(derivatives):
-            features[:, :, k1 + 1 + t] = d
-        m = self.kernel.louis_moments(c, b, offsets, self.weights, features)
-        cluster_hess = m.second - m.mean[:, :, None] * m.mean[:, None, :]
-        variance = np.einsum("stkq,qk->st", second, m.node_score)
-        return self._contract(m.loglik, m.mean, cluster_hess, variance)
+        m = self.kernel.louis_moments(c, b, offsets, self.weights, self._features)
+        cluster_hess = m.second  # a fresh array, made the Hessian in place
+        cluster_hess -= m.mean[:, :, None] * m.mean[:, None, :]
+        return self._contract(m.loglik, m.mean, cluster_hess, second @ m.node_score.ravel())
 
-    def _contract(self, loglik, score, hess, variance=0.0) -> _Pass:
+    def _contract(self, loglik, score, hess, variance=None) -> _Pass:
         """The pass in the parameters, from each cluster's score (n, r) and
-        Hessian (n, r, r) in the coordinates (intercepts, linear predictor
-        x'b, variance parameters) and the variance parameters' extra Hessian
-        term: cluster i's slopes take x_i times the linear predictor's
-        entries, the other coordinates are summed over clusters."""
-        k1, v = self.kernel.n_boundaries, self.param.n_fixed
-        x = self.kernel.x
-        total = hess.sum(axis=0)
-        by_slope = x.T @ hess[:, k1]  # (n_slopes, r)
-        out = np.empty((self.param.size, self.param.size))
-        out[:k1, :k1] = total[:k1, :k1]
-        out[k1:v, :k1] = by_slope[:, :k1]
-        out[k1:v, k1:v] = x.T @ (hess[:, k1, k1, None] * x)
-        out[v:, :k1] = total[k1 + 1 :, :k1]
-        out[v:, k1:v] = by_slope[:, k1 + 1 :].T
-        out[v:, v:] = total[k1 + 1 :, k1 + 1 :] + variance
-        out[:k1, k1:] = out[k1:, :k1].T
-        out[k1:v, v:] = out[v:, k1:v].T
-        gradient = np.concatenate(
-            [score[:, :k1].sum(axis=0), x.T @ score[:, k1], score[:, k1 + 1 :].sum(axis=0)]
-        )
-        return _Pass(loglik, gradient, -0.5 * (out + out.T))
+        Hessian (n, r, r) and the variance parameters' extra Hessian term,
+        flattened (n_variance^2,): sum_i J_i' s_i and sum_i J_i' H_i J_i."""
+        jac = self._jacobian
+        flat = jac.reshape(-1, self.param.size)
+        out = flat.T @ np.matmul(hess, jac).reshape(flat.shape)
+        if variance is not None:
+            v, t = self.param.n_fixed, self.param.n_variance
+            out[v:, v:] += variance.reshape(t, t)
+        out += out.T
+        out *= -0.5
+        return _Pass(loglik, score.ravel() @ flat, out)
 
 
 def _central_gradient(f: Callable, theta: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -413,7 +398,7 @@ def _validate_data(dataset: Dataset, re_structure: str) -> type:
     effect = random_effect_class(re_structure)
     effect.check_boundaries(dataset.n_categories - 1)
     totals = dataset.count_matrix.sum(axis=0)
-    if np.any(totals == 0):
+    if not totals.all():
         empty = [int(k) + 1 for k in np.flatnonzero(totals == 0)]
         raise EstimationDegenerateError(
             f"categories never observed anywhere in the data: {empty}"
@@ -443,7 +428,8 @@ def _fit_impl(
         raise ValueError(f"a random effect needs a quadrature order of at least 2, got {order}")
 
     if kernel is None:
-        columns = [dataset.slope_names().index(name) for name in slope_names]
+        names = dataset.slope_names()
+        columns = [names.index(name) for name in slope_names]
         kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
     objective = _Objective(kernel, param, order)
     theta0, base = _starting_point(dataset, link, opts, param, slope_names, kernel)
@@ -538,9 +524,9 @@ def _convergence(optimum: _Optimum, bounds) -> tuple[bool, np.ndarray]:
     theta = optimum.theta
     scaled = np.abs(optimum.score) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(optimum.loglik))
     lower, upper = bounds
-    at_bound = (theta <= lower + 1e-9) | (theta >= upper - 1e-9)
+    inside = (theta > lower + 1e-9) & (theta < upper - 1e-9)
     capped = optimum.iterations >= _NEWTON_ITERATIONS
-    return not capped and bool(np.all(scaled[~at_bound] < _GRAD_TOL)), scaled
+    return not capped and bool((scaled[inside] < _GRAD_TOL).all()), scaled
 
 
 def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
@@ -572,7 +558,7 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
     lower, upper = bounds
     at_lower, at_upper = lower + 1e-9, upper - 1e-9
     log_sd = (lower == _LOG_SIGMA_FLOOR) & (upper == np.inf)  # a correlation's box is finite
-    try_floor = True
+    try_floor = bool(log_sd.any())
     current = objective.full(theta)
     if not current.finite():
         raise ValueError(
@@ -582,7 +568,9 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
     accepted, stop = 0, f"reached {_NEWTON_ITERATIONS} iterations"
     while accepted < _NEWTON_ITERATIONS:
         g = current.score
-        free = ~(((theta <= at_lower) & (g <= 0.0)) | ((theta >= at_upper) & (g >= 0.0)))
+        pinned = ((theta <= at_lower) & (g <= 0.0)) | ((theta >= at_upper) & (g >= 0.0))
+        # with no coordinate pinned, the usual case, the solve takes whole arrays
+        free = ~pinned if pinned.any() else slice(None)
         direction, decrement, null_score = _ascent_direction(
             g[free], current.information[free][:, free]
         )
@@ -676,7 +664,7 @@ def _starting_point(
         if param.effect is NoRandomEffect:
             # feasible intercepts from the pooled category proportions
             totals = dataset.count_matrix.sum(axis=0).astype(float)
-            p = np.clip(totals / totals.sum(), 1e-6, None)
+            p = np.maximum(totals / totals.sum(), 1e-6)
             intercepts = recover_predictors(link, p / p.sum())
             return np.concatenate([intercepts, np.zeros(param.n_slopes)]), None
         base_opts = replace(opts, starting_values=None, standard_errors=False)
@@ -763,17 +751,21 @@ def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
     The log posterior is the conditional log-likelihood plus the standard
     normal log-density of z, so its gradient is loading' g - z and its
     Hessian loading' H loading - I, with g and H the link's closed-form
-    score and curvature with respect to the boundary predictors. Steps are
-    clipped to 1 in each coordinate.
+    score and curvature with respect to the boundary predictors; every
+    cluster's loading' H loading is one product of the flattened H with
+    loading (x) loading. Steps are clipped to 1 in each coordinate.
     """
-    identity = np.eye(loading.shape[1])
+    n, dim = z.shape
+    pairs = np.kron(loading, loading)  # ((K-1)^2, dim^2)
+    identity = np.eye(dim)
     for _ in range(80):
         terms = kernel.conditional_terms(fe.intercepts, fe.slopes, z @ loading.T)
         grad = terms.score @ loading - z
-        step = _newton_step(grad, loading.T @ terms.curvature @ loading - identity)
-        np.clip(step, -1.0, 1.0, out=step)
+        hess = (terms.curvature.reshape(n, -1) @ pairs).reshape(n, dim, dim) - identity
+        step = _newton_step(grad, hess)
+        step.clip(-1.0, 1.0, out=step)
         z = z + step
-        if np.max(np.abs(grad)) < 1e-8:
+        if np.abs(grad).max() < 1e-8:
             break
     return z @ loading.T
 
@@ -781,10 +773,11 @@ def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
 def _newton_step(grad, hess):
     """Newton ascent steps for every row: -hess^-1 grad, or the gradient
     itself where that is not finite or not an ascent direction. A 1-d
-    effect's step is a division."""
+    effect's step is a division where the curvature is negative; elsewhere
+    it would not ascend, and is the gradient."""
     if grad.shape[1] == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = grad / -hess[:, :, 0]
+        curvature = hess[:, :, 0]
+        step = np.divide(grad, -curvature, out=grad.copy(), where=curvature < 0.0)
     else:
         try:
             step = np.linalg.solve(-hess, grad[..., None])[..., 0]
@@ -793,7 +786,7 @@ def _newton_step(grad, hess):
                 return grad.copy()
             # one singular matrix fails the whole batch: solve row by row
             return np.concatenate([_newton_step(grad[[i]], hess[[i]]) for i in range(len(grad))])
-    bad = ~np.all(np.isfinite(step), axis=1) | ((grad * step).sum(axis=1) < 0)
+    bad = ~np.isfinite(step).all(axis=1) | ((grad * step).sum(axis=1) < 0)
     step[bad] = grad[bad]
     return step
 

@@ -109,8 +109,7 @@ def pearson_chi2(
             f"{len(cells)} expected cell counts are numerically zero", cells
         )
     statistic = float(((observed - expected) ** 2 / expected).sum())
-    n_patterns = np.unique(dataset.covariate_matrix, axis=0).shape[0]
-    df = (dataset.n_categories - 1) * n_patterns - fit.n_fixed_parameters
+    df = (dataset.n_categories - 1) * dataset.n_patterns - fit.n_fixed_parameters
     return statistic, df, chi_squared_survival(statistic, df)
 
 

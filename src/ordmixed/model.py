@@ -364,6 +364,11 @@ class Dataset:
         n.flags.writeable = False
         return n
 
+    @cached_property
+    def n_patterns(self) -> int:
+        """The number of distinct covariate vectors among the clusters."""
+        return len(np.unique(self.covariate_matrix, axis=0))
+
     @property
     def total_observations(self) -> int:
         return int(self.sizes.sum())
@@ -380,7 +385,7 @@ def _readonly_vector(values, name: str, allow_empty: bool = False) -> np.ndarray
         raise ValueError(f"{name} must be a 1-d vector")
     if arr.size == 0 and not allow_empty:
         raise ValueError(f"{name} must not be empty")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr = arr.copy()
     arr.flags.writeable = False

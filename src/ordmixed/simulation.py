@@ -10,7 +10,6 @@ summaries, serial or parallel.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -230,6 +229,8 @@ def run_study(
         raise ValueError(f"workers must be >= 1, got {workers}")
     indices = range(design.replications)
     if workers > 1 and design.replications > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by a serial study
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, design.replications // (4 * workers))
             results = list(

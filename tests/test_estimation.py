@@ -70,9 +70,12 @@ def po_univariate(strawberry):
     return fit(strawberry, PO, "univariate")
 
 
-def test_import_loads_no_scipy():
-    # the runtime needs numpy alone; scipy serves the tests as an oracle
-    code = "import sys, ordmixed, ordmixed.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def test_import_loads_no_scipy_process_pool_or_tables():
+    # the runtime needs numpy alone; scipy serves the tests as an oracle. The
+    # process pool of run_study's workers and the published tables of the
+    # CLI's reproduce load only when those run
+    unused = ("scipy", "concurrent.futures.process", "ordmixed.published")
+    code = f"import sys, ordmixed, ordmixed.cli; print([m for m in sys.modules if m.startswith({unused})])"
     env = {**os.environ, "PYTHONPATH": str(Path(ordmixed.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout == "[]\n"
@@ -457,6 +460,38 @@ class TestAnalyticScore:
         assert one.loglik == -np.inf and not one.finite()
         np.testing.assert_array_equal(one.score, np.zeros(param.size))
         assert objective.passes == 0
+
+
+class TestObjectiveAtOtherK:
+    """The objective's score and information at K = 2 and 4, where the
+    Jacobian has another number of boundary rows than strawberry's K = 3,
+    for the homogeneous and the univariate objective, each as a full model
+    and as an intercept-only model, whose Jacobian has no slope columns."""
+
+    @pytest.mark.parametrize("model", ["full", "intercept"])
+    @pytest.mark.parametrize("structure", ["none", "univariate"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_score_and_information_match_differences(self, k, link, structure, model):
+        rng = np.random.default_rng([29, k, list(LinkFamily).index(link)])
+        counts = rng.multinomial(12, np.full(k, 1.0 / k), size=30)
+        x = rng.normal(size=(30, 3))
+        dataset = Dataset(clusters=tuple(Cluster(covariates=row, counts=y) for row, y in zip(x, counts)))
+        names = dataset.slope_names() if model == "full" else ()
+        param = _Parameterization(k - 1, names, RANDOM_EFFECTS[structure])
+        kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, : len(names)])
+        objective = _Objective(kernel, param, 20)
+        value = _marginal_value(objective)
+        # increasing intercepts keep every proportional-odds node feasible
+        theta = np.concatenate(
+            [np.linspace(-1.0, 1.0, k - 1), rng.normal(0.0, 0.3, len(names)), [-0.3] * param.n_variance]
+        )
+        loglik, score, info = objective.full(theta)
+        assert loglik == pytest.approx(value(theta), rel=1e-12)
+        oracle = _central_gradient(value, theta)
+        assert np.max(np.abs(score - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
+        oracle = _information(lambda t: objective.full(t).score, theta)
+        assert np.max(np.abs(info - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
 
 class TestNewton:

@@ -16,9 +16,11 @@ from ordmixed import (
     ParameterVector,
     UnivariateRandomEffect,
     category_probabilities,
+    factorial_design,
     linear_predictors,
     recover_predictors,
 )
+from ordmixed.datasets import strawberry_dataset
 from ordmixed.estimation import _Parameterization
 from ordmixed.model import curvature_pairs, log_category_probabilities, predictor_score, slot_terms
 
@@ -392,3 +394,11 @@ class TestDataModel:
         assert ds.count_matrix.tolist() == [[1, 2, 3], [4, 0, 2]]
         assert ds.sizes.tolist() == [6, 6]
         assert ds.total_observations == 12
+
+    def test_n_patterns_counts_distinct_covariate_vectors(self):
+        # the 48 plots of the 3 x 4 x 4 factorial design, once and tiled 20 times
+        assert strawberry_dataset().n_patterns == 48
+        x = np.tile(factorial_design()[0], (20, 1))
+        tiled = Dataset(clusters=tuple(Cluster(covariates=row, counts=np.array([1, 1, 1])) for row in x))
+        assert tiled.n_clusters == 960
+        assert tiled.n_patterns == 48
