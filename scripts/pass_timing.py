@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time one kernel pass, one Newton pass, one Newton direction and one
-homogeneous fit of two source trees of ordmixed.
+"""Time one kernel pass, one Newton pass, one Newton direction, one
+homogeneous fit and one empirical-Bayes prediction of two source trees of
+ordmixed.
 
     python scripts/pass_timing.py SRC_A SRC_B --rounds 5
 
@@ -9,27 +10,33 @@ its own subprocess, through ``compare_fits.py``'s runner, once per round;
 the rounds alternate which tree runs first. A subprocess times, for each
 link, the median per-call time of:
 
-- ``LoglikKernel.louis_moments`` and ``conditional_terms``;
-- one ``_newton`` pass: a Newton fit of the univariate model from its usual
-  start, divided by the passes it made;
+- ``LoglikKernel.louis_moments``, with the node features and offsets of the
+  fit's objective, as a Newton pass calls it, and ``conditional_terms``;
+- one ``_newton`` pass: a Newton fit of the size's random-effect model from
+  its usual start, divided by the passes it made;
 - the part of that pass spent outside the kernel, the fit's time less its
   kernel calls' own, per pass;
 - ``_ascent_direction`` on the score and information of that start;
 - a homogeneous intercept fit through ``fit_intercept_model``, which starts
   at its maximum and so takes one pass and no Newton step: the fixed cost
   of a fit around its kernel work;
+- ``predict_random_effects`` by posterior mode, as the GoF panel calls it;
 
-on two datasets:
+on three datasets:
 
 - 48x20: the first replication of the benchmark's ``study_slice`` block 0,
-  48 clusters at 20 nodes, the size of every study fit;
+  48 clusters at 20 nodes, the size of every study fit, with the
+  univariate effect;
 - 960x30: ``large_clusters`` block 0, 960 clusters of 50 at the default
-  30 nodes.
+  30 nodes, univariate;
+- 48x144: the strawberry panel with the bivariate effect on its default
+  12 x 12 rule.
 
-The kernel passes run at the study's true parameters (sigma 1.5), the
-conditional pass at zero offsets, as a homogeneous fit calls it. The
-report gives, per size, link and function, the median over the rounds of
-each tree's medians, and B's change against A.
+The univariate passes run at the study's true parameters (sigma 1.5), the
+bivariate ones at each link's strawberry estimates, and the conditional
+pass at zero offsets, as a homogeneous fit calls it. The report gives, per
+size, link and function, the median over the rounds of each tree's
+medians, and B's change against A.
 """
 
 from __future__ import annotations
@@ -43,10 +50,15 @@ from time import perf_counter
 
 from compare_fits import run_worker, use_tree
 
-SIZES = {"48x20": ("study_slice", 20, 400, 20), "960x30": ("large_clusters", 30, 40, 4)}
+# size: (workload, nodes per axis, calls per median, Newton fits, structure)
+SIZES = {
+    "48x20": ("study_slice", 20, 400, 20, "univariate"),
+    "960x30": ("large_clusters", 30, 40, 4, "univariate"),
+    "48x144": ("strawberry_panel", 12, 100, 8, "bivariate"),
+}
 FUNCTIONS = (
     "louis_moments", "conditional_terms", "_newton pass", "outside the kernel",
-    "_ascent_direction", "intercept fit",
+    "_ascent_direction", "intercept fit", "predict_random_effects",
 )
 
 
@@ -79,23 +91,24 @@ def _measure(tree: Path, seed: int) -> None:
     import workloads as bench
     from ordmixed import estimation, simulation
     from ordmixed.likelihood import LoglikKernel
-    from ordmixed.model import UnivariateRandomEffect
-    from ordmixed.quadrature import standard_tensor_grid
+    from ordmixed.model import RANDOM_EFFECTS
 
     truth = simulation.study_true_parameters(bench.STUDY_SIGMA)
-    for size, (workload, order, calls, fits) in SIZES.items():
+    for size, (workload, order, calls, fits, structure) in SIZES.items():
         inputs = bench.WORKLOADS[workload].build(seed, 0)
         dataset = inputs.dataset or simulation.generate_dataset(inputs.design, 0)
         k1 = dataset.n_categories - 1
-        nodes, weights = standard_tensor_grid(order, 1)
-        loading = truth.re.loading(k1)
-        offsets = nodes @ loading.T
-        features = np.zeros((order, k1, k1 + 1))
-        features[:, :, :k1] = np.eye(k1)
-        features[:, :, k1] = offsets  # d offsets / d log sigma
-        c, b = truth.fixed.intercepts, truth.fixed.slopes
+        opts = estimation.FitOptions(quadrature_order=order, standard_errors=False)
+        param = estimation._Parameterization(k1, dataset.slope_names(), RANDOM_EFFECTS[structure])
         for tag, link in bench.LINKS.items():
+            params = truth
+            if structure == "bivariate":
+                params = estimation.fit(dataset, link, structure, opts).estimates
+            c, b = params.fixed.intercepts, params.fixed.slopes
             kernel = LoglikKernel(dataset, link)
+            objective = estimation._Objective(kernel, param, order)
+            offsets = objective._offsets(param.pack(params)[param.n_fixed :])[0]
+            features, weights = objective._features, objective.weights
             timed = {
                 "louis_moments": lambda: kernel.louis_moments(c, b, offsets, weights, features),
                 "conditional_terms": lambda: kernel.conditional_terms(c, b, np.zeros((1, k1))),
@@ -104,8 +117,6 @@ def _measure(tree: Path, seed: int) -> None:
                 line = {"size": size, "link": tag, "function": name,
                         "seconds": _median_call(fn, calls)}
                 print(json.dumps(line))
-            opts = estimation.FitOptions(quadrature_order=order, standard_errors=False)
-            param = estimation._Parameterization(k1, dataset.slope_names(), UnivariateRandomEffect)
             theta0, _ = estimation._starting_point(
                 dataset, link, opts, param, dataset.slope_names(), kernel
             )
@@ -123,6 +134,7 @@ def _measure(tree: Path, seed: int) -> None:
                 outside.append((elapsed - in_kernel[0]) / max(1, objective.passes))
             p = estimation._Objective(kernel, param, order).full(theta0)
             intercept = lambda: estimation.fit_intercept_model(dataset, link, "none", opts)
+            predict = lambda: estimation.predict_random_effects(dataset, params, link)
             seconds = {
                 "_newton pass": statistics.median(per_pass[1:]),
                 "outside the kernel": statistics.median(outside[1:]),
@@ -130,6 +142,7 @@ def _measure(tree: Path, seed: int) -> None:
                     lambda: estimation._ascent_direction(p.score, p.information), calls
                 ),
                 "intercept fit": _median_call(intercept, calls // 4),
+                "predict_random_effects": _median_call(predict, calls // 4),
             }
             for name, value in seconds.items():
                 print(json.dumps({"size": size, "link": tag, "function": name, "seconds": value}))

@@ -8,18 +8,23 @@ Louis' identity each cluster's Hessian is the posterior mean of the
 conditional Hessian plus the posterior covariance of the conditional
 score, on the same nodes, and the score is the posterior mean of the
 conditional score; without a random effect the pass is the conditional
-one at a single node. The chain rule maps them to the parameters through
-one Jacobian J per fit (``_Objective``), and the delta method the
-covariance to the reported scale. Each Newton step is
-capped, projected onto the box of the variance parameters and halved until
-the log-likelihood does not fall; proportional-odds proposals outside the
-feasible region evaluate to -inf and so are halved too. Newton alone
+one at a single node. The kernel works in the boundary predictors and the
+free entries of the random effect's loading, in which its node features do
+not depend on the point, so they and their pair products are built once per
+fit. The chain rule maps the pass to the parameters through one Jacobian J
+per fit (``_Objective``), of which a pass rewrites only the entries'
+derivatives, and the delta method the covariance to the reported scale.
+Each Newton step is capped, projected onto the box of the variance
+parameters and halved until the log-likelihood does not fall;
+proportional-odds proposals outside the feasible region evaluate to -inf
+and so are halved too. Newton alone
 decides the fit: where it gives up, the fit reports its last accepted point,
 which the convergence test then judges like any other, except that a fit
 that reached the iteration cap has not converged. The standard errors come
 from the information of that point's pass.
 Empirical-Bayes modes come from Newton steps on each link's closed-form
-score and curvature.
+score and curvature, seeded at each cluster's posterior mean and halved
+for any cluster whose log posterior a step would lower.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ _NEWTON_HALVINGS = 30  # halvings of one Newton step before the same
 _NEWTON_DECREMENT = 1e-10  # g' I^-1 g at which Newton stops
 _EIGEN_FLOOR = 1e-6  # |eigenvalue| floor of an indefinite information, relative to the largest
 _LOG_SIGMA_FALLING = -3.0  # log sigma below which a falling step tries the floor
-_EB_ORDER = {1: 40, 2: 25}  # nodes per axis of the empirical-Bayes grid, by effect dimension
+_EB_ORDER = {1: 40, 2: 25}  # nodes per axis of the posterior-mean grid, by effect dimension
+_EB_ITERATIONS = 80  # kernel passes of the posterior-mode search before it gives up
 
 
 class EstimationDegenerateError(ValueError):
@@ -232,16 +238,24 @@ class _Objective:
     its observed information from one kernel pass, ``full``.
 
     A pass gives each cluster's score s_i and Hessian H_i with respect to
-    its K-1 boundary predictors and the variance parameters. Their Jacobian
-    J_i (r, p) in the vector is the same at every point, so it is built once,
-    and the pass's score is sum_i J_i' s_i and its Hessian sum_i J_i' H_i J_i.
+    its kernel coordinates: the K-1 boundary predictors, then the free
+    entries a of the random effect's loading A = sum_e a_e E_e (one shared
+    sigma for a univariate effect, the Cholesky entries l11, l21, l22 for a
+    bivariate one). The pass's score is sum_i J_i' s_i and its Hessian
+    sum_i J_i' H_i J_i plus sum_e (d^2 a_e / d theta d theta') times the
+    entry's score summed over clusters, with J_i (r, p) the Jacobian of the
+    coordinates in the vector. Its fixed-effect block is the same at every
+    point and its variance block, da/d theta, the same for every cluster, so
+    J is built once and a pass writes only that block.
 
     The node offsets are standardized nodes z (Q, dim) mapped through the
-    random effect's loading A, z A', so one chain rule serves every
-    structure; without a random effect they are a single node at 0 with
-    weight 1. ``passes`` counts the kernel passes. A point whose standard
-    deviation overflows the float range is infeasible: its log-likelihood
-    is -inf.
+    loading, z A', so one chain rule serves every structure; without a
+    random effect they are a single node at 0 with weight 1. In the entries
+    the kernel's node features [I | E_e z_q] do not depend on the point, so
+    they are built once, read-only, and the kernel forms their pair
+    products once per fit. ``passes`` counts the kernel passes. A point
+    whose standard deviation overflows the float range is infeasible: its
+    log-likelihood is -inf.
     """
 
     def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
@@ -251,36 +265,37 @@ class _Objective:
         self._last = (None, None)
         self.passes = 0
         k1, v, x = kernel.n_boundaries, param.n_fixed, kernel.x
-        r = k1 + param.n_variance
+        # each entry's pattern applied to each node, E_e z_q, as (K-1, Q, E):
+        # slot-major, so that the offsets z A' = sum_e a_e E_e z_q are too
+        patterns = param.effect.entry_patterns(k1) @ self.nodes.T
+        self._patterns = np.ascontiguousarray(patterns.transpose(1, 2, 0))
+        r = k1 + self._patterns.shape[-1]
         self._jacobian = np.zeros((len(x), r, param.size))
         self._jacobian[:, :k1, :k1] = np.eye(k1)
         self._jacobian[:, :k1, k1:v] = x[:, None, :]
-        self._jacobian[:, k1:, v:] = np.eye(param.n_variance)
-        # the node features of the Louis pass: the derivatives of the boundary
-        # predictors with respect to themselves, then to each variance
-        # parameter, which _offsets writes
         self._features = np.zeros((self.weights.size, k1, r))
         self._features[:, :, :k1] = np.eye(k1)
+        self._features[:, :, k1:] = self._patterns.transpose(1, 0, 2)
+        self._features.flags.writeable = False
 
     def _offsets(self, tail):
-        """Node offsets (Q, K-1) and the loading's second derivatives mapped
-        to the nodes, (n_variance^2, Q (K-1)), with the offsets' first
-        derivatives written to the node features; None when the effect
-        cannot be formed. Those of the last ``tail`` are kept, so a model
-        without variance parameters maps its node once."""
+        """Node offsets (Q, K-1) and the entries' second derivatives,
+        (E, n_variance^2), with their first derivatives written to the
+        Jacobian's variance block; None when the effect cannot be formed.
+        Those of the last ``tail`` are kept, so a model without variance
+        parameters maps its node once."""
         key = tail.tobytes()
         if key != self._last[0]:
-            k1 = self.kernel.n_boundaries
             try:
                 re = self.param.random_effect(tail)
             except OverflowError:  # exp of a log standard deviation beyond 709
                 self._last = (key, None)
                 return None
-            # laid out so that the kernel's slot-major view of it is contiguous
-            offsets = np.dot(re.loading(k1), self.nodes.T).T
-            self._features[:, :, k1:] = (re.loading_derivatives(k1) @ self.nodes.T).T
-            second = self.nodes @ re.loading_second_derivatives(k1).swapaxes(-1, -2)
-            self._last = (key, (offsets, second.reshape(tail.size**2, offsets.size)))
+            k1, v = self.kernel.n_boundaries, self.param.n_fixed
+            self._jacobian[:, k1:, v:] = re.entry_derivatives()
+            second = re.entry_second_derivatives()
+            second = second.reshape(len(second), tail.size**2)
+            self._last = (key, ((self._patterns @ re.entries()).T, second))
         return self._last[1]
 
     def full(self, theta: np.ndarray) -> _Pass:
@@ -299,8 +314,9 @@ class _Objective:
         """``full`` by Louis' identity: each cluster's Hessian is the
         posterior mean of the conditional Hessian plus the posterior
         covariance of the conditional score. The kernel forms them in the
-        coordinates of its node features; the variance parameters add the
-        node-summed score times the offsets' second derivatives."""
+        coordinates of the node features; the variance parameters add the
+        entries' second derivatives times their scores summed over
+        clusters."""
         c, b, tail = self.param.split(theta)
         mapped = self._offsets(tail)
         if mapped is None:
@@ -311,7 +327,8 @@ class _Objective:
         m = self.kernel.louis_moments(c, b, offsets, self.weights, self._features)
         cluster_hess = m.second  # a fresh array, made the Hessian in place
         cluster_hess -= m.mean[:, :, None] * m.mean[:, None, :]
-        return self._contract(m.loglik, m.mean, cluster_hess, second @ m.node_score.ravel())
+        entry_score = m.mean[:, self.kernel.n_boundaries :].sum(axis=0)
+        return self._contract(m.loglik, m.mean, cluster_hess, entry_score @ second)
 
     def _contract(self, loglik, score, hess, variance=None) -> _Pass:
         """The pass in the parameters, from each cluster's score (n, r) and
@@ -412,13 +429,11 @@ def _fit_impl(
     effect: type,
     opts: FitOptions,
     slope_names: tuple[str, ...],
-    kernel: LoglikKernel | None = None,
 ) -> FitResult:
     """Fit with the random-effect class ``effect`` and the covariates named
     in ``slope_names``: all of the dataset's (full model) or none (intercept
-    model). ``kernel`` is that model's likelihood kernel when the caller
-    already built one. Damped Newton decides the fit, and ``_convergence``
-    judges the point where it stopped."""
+    model). Damped Newton decides the fit, and ``_convergence`` judges the
+    point where it stopped."""
     param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
     order = opts.quadrature_order
     if order is None:
@@ -427,12 +442,11 @@ def _fit_impl(
         # one node puts all the effect's mass at 0: its variance never enters
         raise ValueError(f"a random effect needs a quadrature order of at least 2, got {order}")
 
-    if kernel is None:
-        names = dataset.slope_names()
-        columns = [names.index(name) for name in slope_names]
-        kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
+    names = dataset.slope_names()
+    columns = [names.index(name) for name in slope_names]
+    kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
     objective = _Objective(kernel, param, order)
-    theta0, base = _starting_point(dataset, link, opts, param, slope_names, kernel)
+    theta0, nested_passes = _starting_point(dataset, link, opts, param, slope_names, kernel)
 
     bounds = param.bounds()
     optimum = _newton(objective, theta0, bounds)
@@ -462,7 +476,7 @@ def _fit_impl(
             diagnostics["information_eigenvalues"] = tuple(float(v) for v in err.eigenvalues)
         covariance = cov_theta * np.outer(jac, jac)
         se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    n_evaluations = objective.passes + (base.n_evaluations if base else 0)
+    n_evaluations = objective.passes + nested_passes
     diagnostics["information_passes"] = n_evaluations
 
     values = param.reported(theta_hat)
@@ -650,31 +664,33 @@ def _starting_point(
     param: _Parameterization,
     slope_names: tuple[str, ...],
     kernel: LoglikKernel,
-) -> tuple[np.ndarray, FitResult | None]:
-    """Starting vector and the nested homogeneous fit that found it, if one
-    ran.
+) -> tuple[np.ndarray, int]:
+    """Starting vector and the kernel passes of the nested homogeneous fit
+    that found it, 0 if none ran.
 
     ``opts.starting_values`` of the model's own effect class are the start
     as given. A random-effect model starts its fixed effects at a
-    homogeneous fit, taken from homogeneous ``starting_values`` or else
-    fitted on the same kernel, and its own parameters at the class's
-    default. Starting values of any other structure are ignored."""
-    start, base = opts.starting_values, None
+    homogeneous maximum, taken from homogeneous ``starting_values`` or else
+    found by Newton on the same kernel from the pooled start, and its own
+    parameters at the class's default. Starting values of any other
+    structure are ignored."""
+    start, passes = opts.starting_values, 0
     if start is None or type(start.re) not in (param.effect, NoRandomEffect):
+        # feasible intercepts from the pooled category proportions
+        totals = dataset.count_matrix.sum(axis=0).astype(float)
+        p = np.maximum(totals / totals.sum(), 1e-6)
+        theta = np.concatenate([recover_predictors(link, p / p.sum()), np.zeros(param.n_slopes)])
         if param.effect is NoRandomEffect:
-            # feasible intercepts from the pooled category proportions
-            totals = dataset.count_matrix.sum(axis=0).astype(float)
-            p = np.maximum(totals / totals.sum(), 1e-6)
-            intercepts = recover_predictors(link, p / p.sum())
-            return np.concatenate([intercepts, np.zeros(param.n_slopes)]), None
-        base_opts = replace(opts, starting_values=None, standard_errors=False)
-        base = _fit_impl(dataset, link, NoRandomEffect, base_opts, slope_names, kernel)
-        start = base.estimates
+            return theta, 0
+        homogeneous = _Parameterization(param.n_intercepts, slope_names, NoRandomEffect)
+        nested = _Objective(kernel, homogeneous, 1)
+        start = homogeneous.unpack(_newton(nested, theta, homogeneous.bounds()).theta)
+        passes = nested.passes
     if start.fixed.intercepts.size != param.n_intercepts or start.fixed.slopes.size != param.n_slopes:
         raise ValueError("starting values do not match the model dimensions")
     if type(start.re) is not param.effect:
         start = ParameterVector(fixed=start.fixed, re=param.effect.start())
-    return param.pack(start), base
+    return param.pack(start), passes
 
 
 def fit(
@@ -716,10 +732,11 @@ def predict_random_effects(
     """Empirical-Bayes random-effect predictions for every cluster.
 
     ``mode`` maximizes the conditional log-likelihood plus the normal
-    log-density (Newton search seeded by a node-grid scan); ``mean`` is the
-    posterior mean computed by quadrature, on 40 nodes or a 25 x 25 grid.
-    Returns shape (n, K-1); a univariate effect is replicated across the
-    slots.
+    log-density by Newton steps with step halving, seeded at each
+    cluster's posterior mean on the fit's default rule (30 nodes, or
+    12 x 12); ``mean`` is the posterior mean computed by quadrature, on 40
+    nodes or a 25 x 25 grid. Returns shape (n, K-1); a univariate effect is
+    replicated across the slots.
     """
     if method not in ("mode", "mean"):
         raise ValueError(f"unknown prediction method: {method!r}")
@@ -732,42 +749,56 @@ def predict_random_effects(
         return np.zeros((dataset.n_clusters, k1))
     kernel = LoglikKernel(dataset, link)
     fe = params.fixed
-    z, weights = standard_tensor_grid(_EB_ORDER[re.dim], re.dim)
-    offsets = z @ loading.T
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)
     if method == "mean":
-        log_posterior = grid_ll + np.log(weights)[None, :]
-        posterior = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
-        return (posterior / posterior.sum(axis=1, keepdims=True)) @ offsets
-    seeds = z[np.argmax(grid_ll - 0.5 * (z**2).sum(axis=1)[None, :], axis=1)]
-    return _posterior_modes(kernel, fe, loading, seeds)
+        order = _EB_ORDER[re.dim]
+    else:
+        order = DEFAULT_ORDER_2D if re.dim == 2 else DEFAULT_ORDER_1D
+    z, weights = standard_tensor_grid(order, re.dim)
+    offsets = z @ loading.T
+    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, offsets) + np.log(weights)[None, :]
+    posterior = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    if method == "mean":
+        return posterior @ offsets
+    return _posterior_modes(kernel, fe, loading, posterior @ z) @ loading.T
 
 
 def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
-    """Posterior-mode predictor offsets, shape (n, K-1), for standardized
-    effects z (n, r) whose offsets are z @ loading.T, by Newton ascent from
-    the seeds z.
+    """Posterior modes of the standardized effects, shape (n, r), whose
+    offsets are z @ loading.T, by Newton ascent from the seeds z.
 
     The log posterior is the conditional log-likelihood plus the standard
     normal log-density of z, so its gradient is loading' g - z and its
     Hessian loading' H loading - I, with g and H the link's closed-form
     score and curvature with respect to the boundary predictors; every
     cluster's loading' H loading is one product of the flattened H with
-    loading (x) loading. Steps are clipped to 1 in each coordinate.
+    loading (x) loading. Steps are clipped to 1 in each coordinate, and a
+    cluster's step that lowers its log posterior is halved and tried again
+    while the other clusters step on, so every seed ascends to the mode.
+    Each iteration is one kernel pass at the points tried. Once every
+    gradient is below 1e-8 the last Newton step is taken untried.
     """
     n, dim = z.shape
     pairs = np.kron(loading, loading)  # ((K-1)^2, dim^2)
     identity = np.eye(dim)
-    for _ in range(80):
-        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, z @ loading.T)
-        grad = terms.score @ loading - z
-        hess = (terms.curvature.reshape(n, -1) @ pairs).reshape(n, dim, dim) - identity
-        step = _newton_step(grad, hess)
-        step.clip(-1.0, 1.0, out=step)
-        z = z + step
+    z, value = np.array(z, dtype=float), np.full(n, -np.inf)
+    grad, step = np.full((n, dim), np.inf), np.zeros((n, dim))
+    for _ in range(_EB_ITERATIONS):
+        trial = z + step
+        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, trial @ loading.T)
+        trial_value = terms.loglik - 0.5 * (trial**2).sum(axis=1)
+        # a fall within the rounding of the log posterior counts as none
+        up = trial_value >= value - 1e-12 * np.abs(value)
+        step[~up] *= 0.5
+        took = slice(None) if up.all() else up
+        z[took], value[took] = trial[took], trial_value[took]
+        grad[took] = terms.score[took] @ loading - z[took]
+        curvature = terms.curvature[took]
+        hess = (curvature.reshape(len(curvature), -1) @ pairs).reshape(-1, dim, dim) - identity
+        step[took] = _newton_step(grad[took], hess).clip(-1.0, 1.0)
         if np.abs(grad).max() < 1e-8:
-            break
-    return z @ loading.T
+            return z + step
+    return z
 
 
 def _newton_step(grad, hess):

@@ -13,7 +13,12 @@ is the posterior mean of the conditional Hessian plus the posterior
 covariance of the conditional score (Louis' identity), so one pass over the
 node arrays, ``louis_moments``, which also evaluates each link's
 closed-form curvature, yields the value, the score and the observed
-information together.
+information together. Its node features, the derivatives of the
+predictors at each node, come from the caller; when they are a read-only
+array, as the estimation layer's fixed features are, the pass forms their
+pairwise products on the first call and reuses them while the same array
+comes back, so a pass does no work per node and feature pair outside the
+contractions over the nodes.
 
 ``LoglikKernel`` lays the predictors out slot-major: an array of shape
 (K-1, n, Q) whose leading axis is the category boundary, so each boundary
@@ -82,6 +87,19 @@ def _pair_indices(link: LinkFamily, k1: int) -> tuple[np.ndarray, np.ndarray]:
     for a in out:
         a.flags.writeable = False
     return out
+
+
+def _pair_products(features: np.ndarray, k: np.ndarray, l: np.ndarray):
+    """The node features (Q, K-1, r) by boundary, (K-1, Q, r), and for each
+    Louis pair the outer product of the features of boundaries k and l,
+    (pairs, Q, r * r): r * r values per node. An off-diagonal pair also
+    stands for (l, k), whose curvature and score product are the same, so
+    it holds the sum of both outer products."""
+    by_boundary = np.ascontiguousarray(features.transpose(1, 0, 2))
+    outer = by_boundary[k, :, :, None] * by_boundary[l, :, None, :]
+    np.add(outer, outer.swapaxes(-1, -2), out=outer, where=(k != l)[:, None, None, None])
+    n_nodes, r = features.shape[0], features.shape[2]
+    return by_boundary, outer.reshape(len(k), n_nodes, r * r)
 
 
 def _log_coefficients(counts: np.ndarray) -> np.ndarray:
@@ -201,6 +219,8 @@ class LoglikKernel:
         self._empty = counts.T == 0
         self._pairs, self._louis_pairs = _pair_indices(link, self.n_boundaries)
         self._workspaces: dict[int, _Workspace] = {}
+        # the last node features louis_moments saw, with _pair_products' arrays
+        self._louis_features: tuple = (None,)
 
     def _workspace(self, n_nodes: int) -> _Workspace:
         if n_nodes not in self._workspaces:
@@ -336,19 +356,18 @@ class LoglikKernel:
 
         Takes the arguments of ``marginal`` and the node features M, shape
         (Q, K-1, r); see ``LouisMoments``. Infeasible nodes get zero
-        posterior weight and contribute nothing.
+        posterior weight and contribute nothing. The features' pair
+        products are formed once for a read-only features array and reused
+        while later calls pass the same array, as every pass of one fit
+        does; a writeable one is read afresh on each call.
         """
         weights = np.asarray(weights, dtype=float)
-        # (K-1, Q, r): the features of each boundary
-        features = np.asarray(features, dtype=float).transpose(1, 0, 2)
-        (k1, n_nodes, r), n = features.shape, self.x.shape[0]
-        # the outer product of the features of boundaries k and l, r * r
-        # values per node, for each pair k <= l; an off-diagonal pair also
-        # stands for (l, k), whose curvature and score product are the same
+        features = np.asarray(features, dtype=float)
+        if self._louis_features[0] is not features or features.flags.writeable:
+            self._louis_features = (features, *_pair_products(features, *self._louis_pairs))
+        _, by_boundary, outer = self._louis_features
+        (k1, n_nodes, r), n = by_boundary.shape, self.x.shape[0]
         k, l = self._louis_pairs
-        outer = features[k, :, :, None] * features[l, :, None, :]
-        np.add(outer, outer.swapaxes(-1, -2), out=outer, where=(k != l)[:, None, None, None])
-        outer = outer.reshape(len(k), n_nodes, r * r)
         out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
         node_score = np.zeros((n_nodes, k1))
         work = self._workspace(n_nodes).planes
@@ -366,7 +385,7 @@ class LoglikKernel:
                 term *= posterior
                 second[lo:hi] += term @ outer[p]
             g *= posterior
-            mean[lo:hi] += np.matmul(g, features).sum(axis=0)
+            mean[lo:hi] += np.matmul(g, by_boundary).sum(axis=0)
             node_score += g.sum(axis=1).T
         loglik = float((out + self.log_coef).sum())
         return LouisMoments(loglik, mean, second.reshape(n, r, r), node_score)

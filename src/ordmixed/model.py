@@ -74,10 +74,13 @@ class _RandomEffectSpec:
     """What the three random-effect classes share: a cluster's K-1
     predictor offsets are A z, with z standard normal of ``dim`` components
     and A = ``loading(K-1)`` (MIXOR's Cholesky form, Hedeker & Gibbons 1994).
+    A is linear in its free entries a, A = sum_e a_e E_e, with fixed
+    patterns E_e: one shared entry sigma for a univariate effect, the
+    Cholesky entries l11, l21, l22 for a bivariate one.
 
     ``names`` are the fields in reported order. The optimizer sees the
     names in ``correlations`` on the atanh scale and the others, standard
-    deviations, on the log scale; the loading derivatives are in those
+    deviations, on the log scale; the entries' derivatives are in those
     coordinates. ``n_boundaries``, when set, is the only K-1 the effect fits.
     """
 
@@ -108,21 +111,32 @@ class _RandomEffectSpec:
             elif not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
-    # empty without names; an effect with names overrides all three
-
     def loading(self, k1: int) -> np.ndarray:
-        """The loading A, shape (K-1, dim), of K-1 predictor slots."""
-        return np.zeros((k1, self.dim))
+        """The loading A = sum_e a_e E_e, shape (K-1, dim), of K-1 predictor
+        slots."""
+        return np.tensordot(self.entries(), self.entry_patterns(k1), 1)
 
-    def loading_derivatives(self, k1: int) -> np.ndarray:
-        """Derivatives of A with respect to each unconstrained coordinate,
-        shape (T, K-1, dim) for T names."""
-        return np.zeros((len(self.names), k1, self.dim))
+    # none without names; an effect with names overrides all four
 
-    def loading_second_derivatives(self, k1: int) -> np.ndarray:
-        """Second derivatives of A with respect to each pair of
-        unconstrained coordinates, shape (T, T, K-1, dim)."""
-        return np.zeros((len(self.names), len(self.names), k1, self.dim))
+    @classmethod
+    def entry_patterns(cls, k1: int) -> np.ndarray:
+        """The pattern E_e of each free entry of the loading, shape
+        (E, K-1, dim): a one where the entry sits, zeros elsewhere."""
+        return np.zeros((0, k1, cls.dim))
+
+    def entries(self) -> np.ndarray:
+        """The loading's free entries a, shape (E,)."""
+        return np.zeros(0)
+
+    def entry_derivatives(self) -> np.ndarray:
+        """Derivatives of the entries with respect to each unconstrained
+        coordinate, shape (E, T) for T names."""
+        return np.zeros((0, len(self.names)))
+
+    def entry_second_derivatives(self) -> np.ndarray:
+        """Second derivatives of the entries with respect to each pair of
+        unconstrained coordinates, shape (E, T, T)."""
+        return np.zeros((0, len(self.names), len(self.names)))
 
     def latent_variance(self) -> tuple[float, np.ndarray]:
         """The cluster-level variance on the latent logistic scale, which
@@ -148,16 +162,20 @@ class UnivariateRandomEffect(_RandomEffectSpec):
 
     sigma: float
 
-    def loading(self, k1: int) -> np.ndarray:
-        return np.array([[self.sigma]] * k1)
+    @classmethod
+    def entry_patterns(cls, k1: int) -> np.ndarray:
+        return np.ones((1, k1, 1))
 
-    # sigma times a fixed column is its own derivative in log sigma, to any order
+    def entries(self) -> np.ndarray:
+        return np.array([self.sigma])
 
-    def loading_derivatives(self, k1: int) -> np.ndarray:
-        return np.array([[[self.sigma]] * k1])
+    # sigma is its own derivative in log sigma, to any order
 
-    def loading_second_derivatives(self, k1: int) -> np.ndarray:
-        return np.array([[[[self.sigma]] * k1]])
+    def entry_derivatives(self) -> np.ndarray:
+        return np.array([[self.sigma]])
+
+    def entry_second_derivatives(self) -> np.ndarray:
+        return np.array([[[self.sigma]]])
 
     def latent_variance(self) -> tuple[float, np.ndarray]:
         return self.sigma**2, np.array([2.0 * self.sigma])
@@ -179,51 +197,55 @@ class BivariateRandomEffect(_RandomEffectSpec):
     sigma2: float
     rho: float
 
-    def loading(self, k1: int) -> np.ndarray:
-        """Lower-triangular factor L with L L' equal to the covariance.
+    @classmethod
+    def entry_patterns(cls, k1: int) -> np.ndarray:
+        cls.check_boundaries(k1)
+        return np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 
-        For rho = +-1 the factor is rank deficient with a zero second
-        column rather than an error, so perfectly correlated deviations
-        remain representable.
+    def entries(self) -> np.ndarray:
+        """The factor's entries l11 = sigma1, l21 = rho sigma2 and
+        l22 = sigma2 sqrt(1 - rho^2).
+
+        For rho = +-1 the factor is rank deficient with l22 = 0 rather than
+        an error, so perfectly correlated deviations remain representable.
         """
-        self.check_boundaries(k1)
-        l22 = self.sigma2 * np.sqrt(max(0.0, 1.0 - self.rho**2))
-        return np.array([[self.sigma1, 0.0], [self.rho * self.sigma2, l22]])
+        s1, s2, rho = self.sigma1, self.sigma2, self.rho
+        return np.array([s1, rho * s2, s2 * math.sqrt(max(0.0, 1.0 - rho**2))])
 
-    def loading_derivatives(self, k1: int) -> np.ndarray:
+    def entry_derivatives(self) -> np.ndarray:
         """Derivatives with respect to log sigma1, log sigma2 and atanh rho,
-        (3, 2, 2). All stay finite at rho = +-1: the derivative of l22 with
+        (3, 3). All stay finite at rho = +-1: the derivative of l22 with
         respect to atanh rho is -rho * sigma2 * sqrt(1 - rho^2), which
         vanishes there.
         """
         s1, s2, rho = self.sigma1, self.sigma2, self.rho
-        root = np.sqrt(max(0.0, 1.0 - rho**2))
+        root = math.sqrt(max(0.0, 1.0 - rho**2))
         return np.array(
             [
-                [[s1, 0.0], [0.0, 0.0]],
-                [[0.0, 0.0], [rho * s2, s2 * root]],
-                [[0.0, 0.0], [s2 * (1.0 - rho**2), -rho * s2 * root]],
+                [s1, 0.0, 0.0],
+                [0.0, rho * s2, s2 * (1.0 - rho**2)],
+                [0.0, s2 * root, -rho * s2 * root],
             ]
         )
 
-    def loading_second_derivatives(self, k1: int) -> np.ndarray:
-        """Second derivatives, (3, 3, 2, 2).
+    def entry_second_derivatives(self) -> np.ndarray:
+        """Second derivatives, (3, 3, 3).
 
-        The first row of the factor is sigma1 alone and the second is sigma2
-        times a function of rho. So twice in log sigma1, or in log sigma2,
-        the derivative repeats the first derivative; log sigma2 with atanh
-        rho repeats the first derivative in atanh rho; log sigma1 with
-        either other parameter vanishes. All stay finite at rho = +-1,
-        where every factor of sqrt(1 - rho^2) vanishes.
+        l11 is sigma1 alone and l21, l22 are sigma2 times a function of rho.
+        So twice in log sigma1, or in log sigma2, an entry's derivative
+        repeats the entry's first derivative; log sigma2 with atanh rho
+        repeats the first derivative in atanh rho; log sigma1 with either
+        other parameter vanishes. All stay finite at rho = +-1, where every
+        factor of sqrt(1 - rho^2) vanishes.
         """
         s2, rho = self.sigma2, self.rho
-        first = self.loading_derivatives(k1)
-        root = np.sqrt(max(0.0, 1.0 - rho**2))
-        second = np.zeros((3, 3, 2, 2))
-        second[0, 0] = first[0]
-        second[1, 1] = first[1]
-        second[1, 2] = second[2, 1] = first[2]
-        second[2, 2, 1] = [-2.0 * rho * s2 * (1.0 - rho**2), -s2 * root * (1.0 - 2.0 * rho**2)]
+        first = self.entry_derivatives()
+        root = math.sqrt(max(0.0, 1.0 - rho**2))
+        second = np.zeros((3, 3, 3))
+        second[0, 0, 0] = first[0, 0]
+        second[1:, 1, 1] = first[1:, 1]
+        second[1:, 1, 2] = second[1:, 2, 1] = first[1:, 2]
+        second[1:, 2, 2] = [-2.0 * rho * s2 * (1.0 - rho**2), -s2 * root * (1.0 - 2.0 * rho**2)]
         return second
 
     def latent_variance(self) -> tuple[float, np.ndarray]:
@@ -272,14 +294,17 @@ class Cluster:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or counts.size < 2:
             raise ValueError("counts must be a vector of length K >= 2")
-        if not np.issubdtype(counts.dtype, np.integer):
+        if counts.dtype.kind not in "iu":  # not an integer array
             rounded = np.rint(counts)
             if not np.all(np.isfinite(counts)) or np.any(np.abs(rounded - counts) > 0):
                 raise ValueError("counts must be integers")
             counts = rounded.astype(np.int64)
-        if np.any(counts < 0):
+        # K values, checked as Python integers: cheaper than numpy's
+        # reductions at this size, and their sum cannot wrap
+        values = counts.tolist()
+        if min(values) < 0:
             raise ValueError("counts must be non-negative")
-        if counts.sum() < 1:
+        if sum(values) < 1:
             raise ValueError("cluster must contain at least one observation")
         counts = counts.astype(np.int64)
         counts.flags.writeable = False
@@ -380,14 +405,13 @@ class Dataset:
 
 
 def _readonly_vector(values, name: str, allow_empty: bool = False) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy the caller cannot write
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
     if arr.size == 0 and not allow_empty:
         raise ValueError(f"{name} must not be empty")
-    if arr.size and not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} must be finite")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -58,13 +58,17 @@ def study_true_parameters(sigma: float = 0.6) -> ParameterVector:
     return ParameterVector(fixed=fixed, re=re)
 
 
+@lru_cache(maxsize=8)
 def factorial_design(
     factors: tuple[tuple[str, int], ...] = DEFAULT_FACTORS,
 ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Full-factorial indicator design: covariate matrix, covariate names,
-    and the factor-level matrix (level 1 is the reference level)."""
+    and the factor-level matrix (level 1 is the reference level). Built once
+    per factor list; the arrays are read-only, shared by every caller."""
     levels = np.array(list(itertools.product(*[range(1, n + 1) for _, n in factors])), dtype=np.int64)
-    return indicator_columns(factors, levels), indicator_names(factors), levels
+    x = indicator_columns(factors, levels)
+    x.flags.writeable = levels.flags.writeable = False
+    return x, indicator_names(factors), levels
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class SimulationDesign:
         if self.cluster_size < 1:
             raise ValueError("cluster size must be >= 1")
         object.__setattr__(self, "fits", tuple((l, s) for l, s in self.fits))
+        # hashable, so that factorial_design builds the design once
+        object.__setattr__(self, "factors", tuple((name, n) for name, n in self.factors))
 
 
 @dataclass(frozen=True)

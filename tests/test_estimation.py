@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from ordmixed import (
     strawberry_dataset,
     total_loglik,
 )
-from ordmixed import estimation
+from ordmixed import estimation, likelihood
 from ordmixed.estimation import (
     _ATANH_RHO_BOUND,
     _LOG_SIGMA_ZERO,
@@ -462,6 +463,74 @@ class TestAnalyticScore:
         assert objective.passes == 0
 
 
+class TestFixedFeatures:
+    """The Louis pass's node features [I | E_e z_q] in the loading's free
+    entries: built once per fit, read-only, and exact at the edges of the
+    bivariate parameter space."""
+
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    def test_pair_products_are_built_once_per_fit(self, strawberry, monkeypatch, structure):
+        built = []
+        original = likelihood._pair_products
+
+        def counted(*args):
+            built.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(likelihood, "_pair_products", counted)
+        result = fit(strawberry, PO, structure, FAST)
+        assert result.converged and len(built) == 1
+        assert not built[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            built[0][0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    def test_reused_pair_products_match_fresh_ones(self, strawberry, structure):
+        param = _Parameterization(2, strawberry.slope_names(), RANDOM_EFFECTS[structure])
+        kernel = LoglikKernel(strawberry, PO)
+        objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
+        theta = _random_theta(np.random.default_rng(11), param)
+        c, b, tail = param.split(theta)
+        offsets = objective._offsets(tail)[0]
+        args = (c, b, offsets, objective.weights)
+        first = kernel.louis_moments(*args, objective._features)
+        again = kernel.louis_moments(*args, objective._features)
+        fresh = LoglikKernel(strawberry, PO).louis_moments(*args, objective._features.copy())
+        for moments in (again, fresh):
+            for got, want in zip(moments, first):
+                np.testing.assert_array_equal(got, want)
+        # writeable features are read afresh on every call
+        writeable = objective._features.copy()
+        kernel.louis_moments(*args, writeable)
+        writeable *= 2.0
+        second = LoglikKernel(strawberry, PO).louis_moments(*args, writeable).second
+        np.testing.assert_array_equal(kernel.louis_moments(*args, writeable).second, second)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            [0.2, -0.4, math.atanh(0.999)],
+            [-0.3, 0.1, -math.atanh(0.9999)],
+            [-11.5, 0.3, 0.4],
+            [0.1, -11.5, -0.6],
+        ],
+        ids=["rho 0.999", "rho -0.9999", "sigma1 near the floor", "sigma2 near the floor"],
+    )
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_bivariate_score_and_information_match_differences(self, strawberry, link, tail):
+        param = _Parameterization(2, strawberry.slope_names(), BivariateRandomEffect)
+        objective = _Objective(LoglikKernel(strawberry, link), param, 12)
+        slopes = np.random.default_rng(7).normal(0.0, 0.3, param.n_slopes)
+        theta = np.concatenate([[-1.2, 0.6], slopes, tail])
+        value = _marginal_value(objective)
+        loglik, score, info = objective.full(theta)
+        assert loglik == pytest.approx(value(theta), rel=1e-12)
+        oracle = _central_gradient(value, theta)
+        assert np.max(np.abs(score - oracle)) <= 1e-6 * max(1.0, np.max(np.abs(oracle)))
+        oracle = _information(lambda t: objective.full(t).score, theta)
+        assert np.max(np.abs(info - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+
 class TestObjectiveAtOtherK:
     """The objective's score and information at K = 2 and 4, where the
     Jacobian has another number of boundary rows than strawberry's K = 3,
@@ -784,10 +853,85 @@ class TestPosteriorModes:
         at_mode = original(LoglikKernel(large_clusters, link), fe.intercepts, fe.slopes, modes)
         assert np.max(np.abs(sigma * at_mode.score.sum(axis=1) - modes[:, 0] / sigma)) < 1e-8
 
+    # design seed 5, clusters of 2: converged fits where Newton steps without
+    # step control, from the posterior-mean seeds, stop short of the mode
+    @pytest.mark.parametrize(
+        "generator, sigma, replication, link, structure",
+        [
+            (PO, 1.5, 1, LinkFamily.CONTINUATION_RATIO, "bivariate"),
+            (LinkFamily.CONTINUATION_RATIO, 1.5, 2, LinkFamily.ADJACENT_CATEGORIES, "bivariate"),
+            (LinkFamily.ADJACENT_CATEGORIES, 3.0, 3, PO, "univariate"),
+            (LinkFamily.ADJACENT_CATEGORIES, 3.0, 2, LinkFamily.ADJACENT_CATEGORIES, "bivariate"),
+        ],
+    )
+    def test_every_seed_reaches_the_mode(self, generator, sigma, replication, link, structure):
+        design = SimulationDesign(
+            link=generator, true_params=study_true_parameters(sigma), fits=(), cluster_size=2, seed=5
+        )
+        dataset = generate_dataset(design, replication)
+        result = fit(dataset, link, structure, FAST)
+        assert result.converged
+        params = result.estimates
+        kernel = LoglikKernel(dataset, link)
+        loading = params.re.loading(dataset.n_categories - 1)
+        seeds = (
+            _grid_argmax_seeds(kernel, params),
+            _posterior_mean_seeds(kernel, params),
+            np.zeros((dataset.n_clusters, params.re.dim)),
+        )
+        modes = [estimation._posterior_modes(kernel, params.fixed, loading, z) for z in seeds]
+        for z in modes:
+            terms = kernel.conditional_terms(params.fixed.intercepts, params.fixed.slopes, z @ loading.T)
+            assert np.max(np.abs(terms.score @ loading - z)) < 1e-8
+        for z in modes[1:]:
+            np.testing.assert_allclose(z, modes[0], rtol=0, atol=1e-8)
+
+    def test_posterior_mean_seeds_keep_the_grid_seeded_modes(
+        self, strawberry, random_effect_fits, large_clusters
+    ):
+        """The modes from the posterior-mean seeds are those from the argmax
+        of the 40-node or 25 x 25 grid: on strawberry's six random-effect
+        fits, on the benchmark's study_slice block 0 of seed 0 (design seed
+        0) at each replication's univariate fits, and on large_clusters
+        block 0 at the truth."""
+        cases = [(strawberry, params, link) for (link, _), params in random_effect_fits.items()]
+        design = SimulationDesign(link=PO, true_params=study_true_parameters(1.5), fits=(), seed=0)
+        opts = FitOptions(quadrature_order=20, standard_errors=False)
+        for replication in range(10):
+            dataset = generate_dataset(design, replication)
+            for link in LinkFamily:
+                cases.append((dataset, fit(dataset, link, "univariate", opts).estimates, link))
+        cases += [(large_clusters, study_true_parameters(1.5), link) for link in LinkFamily]
+        for dataset, params, link in cases:
+            kernel = LoglikKernel(dataset, link)
+            loading = params.re.loading(dataset.n_categories - 1)
+            seeds = _grid_argmax_seeds(kernel, params)
+            expected = estimation._posterior_modes(kernel, params.fixed, loading, seeds) @ loading.T
+            modes = predict_random_effects(dataset, params, link)
+            np.testing.assert_allclose(modes, expected, rtol=0, atol=1e-10)
+
+
+def _grid_argmax_seeds(kernel, params):
+    """Each cluster's standardized node of highest log posterior on the
+    40-node or 25 x 25 grid."""
+    z, _ = standard_tensor_grid(estimation._EB_ORDER[params.re.dim], params.re.dim)
+    fe, loading = params.fixed, params.re.loading(kernel.n_boundaries)
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)
+    return z[np.argmax(grid_ll - 0.5 * (z**2).sum(axis=1)[None, :], axis=1)]
+
+
+def _posterior_mean_seeds(kernel, params):
+    """Each cluster's posterior mean of the standardized effect on the
+    default rule, 30 nodes or 12 x 12."""
+    z, weights = standard_tensor_grid(30 if params.re.dim == 1 else 12, params.re.dim)
+    fe, loading = params.fixed, params.re.loading(kernel.n_boundaries)
+    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T) + np.log(weights)
+    return softmax(log_posterior, axis=1) @ z
+
 
 def _modes_reference(dataset, params, link):
     """Posterior modes by Newton steps on differenced values of the log
-    posterior, seeded as the library seeds them."""
+    posterior, seeded at the argmax of a node grid."""
     kernel = LoglikKernel(dataset, link)
     fe, re = params.fixed, params.re
     if isinstance(re, UnivariateRandomEffect):

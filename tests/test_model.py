@@ -294,8 +294,9 @@ EFFECTS = [
 
 
 class TestLoadingDerivatives:
-    """Each random-effect class's loading A (K-1, dim) and its derivatives
-    in the optimizer's unconstrained coordinates."""
+    """Each random-effect class's loading A (K-1, dim) = sum_e a_e E_e and
+    the derivatives of its free entries a in the optimizer's unconstrained
+    coordinates."""
 
     @staticmethod
     def _packed(effect, k1=2):
@@ -309,12 +310,15 @@ class TestLoadingDerivatives:
         k1 = 2
         param, theta = self._packed(effect, k1)
         tail = theta[param.n_fixed :]
-        first = effect.loading_derivatives(k1)
-        second = effect.loading_second_derivatives(k1)
-        n = len(effect.names)
+        patterns = effect.entry_patterns(k1)
+        first = effect.entry_derivatives()
+        second = effect.entry_second_derivatives()
+        n, e = len(effect.names), len(effect.entries())
         assert effect.loading(k1).shape == (k1, effect.dim)
-        assert first.shape == (n, k1, effect.dim)
-        assert second.shape == (n, n, k1, effect.dim)
+        assert patterns.shape == (e, k1, effect.dim) and set(np.unique(patterns)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(effect.loading(k1), np.einsum("e,ekd->kd", effect.entries(), patterns))
+        assert first.shape == (e, n)
+        assert second.shape == (e, n, n)
         h = 1e-6
         for i in range(n):
             up, dn = tail.copy(), tail.copy()
@@ -322,11 +326,11 @@ class TestLoadingDerivatives:
             dn[i] -= h
             at_up, at_dn = param.random_effect(up), param.random_effect(dn)
             np.testing.assert_allclose(
-                first[i], (at_up.loading(k1) - at_dn.loading(k1)) / (2 * h), atol=1e-7
+                first[:, i], (at_up.entries() - at_dn.entries()) / (2 * h), atol=1e-7
             )
             np.testing.assert_allclose(
-                second[:, i],
-                (at_up.loading_derivatives(k1) - at_dn.loading_derivatives(k1)) / (2 * h),
+                second[:, :, i],
+                (at_up.entry_derivatives() - at_dn.entry_derivatives()) / (2 * h),
                 atol=1e-7,
             )
 
@@ -352,18 +356,21 @@ class TestLoadingDerivatives:
     def test_univariate_loading_is_sigma_in_every_slot(self, k1):
         effect = UnivariateRandomEffect(0.7)
         np.testing.assert_array_equal(effect.loading(k1), np.full((k1, 1), 0.7))
-        np.testing.assert_array_equal(effect.loading_derivatives(k1)[0], effect.loading(k1))
+        np.testing.assert_array_equal(effect.entry_patterns(k1)[0], np.ones((k1, 1)))
+        np.testing.assert_array_equal(effect.entry_derivatives(), [effect.entries()])
         with pytest.raises(ValueError, match="exactly 3 categories"):
             BivariateRandomEffect(0.7, 0.5, 0.1).loading(k1)
 
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
     def test_finite_at_perfect_correlation(self, rho):
-        derivs = BivariateRandomEffect(0.7, 1.8, rho).loading_derivatives(2)
+        effect = BivariateRandomEffect(0.7, 1.8, rho)
+        np.testing.assert_array_equal(effect.loading(2), [[0.7, 0.0], [rho * 1.8, 0.0]])
+        derivs = effect.entry_derivatives()
         assert np.all(np.isfinite(derivs))
-        np.testing.assert_array_equal(derivs[2], np.zeros((2, 2)))
-        second = BivariateRandomEffect(0.7, 1.8, rho).loading_second_derivatives(2)
+        np.testing.assert_array_equal(derivs[:, 2], np.zeros(3))
+        second = effect.entry_second_derivatives()
         assert np.all(np.isfinite(second))
-        np.testing.assert_array_equal(second[2], np.zeros((3, 2, 2)))
+        np.testing.assert_array_equal(second[:, 2], np.zeros((3, 3)))
 
 
 class TestDataModel:

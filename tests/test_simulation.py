@@ -140,15 +140,16 @@ class TestRunStudy:
 
     def test_random_effect_fits_start_at_the_homogeneous_fits(self, monkeypatch):
         calls = []
-        original = estimation._fit_impl
+        original = estimation._newton
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "_fit_impl", counted)
+        monkeypatch.setattr(estimation, "_newton", counted)
         run_study(small_design(replications=3), FitOptions(quadrature_order=10))
-        # full and intercept fits of (po, none) and (po, univariate), none nested
+        # full and intercept fits of (po, none) and (po, univariate), none
+        # with a nested homogeneous Newton run
         assert len(calls) == 4 * 3
 
     def test_parallel_execution_matches_serial(self):
