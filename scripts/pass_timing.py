@@ -12,6 +12,12 @@ link, the median per-call time of:
 
 - ``LoglikKernel.louis_moments``, with the node features and offsets of the
   fit's objective, as a Newton pass calls it, and ``conditional_terms``;
+- ``louis_moments`` of the intercept-only model with the same effect, on a
+  kernel without covariates, whose clusters all share one predictor row;
+- a rejected trial: ``_Objective.full`` at the same point with a floor
+  above its log-likelihood, as Newton's line search calls it, which stops
+  after the log-likelihood (a tree whose ``full`` takes no floor makes the
+  whole pass, as its line search does);
 - one ``_newton`` pass: a Newton fit of the size's random-effect model from
   its usual start, divided by the passes it made;
 - the part of that pass spent outside the kernel, the fit's time less its
@@ -42,6 +48,7 @@ medians, and B's change against A.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 from collections import defaultdict
@@ -57,8 +64,8 @@ SIZES = {
     "48x144": ("strawberry_panel", 12, 100, 8, "bivariate"),
 }
 FUNCTIONS = (
-    "louis_moments", "conditional_terms", "_newton pass", "outside the kernel",
-    "_ascent_direction", "intercept fit", "predict_random_effects",
+    "louis_moments", "conditional_terms", "intercept louis", "rejected trial", "_newton pass",
+    "outside the kernel", "_ascent_direction", "intercept fit", "predict_random_effects",
 )
 
 
@@ -91,7 +98,7 @@ def _measure(tree: Path, seed: int) -> None:
     import workloads as bench
     from ordmixed import estimation, simulation
     from ordmixed.likelihood import LoglikKernel
-    from ordmixed.model import RANDOM_EFFECTS
+    from ordmixed.model import RANDOM_EFFECTS, Cluster, Dataset
 
     truth = simulation.study_true_parameters(bench.STUDY_SIGMA)
     for size, (workload, order, calls, fits, structure) in SIZES.items():
@@ -109,9 +116,27 @@ def _measure(tree: Path, seed: int) -> None:
             objective = estimation._Objective(kernel, param, order)
             offsets = objective._offsets(param.pack(params)[param.n_fixed :])[0]
             features, weights = objective._features, objective.weights
+            # the intercept-only model's kernel and offsets, at the same effect
+            lone = LoglikKernel(Dataset(clusters=tuple(
+                Cluster(covariates=np.empty(0), counts=cluster.counts) for cluster in dataset.clusters
+            )), link)
+            lone_param = estimation._Parameterization(k1, (), RANDOM_EFFECTS[structure])
+            lone_offsets = estimation._Objective(lone, lone_param, order)._offsets(
+                param.pack(params)[param.n_fixed :]
+            )[0]
+            theta = param.pack(params)
+            floor = objective.full(theta).loglik + 1.0
+            if "floor" in inspect.signature(objective.full).parameters:
+                rejected = lambda: objective.full(theta, floor)
+            else:
+                rejected = lambda: objective.full(theta)
             timed = {
                 "louis_moments": lambda: kernel.louis_moments(c, b, offsets, weights, features),
                 "conditional_terms": lambda: kernel.conditional_terms(c, b, np.zeros((1, k1))),
+                "intercept louis": lambda: lone.louis_moments(
+                    c, np.empty(0), lone_offsets, weights, features
+                ),
+                "rejected trial": rejected,
             }
             for name, fn in timed.items():
                 line = {"size": size, "link": tag, "function": name,

@@ -17,7 +17,8 @@ derivatives, and the delta method the covariance to the reported scale.
 Each Newton step is capped, projected onto the box of the variance
 parameters and halved until the log-likelihood does not fall;
 proportional-odds proposals outside the feasible region evaluate to -inf
-and so are halved too. Newton alone
+and so are halved too. A trial that falls below the current point stops
+as soon as its log-likelihood shows it. Newton alone
 decides the fit: where it gives up, the fit reports its last accepted point,
 which the convergence test then judges like any other, except that a fit
 that reached the iteration cap has not converged. The standard errors come
@@ -219,7 +220,8 @@ class _Parameterization:
 
 class _Pass(NamedTuple):
     """One kernel pass at a point: the log-likelihood, its score and the
-    observed information (the negative Hessian)."""
+    observed information (the negative Hessian); a pass stopped below its
+    floor has an upper bound of the log-likelihood and None for the rest."""
 
     loglik: float
     score: np.ndarray
@@ -298,19 +300,24 @@ class _Objective:
             self._last = (key, ((self._patterns @ re.entries()).T, second))
         return self._last[1]
 
-    def full(self, theta: np.ndarray) -> _Pass:
+    def full(self, theta: np.ndarray, floor: float | None = None) -> _Pass:
         """Log-likelihood, score and observed information at ``theta`` in
         one kernel pass. Without a random effect the fit has one node, where
         the posterior covariance of Louis' identity is zero, so the pass is
-        ``conditional_terms``' score and curvature."""
+        ``conditional_terms``' score and curvature.
+
+        With a ``floor``, a random-effect pass whose log-likelihood is
+        certainly below it stops early (``LoglikKernel.louis_moments``) and
+        returns an upper bound of its log-likelihood, below the floor, with
+        None for the score and information; it still counts as a pass."""
         if self.param.effect.dim:
-            return self._louis(theta)
+            return self._louis(theta, floor)
         c, b, _ = self.param.split(theta)
         self.passes += 1
         t = self.kernel.conditional_terms(c, b, np.zeros((1, c.size)))
         return self._contract(float(t.loglik.sum()), t.score, t.curvature)
 
-    def _louis(self, theta: np.ndarray) -> _Pass:
+    def _louis(self, theta: np.ndarray, floor: float | None = None) -> _Pass:
         """``full`` by Louis' identity: each cluster's Hessian is the
         posterior mean of the conditional Hessian plus the posterior
         covariance of the conditional score. The kernel forms them in the
@@ -324,7 +331,9 @@ class _Objective:
             return _Pass(-np.inf, np.zeros(size), np.full((size, size), np.nan))
         offsets, second = mapped
         self.passes += 1
-        m = self.kernel.louis_moments(c, b, offsets, self.weights, self._features)
+        m = self.kernel.louis_moments(c, b, offsets, self.weights, self._features, floor)
+        if m.mean is None:  # below the floor
+            return _Pass(m.loglik, None, None)
         cluster_hess = m.second  # a fresh array, made the Hessian in place
         cluster_hess -= m.mean[:, :, None] * m.mean[:, None, :]
         entry_score = m.mean[:, self.kernel.n_boundaries :].sum(axis=0)
@@ -443,8 +452,8 @@ def _fit_impl(
         raise ValueError(f"a random effect needs a quadrature order of at least 2, got {order}")
 
     names = dataset.slope_names()
-    columns = [names.index(name) for name in slope_names]
-    kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, columns])
+    # the dataset's own columns, so that the kernel shares its covariate patterns
+    kernel = LoglikKernel(dataset, link, columns=[names.index(name) for name in slope_names])
     objective = _Objective(kernel, param, order)
     theta0, nested_passes = _starting_point(dataset, link, opts, param, slope_names, kernel)
 
@@ -559,7 +568,12 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
     otherwise fall by about 0.5 in log per step; the sigmas of a bivariate
     effect fall together. After one refused trial the fit tries the floor no
     more. Every point is evaluated by ``objective.full``, so an accepted
-    step carries the next iteration's information. Stops when the Newton
+    step carries the next iteration's information. Each trial passes the
+    current log-likelihood to ``objective.full`` as its floor: a trial that
+    certainly falls below it stops after its log-likelihood, all that the
+    line search reads of a rejected trial, and skips the posterior and
+    Jacobian contractions; it still counts as a pass, so the fit is the
+    same, pass for pass, as without the floor. Stops when the Newton
     decrement g' I^-1 g is below _NEWTON_DECREMENT with a positive-definite
     information, or, with a semidefinite one, when the decrement on its
     identified eigen-directions is below it and the score along the
@@ -604,7 +618,7 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
         if try_floor and (theta[floored] < _LOG_SIGMA_FALLING).any():
             candidate = np.minimum(np.maximum(theta + step, lower), upper)
             candidate[floored] = lower[floored]
-            trial = objective.full(candidate)
+            trial = objective.full(candidate, current.loglik)
             # the sigmas belong at 0 only if the floor gains and the score
             # there, along the direction in which they fell, points out of
             # the box; otherwise the maximum is inside
@@ -613,7 +627,7 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
         if trial is None:
             for _ in range(_NEWTON_HALVINGS):
                 candidate = np.minimum(np.maximum(theta + step, lower), upper)
-                trial = objective.full(candidate)
+                trial = objective.full(candidate, current.loglik)
                 if trial.loglik >= current.loglik:
                     break
                 step *= 0.5

@@ -38,6 +38,20 @@ random effect's loading A, z A'; a 3-d one gives each cluster its own
 nodes. No random effect is one node at 0 with weight 1, and the
 conditional passes at per-cluster offsets (n, K-1) are the one-node case.
 
+At shared node offsets, clusters with the same covariate row have the
+same predictors. Each row block then evaluates the link's count-free
+steps once per distinct predictor row, the covariate patterns among its
+clusters (one row without covariates), and ``model.slot_terms`` expands
+them to the clusters with a take where the counts enter; those steps are
+elementwise the same as evaluating every cluster, so the results are the
+same bits. Per-cluster offsets, blocks whose rows are all distinct and
+planes too small to gain evaluate every cluster.
+
+``louis_moments`` takes an optional floor, the log-likelihood a line
+search needs to reach: no cluster's marginal log-likelihood is above
+log sum_q w_q, so once the finished row blocks bound the total below the
+floor, the pass returns that bound without its posterior contractions.
+
 The kernel writes every intermediate into its workspace: for each node
 count Q, a stack of (rows, Q) planes allocated on the first call with that
 Q and reused by every later one, so repeated calls allocate only the
@@ -51,13 +65,14 @@ kernel serves one caller at a time.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
     Cluster,
+    CovariatePatterns,
     Dataset,
     LinkFamily,
     ParameterVector,
@@ -69,6 +84,7 @@ from .model import (
 from .quadrature import QuadratureRule2D
 
 _BLOCK_ELEMENTS = 2**16  # most elements in one workspace plane (512 KB)
+_SHARED_ELEMENTS = 2**12  # fewest elements in a plane whose blocks evaluate shared rows once
 # A pass meets -inf log-likelihoods (a category of zero probability, nodes
 # that are all infeasible) and 0 x inf products that it then sets to 0, so
 # every public pass runs with these floating-point errors ignored.
@@ -100,6 +116,21 @@ def _pair_products(features: np.ndarray, k: np.ndarray, l: np.ndarray):
     np.add(outer, outer.swapaxes(-1, -2), out=outer, where=(k != l)[:, None, None, None])
     n_nodes, r = features.shape[0], features.shape[2]
     return by_boundary, outer.reshape(len(k), n_nodes, r * r)
+
+
+def _shared_rows(patterns: CovariatePatterns, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct predictor rows of the row block of clusters lo to hi:
+    a cluster of each distinct pattern among them and each cluster's row
+    among those; None when no two clusters of the block share a pattern."""
+    if len(patterns.first) == 1:
+        first, rows = np.zeros(1, dtype=np.intp), np.zeros(hi - lo, dtype=np.intp)
+    elif len(patterns.first) == len(patterns.index):
+        return None
+    else:
+        _, first, rows = np.unique(patterns.index[lo:hi], return_index=True, return_inverse=True)
+    if len(first) == hi - lo:
+        return None
+    return first + lo, rows
 
 
 def _log_coefficients(counts: np.ndarray) -> np.ndarray:
@@ -143,13 +174,15 @@ class LouisMoments(NamedTuple):
     which ``node_score`` (Q, K-1), the posterior-weighted score g summed
     over clusters at each node, suffices when those derivatives depend on
     the node alone. With identity features, ``mean`` is each cluster's
-    score with respect to its boundary predictors.
+    score with respect to its boundary predictors. A pass stopped at its
+    floor has an upper bound of the log-likelihood in ``loglik`` and None
+    in the three moments.
     """
 
     loglik: float
-    mean: np.ndarray
-    second: np.ndarray
-    node_score: np.ndarray
+    mean: np.ndarray | None
+    second: np.ndarray | None
+    node_score: np.ndarray | None
 
 
 class ConditionalTerms(NamedTuple):
@@ -173,12 +206,15 @@ def _slot_major(offsets) -> np.ndarray:
 class _Workspace(NamedTuple):
     """A kernel's memory for one node count Q: the slot-major predictors
     (K-1, rows, Q), the stack of (rows, Q) planes and stacks of them for
-    everything derived from them, and the row blocks, each (first row, end
-    row, the (category, row) indices of the block's empty categories)."""
+    everything derived from them, the row blocks, each (first row, end
+    row, the (category, row) indices of the block's empty categories, its
+    shared predictor rows or None), and the stack of planes for the
+    distinct predictor rows (None when no block shares rows)."""
 
     predictors: np.ndarray
     planes: PlaneStack
     blocks: list
+    shared: PlaneStack | None
 
 
 class LoglikKernel:
@@ -188,8 +224,23 @@ class LoglikKernel:
     category's counts broadcast against an (n, Q) predictor plane, and the
     multinomial coefficients once; the estimation layer then calls
     ``louis_moments`` thousands of times with different parameter
-    proposals. ``covariates`` replaces the dataset's covariate matrix by
-    another with the same rows, such as a subset of its columns.
+    proposals. ``columns`` selects some of the dataset's covariate columns,
+    in that order, in place of all of them.
+
+    Clusters with the same covariate row have the same predictors at
+    shared node offsets, so the link's count-free math (see
+    ``model.slot_terms``) runs once per distinct predictor row of a row
+    block, and the clusters' own work starts where their counts enter.
+    The rows are one for a kernel without covariates and otherwise the
+    dataset's covariate patterns (``Dataset.covariate_patterns``, computed
+    once per dataset when a workspace first needs them): clusters with the
+    same covariates have the same values in any of their columns. A
+    workspace fixes, per row block, which distinct rows it
+    evaluates; a block whose rows are all distinct, and any pass at
+    per-cluster offsets, evaluates every cluster. So does a pass in which
+    the matrix product x b rounded two clusters of one pattern apart (BLAS
+    may round equal rows differently by where they sit): the shared rows
+    give the per-cluster results bit for bit.
 
     The kernel owns its workspace: for each node count Q, a stack of
     (rows, Q) planes and (m, rows, Q) stacks of them allocated on the first
@@ -201,14 +252,11 @@ class LoglikKernel:
     from several threads.
     """
 
-    def __init__(self, dataset: Dataset, link: LinkFamily, covariates: np.ndarray | None = None):
+    def __init__(self, dataset: Dataset, link: LinkFamily, columns: list[int] | None = None):
         self.link = link
-        if covariates is None:
-            self.x = dataset.covariate_matrix
-        else:
-            self.x = np.asarray(covariates, dtype=float)
-            if self.x.ndim != 2 or self.x.shape[0] != dataset.n_clusters:
-                raise ValueError("covariates must have one row per cluster")
+        x = dataset.covariate_matrix
+        self.x = x if columns is None else x[:, columns]
+        self._dataset = dataset  # for its covariate patterns, once a workspace needs them
         counts = dataset.count_matrix
         self.y = counts.astype(float)
         self.log_coef = _log_coefficients(counts)
@@ -222,6 +270,22 @@ class LoglikKernel:
         # the last node features louis_moments saw, with _pair_products' arrays
         self._louis_features: tuple = (None,)
 
+    @cached_property
+    def _patterns(self) -> CovariatePatterns:
+        """The distinct predictor rows at shared offsets: one without
+        covariates, else the dataset's covariate patterns."""
+        if self.x.shape[1] == 0:
+            return CovariatePatterns(np.zeros(1, dtype=np.intp), np.zeros(len(self.x), dtype=np.intp))
+        return self._dataset.covariate_patterns
+
+    def _rounded_alike(self, xb: np.ndarray) -> bool:
+        """Whether x b is the same, bit for bit, for every cluster of each
+        pattern."""
+        if self.x.shape[1] == 0:
+            return True
+        first, index = self._patterns
+        return bool(np.array_equal(xb[first][index], xb))
+
     def _workspace(self, n_nodes: int) -> _Workspace:
         if n_nodes not in self._workspaces:
             n = self.x.shape[0]
@@ -229,35 +293,57 @@ class LoglikKernel:
             # whole groups of 8 rows keep BLAS's grouping of the rows in the
             # node contractions, so a row's results do not depend on its block
             rows = min(n, rows - rows % 8 if rows >= 8 else rows)
-            blocks = []
+            # too small a plane would spend more on the takes than it saves
+            share = rows * n_nodes >= _SHARED_ELEMENTS
+            blocks, most = [], 0
             for lo in range(0, n, rows):
                 hi = min(n, lo + rows)
-                blocks.append((lo, hi, np.nonzero(self._empty[:, lo:hi])))
+                shared = _shared_rows(self._patterns, lo, hi) if share else None
+                if shared is not None:
+                    most = max(most, len(shared[0]))
+                blocks.append((lo, hi, np.nonzero(self._empty[:, lo:hi]), shared))
             self._workspaces[n_nodes] = _Workspace(
-                np.empty((self.n_boundaries, rows, n_nodes)), PlaneStack((rows, n_nodes)), blocks
+                np.empty((self.n_boundaries, rows, n_nodes)),
+                PlaneStack((rows, n_nodes)),
+                blocks,
+                PlaneStack((most, n_nodes)) if most else None,
             )
         return self._workspaces[n_nodes]
 
     def _blocks(self, intercepts, slopes, offsets, derivatives: bool = False):
         """Evaluate the link block by block in the workspace planes, at
         offsets that broadcast against (n, Q, K-1); per-cluster ones are cut
-        to each block's rows. Yields, per row block, its first and end rows,
-        the ``SlotTerms`` (with the score and curvature when ``derivatives``
-        is set, and ``logp`` spent), the node
-        log-likelihoods without the multinomial constant and the
-        infeasibility mask (None when every node is feasible); all of them
-        live in the workspace and are overwritten by the next block or call.
+        to each block's rows. At shared offsets, a block with shared
+        predictor rows evaluates the link's count-free steps on its distinct
+        rows only. Yields, per row block, its first and end rows, the
+        ``SlotTerms`` (with the score and curvature when ``derivatives`` is
+        set, and ``logp`` spent), the node log-likelihoods without the
+        multinomial constant and the infeasibility mask (None when every
+        node is feasible); all of them live in the workspace and are
+        overwritten by the next block or call.
         """
         offsets = _slot_major(offsets)
         ws = self._workspace(offsets.shape[-1])
-        base = np.asarray(intercepts, dtype=float)[:, None] + (self.x @ slopes)[None, :]
+        xb = self.x @ slopes
+        base = np.asarray(intercepts, dtype=float)[:, None] + xb[None, :]
         per_cluster = offsets.shape[1] > 1
-        for lo, hi, empty in ws.blocks:
+        # per-cluster offsets, or shared rows that x b rounded apart, take
+        # every cluster's own row
+        own_rows = per_cluster or ws.shared is None or not self._rounded_alike(xb)
+        for lo, hi, empty, shared in ws.blocks:
             ws.planes.reset(hi - lo)
-            d = ws.predictors[:, : hi - lo]
-            np.add(base[:, lo:hi, None], offsets[:, lo:hi] if per_cluster else offsets, out=d)
             counts = self._counts[:, lo:hi]
-            terms = slot_terms(self.link, d, counts if derivatives else None, ws.planes, derivatives)
+            y = counts if derivatives else None
+            if shared is None or own_rows:
+                d = ws.predictors[:, : hi - lo]
+                np.add(base[:, lo:hi, None], offsets[:, lo:hi] if per_cluster else offsets, out=d)
+                terms = slot_terms(self.link, d, y, ws.planes, derivatives)
+            else:
+                first, rows = shared
+                ws.shared.reset(len(first))
+                d = ws.predictors[:, : len(first)]
+                np.add(base[:, first, None], offsets, out=d)
+                terms = slot_terms(self.link, d, y, ws.planes, derivatives, rows, ws.shared)
             ll, infeasible = self._count_loglik(terms, counts, empty, ws.planes)
             yield lo, hi, terms, ll, infeasible
 
@@ -350,7 +436,7 @@ class LoglikKernel:
         return out + self.log_coef
 
     @_expected_float_errors
-    def louis_moments(self, intercepts, slopes, offsets, weights, features) -> LouisMoments:
+    def louis_moments(self, intercepts, slopes, offsets, weights, features, floor=None) -> LouisMoments:
         """The posterior moments of the conditional score and curvature that
         Louis' identity needs, in one pass over the node arrays.
 
@@ -360,6 +446,16 @@ class LoglikKernel:
         products are formed once for a read-only features array and reused
         while later calls pass the same array, as every pass of one fit
         does; a writeable one is read afresh on each call.
+
+        ``floor``, when given, is the log-likelihood a caller needs the pass
+        to reach, such as the current point of a line search. No cluster's
+        marginal log-likelihood is above log sum_q w_q (0 for a rule whose
+        weights sum to 1), so after each row block the log-likelihood of the
+        finished blocks, plus that ceiling (if positive) for every other
+        cluster, bounds the total from above. Once the bound is below the floor by more than 1e-8
+        relative, the pass stops there and returns the bound alone, with no
+        moments: a point whose log-likelihood is below the floor gets no
+        posterior contractions.
         """
         weights = np.asarray(weights, dtype=float)
         features = np.asarray(features, dtype=float)
@@ -371,8 +467,16 @@ class LoglikKernel:
         out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
         node_score = np.zeros((n_nodes, k1))
         work = self._workspace(n_nodes).planes
+        if floor is not None:
+            done, ceiling = 0.0, max(math.log(weights.sum()), 0.0)
+            floor -= 1e-8 * abs(floor)
         blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=True)
         for lo, hi, terms, mass, total in blocks:
+            if floor is not None:
+                done += float((out[lo:hi] + self.log_coef[lo:hi]).sum())
+                bound = done + (n - hi) * ceiling
+                if bound < floor:
+                    return LouisMoments(bound, None, None, None)
             posterior = np.divide(weights[None, :], total[:, None], out=work.take())
             posterior *= mass
             g, term = terms.score, work.take()

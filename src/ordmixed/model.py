@@ -319,6 +319,16 @@ class Cluster:
         return self.counts.size
 
 
+class CovariatePatterns(NamedTuple):
+    """The distinct covariate vectors of a dataset: ``first`` (m,) holds the
+    index of the first cluster with each pattern, in the patterns' sorted
+    order, and ``index`` (n,) each cluster's pattern, so that
+    ``x[first][index]`` is the covariate matrix x."""
+
+    first: np.ndarray
+    index: np.ndarray
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A collection of clusters sharing K and the covariate dimension.
@@ -390,9 +400,22 @@ class Dataset:
         return n
 
     @cached_property
+    def covariate_patterns(self) -> CovariatePatterns:
+        """The distinct covariate vectors among the clusters, from one
+        ``np.unique`` per dataset: each pattern's first cluster and each
+        cluster's pattern."""
+        _, first, index = np.unique(
+            self.covariate_matrix, axis=0, return_index=True, return_inverse=True
+        )
+        patterns = CovariatePatterns(first, index.reshape(-1))
+        for a in patterns:
+            a.flags.writeable = False
+        return patterns
+
+    @property
     def n_patterns(self) -> int:
         """The number of distinct covariate vectors among the clusters."""
-        return len(np.unique(self.covariate_matrix, axis=0))
+        return len(self.covariate_patterns.first)
 
     @property
     def total_observations(self) -> int:
@@ -521,7 +544,13 @@ class PlaneStack:
 
 
 def slot_terms(
-    link: LinkFamily, d, counts=None, work: PlaneStack | None = None, curvature: bool = False
+    link: LinkFamily,
+    d,
+    counts=None,
+    work: PlaneStack | None = None,
+    curvature: bool = False,
+    rows: np.ndarray | None = None,
+    row_work: PlaneStack | None = None,
 ) -> SlotTerms:
     """Log category probabilities, feasibility and, given counts, the
     predictor score and, with ``curvature``, its derivatives, in one pass
@@ -554,6 +583,18 @@ def slot_terms(
 
     stacked in the order of ``curvature_pairs``.
 
+    Shared predictor rows: with ``rows``, an index (n,) into the second
+    axis of ``d``, the planes of ``d`` hold only the distinct predictor rows
+    (m of them), and row i of the results is row ``rows[i]`` of ``d``
+    evaluated with row i of the counts. Each link then runs its count-free
+    steps once per distinct row, on planes taken from ``row_work`` (a stack
+    of (m, ...) planes): the log-probabilities, the proportional-odds
+    feasibility, F'/p ratios and tanh(-d/2), the adjacent-categories C_k,
+    and the continuation-ratio F and F'. It expands them to the n rows with
+    a take into planes of ``work`` only where the counts enter, and runs
+    the remaining steps there as without ``rows``, so every result is the
+    same bits as for ``d`` expanded to n rows first.
+
     Proportional-odds nodes that are infeasible carry garbage in ``logp``,
     ``score`` and ``curvature`` and False in ``feasible``; a
     proportional-odds category with zero probability (two equal predictors)
@@ -561,14 +602,43 @@ def slot_terms(
     where its count is 0 and not finite elsewhere.
     """
     if work is None:
-        work = PlaneStack(np.shape(d[0]))
+        work = PlaneStack(np.shape(d[0]) if rows is None else (len(rows), *np.shape(d[0])[1:]))
+    if rows is not None and row_work is None:
+        row_work = PlaneStack(np.shape(d[0]))
+    stacks = _Stacks(rows, work if rows is None else row_work, work)
     if link is LinkFamily.PROPORTIONAL_ODDS:
-        return _terms_po(d, counts, work, curvature)
+        return _terms_po(d, counts, stacks, curvature)
     if link is LinkFamily.ADJACENT_CATEGORIES:
-        return _terms_acl(d, counts, work, curvature)
+        return _terms_acl(d, counts, stacks, curvature)
     if link is LinkFamily.CONTINUATION_RATIO:
-        return _terms_cr(d, counts, work, curvature)
+        return _terms_cr(d, counts, stacks, curvature)
     raise ValueError(f"unknown link family: {link!r}")
+
+
+class _Stacks(NamedTuple):
+    """Where a link evaluation writes: ``free``, the stack for the
+    count-free steps on the predictor rows, and ``work``, the stack for the
+    rows of the counts, the same stack unless ``index`` (n,) maps the
+    count rows to shared predictor rows."""
+
+    index: np.ndarray | None
+    free: PlaneStack
+    work: PlaneStack
+
+    def expand(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``a``, one plane or a stack of them over the predictor rows, at
+        the count rows: ``a`` itself without an index, else a take of each
+        plane into ``out`` or into planes taken from ``work``."""
+        if self.index is None:
+            return a
+        plane = a.ndim == len(self.work.shape)
+        if out is None:
+            out = self.work.take(None if plane else len(a), a.dtype)
+        # plane by plane, so that each output plane is contiguous and the
+        # take writes it directly
+        for src, dst in ((a, out),) if plane else zip(a, out):
+            np.take(src, self.index, axis=0, out=dst, mode="clip")
+        return out
 
 
 def _log_logistic(z: np.ndarray, work: PlaneStack) -> tuple[np.ndarray, np.ndarray]:
@@ -591,18 +661,19 @@ def _log_logistic(z: np.ndarray, work: PlaneStack) -> tuple[np.ndarray, np.ndarr
 
 
 # The arrays are large and the category axis short, so the link functions
-# below write every result into an array taken from the stack, updating it
+# below write every result into an array taken from a stack, updating it
 # in place rather than allocating a temporary per operation, and reuse
 # scratch arrays whose values are spent; they never write to the predictor
-# arrays they are given.
+# arrays they are given. Each runs its count-free steps on ``stacks.free``
+# and expands their results with ``stacks.expand`` where the counts enter.
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _terms_po(d, y, work, curvature) -> SlotTerms:
+def _terms_po(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     # one softplus per predictor: log F, log(1 - F), log F' = their sum
-    k1 = len(d)
-    log_f, log_not_f = _log_logistic(d, work)
-    logp = work.take(k1 + 1)
+    k1, free = len(d), stacks.free
+    log_f, log_not_f = _log_logistic(d, free)
+    logp = free.take(k1 + 1)
     np.copyto(logp[0], log_f[0])
     np.copyto(logp[k1], log_not_f[-1])
     feasible = None
@@ -614,21 +685,29 @@ def _terms_po(d, y, work, curvature) -> SlotTerms:
         np.log1p(middle, out=middle)
         middle += log_f[1:]
         middle += log_not_f[:-1]
-        feasible, *others = np.greater_equal(d[1:], d[:-1], out=work.take(k1 - 1, bool))
+        feasible, *others = np.greater_equal(d[1:], d[:-1], out=free.take(k1 - 1, bool))
         for ordered in others:
             feasible &= ordered
+        feasible = stacks.expand(feasible)
     if y is None:
-        return SlotTerms(logp, feasible, None)
+        return SlotTerms(stacks.expand(logp), feasible, None)
     # F'/p_k for the category below each boundary and F'/p_{k+1} for the one
     # above, from log F' = log F + log(1 - F); at the ends they reduce to
     # 1 - F and F, whose logs log_not_f[0] and log_f[-1] already hold, so
     # the two arrays take the other ratios in place
-    log_density = np.add(log_f, log_not_f, out=work.take(k1))
+    log_density = np.add(log_f, log_not_f, out=free.take(k1))
     below, above = log_not_f, log_f
     np.subtract(log_density[1:], logp[1:k1], out=below[1:])
     np.subtract(log_density[:-1], logp[1:k1], out=above[:-1])
     np.exp(below, out=below)
     np.exp(above, out=above)
+    if curvature:
+        hess = stacks.work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
+        # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
+        tanh = np.multiply(d, -0.5, out=hess[::2] if stacks.index is None else log_density)
+        np.tanh(tanh, out=tanh)
+        diagonal = stacks.expand(tanh, out=hess[::2])
+    logp, below, above = stacks.expand(logp), stacks.expand(below), stacks.expand(above)
     # every F'/p_j enters multiplied by y_j; where y_j = 0 it is set to 0, so
     # that a category of zero probability and zero count (two equal
     # predictors) adds 0, not 0 x inf, to the score and curvature
@@ -641,13 +720,11 @@ def _terms_po(d, y, work, curvature) -> SlotTerms:
         below -= np.multiply(above, y[1:], out=above)
         return SlotTerms(logp, feasible, below)
     # the curvature reads the ratios again, so the score gets its own array
-    score = np.multiply(below, y[:-1], out=work.take(k1))
-    score -= np.multiply(above, y[1:], out=log_density)
-    hess = work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
-    diagonal = np.multiply(d, -0.5, out=hess[::2])
-    np.tanh(diagonal, out=diagonal)  # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
+    spare = log_density if stacks.index is None else stacks.work.take(k1)
+    score = np.multiply(below, y[:-1], out=stacks.work.take(k1))
+    score -= np.multiply(above, y[1:], out=spare)
     diagonal *= score
-    t = np.square(below, out=log_density)
+    t = np.square(below, out=spare)
     t *= y[:-1]
     diagonal -= t
     np.square(above, out=t)
@@ -658,22 +735,22 @@ def _terms_po(d, y, work, curvature) -> SlotTerms:
     return SlotTerms(logp, feasible, score, hess)
 
 
-def _terms_acl(d, y, work, curvature) -> SlotTerms:
+def _terms_acl(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     # category k carries the partial sum of predictors k..K-1, category K zero
-    k1 = len(d)
-    sums = work.take(k1)
+    k1, free = len(d), stacks.free
+    sums = free.take(k1)
     np.copyto(sums[-1], d[-1])
     for k in range(k1 - 2, -1, -1):
         np.add(sums[k + 1], d[k], out=sums[k])
-    m = np.maximum(sums[-1], 0.0, out=work.take())
+    m = np.maximum(sums[-1], 0.0, out=free.take())
     for s in sums[:-1]:
         np.maximum(m, s, out=m)
     # the scaled exponentials, whose array then takes the log-probabilities
-    logp = work.take(k1 + 1)
+    logp = free.take(k1 + 1)
     np.subtract(sums, m, out=logp[:k1])
     np.negative(m, out=logp[k1])
     np.exp(logp, out=logp)
-    logz = np.add(logp[0], logp[1], out=work.take())
+    logz = np.add(logp[0], logp[1], out=free.take())
     for e in logp[2:]:
         logz += e
     np.log(logz, out=logz)
@@ -681,22 +758,25 @@ def _terms_acl(d, y, work, curvature) -> SlotTerms:
     np.subtract(sums, logz, out=logp[:k1])
     np.negative(logz, out=logp[k1])
     if y is None:
-        return SlotTerms(logp, None, None)
+        return SlotTerms(stacks.expand(logp), None, None)
     # C_k, from the probabilities of the categories at or below k
-    cumulative = np.exp(logp[:-1], out=work.take(k1))
-    at_or_below = y[:-1].copy()
+    cumulative = np.exp(logp[:-1], out=free.take(k1))
     for k in range(1, k1):
         cumulative[k] += cumulative[k - 1]
+    if curvature:
+        # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
+        factor = stacks.expand(np.subtract(cumulative, 1.0, out=sums))
+    logp, cumulative = stacks.expand(logp), stacks.expand(cumulative)
+    at_or_below = y[:-1].copy()
+    for k in range(1, k1):
         at_or_below[k] += at_or_below[k - 1]
     size = at_or_below[-1] + y[-1]
-    score = np.multiply(cumulative, -size, out=work.take(k1))
+    score = np.multiply(cumulative, -size, out=stacks.work.take(k1))
     score += at_or_below
     if not curvature:
         return SlotTerms(logp, None, score)
-    # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
-    factor = np.subtract(cumulative, 1.0, out=sums[:k1])
     factor *= size
-    hess = work.take(k1 * (k1 + 1) // 2)
+    hess = stacks.work.take(k1 * (k1 + 1) // 2)
     first = 0
     for k in range(k1):
         np.multiply(cumulative[k], factor[k:], out=hess[first : first + k1 - k])
@@ -704,33 +784,35 @@ def _terms_acl(d, y, work, curvature) -> SlotTerms:
     return SlotTerms(logp, None, score, hess)
 
 
-def _terms_cr(d, y, work, curvature) -> SlotTerms:
+def _terms_cr(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
-    k1 = len(d)
-    log_stop, log_continue = _log_logistic(d, work)
+    k1, free = len(d), stacks.free
+    log_stop, log_continue = _log_logistic(d, free)
     if curvature:
         # F'(d_k) = F (1 - F), before log_continue turns into survival
-        density = np.add(log_stop, log_continue, out=work.take(k1))
+        density = np.add(log_stop, log_continue, out=free.take(k1))
         np.exp(density, out=density)
     survival = log_continue
     for k in range(1, k1):
         survival[k] += survival[k - 1]
-    logp = work.take(k1 + 1)
+    logp = free.take(k1 + 1)
     np.copyto(logp[0], log_stop[0])
     np.add(log_stop[1:], survival[:-1], out=logp[1:k1])
     np.copyto(logp[k1], survival[-1])
     if y is None:
-        return SlotTerms(logp, None, None)
+        return SlotTerms(stacks.expand(logp), None, None)
+    score = stacks.expand(np.exp(log_stop, out=log_stop))  # F(d_k), then the score
+    logp = stacks.expand(logp)
     reached = y[:-1].copy()  # sum_{j>=k} y_j, built from the top category down
     reached[-1] += y[-1]
     for k in range(k1 - 2, -1, -1):
         reached[k] += reached[k + 1]
     np.negative(reached, out=reached)
-    score = np.exp(log_stop, out=work.take(k1))  # F(d_k)
     score *= reached
     score += y[:-1]
     if not curvature:
         return SlotTerms(logp, None, score)
+    density = stacks.expand(density)
     density *= reached
     return SlotTerms(logp, None, score, density)
 

@@ -344,7 +344,7 @@ class TestAnalyticScore:
     def test_matches_central_differences(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
         order = 12 if structure == "bivariate" else 30
         objective = _Objective(kernel, param, order)
         value = _marginal_value(objective)
@@ -385,8 +385,8 @@ class TestAnalyticScore:
             monkeypatch.setattr(LoglikKernel, method, counted)
         full = _Objective.full
 
-        def recorded(self, theta):
-            passes.append((theta, full(self, theta)))
+        def recorded(self, theta, floor=None):
+            passes.append((theta, full(self, theta, floor)))
             return passes[-1][1]
 
         monkeypatch.setattr(_Objective, "full", recorded)
@@ -418,7 +418,7 @@ class TestAnalyticScore:
     def test_information_matches_differences_of_the_score(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
         objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
         # the points of test_matches_central_differences; the edge point has
         # |atanh rho| = 6, or log sigma near the zero threshold
@@ -442,7 +442,7 @@ class TestAnalyticScore:
     def test_homogeneous_one_pass_information_is_louis(self, strawberry, link, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, RANDOM_EFFECTS["none"])
-        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
         objective = _Objective(kernel, param, 1)
         rng = np.random.default_rng([5, len(names)])
         for _ in range(3):
@@ -548,7 +548,7 @@ class TestObjectiveAtOtherK:
         dataset = Dataset(clusters=tuple(Cluster(covariates=row, counts=y) for row, y in zip(x, counts)))
         names = dataset.slope_names() if model == "full" else ()
         param = _Parameterization(k - 1, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(dataset, link, dataset.covariate_matrix[:, : len(names)])
+        kernel = LoglikKernel(dataset, link, list(range(len(names))))
         objective = _Objective(kernel, param, 20)
         value = _marginal_value(objective)
         # increasing intercepts keep every proportional-odds node feasible
@@ -573,7 +573,7 @@ class TestNewton:
         names = strawberry.slope_names() if model == "full" else ()
         newton = (fit if model == "full" else fit_intercept_model)(strawberry, link, structure)
         param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(strawberry, link, strawberry.covariate_matrix[:, : len(names)])
+        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
         objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
         theta0, _ = _starting_point(strawberry, link, FitOptions(), param, names, kernel)
 
@@ -591,6 +591,30 @@ class TestNewton:
         jac = param.delta_jacobian(res.x)
         se = np.sqrt(np.diag(_inverse_information(objective.full(res.x).information)) * jac**2)
         np.testing.assert_allclose(newton.se, se, rtol=0, atol=1e-5)
+
+    def test_the_floor_leaves_a_halving_fit_bit_identical(self, large_clusters, monkeypatch):
+        """Trials that the line search rejects stop at their log-likelihood;
+        the fit is the same bits, with the same passes, as when every trial
+        makes the whole pass."""
+        stopped, louis = [], LoglikKernel.louis_moments
+
+        def counted(self, *args):
+            moments = louis(self, *args)
+            stopped.append(moments.mean is None)
+            return moments
+
+        monkeypatch.setattr(LoglikKernel, "louis_moments", counted)
+        crl = LinkFamily.CONTINUATION_RATIO
+        floored = fit(large_clusters, crl, "univariate", FAST)
+        assert any(stopped)
+        full = _Objective.full
+        monkeypatch.setattr(_Objective, "full", lambda self, theta, floor=None: full(self, theta))
+        stopped.clear()
+        whole = fit(large_clusters, crl, "univariate", FAST)
+        assert stopped and not any(stopped)
+        for name in ("loglik", "converged", "iterations", "n_evaluations", "diagnostics"):
+            assert getattr(floored, name) == getattr(whole, name)
+        np.testing.assert_array_equal(floored.values, whole.values)
 
     @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
     def test_sigma_zero_data_reports_its_boundary_under_newton(self, structure):

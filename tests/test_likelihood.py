@@ -317,15 +317,13 @@ class TestSlotMajorKernel:
 
     def test_covariate_columns_replace_the_dataset_matrix(self, dataset):
         c, b = np.array([-0.6, 0.7]), np.array([0.2])
-        narrow = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, dataset.covariate_matrix[:, :1])
+        narrow = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, [0])
         full = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO)
         zero = np.zeros((dataset.n_clusters, 2))
         np.testing.assert_array_equal(
             narrow.conditional_at(c, b, zero),
             full.conditional_at(c, np.array([0.2, 0.0, 0.0]), zero),
         )
-        with pytest.raises(ValueError):
-            LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, np.zeros((3, 1)))
 
     def test_log_coefficients_match_the_per_cluster_function(self, dataset):
         kernel = LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
@@ -431,6 +429,22 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak <= 3 * plane
 
+    def test_a_warm_intercept_only_call_allocates_only_its_results(self, large):
+        # every cluster shares one predictor row
+        kernel = LoglikKernel(large, LinkFamily.PROPORTIONAL_ODDS, [])
+        rule = gauss_hermite(30)
+        args = (np.array([-0.6, 0.4]), np.empty(0), 1.2 * rule.nodes[:, None], rule.weights)
+        _slot_score(kernel, *args)
+        assert kernel._workspace(rule.order).blocks[0][3] is not None
+        plane = 8 * large.n_clusters * rule.order
+        tracemalloc.start()
+        try:
+            _slot_score(kernel, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * plane
+
     @pytest.mark.parametrize("kind", ["univariate", "bivariate"])
     @pytest.mark.parametrize("link", list(LinkFamily))
     def test_row_blocks_match_one_block(self, monkeypatch, link, kind):
@@ -514,6 +528,125 @@ class TestPerClusterNodeOffsets:
         # the features' first two columns are the intercepts, whose mean is the slot score
         np.testing.assert_allclose(moments.mean[:, :2], slot, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moments.node_score, node, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _shared_kernel(link, k, kind):
+        """30 clusters on 6 covariate rows of 0, 1 and 0.5, five clusters
+        each in shuffled order, counts with empty categories, and a kernel
+        on the dataset's own columns or, for ``intercept``, on none."""
+        rng = np.random.default_rng([31, k, list(LinkFamily).index(link)])
+        rows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0.5], [0.5, 0, 1]])
+        x = rows[rng.permutation(np.repeat(np.arange(6), 5))]
+        counts = rng.multinomial(6, np.full(k, 1.0 / k), size=30)
+        counts[0, 1], counts[0, 0] = 0, counts[0, 0] + counts[0, 1]
+        ds = Dataset(clusters=tuple(make_cluster(y, row) for y, row in zip(counts, x)))
+        assert ds.n_patterns == 6 and np.any(counts == 0)
+        columns = [0, 1, 2] if kind == "patterns" else []
+        return LoglikKernel(ds, link, columns=columns)
+
+    @pytest.mark.parametrize("n_blocks", [1, 4])
+    @pytest.mark.parametrize("kind", ["patterns", "intercept"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_shared_rows_match_every_clusters_own_row(self, monkeypatch, link, k, kind, n_blocks):
+        """Clusters of one covariate pattern evaluate the link's count-free
+        steps once per pattern at shared offsets; the same offsets repeated
+        per cluster evaluate every cluster, with the same bits."""
+        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
+        if n_blocks > 1:
+            monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 8 * 9)
+        shared_calls = []
+
+        def spied(*args):
+            shared_calls.append(len(args) > 5 and args[5] is not None)
+            return slot_terms(*args)
+
+        monkeypatch.setattr(likelihood, "slot_terms", spied)
+        kernel = self._shared_kernel(link, k, kind)
+        n, k1 = kernel.y.shape[0], k - 1
+        # increasing intercepts and slot-wise offsets that reverse the PO
+        # cutpoints at some nodes; dyadic slopes, so that x b is exact
+        c = np.linspace(-1.0, 1.0, k1)
+        b = np.array([0.25, -0.5, 0.75])[: kernel.x.shape[1]]
+        rule = gauss_hermite(9)
+        shared = rule.nodes[:, None] * np.linspace(1.2, -0.6, k1)
+        if k1 > 1:
+            assert np.any(np.diff(c + shared, axis=1) < 0)
+        features = _features(rule.nodes, k1)
+        repeated = np.broadcast_to(shared, (n, *shared.shape))
+        blocks = kernel._workspace(rule.order).blocks
+        assert len(blocks) == n_blocks and blocks[0][3] is not None
+        shared_calls.clear()
+        got = self._results(kernel, c, b, shared, rule.weights, features)
+        assert any(shared_calls)
+        shared_calls.clear()
+        want = self._results(kernel, c, b, repeated, rule.weights, features)
+        assert not any(shared_calls)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # the one-node pass of a homogeneous fit, and the same per cluster
+        shared_calls.clear()
+        got = kernel.conditional_terms(c, b, np.zeros((1, k1)))
+        assert any(shared_calls)
+        for g, w in zip(got, kernel.conditional_terms(c, b, np.zeros((n, k1)))):
+            np.testing.assert_array_equal(g, w)
+
+    def test_rows_that_x_b_rounds_apart_take_every_clusters_own_row(self, monkeypatch):
+        """Where the matrix product gives two clusters of one pattern
+        different bits, the pass evaluates every cluster."""
+        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
+        kernel = self._shared_kernel(LinkFamily.PROPORTIONAL_ODDS, 3, "patterns")
+        rule = gauss_hermite(9)
+        c, b, offsets = np.array([-0.5, 0.5]), np.array([0.25, -0.5, 0.75]), 0.8 * rule.nodes[:, None]
+        want = kernel.node_logliks(c, b, offsets)
+        # cluster 1's row moved by 2^-20, as if x b had rounded it apart
+        moved = kernel.x + np.eye(len(kernel.x))[1][:, None] * 2.0**-20
+        kernel.x = moved
+        assert not kernel._rounded_alike(kernel.x @ b)
+        got = kernel.node_logliks(c, b, offsets)
+        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 2**62)
+        own = self._shared_kernel(LinkFamily.PROPORTIONAL_ODDS, 3, "patterns")
+        own.x = moved
+        np.testing.assert_array_equal(got, own.node_logliks(c, b, offsets))
+        assert own._workspace(rule.order).blocks[0][3] is None
+        assert not np.array_equal(got[1], want[1])
+        np.testing.assert_array_equal(np.delete(got, 1, axis=0), np.delete(want, 1, axis=0))
+
+
+class TestFloor:
+    """``louis_moments`` with a floor: a pass whose log-likelihood is
+    certainly below it stops at that bound."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 6])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_a_pass_below_its_floor_returns_its_bound_alone(self, monkeypatch, link, n_blocks):
+        ds = strawberry_dataset()
+        c, b = np.array([-1.2, 0.5]), np.linspace(-0.4, 0.6, ds.n_covariates)
+        rule = gauss_hermite(20)
+        offsets, weights = 0.8 * rule.nodes[:, None], rule.weights
+        features = _features(rule.nodes)
+        if n_blocks > 1:
+            monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 8 * len(weights))
+        kernel = LoglikKernel(ds, link)
+        assert len(kernel._workspace(len(weights)).blocks) == n_blocks
+        full = kernel.louis_moments(c, b, offsets, weights, features)
+        marginal = kernel.marginal(c, b, offsets, weights)
+        done = [marginal[:hi].sum() for _, hi, _, _ in kernel._workspace(len(weights)).blocks]
+        for floor in (full.loglik + 1.0, 0.5 * full.loglik):
+            stopped = kernel.louis_moments(c, b, offsets, weights, features, floor)
+            assert stopped.mean is None and stopped.second is None and stopped.node_score is None
+            # an upper bound of the log-likelihood, below the floor: the
+            # log-likelihood of the blocks done when the bound fell below it
+            assert full.loglik <= stopped.loglik < floor
+            expected = next(value for value in done if value < floor - 1e-8 * abs(floor))
+            assert stopped.loglik == pytest.approx(expected, abs=1e-12)
+        if n_blocks > 1:
+            assert done[-2] < 0.5 * full.loglik  # the second floor stops before the last block
+        # a floor the pass reaches changes nothing
+        for floor in (full.loglik, full.loglik - 1.0):
+            reached = kernel.louis_moments(c, b, offsets, weights, features, floor)
+            for got, want in zip(reached, full):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestOtherCategoryCounts:

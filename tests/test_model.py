@@ -402,6 +402,17 @@ class TestDataModel:
         assert ds.sizes.tolist() == [6, 6]
         assert ds.total_observations == 12
 
+    def test_covariate_patterns_index_the_distinct_rows(self):
+        x = np.tile(factorial_design()[0], (3, 1))[np.random.default_rng(3).permutation(144)]
+        ds = Dataset(clusters=tuple(Cluster(covariates=row, counts=np.array([1, 1])) for row in x))
+        first, index = ds.covariate_patterns
+        assert ds.covariate_patterns is ds.covariate_patterns  # computed once
+        assert ds.n_patterns == len(first) == 48
+        np.testing.assert_array_equal(x[first][index], x)
+        # each pattern's first cluster
+        assert [int(np.flatnonzero(index == j)[0]) for j in range(48)] == first.tolist()
+        assert not first.flags.writeable and not index.flags.writeable
+
     def test_n_patterns_counts_distinct_covariate_vectors(self):
         # the 48 plots of the 3 x 4 x 4 factorial design, once and tiled 20 times
         assert strawberry_dataset().n_patterns == 48

@@ -11,7 +11,7 @@ from ordmixed import (
     category_probabilities,
     gauss_hermite,
 )
-from ordmixed import estimation, simulation
+from ordmixed import estimation, likelihood, simulation
 from ordmixed.io import render_tree, summary_tree
 from ordmixed.simulation import (
     InvalidDesignError,
@@ -151,6 +151,28 @@ class TestRunStudy:
         # full and intercept fits of (po, none) and (po, univariate), none
         # with a nested homogeneous Newton run
         assert len(calls) == 4 * 3
+
+    def test_a_replication_finds_the_covariate_patterns_once(self, monkeypatch):
+        """Every kernel of a replication's fits and empirical-Bayes
+        predictions wants the covariate patterns (at any plane size, here),
+        and the GoF's degrees of freedom count them: one np.unique of the
+        covariate rows serves them all."""
+        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
+        rows, unique = [], np.unique
+
+        def counted(ar, *args, **kwargs):
+            if np.ndim(ar) == 2:
+                rows.append(np.shape(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        design = small_design(
+            true_params=study_true_parameters(1.5),
+            fits=((PO, "none"), (PO, "univariate"), (ACL, "univariate")),
+        )
+        out = simulation._replicate(design, FitOptions(quadrature_order=10), 0)
+        assert all(v["ok"] and v["icc"] > 0.0 for k, v in out.items() if k != "po:none")
+        assert rows == [(48, 8)]
 
     def test_parallel_execution_matches_serial(self):
         design = small_design(replications=6)
