@@ -9,7 +9,8 @@ intercept fits) and the first ``--blocks`` blocks of the benchmark's
 ``study_slice`` and ``large_clusters`` workloads of ``--seed``, and
 records every fit the workloads ask for (not the nested homogeneous start
 fits inside them). The report lists, per workload, the largest
-differences in log-likelihood, estimates and standard errors, every fit
+differences in log-likelihood, estimates and standard errors, the fits
+that are the same bits on both sides by workload and model, every fit
 whose log-likelihood differs by more than ``--tolerance``, every changed
 ``converged`` flag, every fit whose ``n_evaluations`` or optimizer message
 changed, a tally of each side's optimizer messages, and the
@@ -117,6 +118,7 @@ def main(argv=None) -> int:
     print("differences are B - A")
     listed, flags, paths = [], [], []
     worst = defaultdict(lambda: [0, 0.0, 0.0, 0.0])
+    identical = defaultdict(lambda: [0, 0])  # by (workload, kind): bit-identical, all
     counts = defaultdict(lambda: [0, 0, 0, 0, 0])
     for a in a_fits:
         b = b_by_key[tuple(a[k] for k in key)]
@@ -127,6 +129,9 @@ def main(argv=None) -> int:
         w[1] = max(w[1], abs(delta))
         w[2] = max(w[2], _max_abs_diff(a["values"], b["values"]))
         w[3] = max(w[3], _max_abs_diff(a["se"], b["se"]))
+        same = identical[a["workload"], a["kind"]]
+        same[0] += all(a[k] == b[k] for k in ("loglik", "values", "se"))
+        same[1] += 1
         if not abs(delta) <= args.tolerance:
             listed.append(f"  {label}: loglik {delta:+.3g}, estimates "
                           f"{_max_abs_diff(a['values'], b['values']):.3g}; B: {b['message']}")
@@ -145,6 +150,9 @@ def main(argv=None) -> int:
     print("\nworkload            fits  max|dloglik|  max|destimate|  max|dse|")
     for name, (n, dl, de, ds) in worst.items():
         print(f"{name:18s} {n:5d}  {dl:12.3g}  {de:14.3g}  {ds:8.3g}")
+    print("\nfits bit-identical in log-likelihood, estimates and standard errors:")
+    for (name, kind), (same, n) in identical.items():
+        print(f"  {name:18s} {kind:9s} {same:5d} of {n:5d}")
     print(f"\nfits whose log-likelihood differs by more than {args.tolerance:g}: {len(listed)}")
     print("\n".join(listed))
     print(f"changed converged flags: {len(flags)}")

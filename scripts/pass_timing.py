@@ -18,6 +18,15 @@ link, the median per-call time of:
   above its log-likelihood, as Newton's line search calls it, which stops
   after the log-likelihood (a tree whose ``full`` takes no floor makes the
   whole pass, as its line search does);
+- the intercept model's pass and stopped trial: ``_Objective.full`` of
+  the intercept fit, on the kernel the fit builds (the dataset without
+  its columns), without and with such a floor;
+- the contraction: ``_Objective.full`` of the full model on a kernel whose
+  ``louis_moments`` hands back the moments of one earlier pass (a copy of
+  the second moment, which the pass writes over), so that only the work
+  around the kernel is timed: the Hessian from the moments, the
+  reduction to covariate patterns where a tree makes one, and the chain
+  rule through the Jacobian;
 - one ``_newton`` pass: a Newton fit of the size's random-effect model from
   its usual start, divided by the passes it made;
 - the part of that pass spent outside the kernel, the fit's time less its
@@ -64,8 +73,9 @@ SIZES = {
     "48x144": ("strawberry_panel", 12, 100, 8, "bivariate"),
 }
 FUNCTIONS = (
-    "louis_moments", "conditional_terms", "intercept louis", "rejected trial", "_newton pass",
-    "outside the kernel", "_ascent_direction", "intercept fit", "predict_random_effects",
+    "louis_moments", "conditional_terms", "intercept louis", "rejected trial", "intercept pass",
+    "intercept trial", "contraction", "_newton pass", "outside the kernel", "_ascent_direction",
+    "intercept fit", "predict_random_effects",
 )
 
 
@@ -126,10 +136,21 @@ def _measure(tree: Path, seed: int) -> None:
             )[0]
             theta = param.pack(params)
             floor = objective.full(theta).loglik + 1.0
+            # the intercept fit's objective, at the same effect
+            intercept_objective = estimation._Objective(LoglikKernel(dataset, link, []), lone_param, order)
+            lone_theta = np.r_[c, param.pack(params)[param.n_fixed :]]
+            lone_floor = intercept_objective.full(lone_theta).loglik + 1.0
             if "floor" in inspect.signature(objective.full).parameters:
                 rejected = lambda: objective.full(theta, floor)
+                lone_rejected = lambda: intercept_objective.full(lone_theta, lone_floor)
             else:
                 rejected = lambda: objective.full(theta)
+                lone_rejected = lambda: intercept_objective.full(lone_theta)
+            # the full model's pass around fixed moments
+            moments = kernel.louis_moments(c, b, offsets, weights, features)
+            frozen = LoglikKernel(dataset, link)
+            frozen.louis_moments = lambda *args: moments._replace(second=moments.second.copy())
+            contracting = estimation._Objective(frozen, param, order)
             timed = {
                 "louis_moments": lambda: kernel.louis_moments(c, b, offsets, weights, features),
                 "conditional_terms": lambda: kernel.conditional_terms(c, b, np.zeros((1, k1))),
@@ -137,6 +158,9 @@ def _measure(tree: Path, seed: int) -> None:
                     c, np.empty(0), lone_offsets, weights, features
                 ),
                 "rejected trial": rejected,
+                "intercept pass": lambda: intercept_objective.full(lone_theta),
+                "intercept trial": lone_rejected,
+                "contraction": lambda: contracting.full(theta),
             }
             for name, fn in timed.items():
                 line = {"size": size, "link": tag, "function": name,

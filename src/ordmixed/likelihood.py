@@ -21,15 +21,15 @@ comes back, so a pass does no work per node and feature pair outside the
 contractions over the nodes.
 
 ``LoglikKernel`` lays the predictors out slot-major: an array of shape
-(K-1, n, Q) whose leading axis is the category boundary, so each boundary
-is one contiguous (n, Q) plane of clusters by nodes. ``model.slot_terms``
-evaluates a link on the whole array at once, giving the (K, n, Q)
-log-probabilities, the (K-1, n, Q) score and, when asked, the (P, n, Q)
-curvature over the link's boundary pairs; the counts, stored as (K, n, 1),
-weight the log-probabilities in one product summed over categories, and
-the posterior contractions are matrix products over the node and cluster
-axes, one per boundary or pair. No array with a short trailing category
-axis is built.
+(K-1, rows, Q) whose leading axis is the category boundary, so each
+boundary is one contiguous (rows, Q) plane of rows by nodes.
+``model.slot_terms`` evaluates a link on the whole array at once, giving
+the (K, rows, Q) log-probabilities, the (K-1, rows, Q) score and, when
+asked, the (P, rows, Q) curvature over the link's boundary pairs; the
+counts, stored as (K, rows, 1), weight the log-probabilities in one
+product summed over categories, and the posterior contractions are matrix
+products over the node and row axes, one per boundary or pair. No array
+with a short trailing category axis is built.
 
 Every pass takes predictor offsets that broadcast against (n, Q, K-1),
 clusters by nodes by boundaries: a 2-d array is node offsets (Q, K-1)
@@ -38,26 +38,37 @@ random effect's loading A, z A'; a 3-d one gives each cluster its own
 nodes. No random effect is one node at 0 with weight 1, and the
 conditional passes at per-cluster offsets (n, K-1) are the one-node case.
 
-At shared node offsets, clusters with the same covariate row have the
-same predictors. Each row block then evaluates the link's count-free
-steps once per distinct predictor row, the covariate patterns among its
-clusters (one row without covariates), and ``model.slot_terms`` expands
-them to the clusters with a take where the counts enter; those steps are
-elementwise the same as evaluating every cluster, so the results are the
-same bits. Per-cluster offsets, blocks whose rows are all distinct and
-planes too small to gain evaluate every cluster.
+At shared node offsets, clusters with the same covariate pattern and the
+same counts add the same terms to every sum, so a pass evaluates the
+dataset's distinct clusters (``Dataset.distinct_clusters``), its rows,
+once each, and weighs each by its multiplicity wherever it enters a sum:
+the log-likelihood and the floor's bound here, the score and information
+in the estimation layer, which also sums the rows' moments by covariate
+pattern before its chain rule. The predictors x b are formed once per
+covariate pattern, so rows of one pattern have the same bits. Each row
+block then evaluates the link's count-free steps once per pattern among
+its rows (one without covariates), and ``model.slot_terms`` expands them
+to the rows with a take where the counts enter; those steps are
+elementwise the same as evaluating every row, so the results are the
+same bits. Blocks whose rows all have patterns of their own and planes
+too small to gain evaluate every row, and per-cluster offsets every
+cluster. The value passes hand back one value per cluster, the moment
+passes one per row. A dataset whose clusters all have patterns of their
+own keeps its clusters as the rows, in order.
 
 ``louis_moments`` takes an optional floor, the log-likelihood a line
 search needs to reach: no cluster's marginal log-likelihood is above
 log sum_q w_q, so once the finished row blocks bound the total below the
-floor, the pass returns that bound without its posterior contractions.
+floor, the pass returns that bound. Each block forms its log-likelihood
+before the link's score and curvature, so a pass stopped at a block makes
+neither those nor its posterior contractions.
 
 The kernel writes every intermediate into its workspace: for each node
 count Q, a stack of (rows, Q) planes allocated on the first call with that
 Q and reused by every later one, so repeated calls allocate only the
 arrays they return, which are always fresh. A plane holds at most
-``_BLOCK_ELEMENTS`` elements; when n * Q is larger, the clusters are
-evaluated in row blocks through the same planes, so the kernel's memory is
+``_BLOCK_ELEMENTS`` elements; when rows * Q is larger, the rows are
+evaluated in blocks through the same planes, so the kernel's memory is
 bounded by the block plus its outputs. Because the planes are shared, a
 kernel serves one caller at a time.
 """
@@ -74,12 +85,14 @@ from .model import (
     Cluster,
     CovariatePatterns,
     Dataset,
+    DistinctClusters,
     LinkFamily,
     ParameterVector,
     PlaneStack,
     curvature_pairs,
     log_category_probabilities,  # noqa: F401  (instrumentation looks the link layer up here)
-    slot_terms,
+    log_multinomial_coefficients,
+    slot_stages,
 )
 from .quadrature import QuadratureRule2D
 
@@ -118,33 +131,23 @@ def _pair_products(features: np.ndarray, k: np.ndarray, l: np.ndarray):
     return by_boundary, outer.reshape(len(k), n_nodes, r * r)
 
 
-def _shared_rows(patterns: CovariatePatterns, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct predictor rows of the row block of clusters lo to hi:
-    a cluster of each distinct pattern among them and each cluster's row
-    among those; None when no two clusters of the block share a pattern."""
-    if len(patterns.first) == 1:
-        first, rows = np.zeros(1, dtype=np.intp), np.zeros(hi - lo, dtype=np.intp)
-    elif len(patterns.first) == len(patterns.index):
+def _shared_rows(pattern: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct covariate patterns of the row block lo to hi, whose
+    patterns ``pattern[lo:hi]`` are sorted, and each row's place among
+    them; None when no two rows of the block share a pattern."""
+    block = pattern[lo:hi]
+    starts = np.empty(len(block), dtype=bool)
+    starts[0] = True
+    np.not_equal(block[1:], block[:-1], out=starts[1:])
+    patterns = block[starts]
+    if len(patterns) == len(block):
         return None
-    else:
-        _, first, rows = np.unique(patterns.index[lo:hi], return_index=True, return_inverse=True)
-    if len(first) == hi - lo:
-        return None
-    return first + lo, rows
-
-
-def _log_coefficients(counts: np.ndarray) -> np.ndarray:
-    """log(N! / (y_1! ... y_K!)) along the last axis of an integer count
-    array, looked up in a table of log k! = lgamma(k + 1) up to the largest
-    total N."""
-    totals = counts.sum(axis=-1)
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(int(totals.max(initial=0)) + 1)])
-    return log_factorial[totals] - log_factorial[counts].sum(axis=-1)
+    return patterns, np.cumsum(starts) - 1
 
 
 def multinomial_log_coefficient(counts: np.ndarray) -> float:
     """log(N! / (y_1! ... y_K!)) for one cluster's counts."""
-    return float(_log_coefficients(np.asarray(counts)))
+    return float(log_multinomial_coefficients(np.asarray(counts)))
 
 
 def conditional_cluster_loglik(cluster: Cluster, probs: np.ndarray) -> float:
@@ -164,30 +167,30 @@ class LouisMoments(NamedTuple):
     """The posterior moments of one marginal pass that Louis' identity needs.
 
     With g and H the conditional score and curvature with respect to a
-    cluster's K-1 boundary predictors at node q, and M_q the (K-1, r) node
+    row's K-1 boundary predictors at node q, and M_q the (K-1, r) node
     features the caller passed (the derivatives of the predictors with
-    respect to r coordinates), ``mean`` (n, r) holds each cluster's
-    posterior mean of M_q' g and ``second`` (n, r, r) its posterior mean of
-    M_q' (H + g g') M_q; the Hessian of the cluster's marginal log-likelihood
-    in those coordinates is ``second`` minus the outer product of ``mean``,
-    plus the score times any second derivatives of the predictors, for
-    which ``node_score`` (Q, K-1), the posterior-weighted score g summed
-    over clusters at each node, suffices when those derivatives depend on
-    the node alone. With identity features, ``mean`` is each cluster's
-    score with respect to its boundary predictors. A pass stopped at its
-    floor has an upper bound of the log-likelihood in ``loglik`` and None
-    in the three moments.
+    respect to r coordinates), ``mean`` (rows, r) holds each row's
+    posterior mean of M_q' g and ``second`` (rows, r, r) its posterior mean
+    of M_q' (H + g g') M_q; the Hessian of the row's marginal
+    log-likelihood in those coordinates is ``second`` minus the outer
+    product of ``mean``, plus the score times any second derivatives of
+    the predictors. With identity features, ``mean`` is each row's score
+    with respect to its boundary predictors. The rows are the kernel's
+    distinct clusters at shared node offsets and its clusters at
+    per-cluster ones, and ``loglik`` weighs each row by its multiplicity.
+    A pass stopped at its floor has an upper bound of the log-likelihood
+    in ``loglik`` and None in the moments.
     """
 
     loglik: float
     mean: np.ndarray | None
     second: np.ndarray | None
-    node_score: np.ndarray | None
 
 
 class ConditionalTerms(NamedTuple):
-    """Per-cluster conditional log-likelihood (n,), with its score (n, K-1)
-    and curvature (n, K-1, K-1) with respect to the boundary predictors."""
+    """Per-row conditional log-likelihood (rows,), with its score
+    (rows, K-1) and curvature (rows, K-1, K-1) with respect to the boundary
+    predictors."""
 
     loglik: np.ndarray
     score: np.ndarray
@@ -203,13 +206,39 @@ def _slot_major(offsets) -> np.ndarray:
     return offsets.transpose(2, 0, 1)
 
 
+class _Layout(NamedTuple):
+    """The rows a pass evaluates: their counts (K, rows, 1), the
+    (category, row) cells with no count, their multinomial constants and
+    the multiplicity of each row as a float; and ``pattern`` (rows,), each
+    row's covariate pattern, its column of the predictors, or None when
+    row i is column i."""
+
+    counts: np.ndarray
+    empty: np.ndarray
+    log_coef: np.ndarray
+    multiplicity: np.ndarray
+    pattern: np.ndarray | None
+
+
+def _layout(counts: np.ndarray, log_coef: np.ndarray, multiplicity, pattern) -> _Layout:
+    counts_t = counts.T
+    return _Layout(
+        np.ascontiguousarray(counts_t, dtype=float)[:, :, None],
+        counts_t == 0,
+        log_coef,
+        np.asarray(multiplicity, dtype=float),
+        pattern,
+    )
+
+
 class _Workspace(NamedTuple):
-    """A kernel's memory for one node count Q: the slot-major predictors
-    (K-1, rows, Q), the stack of (rows, Q) planes and stacks of them for
-    everything derived from them, the row blocks, each (first row, end
-    row, the (category, row) indices of the block's empty categories, its
-    shared predictor rows or None), and the stack of planes for the
-    distinct predictor rows (None when no block shares rows)."""
+    """A kernel's memory for one node count Q and layout: the slot-major
+    predictors (K-1, rows, Q), the stack of (rows, Q) planes and stacks of
+    them for everything derived from them, the row blocks, each (first row,
+    end row, the (category, row) indices of the block's empty categories,
+    and the block's patterns with each row's place among them, or None
+    where it evaluates every row), and the stack of planes for the
+    patterns (None when no block shares them)."""
 
     predictors: np.ndarray
     planes: PlaneStack
@@ -220,33 +249,40 @@ class _Workspace(NamedTuple):
 class LoglikKernel:
     """Vectorized per-cluster log-likelihood evaluation for one dataset.
 
-    Precomputes the counts, stored slot-major as (K, n, 1) so that each
-    category's counts broadcast against an (n, Q) predictor plane, and the
-    multinomial coefficients once; the estimation layer then calls
+    Precomputes the counts, stored slot-major as (K, rows, 1) so that each
+    category's counts broadcast against a (rows, Q) predictor plane, and
+    the multinomial coefficients once; the estimation layer then calls
     ``louis_moments`` thousands of times with different parameter
     proposals. ``columns`` selects some of the dataset's covariate columns,
     in that order, in place of all of them.
 
-    Clusters with the same covariate row have the same predictors at
-    shared node offsets, so the link's count-free math (see
-    ``model.slot_terms``) runs once per distinct predictor row of a row
-    block, and the clusters' own work starts where their counts enter.
-    The rows are one for a kernel without covariates and otherwise the
-    dataset's covariate patterns (``Dataset.covariate_patterns``, computed
-    once per dataset when a workspace first needs them): clusters with the
-    same covariates have the same values in any of their columns. A
-    workspace fixes, per row block, which distinct rows it
-    evaluates; a block whose rows are all distinct, and any pass at
-    per-cluster offsets, evaluates every cluster. So does a pass in which
-    the matrix product x b rounded two clusters of one pattern apart (BLAS
-    may round equal rows differently by where they sit): the shared rows
-    give the per-cluster results bit for bit.
+    Clusters with the same covariate pattern and the same counts add the
+    same terms to every sum, so at shared node offsets a pass evaluates
+    each distinct cluster once: the kernel's ``rows``
+    (``Dataset.distinct_clusters``), sorted by pattern, each weighted by
+    its multiplicity. A dataset whose clusters all have patterns of their
+    own keeps its clusters as the rows, in order. The moment passes,
+    ``louis_moments`` and ``conditional_terms``, return one entry per row;
+    ``row_patterns`` gives each row's covariate pattern (``index``) and the
+    first row of each (``first``), and ``pattern_covariates`` the
+    patterns' covariates. The value passes, ``node_logliks``, ``marginal``
+    and ``conditional_at``, return one entry per cluster, expanding the
+    rows by ``rows.index``. A pass at per-cluster offsets evaluates and
+    returns every cluster.
+
+    The predictors x b are formed once per covariate pattern and taken to
+    the rows, so rows of one pattern have the same bits. Within a row
+    block of a shared-offset pass, the rows of one pattern then share their
+    predictors, so the link's count-free math (see ``model.slot_terms``)
+    runs once per distinct pattern of the block, and the rows' own work
+    starts where their counts enter. A block whose rows all have patterns
+    of their own, and any pass at per-cluster offsets, evaluates every row.
 
     The kernel owns its workspace: for each node count Q, a stack of
     (rows, Q) planes and (m, rows, Q) stacks of them allocated on the first
     call with that Q and reused by every later one, so a call allocates
     little more than the arrays it returns. A plane holds at most
-    ``_BLOCK_ELEMENTS`` elements; more clusters than fit are evaluated in
+    ``_BLOCK_ELEMENTS`` elements; more rows than fit are evaluated in
     row blocks through the same planes. Because the planes are shared, a
     kernel serves one caller at a time: it is not for concurrent calls
     from several threads.
@@ -256,96 +292,121 @@ class LoglikKernel:
         self.link = link
         x = dataset.covariate_matrix
         self.x = x if columns is None else x[:, columns]
-        self._dataset = dataset  # for its covariate patterns, once a workspace needs them
         counts = dataset.count_matrix
         self.y = counts.astype(float)
-        self.log_coef = _log_coefficients(counts)
         self.n_boundaries = dataset.n_categories - 1
-        self._counts = np.ascontiguousarray(self.y.T)[:, :, None]
-        # the (category, cluster) cells with no count, where 0 log 0 = 0
-        # overrides a log-probability of -inf
-        self._empty = counts.T == 0
+        n = len(counts)
+        if self.x.shape[1]:
+            self._patterns = dataset.covariate_patterns
+        else:
+            self._patterns = CovariatePatterns(np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp))
+        # every cluster a pattern of its own: the clusters are the rows
+        self._in_order = len(self._patterns.first) == n
+        if self._in_order:
+            order = np.arange(n)
+            self.log_coef = dataset.log_coefficients
+            self.rows = DistinctClusters(order, np.ones(n, dtype=np.int64), order)
+            self.row_patterns = CovariatePatterns(order, order)
+            self.pattern_covariates = self.x
+            self._rows = self._clusters = _layout(counts, self.log_coef, self.rows.multiplicity, None)
+        else:
+            self.rows = dataset.distinct_clusters(columns)
+            first = self.rows.first
+            self.log_coef = dataset.log_coefficients
+            row_coef = self.log_coef[first]
+            pattern = self._patterns.index[first]  # sorted, as the rows are
+            starts = np.searchsorted(pattern, np.arange(len(self._patterns.first)))
+            self.row_patterns = CovariatePatterns(starts, pattern)
+            self.pattern_covariates = np.ascontiguousarray(self.x[self._patterns.first])
+            each_own = len(starts) == len(first)
+            self._rows = _layout(counts[first], row_coef, self.rows.multiplicity, None if each_own else pattern)
         self._pairs, self._louis_pairs = _pair_indices(link, self.n_boundaries)
-        self._workspaces: dict[int, _Workspace] = {}
+        self._workspaces: dict[tuple, _Workspace] = {}
         # the last node features louis_moments saw, with _pair_products' arrays
         self._louis_features: tuple = (None,)
 
     @cached_property
-    def _patterns(self) -> CovariatePatterns:
-        """The distinct predictor rows at shared offsets: one without
-        covariates, else the dataset's covariate patterns."""
-        if self.x.shape[1] == 0:
-            return CovariatePatterns(np.zeros(1, dtype=np.intp), np.zeros(len(self.x), dtype=np.intp))
-        return self._dataset.covariate_patterns
+    def _clusters(self) -> _Layout:
+        """Every cluster, in order, as the passes at per-cluster offsets
+        evaluate them; the rows themselves when they are the clusters."""
+        return _layout(self.y, self.log_coef, np.ones(len(self.y)), self._patterns.index)
 
-    def _rounded_alike(self, xb: np.ndarray) -> bool:
-        """Whether x b is the same, bit for bit, for every cluster of each
-        pattern."""
-        if self.x.shape[1] == 0:
-            return True
-        first, index = self._patterns
-        return bool(np.array_equal(xb[first][index], xb))
-
-    def _workspace(self, n_nodes: int) -> _Workspace:
-        if n_nodes not in self._workspaces:
-            n = self.x.shape[0]
+    def _workspace(self, n_nodes: int, layout: _Layout | None = None) -> _Workspace:
+        """The workspace of ``layout``, the rows by default, at Q nodes."""
+        layout = self._rows if layout is None else layout
+        key = (n_nodes, layout is self._rows)
+        if key not in self._workspaces:
+            n = len(layout.log_coef)
             rows = max(1, _BLOCK_ELEMENTS // n_nodes)
             # whole groups of 8 rows keep BLAS's grouping of the rows in the
             # node contractions, so a row's results do not depend on its block
             rows = min(n, rows - rows % 8 if rows >= 8 else rows)
-            # too small a plane would spend more on the takes than it saves
-            share = rows * n_nodes >= _SHARED_ELEMENTS
+            # only the rows share predictors, since only shared offsets use
+            # them; too small a plane would spend more on the takes than it saves
+            share = layout is self._rows and layout.pattern is not None and rows * n_nodes >= _SHARED_ELEMENTS
             blocks, most = [], 0
             for lo in range(0, n, rows):
                 hi = min(n, lo + rows)
-                shared = _shared_rows(self._patterns, lo, hi) if share else None
+                shared = _shared_rows(layout.pattern, lo, hi) if share else None
                 if shared is not None:
                     most = max(most, len(shared[0]))
-                blocks.append((lo, hi, np.nonzero(self._empty[:, lo:hi]), shared))
-            self._workspaces[n_nodes] = _Workspace(
+                blocks.append((lo, hi, np.nonzero(layout.empty[:, lo:hi]), shared))
+            self._workspaces[key] = _Workspace(
                 np.empty((self.n_boundaries, rows, n_nodes)),
                 PlaneStack((rows, n_nodes)),
                 blocks,
                 PlaneStack((most, n_nodes)) if most else None,
             )
-        return self._workspaces[n_nodes]
+        return self._workspaces[key]
 
-    def _blocks(self, intercepts, slopes, offsets, derivatives: bool = False):
-        """Evaluate the link block by block in the workspace planes, at
-        offsets that broadcast against (n, Q, K-1); per-cluster ones are cut
-        to each block's rows. At shared offsets, a block with shared
-        predictor rows evaluates the link's count-free steps on its distinct
-        rows only. Yields, per row block, its first and end rows, the
-        ``SlotTerms`` (with the score and curvature when ``derivatives`` is
-        set, and ``logp`` spent), the node log-likelihoods without the
-        multinomial constant and the infeasibility mask (None when every
-        node is feasible); all of them live in the workspace and are
-        overwritten by the next block or call.
-        """
+    def _evaluation(self, offsets) -> tuple[np.ndarray, _Layout]:
+        """The slot-major view of offsets that broadcast against
+        (n, Q, K-1), and the layout a pass at them evaluates: the clusters
+        for per-cluster offsets, else the rows."""
         offsets = _slot_major(offsets)
-        ws = self._workspace(offsets.shape[-1])
-        xb = self.x @ slopes
+        return offsets, (self._clusters if offsets.shape[1] > 1 else self._rows)
+
+    def _per_cluster(self, out: np.ndarray, layout: _Layout) -> np.ndarray:
+        """A value pass's result over ``layout``'s rows, for every cluster."""
+        if layout is not self._rows or self._in_order:
+            return out
+        return out.take(self.rows.index, axis=0)
+
+    def _blocks(self, layout: _Layout, intercepts, slopes, offsets, derivatives: bool = False):
+        """Evaluate the link block by block in the workspace planes of
+        ``layout``, at slot-major offsets (K-1, rows or 1, Q); per-row ones
+        are cut to each block's rows. At shared offsets, a block whose rows
+        share patterns evaluates the link's count-free steps on its
+        distinct patterns only. Yields, per row block, its first and end
+        rows, the node log-likelihoods without the multinomial constant,
+        the infeasibility mask (None when every node is feasible) and the
+        link's ``model.slot_stages`` past its values, whose next stage gives
+        the score and curvature when ``derivatives`` is set; all of them
+        live in the workspace and are overwritten by the next block or call.
+        """
+        ws = self._workspace(offsets.shape[-1], layout)
+        # x b once per covariate pattern, so that rows of one pattern have
+        # the same predictors bit for bit
+        xb = self.pattern_covariates @ slopes
         base = np.asarray(intercepts, dtype=float)[:, None] + xb[None, :]
-        per_cluster = offsets.shape[1] > 1
-        # per-cluster offsets, or shared rows that x b rounded apart, take
-        # every cluster's own row
-        own_rows = per_cluster or ws.shared is None or not self._rounded_alike(xb)
+        per_row = offsets.shape[1] > 1
         for lo, hi, empty, shared in ws.blocks:
             ws.planes.reset(hi - lo)
-            counts = self._counts[:, lo:hi]
+            counts = layout.counts[:, lo:hi]
             y = counts if derivatives else None
-            if shared is None or own_rows:
+            if shared is None:
                 d = ws.predictors[:, : hi - lo]
-                np.add(base[:, lo:hi, None], offsets[:, lo:hi] if per_cluster else offsets, out=d)
-                terms = slot_terms(self.link, d, y, ws.planes, derivatives)
+                columns = slice(lo, hi) if layout.pattern is None else layout.pattern[lo:hi]
+                np.add(base[:, columns, None], offsets[:, lo:hi] if per_row else offsets, out=d)
+                stages = slot_stages(self.link, d, y, ws.planes, derivatives)
             else:
-                first, rows = shared
-                ws.shared.reset(len(first))
-                d = ws.predictors[:, : len(first)]
-                np.add(base[:, first, None], offsets, out=d)
-                terms = slot_terms(self.link, d, y, ws.planes, derivatives, rows, ws.shared)
-            ll, infeasible = self._count_loglik(terms, counts, empty, ws.planes)
-            yield lo, hi, terms, ll, infeasible
+                patterns, rows = shared
+                ws.shared.reset(len(patterns))
+                d = ws.predictors[:, : len(patterns)]
+                np.add(base[:, patterns, None], offsets, out=d)
+                stages = slot_stages(self.link, d, y, ws.planes, derivatives, rows, ws.shared)
+            ll, infeasible = self._count_loglik(next(stages), counts, empty, ws.planes)
+            yield lo, hi, ll, infeasible, stages
 
     @staticmethod
     def _count_loglik(terms, counts, empty, work) -> tuple[np.ndarray, np.ndarray | None]:
@@ -369,10 +430,11 @@ class LoglikKernel:
         """Conditional log-likelihood of every cluster at every node, shape
         (n, Q), without the multinomial constant, at offsets that broadcast
         against (n, Q, K-1)."""
-        out = np.empty((self.x.shape[0], np.shape(offsets)[-2]))
-        for lo, hi, _, ll, _ in self._blocks(intercepts, slopes, offsets):
+        offsets, layout = self._evaluation(offsets)
+        out = np.empty((len(layout.log_coef), offsets.shape[-1]))
+        for lo, hi, ll, _, _ in self._blocks(layout, intercepts, slopes, offsets):
             out[lo:hi] = ll
-        return out
+        return self._per_cluster(out, layout)
 
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
         """Per-cluster conditional log-likelihood at per-cluster offsets
@@ -382,16 +444,18 @@ class LoglikKernel:
 
     @_expected_float_errors
     def conditional_terms(self, intercepts, slopes, offsets) -> ConditionalTerms:
-        """Per-cluster conditional log-likelihood, score and curvature with
-        respect to the boundary predictors, at per-cluster predictor offsets
-        (n, K-1), evaluated as one node per cluster."""
-        offsets = np.asarray(offsets, dtype=float)[:, None]
-        n, k1 = self.x.shape[0], self.n_boundaries
+        """Conditional log-likelihood, score and curvature with respect to
+        the boundary predictors, evaluated as one node per row: at offsets
+        (1, K-1) shared by every cluster, one entry per row of ``rows``, and
+        at per-cluster offsets (n, K-1), one per cluster."""
+        offsets, layout = self._evaluation(np.asarray(offsets, dtype=float)[:, None])
+        n, k1 = len(layout.log_coef), self.n_boundaries
         loglik, score = np.empty(n), np.empty((n, k1))
         curvature = np.zeros((n, k1, k1))
         k, l = self._pairs
-        for lo, hi, terms, ll, _ in self._blocks(intercepts, slopes, offsets, derivatives=True):
-            np.add(ll[:, 0], self.log_coef[lo:hi], out=loglik[lo:hi])
+        for lo, hi, ll, _, stages in self._blocks(layout, intercepts, slopes, offsets, derivatives=True):
+            terms = next(stages)
+            np.add(ll[:, 0], layout.log_coef[lo:hi], out=loglik[lo:hi])
             score[lo:hi] = terms.score[:, :, 0].T
             block = curvature[lo:hi]
             block[:, k, l] = block[:, l, k] = terms.curvature[:, :, 0].T
@@ -399,7 +463,7 @@ class LoglikKernel:
 
     @staticmethod
     def _integrate(ll: np.ndarray, weights, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log-sum-exp over nodes: writes to ``out`` the per-cluster log of
+        """Log-sum-exp over nodes: writes to ``out`` the per-row log of
         sum_q w_q exp(ll_q) without the multinomial constant, and returns
         the shifted node masses (written over ``ll``) and their weighted
         sums."""
@@ -411,18 +475,14 @@ class LoglikKernel:
         np.add(np.log(total), m[:, 0], out=out)
         return mass, total
 
-    def _integrated(self, out, intercepts, slopes, offsets, weights, derivatives: bool = False):
+    def _integrated(self, out, layout, intercepts, slopes, offsets, weights, derivatives: bool = False):
         """``_blocks`` integrated over the nodes: writes the log-marginal
         without the multinomial constant to ``out``, and yields per block
-        its rows, the ``SlotTerms`` with score and curvature zero at
-        infeasible nodes, the shifted node masses and their weighted sums."""
-        blocks = self._blocks(intercepts, slopes, offsets, derivatives)
-        for lo, hi, terms, ll, infeasible in blocks:
+        its rows, the shifted node masses and their weighted sums, the
+        infeasibility mask and the link's remaining stages."""
+        for lo, hi, ll, infeasible, stages in self._blocks(layout, intercepts, slopes, offsets, derivatives):
             mass, total = self._integrate(ll, weights, out[lo:hi])
-            if infeasible is not None and derivatives:
-                np.copyto(terms.score, 0.0, where=infeasible)
-                np.copyto(terms.curvature, 0.0, where=infeasible)
-            yield lo, hi, terms, mass, total
+            yield lo, hi, mass, total, infeasible, stages
 
     @_expected_float_errors
     def marginal(self, intercepts, slopes, offsets, weights) -> np.ndarray:
@@ -430,10 +490,12 @@ class LoglikKernel:
         log-sum-exp stabilization, at offsets that broadcast against
         (n, Q, K-1) and weights (Q,)."""
         weights = np.asarray(weights, dtype=float)
-        out = np.empty(self.x.shape[0])
-        for _ in self._integrated(out, intercepts, slopes, offsets, weights):
+        offsets, layout = self._evaluation(offsets)
+        out = np.empty(len(layout.log_coef))
+        for _ in self._integrated(out, layout, intercepts, slopes, offsets, weights):
             pass
-        return out + self.log_coef
+        out += layout.log_coef
+        return self._per_cluster(out, layout)
 
     @_expected_float_errors
     def louis_moments(self, intercepts, slopes, offsets, weights, features, floor=None) -> LouisMoments:
@@ -441,42 +503,49 @@ class LoglikKernel:
         Louis' identity needs, in one pass over the node arrays.
 
         Takes the arguments of ``marginal`` and the node features M, shape
-        (Q, K-1, r); see ``LouisMoments``. Infeasible nodes get zero
-        posterior weight and contribute nothing. The features' pair
-        products are formed once for a read-only features array and reused
-        while later calls pass the same array, as every pass of one fit
-        does; a writeable one is read afresh on each call.
+        (Q, K-1, r); see ``LouisMoments``. The moments are per row, the
+        kernel's distinct clusters at shared offsets, and the
+        log-likelihood weighs each row by its multiplicity. Infeasible nodes
+        get zero posterior weight and contribute nothing. The features'
+        pair products are formed once for a read-only features array and
+        reused while later calls pass the same array, as every pass of one
+        fit does; a writeable one is read afresh on each call.
 
         ``floor``, when given, is the log-likelihood a caller needs the pass
         to reach, such as the current point of a line search. No cluster's
         marginal log-likelihood is above log sum_q w_q (0 for a rule whose
         weights sum to 1), so after each row block the log-likelihood of the
-        finished blocks, plus that ceiling (if positive) for every other
-        cluster, bounds the total from above. Once the bound is below the floor by more than 1e-8
-        relative, the pass stops there and returns the bound alone, with no
-        moments: a point whose log-likelihood is below the floor gets no
-        posterior contractions.
+        finished blocks, plus that ceiling (if positive) times the
+        multiplicity of the rows left, bounds the total from above. Each
+        block forms its values first, and once the bound is below the floor
+        by more than 1e-8 relative, the pass stops there and returns the
+        bound alone, with no moments: a point whose log-likelihood is below
+        the floor gets no score, curvature or posterior contractions.
         """
         weights = np.asarray(weights, dtype=float)
         features = np.asarray(features, dtype=float)
         if self._louis_features[0] is not features or features.flags.writeable:
             self._louis_features = (features, *_pair_products(features, *self._louis_pairs))
         _, by_boundary, outer = self._louis_features
-        (k1, n_nodes, r), n = by_boundary.shape, self.x.shape[0]
+        offsets, layout = self._evaluation(offsets)
+        n, r = len(layout.log_coef), by_boundary.shape[-1]
         k, l = self._louis_pairs
         out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
-        node_score = np.zeros((n_nodes, k1))
-        work = self._workspace(n_nodes).planes
+        work = self._workspace(offsets.shape[-1], layout).planes
         if floor is not None:
             done, ceiling = 0.0, max(math.log(weights.sum()), 0.0)
             floor -= 1e-8 * abs(floor)
-        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=True)
-        for lo, hi, terms, mass, total in blocks:
+        blocks = self._integrated(out, layout, intercepts, slopes, offsets, weights, derivatives=True)
+        for lo, hi, mass, total, infeasible, stages in blocks:
             if floor is not None:
-                done += float((out[lo:hi] + self.log_coef[lo:hi]).sum())
-                bound = done + (n - hi) * ceiling
+                done += float(((out[lo:hi] + layout.log_coef[lo:hi]) * layout.multiplicity[lo:hi]).sum())
+                bound = done + float(layout.multiplicity[hi:].sum()) * ceiling
                 if bound < floor:
-                    return LouisMoments(bound, None, None, None)
+                    return LouisMoments(bound, None, None)
+            terms = next(stages)
+            if infeasible is not None:
+                np.copyto(terms.score, 0.0, where=infeasible)
+                np.copyto(terms.curvature, 0.0, where=infeasible)
             posterior = np.divide(weights[None, :], total[:, None], out=work.take())
             posterior *= mass
             g, term = terms.score, work.take()
@@ -490,9 +559,8 @@ class LoglikKernel:
                 second[lo:hi] += term @ outer[p]
             g *= posterior
             mean[lo:hi] += np.matmul(g, by_boundary).sum(axis=0)
-            node_score += g.sum(axis=1).T
-        loglik = float((out + self.log_coef).sum())
-        return LouisMoments(loglik, mean, second.reshape(n, r, r), node_score)
+        loglik = float(((out + layout.log_coef) * layout.multiplicity).sum())
+        return LouisMoments(loglik, mean, second.reshape(n, r, r))
 
 
 def marginal_cluster_loglik(

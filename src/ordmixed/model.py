@@ -329,6 +329,20 @@ class CovariatePatterns(NamedTuple):
     index: np.ndarray
 
 
+class DistinctClusters(NamedTuple):
+    """The distinct clusters of a dataset, those that differ in their
+    covariate pattern or in their counts: ``first`` (m,) holds a cluster of
+    each, ``multiplicity`` (m,) how many clusters are that one, and
+    ``index`` (n,) each cluster's distinct cluster, so that
+    ``count_matrix[first][index]`` is the count matrix. They are sorted by
+    pattern, then by counts, so the distinct clusters of one pattern are
+    adjacent."""
+
+    first: np.ndarray
+    multiplicity: np.ndarray
+    index: np.ndarray
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A collection of clusters sharing K and the covariate dimension.
@@ -400,6 +414,14 @@ class Dataset:
         return n
 
     @cached_property
+    def log_coefficients(self) -> np.ndarray:
+        """Each cluster's multinomial constant, log(N! / (y_1! ... y_K!)),
+        computed once per dataset."""
+        coefficients = log_multinomial_coefficients(self.count_matrix)
+        coefficients.flags.writeable = False
+        return coefficients
+
+    @cached_property
     def covariate_patterns(self) -> CovariatePatterns:
         """The distinct covariate vectors among the clusters, from one
         ``np.unique`` per dataset: each pattern's first cluster and each
@@ -411,6 +433,39 @@ class Dataset:
         for a in patterns:
             a.flags.writeable = False
         return patterns
+
+    @cached_property
+    def _distinct(self) -> dict:
+        """``distinct_clusters``' index, by whether any column is selected."""
+        return {}
+
+    def distinct_clusters(self, columns=None) -> DistinctClusters:
+        """The distinct clusters for a model on the covariate columns
+        ``columns`` (all of them when None), from one ``np.unique`` of a
+        (pattern, counts) row per cluster, made on the first call and kept.
+        Clusters with the same covariate pattern agree in every column; a
+        model without columns sees only the counts, so its index groups the
+        clusters by their counts alone. Any nonempty selection gets the
+        index by pattern: clusters that agree in some columns and not in
+        others stay apart, which gives the same likelihood."""
+        selected = self.n_covariates if columns is None else len(columns)
+        key = selected > 0
+        if key not in self._distinct:
+            counts = self.count_matrix
+            if key:
+                counts = np.column_stack([self.covariate_patterns.index, counts])
+            # one big-endian integer row per cluster, compared as bytes: the
+            # sort of np.unique is then by pattern, then by counts
+            rows = np.ascontiguousarray(counts, dtype=">i8")
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+            _, first, index, multiplicity = np.unique(
+                keys, return_index=True, return_inverse=True, return_counts=True
+            )
+            distinct = DistinctClusters(first, multiplicity, index.reshape(-1))
+            for a in distinct:
+                a.flags.writeable = False
+            self._distinct[key] = distinct
+        return self._distinct[key]
 
     @property
     def n_patterns(self) -> int:
@@ -425,6 +480,15 @@ class Dataset:
         if self.covariate_names is not None:
             return self.covariate_names
         return tuple(f"x{j + 1}" for j in range(self.n_covariates))
+
+
+def log_multinomial_coefficients(counts: np.ndarray) -> np.ndarray:
+    """log(N! / (y_1! ... y_K!)) along the last axis of an integer count
+    array, looked up in a table of log k! = lgamma(k + 1) up to the largest
+    total N."""
+    totals = counts.sum(axis=-1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(int(totals.max(initial=0)) + 1)])
+    return log_factorial[totals] - log_factorial[counts].sum(axis=-1)
 
 
 def _readonly_vector(values, name: str, allow_empty: bool = False) -> np.ndarray:
@@ -601,6 +665,31 @@ def slot_terms(
     has log-probability -inf, and a score and curvature that are finite
     where its count is 0 and not finite elsewhere.
     """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stages = slot_stages(link, d, counts, work, curvature, rows, row_work)
+        values = next(stages)
+        return values if counts is None else next(stages)
+
+
+def slot_stages(
+    link: LinkFamily,
+    d,
+    counts=None,
+    work: PlaneStack | None = None,
+    curvature: bool = False,
+    rows: np.ndarray | None = None,
+    row_work: PlaneStack | None = None,
+):
+    """``slot_terms`` in two stages, as a generator of ``SlotTerms``: the
+    first holds the log-probabilities and the feasibility alone, and the
+    second, given counts, adds the score and, with ``curvature``, its
+    derivatives, in the first stage's arrays. The first stage also forms
+    every count-free step that the derivatives read from the
+    log-probabilities, so a caller may write over its ``logp`` (spent
+    then in the second) before it asks for the second, and one that needs
+    only the values never makes the rest of the derivatives. The caller
+    handles the floating-point errors of ``slot_terms``' cases: run the
+    stages with divide, invalid and overflow errors ignored."""
     if work is None:
         work = PlaneStack(np.shape(d[0]) if rows is None else (len(rows), *np.shape(d[0])[1:]))
     if rows is not None and row_work is None:
@@ -666,10 +755,11 @@ def _log_logistic(z: np.ndarray, work: PlaneStack) -> tuple[np.ndarray, np.ndarr
 # scratch arrays whose values are spent; they never write to the predictor
 # arrays they are given. Each runs its count-free steps on ``stacks.free``
 # and expands their results with ``stacks.expand`` where the counts enter.
+# Each is a generator of the two stages of ``slot_stages``: it yields the
+# values, then, given counts, the values with the derivatives.
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _terms_po(d, y, stacks: _Stacks, curvature) -> SlotTerms:
+def _terms_po(d, y, stacks: _Stacks, curvature):
     # one softplus per predictor: log F, log(1 - F), log F' = their sum
     k1, free = len(d), stacks.free
     log_f, log_not_f = _log_logistic(d, free)
@@ -689,27 +779,32 @@ def _terms_po(d, y, stacks: _Stacks, curvature) -> SlotTerms:
         for ordered in others:
             feasible &= ordered
         feasible = stacks.expand(feasible)
+    if y is not None:
+        # F'/p_k for the category below each boundary and F'/p_{k+1} for
+        # the one above, from log F' = log F + log(1 - F); at the ends
+        # they reduce to 1 - F and F, whose logs log_not_f[0] and
+        # log_f[-1] already hold, so the two arrays take the other
+        # ratios in place
+        log_density = np.add(log_f, log_not_f, out=free.take(k1))
+        below, above = log_not_f, log_f
+        np.subtract(log_density[1:], logp[1:k1], out=below[1:])
+        np.subtract(log_density[:-1], logp[1:k1], out=above[:-1])
+        np.exp(below, out=below)
+        np.exp(above, out=above)
+        if curvature:
+            hess = stacks.work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
+            # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
+            tanh = np.multiply(d, -0.5, out=hess[::2] if stacks.index is None else log_density)
+            np.tanh(tanh, out=tanh)
+    logp = stacks.expand(logp)
+    yield SlotTerms(logp, feasible, None)
     if y is None:
-        return SlotTerms(stacks.expand(logp), feasible, None)
-    # F'/p_k for the category below each boundary and F'/p_{k+1} for the one
-    # above, from log F' = log F + log(1 - F); at the ends they reduce to
-    # 1 - F and F, whose logs log_not_f[0] and log_f[-1] already hold, so
-    # the two arrays take the other ratios in place
-    log_density = np.add(log_f, log_not_f, out=free.take(k1))
-    below, above = log_not_f, log_f
-    np.subtract(log_density[1:], logp[1:k1], out=below[1:])
-    np.subtract(log_density[:-1], logp[1:k1], out=above[:-1])
-    np.exp(below, out=below)
-    np.exp(above, out=above)
+        return
     if curvature:
-        hess = stacks.work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
-        # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
-        tanh = np.multiply(d, -0.5, out=hess[::2] if stacks.index is None else log_density)
-        np.tanh(tanh, out=tanh)
         diagonal = stacks.expand(tanh, out=hess[::2])
-    logp, below, above = stacks.expand(logp), stacks.expand(below), stacks.expand(above)
-    # every F'/p_j enters multiplied by y_j; where y_j = 0 it is set to 0, so
-    # that a category of zero probability and zero count (two equal
+    below, above = stacks.expand(below), stacks.expand(above)
+    # every F'/p_j enters multiplied by y_j; where y_j = 0 it is set to 0,
+    # so that a category of zero probability and zero count (two equal
     # predictors) adds 0, not 0 x inf, to the score and curvature
     empty = np.equal(y, 0)
     if empty.any():
@@ -718,7 +813,8 @@ def _terms_po(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     if not curvature:
         below *= y[:-1]
         below -= np.multiply(above, y[1:], out=above)
-        return SlotTerms(logp, feasible, below)
+        yield SlotTerms(logp, feasible, below)
+        return
     # the curvature reads the ratios again, so the score gets its own array
     spare = log_density if stacks.index is None else stacks.work.take(k1)
     score = np.multiply(below, y[:-1], out=stacks.work.take(k1))
@@ -732,10 +828,10 @@ def _terms_po(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     diagonal -= t
     off = np.multiply(above[:-1], below[1:], out=hess[1::2])
     off *= y[1:-1]
-    return SlotTerms(logp, feasible, score, hess)
+    yield SlotTerms(logp, feasible, score, hess)
 
 
-def _terms_acl(d, y, stacks: _Stacks, curvature) -> SlotTerms:
+def _terms_acl(d, y, stacks: _Stacks, curvature):
     # category k carries the partial sum of predictors k..K-1, category K zero
     k1, free = len(d), stacks.free
     sums = free.take(k1)
@@ -757,16 +853,21 @@ def _terms_acl(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     logz += m
     np.subtract(sums, logz, out=logp[:k1])
     np.negative(logz, out=logp[k1])
+    if y is not None:
+        # C_k, from the probabilities of the categories at or below k
+        cumulative = np.exp(logp[:-1], out=free.take(k1))
+        for k in range(1, k1):
+            cumulative[k] += cumulative[k - 1]
+        if curvature:
+            # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
+            factor = np.subtract(cumulative, 1.0, out=sums)
+    logp = stacks.expand(logp)
+    yield SlotTerms(logp, None, None)
     if y is None:
-        return SlotTerms(stacks.expand(logp), None, None)
-    # C_k, from the probabilities of the categories at or below k
-    cumulative = np.exp(logp[:-1], out=free.take(k1))
-    for k in range(1, k1):
-        cumulative[k] += cumulative[k - 1]
+        return
     if curvature:
-        # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
-        factor = stacks.expand(np.subtract(cumulative, 1.0, out=sums))
-    logp, cumulative = stacks.expand(logp), stacks.expand(cumulative)
+        factor = stacks.expand(factor)
+    cumulative = stacks.expand(cumulative)
     at_or_below = y[:-1].copy()
     for k in range(1, k1):
         at_or_below[k] += at_or_below[k - 1]
@@ -774,21 +875,22 @@ def _terms_acl(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     score = np.multiply(cumulative, -size, out=stacks.work.take(k1))
     score += at_or_below
     if not curvature:
-        return SlotTerms(logp, None, score)
+        yield SlotTerms(logp, None, score)
+        return
     factor *= size
     hess = stacks.work.take(k1 * (k1 + 1) // 2)
     first = 0
     for k in range(k1):
         np.multiply(cumulative[k], factor[k:], out=hess[first : first + k1 - k])
         first += k1 - k
-    return SlotTerms(logp, None, score, hess)
+    yield SlotTerms(logp, None, score, hess)
 
 
-def _terms_cr(d, y, stacks: _Stacks, curvature) -> SlotTerms:
+def _terms_cr(d, y, stacks: _Stacks, curvature):
     # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
     k1, free = len(d), stacks.free
     log_stop, log_continue = _log_logistic(d, free)
-    if curvature:
+    if y is not None and curvature:
         # F'(d_k) = F (1 - F), before log_continue turns into survival
         density = np.add(log_stop, log_continue, out=free.take(k1))
         np.exp(density, out=density)
@@ -799,10 +901,11 @@ def _terms_cr(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     np.copyto(logp[0], log_stop[0])
     np.add(log_stop[1:], survival[:-1], out=logp[1:k1])
     np.copyto(logp[k1], survival[-1])
-    if y is None:
-        return SlotTerms(stacks.expand(logp), None, None)
-    score = stacks.expand(np.exp(log_stop, out=log_stop))  # F(d_k), then the score
     logp = stacks.expand(logp)
+    yield SlotTerms(logp, None, None)
+    if y is None:
+        return
+    score = stacks.expand(np.exp(log_stop, out=log_stop))  # F(d_k), then the score
     reached = y[:-1].copy()  # sum_{j>=k} y_j, built from the top category down
     reached[-1] += y[-1]
     for k in range(k1 - 2, -1, -1):
@@ -811,10 +914,11 @@ def _terms_cr(d, y, stacks: _Stacks, curvature) -> SlotTerms:
     score *= reached
     score += y[:-1]
     if not curvature:
-        return SlotTerms(logp, None, score)
+        yield SlotTerms(logp, None, score)
+        return
     density = stacks.expand(density)
     density *= reached
-    return SlotTerms(logp, None, score, density)
+    yield SlotTerms(logp, None, score, density)
 
 
 def _slot_major(a: np.ndarray) -> np.ndarray:

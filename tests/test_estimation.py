@@ -1044,3 +1044,114 @@ def _newton_step_reference(grad, hess):
             s = grad[idx]
         step[idx] = s
     return step
+
+
+def _one_newton_step(dataset, link, structure, slope_names, result):
+    """A fit's estimates one more full Newton step on: a fit stops once its
+    Newton decrement is below 1e-10, and the decrement of a dataset taken
+    twice is twice as large, so it can take one more step than the same
+    fit once. That step is the same on both, as the score and the
+    information double; after it both are at the maximum to rounding."""
+    effect = estimation.random_effect_class(structure)
+    param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
+    columns = [dataset.slope_names().index(name) for name in slope_names]
+    order = estimation.DEFAULT_ORDER_2D if effect.dim == 2 else estimation.DEFAULT_ORDER_1D
+    objective = _Objective(LoglikKernel(dataset, link, columns), param, order)
+    theta = param.pack(result.estimates)
+    at = objective.full(theta)
+    return param.reported(theta + np.linalg.solve(at.information, at.score))
+
+
+def _louis_features(nodes, k1):
+    """Node features of the intercepts and a scale of the nodes."""
+    features = np.zeros((nodes.size, k1, k1 + 1))
+    features[:, :, :k1] = np.eye(k1)
+    features[:, :, k1] = nodes[:, None]
+    return features
+
+
+class TestDistinctClusters:
+    """A fit evaluates each distinct (covariate pattern, counts) cluster
+    once and weighs it by its multiplicity."""
+
+    @pytest.fixture(scope="class")
+    def doubled(self):
+        strawberry = strawberry_dataset()
+        return Dataset(clusters=strawberry.clusters * 2, covariate_names=strawberry.covariate_names)
+
+    @pytest.mark.parametrize("structure", ["none", "univariate", "bivariate"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_every_cluster_twice_doubles_the_loglik(self, strawberry, doubled, link, structure):
+        """The strawberry panel with every cluster twice: twice the
+        log-likelihood, the same estimates and standard errors smaller by
+        sqrt(2), for the full and the intercept model."""
+        rows = LoglikKernel(doubled, link).rows
+        assert len(rows.first) == 48 and set(rows.multiplicity.tolist()) == {2}
+        for fitter, slopes in ((fit, strawberry.slope_names()), (fit_intercept_model, ())):
+            once, twice = fitter(strawberry, link, structure), fitter(doubled, link, structure)
+            assert once.converged and twice.converged
+            assert twice.loglik == pytest.approx(2.0 * once.loglik, rel=1e-10)
+            np.testing.assert_allclose(
+                _one_newton_step(doubled, link, structure, slopes, twice),
+                _one_newton_step(strawberry, link, structure, slopes, once),
+                rtol=0, atol=1e-7,
+            )
+            np.testing.assert_allclose(twice.se, once.se / math.sqrt(2.0), rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_an_intercept_kernel_evaluates_the_distinct_rows(self, large_clusters, monkeypatch, link):
+        """large_clusters' 960 clusters have one pattern and a few hundred
+        count vectors for an intercept model: the Louis pass evaluates the
+        link once per row block and the counts once per distinct cluster,
+        and gives each cluster its row's moments."""
+        evaluated = []
+        stages = likelihood.slot_stages
+
+        def spied(link, d, counts, work, curvature, rows=None, row_work=None):
+            evaluated.append((d.shape[1], counts.shape[1]))
+            return stages(link, d, counts, work, curvature, rows, row_work)
+
+        monkeypatch.setattr(likelihood, "slot_stages", spied)
+        kernel = LoglikKernel(large_clusters, link, [])
+        rows = kernel.rows
+        assert len(rows.first) < 450 and rows.multiplicity.sum() == 960
+        rule = gauss_hermite(30)
+        offsets, features = 1.5 * rule.nodes[:, None], _louis_features(rule.nodes, 2)
+        c, b = np.array([-0.6, 0.6]), np.empty(0)
+        moments = kernel.louis_moments(c, b, offsets, rule.weights, features)
+        assert evaluated == [(1, len(rows.first))]
+        monkeypatch.undo()
+        assert moments.mean.shape == (len(rows.first), 3)
+        repeated = np.broadcast_to(offsets, (960, 30, 1))
+        per_cluster = kernel.louis_moments(c, b, repeated, rule.weights, features)
+        assert moments.loglik == pytest.approx(per_cluster.loglik, rel=1e-13)
+        marginal = kernel.marginal(c, b, offsets, rule.weights)
+        assert moments.loglik == pytest.approx(float(marginal.sum()), rel=1e-13)
+        for got, want in zip(moments[1:], per_cluster[1:]):
+            np.testing.assert_allclose(got[rows.index], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_the_floor_bound_weighs_the_rows_left(self, large_clusters, monkeypatch, link):
+        """With rows of several clusters, the bound of a pass stopped at its
+        floor is the finished rows' log-likelihood, each row times its
+        multiplicity, plus the ceiling times the multiplicity of the rows
+        left: at least the full pass's log-likelihood and below the floor."""
+        monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 64 * 30)
+        kernel = LoglikKernel(large_clusters, link, [])
+        rows = kernel.rows
+        blocks = kernel._workspace(30).blocks
+        assert len(blocks) > 2 and rows.multiplicity.max() > 1
+        rule = gauss_hermite(30)
+        # weights that sum to 2, so that the ceiling log 2 counts
+        offsets, weights = 1.5 * rule.nodes[:, None], 2.0 * rule.weights
+        features = _louis_features(rule.nodes, 2)
+        c, b = np.array([-0.6, 0.6]), np.empty(0)
+        full = kernel.louis_moments(c, b, offsets, weights, features)
+        row_ll = kernel.marginal(c, b, offsets, weights)[rows.first] * rows.multiplicity
+        bounds = [row_ll[:hi].sum() + rows.multiplicity[hi:].sum() * math.log(2.0) for _, hi, _, _ in blocks]
+        for floor in (full.loglik + 1.0, 0.5 * full.loglik):
+            stopped = kernel.louis_moments(c, b, offsets, weights, features, floor)
+            assert stopped.mean is None and stopped.second is None
+            assert full.loglik <= stopped.loglik < floor
+            expected = next(value for value in bounds if value < floor - 1e-8 * abs(floor))
+            assert stopped.loglik == pytest.approx(expected, rel=1e-12)

@@ -22,7 +22,14 @@ from ordmixed import (
 )
 from ordmixed import likelihood
 from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
-from ordmixed.model import curvature_pairs, log_category_probabilities, predictor_score, slot_terms
+from ordmixed.model import (
+    curvature_pairs,
+    log_category_probabilities,
+    log_multinomial_coefficients,
+    predictor_score,
+    slot_stages,
+    slot_terms,
+)
 from ordmixed.quadrature import standard_tensor_grid
 
 
@@ -220,7 +227,8 @@ class TestPosteriorScore:
         r = _slot_score(kernel, *args)
         assert r.loglik == float(kernel.marginal(*args).sum())
         np.testing.assert_allclose(_posterior(kernel, *args).sum(axis=1), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(r.mean.sum(axis=0), r.node_score.sum(axis=0), rtol=1e-10)
+        _, slot = _wrapper_kernel_oracle(LinkFamily.PROPORTIONAL_ODDS, kernel, *args)
+        np.testing.assert_allclose(r.mean, slot, rtol=1e-10, atol=1e-12)
 
     def test_one_node_at_zero_is_the_conditional(self, kernel):
         c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
@@ -251,15 +259,20 @@ class TestPosteriorScore:
         assert np.isfinite(r.loglik)
         np.testing.assert_array_equal(posterior[:, infeasible], 0.0)
         assert np.all(posterior[:, ~infeasible] > 0.0)
-        for moment in (r.mean, r.second, r.node_score):
+        for moment in (r.mean, r.second):
             assert np.all(np.isfinite(moment))
-        np.testing.assert_array_equal(r.node_score[infeasible], 0.0)
+        # the infeasible nodes' scores are not part of the posterior mean
+        _, slot = _wrapper_kernel_oracle(
+            LinkFamily.PROPORTIONAL_ODDS, kernel, c, np.array([0.3, -0.2]), offsets, weights
+        )
+        np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
 
 
 def _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights):
-    """Node log-likelihoods and the score from the (..., K) wrappers on
-    cluster-major (n, Q, K-1) predictors, without the multinomial constant,
-    at (Q, K-1) node offsets or (n, Q, K-1) per-cluster ones."""
+    """Node log-likelihoods and each cluster's posterior mean score from
+    the (..., K) wrappers on cluster-major (n, Q, K-1) predictors, without
+    the multinomial constant, at (Q, K-1) node offsets or (n, Q, K-1)
+    per-cluster ones."""
     deltas = c[None, None, :] + (kernel.x @ b)[:, None, None] + np.asarray(offsets, dtype=float)
     logp, feasible = log_category_probabilities(link, deltas)
     y = kernel.y[:, None, :]
@@ -269,8 +282,7 @@ def _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights):
     post = np.exp(ll - ll.max(axis=1, keepdims=True)) * weights
     post /= post.sum(axis=1, keepdims=True)
     score = np.where(feasible[..., None], predictor_score(link, deltas, logp, y), 0.0)
-    weighted = post[..., None] * score
-    return ll, weighted.sum(axis=1), weighted.sum(axis=0)
+    return ll, (post[..., None] * score).sum(axis=1)
 
 
 class TestSlotMajorKernel:
@@ -297,12 +309,11 @@ class TestSlotMajorKernel:
             offsets, weights = 0.9 * rule.nodes[:, None], rule.weights
         else:
             offsets, weights = rng.normal(scale=0.8, size=(11, 2)), np.full(11, 1.0 / 11)
-        ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
+        ll, slot = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
         np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
         r = _slot_score(kernel, c, b, offsets, weights)
         assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
         np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(r.node_score, node, rtol=1e-12, atol=1e-12)
 
     def test_equal_po_predictors(self):
         clusters = (make_cluster([3, 0, 2]), make_cluster([1, 1, 1]))
@@ -337,7 +348,7 @@ class TestSlotMajorKernel:
         totals = np.concatenate([np.arange(1, 60), rng.integers(60, 2001, size=200)])
         counts = np.stack([rng.multinomial(n, rng.dirichlet(np.ones(k))) for n in totals])
         expected = gammaln(totals + 1.0) - gammaln(counts + 1.0).sum(axis=1)
-        got = likelihood._log_coefficients(counts)
+        got = log_multinomial_coefficients(counts)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-10)
 
 
@@ -516,101 +527,138 @@ class TestPerClusterNodeOffsets:
             np.testing.assert_array_equal(g, w)
         # nodes of each cluster's own
         offsets = shared + rng.normal(scale=0.4, size=(ds.n_clusters, *shared.shape))
-        ll, slot, node = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
+        ll, slot = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
         np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
         r = _slot_score(kernel, c, b, offsets, weights)
         assert np.isfinite(r.loglik)
         assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
         np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(r.node_score, node, rtol=1e-12, atol=1e-12)
         moments = kernel.louis_moments(c, b, offsets, weights, features)
         assert moments.loglik == pytest.approx(r.loglik, rel=1e-14)
         # the features' first two columns are the intercepts, whose mean is the slot score
         np.testing.assert_allclose(moments.mean[:, :2], slot, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(moments.node_score, node, rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def _shared_kernel(link, k, kind):
         """30 clusters on 6 covariate rows of 0, 1 and 0.5, five clusters
-        each in shuffled order, counts with empty categories, and a kernel
-        on the dataset's own columns or, for ``intercept``, on none."""
+        each in shuffled order, counts with empty categories, the second
+        cluster of each pattern a copy of the first, and a kernel on the
+        dataset's own columns or, for ``intercept``, on none."""
         rng = np.random.default_rng([31, k, list(LinkFamily).index(link)])
         rows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0.5], [0.5, 0, 1]])
-        x = rows[rng.permutation(np.repeat(np.arange(6), 5))]
+        pattern = rng.permutation(np.repeat(np.arange(6), 5))
+        x = rows[pattern]
         counts = rng.multinomial(6, np.full(k, 1.0 / k), size=30)
         counts[0, 1], counts[0, 0] = 0, counts[0, 0] + counts[0, 1]
+        for p in range(6):
+            first, second = np.flatnonzero(pattern == p)[:2]
+            counts[second] = counts[first]
         ds = Dataset(clusters=tuple(make_cluster(y, row) for y, row in zip(counts, x)))
         assert ds.n_patterns == 6 and np.any(counts == 0)
         columns = [0, 1, 2] if kind == "patterns" else []
         return LoglikKernel(ds, link, columns=columns)
 
-    @pytest.mark.parametrize("n_blocks", [1, 4])
+    @pytest.mark.parametrize("block_rows", [None, 2])
     @pytest.mark.parametrize("kind", ["patterns", "intercept"])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("link", list(LinkFamily))
-    def test_shared_rows_match_every_clusters_own_row(self, monkeypatch, link, k, kind, n_blocks):
-        """Clusters of one covariate pattern evaluate the link's count-free
-        steps once per pattern at shared offsets; the same offsets repeated
-        per cluster evaluate every cluster, with the same bits."""
+    def test_shared_rows_match_every_rows_own(self, monkeypatch, link, k, kind, block_rows):
+        """At shared offsets a pass evaluates each distinct cluster once, and
+        the rows of one pattern in a row block run the link's count-free
+        steps once: with or without that sharing the results have the same
+        bits, and the value passes and the one-node terms are those of
+        every cluster at the same offsets given per cluster."""
+        rule = gauss_hermite(9)
         monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
-        if n_blocks > 1:
-            monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 8 * 9)
+        if block_rows is not None:
+            monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", block_rows * rule.order)
         shared_calls = []
 
         def spied(*args):
             shared_calls.append(len(args) > 5 and args[5] is not None)
-            return slot_terms(*args)
+            return slot_stages(*args)
 
-        monkeypatch.setattr(likelihood, "slot_terms", spied)
+        monkeypatch.setattr(likelihood, "slot_stages", spied)
         kernel = self._shared_kernel(link, k, kind)
-        n, k1 = kernel.y.shape[0], k - 1
+        rows = kernel.rows
+        n, m, k1 = kernel.y.shape[0], len(rows.first), k - 1
+        assert m < n and rows.multiplicity.sum() == n
+        np.testing.assert_array_equal(kernel.y[rows.first][rows.index], kernel.y)
         # increasing intercepts and slot-wise offsets that reverse the PO
         # cutpoints at some nodes; dyadic slopes, so that x b is exact
         c = np.linspace(-1.0, 1.0, k1)
         b = np.array([0.25, -0.5, 0.75])[: kernel.x.shape[1]]
-        rule = gauss_hermite(9)
         shared = rule.nodes[:, None] * np.linspace(1.2, -0.6, k1)
         if k1 > 1:
             assert np.any(np.diff(c + shared, axis=1) < 0)
         features = _features(rule.nodes, k1)
-        repeated = np.broadcast_to(shared, (n, *shared.shape))
         blocks = kernel._workspace(rule.order).blocks
-        assert len(blocks) == n_blocks and blocks[0][3] is not None
+        assert len(blocks) == (1 if block_rows is None else -(-m // block_rows))
+        assert any(block[3] is not None for block in blocks)
         shared_calls.clear()
         got = self._results(kernel, c, b, shared, rule.weights, features)
         assert any(shared_calls)
+        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 2**62)
+        own = self._shared_kernel(link, k, kind)
         shared_calls.clear()
-        want = self._results(kernel, c, b, repeated, rule.weights, features)
+        want = self._results(own, c, b, shared, rule.weights, features)
         assert not any(shared_calls)
+        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+        # every cluster at the same offsets, each on its own row
+        repeated = np.broadcast_to(shared, (n, *shared.shape))
+        np.testing.assert_array_equal(got[0], kernel.node_logliks(c, b, repeated))
+        # (the node sums of the marginal are matrix products, whose rounding
+        # may depend on where a row sits)
+        np.testing.assert_allclose(got[1], kernel.marginal(c, b, repeated, rule.weights), rtol=1e-14)
+        # the moments of a cluster are those of its row; the rows' total
+        # log-likelihood weighs each by its multiplicity
+        per_cluster = kernel.louis_moments(c, b, repeated, rule.weights, features)
+        assert got[2] == float(((got[1][rows.first]) * rows.multiplicity).sum())
+        assert got[2] == pytest.approx(per_cluster.loglik, rel=1e-14)
+        for g, w in zip(got[3:], per_cluster[1:]):
+            np.testing.assert_allclose(g[rows.index], w, rtol=1e-13, atol=1e-13)
         # the one-node pass of a homogeneous fit, and the same per cluster
         shared_calls.clear()
-        got = kernel.conditional_terms(c, b, np.zeros((1, k1)))
+        terms = kernel.conditional_terms(c, b, np.zeros((1, k1)))
         assert any(shared_calls)
-        for g, w in zip(got, kernel.conditional_terms(c, b, np.zeros((n, k1)))):
-            np.testing.assert_array_equal(g, w)
+        for g, w in zip(terms, kernel.conditional_terms(c, b, np.zeros((n, k1)))):
+            np.testing.assert_array_equal(g[rows.index], w)
 
-    def test_rows_that_x_b_rounds_apart_take_every_clusters_own_row(self, monkeypatch):
-        """Where the matrix product gives two clusters of one pattern
-        different bits, the pass evaluates every cluster."""
+    def test_rows_of_one_pattern_share_their_predictors_bit_for_bit(self, monkeypatch):
+        """On column-major covariate matrices with repeated rows, where the
+        matrix product x b often rounds two equal rows apart, the
+        predictors are formed once per pattern: the shared-rows path runs
+        and gives each cluster the bits of its own row."""
         monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
-        kernel = self._shared_kernel(LinkFamily.PROPORTIONAL_ODDS, 3, "patterns")
+        shared_calls = []
+
+        def spied(*args):
+            shared_calls.append(len(args) > 5 and args[5] is not None)
+            return slot_stages(*args)
+
+        monkeypatch.setattr(likelihood, "slot_stages", spied)
         rule = gauss_hermite(9)
-        c, b, offsets = np.array([-0.5, 0.5]), np.array([0.25, -0.5, 0.75]), 0.8 * rule.nodes[:, None]
-        want = kernel.node_logliks(c, b, offsets)
-        # cluster 1's row moved by 2^-20, as if x b had rounded it apart
-        moved = kernel.x + np.eye(len(kernel.x))[1][:, None] * 2.0**-20
-        kernel.x = moved
-        assert not kernel._rounded_alike(kernel.x @ b)
-        got = kernel.node_logliks(c, b, offsets)
-        monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 2**62)
-        own = self._shared_kernel(LinkFamily.PROPORTIONAL_ODDS, 3, "patterns")
-        own.x = moved
-        np.testing.assert_array_equal(got, own.node_logliks(c, b, offsets))
-        assert own._workspace(rule.order).blocks[0][3] is None
-        assert not np.array_equal(got[1], want[1])
-        np.testing.assert_array_equal(np.delete(got, 1, axis=0), np.delete(want, 1, axis=0))
+        offsets = 0.8 * rule.nodes[:, None]
+        for seed in range(20):
+            rng = np.random.default_rng([47, seed])
+            p = int(rng.integers(3, 9))
+            x = rng.normal(size=(6, p))[rng.permutation(np.repeat(np.arange(6), 5))]
+            counts = rng.multinomial(6, [0.3, 0.3, 0.4], size=30)
+            ds = Dataset(clusters=tuple(make_cluster(y, row) for y, row in zip(counts, x)))
+            kernel = LoglikKernel(ds, LinkFamily.PROPORTIONAL_ODDS, columns=list(range(p)))
+            assert kernel.x.flags.f_contiguous and ds.n_patterns == 6
+            c, b = np.array([-0.5, 0.5]), rng.normal(scale=0.5, size=p)
+            repeated = np.broadcast_to(offsets, (30, *offsets.shape))
+            shared_calls.clear()
+            got = kernel.node_logliks(c, b, offsets)
+            assert shared_calls == [True]
+            np.testing.assert_array_equal(got, kernel.node_logliks(c, b, repeated))
+            index = kernel.rows.index
+            for g, w in zip(kernel.conditional_terms(c, b, np.zeros((1, 2))),
+                            kernel.conditional_terms(c, b, np.zeros((30, 2)))):
+                np.testing.assert_array_equal(g[index], w)
 
 
 class TestFloor:
@@ -634,7 +682,7 @@ class TestFloor:
         done = [marginal[:hi].sum() for _, hi, _, _ in kernel._workspace(len(weights)).blocks]
         for floor in (full.loglik + 1.0, 0.5 * full.loglik):
             stopped = kernel.louis_moments(c, b, offsets, weights, features, floor)
-            assert stopped.mean is None and stopped.second is None and stopped.node_score is None
+            assert stopped.mean is None and stopped.second is None
             # an upper bound of the log-likelihood, below the floor: the
             # log-likelihood of the blocks done when the bound fell below it
             assert full.loglik <= stopped.loglik < floor
@@ -669,17 +717,23 @@ class TestOtherCategoryCounts:
 
     @staticmethod
     def _score(kernel, c, b, nodes, weights, point):
-        """The summed ``marginal`` and, by the chain rule from the slot and
-        node scores of ``_slot_score``, the score in the coordinates
-        (intercepts, a shift of every predictor, the effect's scale) at
-        ``point``."""
-        k1 = c.size
+        """The summed ``marginal`` and, by the chain rule, the score in the
+        coordinates (intercepts, a shift of every predictor, the effect's
+        scale) at ``point``: from the slot scores of ``_slot_score``, and
+        for the scale from the posterior weights and each node's
+        conditional score."""
+        k1, n = c.size, kernel.y.shape[0]
         shift, scale = point[k1], point[k1 + 1]
         offsets = np.repeat(scale * nodes[:, None] + shift, k1, axis=1)
         r = _slot_score(kernel, point[:k1], b, offsets, weights)
         loglik = float(kernel.marginal(point[:k1], b, offsets, weights).sum())
         assert r.loglik == pytest.approx(loglik, rel=1e-14)
-        return loglik, np.r_[r.mean.sum(axis=0), r.mean.sum(), nodes @ r.node_score.sum(axis=1)]
+        node_score = np.stack([
+            kernel.conditional_terms(point[:k1], b, np.broadcast_to(o, (n, k1))).score.sum(axis=1)
+            for o in offsets
+        ], axis=1)
+        posterior = _posterior(kernel, point[:k1], b, offsets, weights)
+        return loglik, np.r_[r.mean.sum(axis=0), r.mean.sum(), ((posterior * node_score) @ nodes).sum()]
 
     @pytest.mark.parametrize("link", list(LinkFamily))
     @pytest.mark.parametrize("k", [2, 4, 5])

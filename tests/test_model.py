@@ -413,6 +413,35 @@ class TestDataModel:
         assert [int(np.flatnonzero(index == j)[0]) for j in range(48)] == first.tolist()
         assert not first.flags.writeable and not index.flags.writeable
 
+    def test_distinct_clusters_index_pattern_and_counts(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = np.tile(factorial_design()[0], (4, 1))[rng.permutation(192)]
+        counts = rng.multinomial(3, [0.2, 0.3, 0.5], size=192)
+        ds = Dataset(clusters=tuple(Cluster(covariates=row, counts=y) for row, y in zip(x, counts)))
+        calls, unique = [], np.unique
+
+        def counted(ar, *args, **kwargs):
+            calls.append(np.shape(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        found = [ds.distinct_clusters(columns) for columns in (None, [], [2, 0])]
+        monkeypatch.undo()
+        # one np.unique of the covariates, then one lookup for the models
+        # with columns and one for those without, each made once and kept
+        assert calls == [(192, 8), (192,), (192,)]
+        assert found[2] is found[0]
+        pattern = ds.covariate_patterns.index
+        for (first, multiplicity, index), key in zip(found, (pattern, np.zeros(192, dtype=int))):
+            # a cluster of each distinct (key, counts) row, each cluster's row
+            rows = np.column_stack([key, counts])
+            assert len(first) == len(np.unique(rows, axis=0)) < 192
+            np.testing.assert_array_equal(rows[first][index], rows)
+            np.testing.assert_array_equal(multiplicity, np.bincount(index))
+            # sorted by the key, then by the counts
+            assert [tuple(r) for r in rows[first]] == sorted(tuple(r) for r in rows[first])
+            assert not any(a.flags.writeable for a in (first, multiplicity, index))
+
     def test_n_patterns_counts_distinct_covariate_vectors(self):
         # the 48 plots of the 3 x 4 x 4 factorial design, once and tiled 20 times
         assert strawberry_dataset().n_patterns == 48

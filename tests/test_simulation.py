@@ -156,13 +156,15 @@ class TestRunStudy:
         """Every kernel of a replication's fits and empirical-Bayes
         predictions wants the covariate patterns (at any plane size, here),
         and the GoF's degrees of freedom count them: one np.unique of the
-        covariate rows serves them all."""
+        covariate rows serves them all. The intercept fits see the counts
+        alone, and find their distinct clusters with one np.unique of one
+        key per cluster, kept for every later fit; the full fits need none,
+        since the 48 clusters have 48 patterns."""
         monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
-        rows, unique = [], np.unique
+        calls, unique = [], np.unique
 
         def counted(ar, *args, **kwargs):
-            if np.ndim(ar) == 2:
-                rows.append(np.shape(ar))
+            calls.append(np.shape(ar))
             return unique(ar, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counted)
@@ -172,7 +174,7 @@ class TestRunStudy:
         )
         out = simulation._replicate(design, FitOptions(quadrature_order=10), 0)
         assert all(v["ok"] and v["icc"] > 0.0 for k, v in out.items() if k != "po:none")
-        assert rows == [(48, 8)]
+        assert calls == [(48, 8), (48,)]
 
     def test_parallel_execution_matches_serial(self):
         design = small_design(replications=6)
