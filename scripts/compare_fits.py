@@ -15,7 +15,9 @@ whose log-likelihood differs by more than ``--tolerance``, every changed
 ``converged`` flag, every fit whose ``n_evaluations`` or optimizer message
 changed, a tally of each side's optimizer messages, and the
 mean ``n_evaluations`` and information passes per fit by link and
-structure on each side.
+structure on each side. It also counts, per workload and side, the fits
+whose ``loglik`` is ``total_loglik`` at their estimates bit for bit, on
+the fit's rule; a fit whose ``total_loglik`` raises counts as an error.
 """
 
 from __future__ import annotations
@@ -50,8 +52,25 @@ def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
     import numpy as np
     import workloads as bench
     from ordmixed import estimation, simulation
+    from ordmixed.likelihood import total_loglik
+    from ordmixed.quadrature import bivariate_rule, gauss_hermite
 
     current = {"workload": None, "block": None, "index": 0}
+
+    def is_total(result, dataset, link, opts):
+        """Whether ``total_loglik`` at the fit's estimates, on its rule, is
+        its ``loglik`` bit for bit; the exception's name where it raises."""
+        re = result.estimates.re
+        default = estimation.DEFAULT_ORDER_2D if re.dim == 2 else estimation.DEFAULT_ORDER_1D
+        order = opts.quadrature_order or default
+        try:
+            if re.dim == 2:
+                rule = bivariate_rule(order, re.sigma1, re.sigma2, re.rho)
+            else:
+                rule = gauss_hermite(order) if re.dim else None
+            return total_loglik(dataset, result.estimates, link, rule) == result.loglik
+        except Exception as err:
+            return type(err).__name__
 
     def recorded(fn, kind):
         def wrapper(dataset, link, re_structure="none", opts=estimation.FitOptions()):
@@ -65,6 +84,7 @@ def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
                 "converged": bool(result.converged), "n_evaluations": result.n_evaluations,
                 "information_passes": info,
                 "message": result.diagnostics.get("optimizer_message"),
+                "is_total": is_total(result, dataset, link, opts),
             }
             current["index"] += 1
             print(json.dumps(line))
@@ -159,6 +179,13 @@ def main(argv=None) -> int:
     print("\n".join(flags))
     print(f"fits whose n_evaluations or optimizer message changed: {len(paths)}")
     print("\n".join(paths))
+    print("\nfits whose loglik is total_loglik at their estimates, bit for bit:")
+    for side, fits in (("A", a_fits), ("B", b_fits)):
+        for name in worst:
+            found = [f["is_total"] for f in fits if f["workload"] == name]
+            errors = [v for v in found if not isinstance(v, bool)]
+            print(f"  {side} {name:18s} {sum(v is True for v in found):5d} of {len(found):5d}, "
+                  f"{len(errors)} errors {sorted(set(errors))}")
     for side, fits in (("A", a_fits), ("B", b_fits)):
         tally = defaultdict(int)
         for f in fits:

@@ -13,14 +13,14 @@ link, the median per-call time of:
 - ``LoglikKernel.louis_moments``, with the node features and offsets of the
   fit's objective, as a Newton pass calls it, and ``conditional_terms``;
 - ``louis_moments`` of the intercept-only model with the same effect, on a
-  kernel without covariates, whose clusters all share one predictor row;
+  kernel without covariates, whose rows all share one predictor row;
 - a rejected trial: ``_Objective.full`` at the same point with a floor
   above its log-likelihood, as Newton's line search calls it, which stops
   after the log-likelihood (a tree whose ``full`` takes no floor makes the
   whole pass, as its line search does);
 - the intercept model's pass and stopped trial: ``_Objective.full`` of
-  the intercept fit, on the kernel the fit builds (the dataset without
-  its columns), without and with such a floor;
+  the intercept fit, on the kernel the fit builds (without covariates),
+  without and with such a floor;
 - the contraction: ``_Objective.full`` of the full model on a kernel whose
   ``louis_moments`` hands back the moments of one earlier pass (a copy of
   the second moment, which the pass writes over), so that only the work
@@ -101,6 +101,14 @@ def _clocked(fn, clock: list):
     return call
 
 
+def _intercept_kernel(kernel_class, dataset, link):
+    """A kernel on none of the dataset's covariates, as an intercept fit
+    builds it; a tree whose kernel takes covariate columns gets none."""
+    if "covariates" in inspect.signature(kernel_class).parameters:
+        return kernel_class(dataset, link, covariates=False)
+    return kernel_class(dataset, link, [])
+
+
 def _measure(tree: Path, seed: int) -> None:
     """Worker: print one JSON line per size, link and function."""
     use_tree(tree)
@@ -108,7 +116,7 @@ def _measure(tree: Path, seed: int) -> None:
     import workloads as bench
     from ordmixed import estimation, simulation
     from ordmixed.likelihood import LoglikKernel
-    from ordmixed.model import RANDOM_EFFECTS, Cluster, Dataset
+    from ordmixed.model import RANDOM_EFFECTS
 
     truth = simulation.study_true_parameters(bench.STUDY_SIGMA)
     for size, (workload, order, calls, fits, structure) in SIZES.items():
@@ -127,9 +135,7 @@ def _measure(tree: Path, seed: int) -> None:
             offsets = objective._offsets(param.pack(params)[param.n_fixed :])[0]
             features, weights = objective._features, objective.weights
             # the intercept-only model's kernel and offsets, at the same effect
-            lone = LoglikKernel(Dataset(clusters=tuple(
-                Cluster(covariates=np.empty(0), counts=cluster.counts) for cluster in dataset.clusters
-            )), link)
+            lone = _intercept_kernel(LoglikKernel, dataset, link)
             lone_param = estimation._Parameterization(k1, (), RANDOM_EFFECTS[structure])
             lone_offsets = estimation._Objective(lone, lone_param, order)._offsets(
                 param.pack(params)[param.n_fixed :]
@@ -137,7 +143,9 @@ def _measure(tree: Path, seed: int) -> None:
             theta = param.pack(params)
             floor = objective.full(theta).loglik + 1.0
             # the intercept fit's objective, at the same effect
-            intercept_objective = estimation._Objective(LoglikKernel(dataset, link, []), lone_param, order)
+            intercept_objective = estimation._Objective(
+                _intercept_kernel(LoglikKernel, dataset, link), lone_param, order
+            )
             lone_theta = np.r_[c, param.pack(params)[param.n_fixed :]]
             lone_floor = intercept_objective.full(lone_theta).loglik + 1.0
             if "floor" in inspect.signature(objective.full).parameters:

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .likelihood import LoglikKernel
+from .likelihood import LoglikKernel, model_kernel
 from .model import (
     Cluster,
     Dataset,
@@ -256,9 +256,10 @@ class _Objective:
     sum_e (d^2 a_e / d theta d theta') times the entry's score summed over
     patterns. J's fixed-effect block is the same at every point and its
     variance block, da/d theta, the same for every pattern, so J is built
-    once and a pass writes only that block. A pattern of one row of
-    multiplicity 1 keeps that row's bits, so a dataset whose clusters all
-    have patterns of their own keeps the per-cluster arithmetic.
+    once and a pass writes only that block. The kernel's rows, its
+    distinct clusters sorted by (pattern, counts), are the one layout of
+    every fit, with or without covariates; where every cluster has a
+    pattern of its own, the rows are the patterns and need no sum.
 
     The node offsets are standardized nodes z (Q, dim) mapped through the
     loading, z A', so one chain rule serves every structure; without a
@@ -483,9 +484,7 @@ def _fit_impl(
         # one node puts all the effect's mass at 0: its variance never enters
         raise ValueError(f"a random effect needs a quadrature order of at least 2, got {order}")
 
-    names = dataset.slope_names()
-    # the dataset's own columns, so that the kernel shares its covariate patterns
-    kernel = LoglikKernel(dataset, link, columns=[names.index(name) for name in slope_names])
+    kernel = LoglikKernel(dataset, link, covariates=bool(slope_names))
     objective = _Objective(kernel, param, order)
     theta0, nested_passes = _starting_point(dataset, link, opts, param, slope_names, kernel)
 
@@ -796,7 +795,7 @@ def predict_random_effects(
     loading = re.loading(k1)
     if np.abs(loading).max() <= 1e-8:
         return np.zeros((dataset.n_clusters, k1))
-    kernel = LoglikKernel(dataset, link)
+    kernel = model_kernel(dataset, params, link)
     fe = params.fixed
     if method == "mean":
         order = _EB_ORDER[re.dim]
@@ -804,7 +803,8 @@ def predict_random_effects(
         order = DEFAULT_ORDER_2D if re.dim == 2 else DEFAULT_ORDER_1D
     z, weights = standard_tensor_grid(order, re.dim)
     offsets = z @ loading.T
-    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, offsets) + np.log(weights)[None, :]
+    # each cluster takes its row's node log-likelihoods
+    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)[kernel.rows.index] + np.log(weights)
     posterior = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
     posterior /= posterior.sum(axis=1, keepdims=True)
     if method == "mean":

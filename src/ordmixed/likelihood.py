@@ -38,23 +38,29 @@ random effect's loading A, z A'; a 3-d one gives each cluster its own
 nodes. No random effect is one node at 0 with weight 1, and the
 conditional passes at per-cluster offsets (n, K-1) are the one-node case.
 
-At shared node offsets, clusters with the same covariate pattern and the
-same counts add the same terms to every sum, so a pass evaluates the
-dataset's distinct clusters (``Dataset.distinct_clusters``), its rows,
-once each, and weighs each by its multiplicity wherever it enters a sum:
-the log-likelihood and the floor's bound here, the score and information
-in the estimation layer, which also sums the rows' moments by covariate
-pattern before its chain rule. The predictors x b are formed once per
-covariate pattern, so rows of one pattern have the same bits. Each row
-block then evaluates the link's count-free steps once per pattern among
-its rows (one without covariates), and ``model.slot_terms`` expands them
-to the rows with a take where the counts enter; those steps are
-elementwise the same as evaluating every row, so the results are the
-same bits. Blocks whose rows all have patterns of their own and planes
-too small to gain evaluate every row, and per-cluster offsets every
-cluster. The value passes hand back one value per cluster, the moment
-passes one per row. A dataset whose clusters all have patterns of their
-own keeps its clusters as the rows, in order.
+A kernel is on all of a dataset's covariates or on none. Clusters with
+the same covariate pattern and the same counts add the same terms to
+every sum, so every kernel has one row layout: its rows are the
+dataset's distinct clusters (``Dataset.distinct_clusters``), sorted by
+(pattern, counts), each weighed by its multiplicity wherever it enters a
+sum: the log-likelihood and the floor's bound here, the score and
+information in the estimation layer, which also sums the rows' moments by
+covariate pattern before its chain rule. Every pass returns one entry per
+row at shared node offsets and one per cluster, in cluster order, at
+per-cluster offsets; a caller that wants clusters takes each one's row by
+``rows.index``. ``total_loglik`` sums the rows, weighted, in row order,
+as ``louis_moments`` does, so a fit's log-likelihood and ``total_loglik``
+at its estimates are the same bits, whatever the order of the clusters.
+
+The predictors x b are formed once per covariate pattern, on one
+C-contiguous matrix of the patterns' covariates, so rows of one pattern
+have the same bits. Each row block then evaluates the link's count-free
+steps once per pattern among its rows (one without covariates), and
+``model.slot_terms`` expands them to the rows with a take where the
+counts enter; those steps are elementwise the same as evaluating every
+row, so the results are the same bits. Blocks whose rows all have
+patterns of their own and planes too small to gain evaluate every row,
+and per-cluster offsets every cluster.
 
 ``louis_moments`` takes an optional floor, the log-likelihood a line
 search needs to reach: no cluster's marginal log-likelihood is above
@@ -85,7 +91,6 @@ from .model import (
     Cluster,
     CovariatePatterns,
     Dataset,
-    DistinctClusters,
     LinkFamily,
     ParameterVector,
     PlaneStack,
@@ -176,8 +181,8 @@ class LouisMoments(NamedTuple):
     product of ``mean``, plus the score times any second derivatives of
     the predictors. With identity features, ``mean`` is each row's score
     with respect to its boundary predictors. The rows are the kernel's
-    distinct clusters at shared node offsets and its clusters at
-    per-cluster ones, and ``loglik`` weighs each row by its multiplicity.
+    rows at shared node offsets and the clusters at per-cluster ones, as
+    in every pass, and ``loglik`` weighs each row by its multiplicity.
     A pass stopped at its floor has an upper bound of the log-likelihood
     in ``loglik`` and None in the moments.
     """
@@ -253,25 +258,24 @@ class LoglikKernel:
     category's counts broadcast against a (rows, Q) predictor plane, and
     the multinomial coefficients once; the estimation layer then calls
     ``louis_moments`` thousands of times with different parameter
-    proposals. ``columns`` selects some of the dataset's covariate columns,
-    in that order, in place of all of them.
+    proposals. The kernel is on all of the dataset's covariates, or on
+    none when ``covariates`` is false, as for an intercept model.
 
     Clusters with the same covariate pattern and the same counts add the
-    same terms to every sum, so at shared node offsets a pass evaluates
-    each distinct cluster once: the kernel's ``rows``
-    (``Dataset.distinct_clusters``), sorted by pattern, each weighted by
-    its multiplicity. A dataset whose clusters all have patterns of their
-    own keeps its clusters as the rows, in order. The moment passes,
-    ``louis_moments`` and ``conditional_terms``, return one entry per row;
+    same terms to every sum, so the kernel's rows are the dataset's
+    distinct clusters, ``rows`` (``Dataset.distinct_clusters``), sorted by
+    (pattern, counts), each weighted by its multiplicity. Every pass
+    returns one entry per row at shared node offsets, and evaluates and
+    returns every cluster, in cluster order, at per-cluster offsets;
+    ``rows.index`` takes a row's result to its clusters.
     ``row_patterns`` gives each row's covariate pattern (``index``) and the
     first row of each (``first``), and ``pattern_covariates`` the
-    patterns' covariates. The value passes, ``node_logliks``, ``marginal``
-    and ``conditional_at``, return one entry per cluster, expanding the
-    rows by ``rows.index``. A pass at per-cluster offsets evaluates and
-    returns every cluster.
+    patterns' covariates, one C-contiguous row per pattern (one empty row
+    without covariates).
 
-    The predictors x b are formed once per covariate pattern and taken to
-    the rows, so rows of one pattern have the same bits. Within a row
+    The predictors x b are formed once per covariate pattern,
+    ``pattern_covariates @ b``, and taken to the rows, so rows of one
+    pattern have the same bits. Within a row
     block of a shared-offset pass, the rows of one pattern then share their
     predictors, so the link's count-free math (see ``model.slot_terms``)
     runs once per distinct pattern of the block, and the rows' own work
@@ -288,38 +292,27 @@ class LoglikKernel:
     from several threads.
     """
 
-    def __init__(self, dataset: Dataset, link: LinkFamily, columns: list[int] | None = None):
+    def __init__(self, dataset: Dataset, link: LinkFamily, covariates: bool = True):
         self.link = link
-        x = dataset.covariate_matrix
-        self.x = x if columns is None else x[:, columns]
         counts = dataset.count_matrix
         self.y = counts.astype(float)
+        self.log_coef = dataset.log_coefficients
         self.n_boundaries = dataset.n_categories - 1
-        n = len(counts)
-        if self.x.shape[1]:
+        if covariates:
             self._patterns = dataset.covariate_patterns
+            self.pattern_covariates = np.ascontiguousarray(dataset.covariate_matrix[self._patterns.first])
         else:
-            self._patterns = CovariatePatterns(np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp))
-        # every cluster a pattern of its own: the clusters are the rows
-        self._in_order = len(self._patterns.first) == n
-        if self._in_order:
-            order = np.arange(n)
-            self.log_coef = dataset.log_coefficients
-            self.rows = DistinctClusters(order, np.ones(n, dtype=np.int64), order)
-            self.row_patterns = CovariatePatterns(order, order)
-            self.pattern_covariates = self.x
-            self._rows = self._clusters = _layout(counts, self.log_coef, self.rows.multiplicity, None)
-        else:
-            self.rows = dataset.distinct_clusters(columns)
-            first = self.rows.first
-            self.log_coef = dataset.log_coefficients
-            row_coef = self.log_coef[first]
-            pattern = self._patterns.index[first]  # sorted, as the rows are
-            starts = np.searchsorted(pattern, np.arange(len(self._patterns.first)))
-            self.row_patterns = CovariatePatterns(starts, pattern)
-            self.pattern_covariates = np.ascontiguousarray(self.x[self._patterns.first])
-            each_own = len(starts) == len(first)
-            self._rows = _layout(counts[first], row_coef, self.rows.multiplicity, None if each_own else pattern)
+            zeros = np.zeros(len(counts), dtype=np.intp)
+            self._patterns = CovariatePatterns(zeros[:1], zeros)
+            self.pattern_covariates = np.empty((1, 0))
+        self.rows = dataset.distinct_clusters(covariates)
+        first = self.rows.first
+        pattern = self._patterns.index[first]  # sorted, as the rows are
+        starts = np.searchsorted(pattern, np.arange(len(self._patterns.first)))
+        self.row_patterns = CovariatePatterns(starts, pattern)
+        if len(starts) == len(first):  # every row a pattern of its own: row i has pattern i
+            pattern = None
+        self._rows = _layout(counts[first], self.log_coef[first], self.rows.multiplicity, pattern)
         self._pairs, self._louis_pairs = _pair_indices(link, self.n_boundaries)
         self._workspaces: dict[tuple, _Workspace] = {}
         # the last node features louis_moments saw, with _pair_products' arrays
@@ -328,7 +321,7 @@ class LoglikKernel:
     @cached_property
     def _clusters(self) -> _Layout:
         """Every cluster, in order, as the passes at per-cluster offsets
-        evaluate them; the rows themselves when they are the clusters."""
+        evaluate them."""
         return _layout(self.y, self.log_coef, np.ones(len(self.y)), self._patterns.index)
 
     def _workspace(self, n_nodes: int, layout: _Layout | None = None) -> _Workspace:
@@ -366,12 +359,6 @@ class LoglikKernel:
         offsets = _slot_major(offsets)
         return offsets, (self._clusters if offsets.shape[1] > 1 else self._rows)
 
-    def _per_cluster(self, out: np.ndarray, layout: _Layout) -> np.ndarray:
-        """A value pass's result over ``layout``'s rows, for every cluster."""
-        if layout is not self._rows or self._in_order:
-            return out
-        return out.take(self.rows.index, axis=0)
-
     def _blocks(self, layout: _Layout, intercepts, slopes, offsets, derivatives: bool = False):
         """Evaluate the link block by block in the workspace planes of
         ``layout``, at slot-major offsets (K-1, rows or 1, Q); per-row ones
@@ -396,8 +383,9 @@ class LoglikKernel:
             y = counts if derivatives else None
             if shared is None:
                 d = ws.predictors[:, : hi - lo]
-                columns = slice(lo, hi) if layout.pattern is None else layout.pattern[lo:hi]
-                np.add(base[:, columns, None], offsets[:, lo:hi] if per_row else offsets, out=d)
+                # a take, not fancy indexing: 1.4 against 3.5 us at 48 clusters and one node
+                fixed = base[:, lo:hi] if layout.pattern is None else base.take(layout.pattern[lo:hi], axis=1)
+                np.add(fixed[:, :, None], offsets[:, lo:hi] if per_row else offsets, out=d)
                 stages = slot_stages(self.link, d, y, ws.planes, derivatives)
             else:
                 patterns, rows = shared
@@ -427,18 +415,19 @@ class LoglikKernel:
 
     @_expected_float_errors
     def node_logliks(self, intercepts, slopes, offsets) -> np.ndarray:
-        """Conditional log-likelihood of every cluster at every node, shape
-        (n, Q), without the multinomial constant, at offsets that broadcast
-        against (n, Q, K-1)."""
+        """Conditional log-likelihood at every node, without the multinomial
+        constant, at offsets that broadcast against (n, Q, K-1): shape
+        (rows, Q) at shared node offsets and (n, Q) at per-cluster ones."""
         offsets, layout = self._evaluation(offsets)
         out = np.empty((len(layout.log_coef), offsets.shape[-1]))
         for lo, hi, ll, _, _ in self._blocks(layout, intercepts, slopes, offsets):
             out[lo:hi] = ll
-        return self._per_cluster(out, layout)
+        return out
 
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
-        """Per-cluster conditional log-likelihood at per-cluster offsets
-        (n, K-1): the one-node case of ``node_logliks``, with its constant."""
+        """Per-cluster conditional log-likelihood, in cluster order, at
+        per-cluster offsets (n, K-1), which it requires: the one-node case
+        of ``node_logliks``, with its constant."""
         ll = self.node_logliks(intercepts, slopes, np.asarray(offsets, dtype=float)[:, None])
         return ll[:, 0] + self.log_coef
 
@@ -486,16 +475,17 @@ class LoglikKernel:
 
     @_expected_float_errors
     def marginal(self, intercepts, slopes, offsets, weights) -> np.ndarray:
-        """Per-cluster marginal log-likelihood over quadrature nodes, with
-        log-sum-exp stabilization, at offsets that broadcast against
-        (n, Q, K-1) and weights (Q,)."""
+        """Marginal log-likelihood over quadrature nodes, with log-sum-exp
+        stabilization, at offsets that broadcast against (n, Q, K-1) and
+        weights (Q,): one value per row at shared node offsets, one per
+        cluster at per-cluster ones."""
         weights = np.asarray(weights, dtype=float)
         offsets, layout = self._evaluation(offsets)
         out = np.empty(len(layout.log_coef))
         for _ in self._integrated(out, layout, intercepts, slopes, offsets, weights):
             pass
         out += layout.log_coef
-        return self._per_cluster(out, layout)
+        return out
 
     @_expected_float_errors
     def louis_moments(self, intercepts, slopes, offsets, weights, features, floor=None) -> LouisMoments:
@@ -503,9 +493,9 @@ class LoglikKernel:
         Louis' identity needs, in one pass over the node arrays.
 
         Takes the arguments of ``marginal`` and the node features M, shape
-        (Q, K-1, r); see ``LouisMoments``. The moments are per row, the
-        kernel's distinct clusters at shared offsets, and the
-        log-likelihood weighs each row by its multiplicity. Infeasible nodes
+        (Q, K-1, r); see ``LouisMoments``. The moments are per row at
+        shared offsets, and the log-likelihood weighs each row by its
+        multiplicity. Infeasible nodes
         get zero posterior weight and contribute nothing. The features'
         pair products are formed once for a read-only features array and
         reused while later calls pass the same array, as every pass of one
@@ -516,7 +506,9 @@ class LoglikKernel:
         marginal log-likelihood is above log sum_q w_q (0 for a rule whose
         weights sum to 1), so after each row block the log-likelihood of the
         finished blocks, plus that ceiling (if positive) times the
-        multiplicity of the rows left, bounds the total from above. Each
+        multiplicity of the rows left, bounds the total from above; after
+        the last block the bound is the log-likelihood itself, summed as the
+        whole pass sums it, so rounding cannot put it below. Each
         block forms its values first, and once the bound is below the floor
         by more than 1e-8 relative, the pass stops there and returns the
         bound alone, with no moments: a point whose log-likelihood is below
@@ -538,8 +530,11 @@ class LoglikKernel:
         blocks = self._integrated(out, layout, intercepts, slopes, offsets, weights, derivatives=True)
         for lo, hi, mass, total, infeasible, stages in blocks:
             if floor is not None:
-                done += float(((out[lo:hi] + layout.log_coef[lo:hi]) * layout.multiplicity[lo:hi]).sum())
-                bound = done + float(layout.multiplicity[hi:].sum()) * ceiling
+                if hi < n:
+                    done += float(((out[lo:hi] + layout.log_coef[lo:hi]) * layout.multiplicity[lo:hi]).sum())
+                    bound = done + float(layout.multiplicity[hi:].sum()) * ceiling
+                else:  # every row done: the log-likelihood itself, summed as below
+                    bound = float(((out + layout.log_coef) * layout.multiplicity).sum())
                 if bound < floor:
                     return LouisMoments(bound, None, None)
             terms = next(stages)
@@ -571,16 +566,25 @@ def marginal_cluster_loglik(
     return float(cluster_logliks(Dataset(clusters=(cluster,)), params, link, rule)[0])
 
 
-def cluster_logliks(
-    dataset: Dataset, params: ParameterVector, link: LinkFamily, rule=None
-) -> np.ndarray:
-    """Per-cluster log-likelihood vector from one ``LoglikKernel.marginal``
-    pass: one node at zero deviation with weight 1 when the random effect's
-    loading A is zero (no effect, or sigma = 0), else the rule's nodes. A
-    standardized rule's nodes z enter as z A'; a ``QuadratureRule2D`` from
-    ``bivariate_rule`` already carries the effect's covariance, so its
-    nodes are the offsets themselves."""
-    kernel = LoglikKernel(dataset, link)
+def model_kernel(dataset: Dataset, params: ParameterVector, link: LinkFamily) -> LoglikKernel:
+    """The kernel of the model that ``params`` belongs to: on all of the
+    dataset's covariates, or on none when the parameters have no slopes,
+    as an intercept model's estimates do."""
+    slopes = params.fixed.slopes.size
+    if slopes not in (0, dataset.n_covariates):
+        raise ValueError(f"{slopes} slopes, but the dataset has {dataset.n_covariates} covariates")
+    return LoglikKernel(dataset, link, covariates=slopes > 0)
+
+
+def _marginal_rows(dataset: Dataset, params: ParameterVector, link: LinkFamily, rule):
+    """The marginal log-likelihood of each of the kernel's rows from one
+    ``LoglikKernel.marginal`` pass, with the rows: one node at zero
+    deviation with weight 1 when the random effect's loading A is zero (no
+    effect, or sigma = 0), else the rule's nodes. A standardized rule's
+    nodes z enter as z A'; a ``QuadratureRule2D`` from ``bivariate_rule``
+    already carries the effect's covariance, so its nodes are the offsets
+    themselves."""
+    kernel = model_kernel(dataset, params, link)
     fe = params.fixed
     loading = params.re.loading(kernel.n_boundaries)
     if not loading.any():
@@ -596,12 +600,25 @@ def cluster_logliks(
             )
         offsets = nodes if isinstance(rule, QuadratureRule2D) else nodes @ loading.T
         weights = rule.weights
-    return kernel.marginal(fe.intercepts, fe.slopes, offsets, weights)
+    return kernel.marginal(fe.intercepts, fe.slopes, offsets, weights), kernel.rows
+
+
+def cluster_logliks(
+    dataset: Dataset, params: ParameterVector, link: LinkFamily, rule=None
+) -> np.ndarray:
+    """Per-cluster log-likelihood vector, in cluster order: each cluster
+    takes its row's marginal log-likelihood (see ``_marginal_rows``)."""
+    values, rows = _marginal_rows(dataset, params, link, rule)
+    return values[rows.index]
 
 
 def total_loglik(
     dataset: Dataset, params: ParameterVector, link: LinkFamily, rule=None
 ) -> float:
-    """Dataset log-likelihood: the sum of per-cluster terms, in cluster
-    order so that repeated runs are bit-reproducible."""
-    return float(cluster_logliks(dataset, params, link, rule).sum())
+    """Dataset log-likelihood: the sum of the kernel's rows, each weighted
+    by its multiplicity, in row order, as a fit's kernel pass forms it. So
+    it does not depend on the order of the clusters, and on a fit's rule
+    it is the fit's ``loglik`` at its estimates bit for bit, unless the fit
+    reports a standard deviation as 0 on its bound."""
+    values, rows = _marginal_rows(dataset, params, link, rule)
+    return float((values * rows.multiplicity).sum())

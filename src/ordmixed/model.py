@@ -436,32 +436,34 @@ class Dataset:
 
     @cached_property
     def _distinct(self) -> dict:
-        """``distinct_clusters``' index, by whether any column is selected."""
+        """``distinct_clusters``' index, by whether the model has covariates."""
         return {}
 
-    def distinct_clusters(self, columns=None) -> DistinctClusters:
-        """The distinct clusters for a model on the covariate columns
-        ``columns`` (all of them when None), from one ``np.unique`` of a
-        (pattern, counts) row per cluster, made on the first call and kept.
-        Clusters with the same covariate pattern agree in every column; a
-        model without columns sees only the counts, so its index groups the
-        clusters by their counts alone. Any nonempty selection gets the
-        index by pattern: clusters that agree in some columns and not in
-        others stay apart, which gives the same likelihood."""
-        selected = self.n_covariates if columns is None else len(columns)
-        key = selected > 0
+    def distinct_clusters(self, covariates: bool = True) -> DistinctClusters:
+        """The distinct clusters for a model on all of the dataset's
+        covariates, or on none, made on the first call and kept. A model
+        without covariates sees only the counts, so its index groups the
+        clusters by their counts alone; a model with them groups them by
+        (covariate pattern, counts), from one ``np.unique`` of a row per
+        cluster, or straight from ``covariate_patterns`` when every cluster
+        has a pattern of its own."""
+        key = bool(covariates and self.n_covariates)
         if key not in self._distinct:
-            counts = self.count_matrix
-            if key:
-                counts = np.column_stack([self.covariate_patterns.index, counts])
-            # one big-endian integer row per cluster, compared as bytes: the
-            # sort of np.unique is then by pattern, then by counts
-            rows = np.ascontiguousarray(counts, dtype=">i8")
-            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-            _, first, index, multiplicity = np.unique(
-                keys, return_index=True, return_inverse=True, return_counts=True
-            )
-            distinct = DistinctClusters(first, multiplicity, index.reshape(-1))
+            if key and self.n_patterns == self.n_clusters:
+                first, index = self.covariate_patterns
+                distinct = DistinctClusters(first, np.ones(self.n_clusters, dtype=np.int64), index)
+            else:
+                counts = self.count_matrix
+                if key:
+                    counts = np.column_stack([self.covariate_patterns.index, counts])
+                # one big-endian integer row per cluster, compared as bytes: the
+                # sort of np.unique is then by pattern, then by counts
+                rows = np.ascontiguousarray(counts, dtype=">i8")
+                keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+                _, first, index, multiplicity = np.unique(
+                    keys, return_index=True, return_inverse=True, return_counts=True
+                )
+                distinct = DistinctClusters(first, multiplicity, index.reshape(-1))
             for a in distinct:
                 a.flags.writeable = False
             self._distinct[key] = distinct

@@ -48,7 +48,7 @@ from ordmixed.model import (
     UnivariateRandomEffect,
     category_probabilities,
 )
-from ordmixed.quadrature import gauss_hermite, standard_tensor_grid
+from ordmixed.quadrature import bivariate_rule, gauss_hermite, standard_tensor_grid
 from ordmixed.simulation import (
     SimulationDesign,
     factorial_design,
@@ -309,13 +309,15 @@ class TestFit:
 
 
 def _marginal_value(objective):
-    """The objective's log-likelihood alone, summed from
-    ``LoglikKernel.marginal`` at the objective's node offsets."""
+    """The objective's log-likelihood alone, the sum of
+    ``LoglikKernel.marginal``'s rows at the objective's node offsets, each
+    weighted by its multiplicity."""
 
     def value(theta):
         c, b, tail = objective.param.split(theta)
         offsets = objective._offsets(tail)[0]
-        return objective.kernel.marginal(c, b, offsets, objective.weights).sum()
+        kernel = objective.kernel
+        return (kernel.marginal(c, b, offsets, objective.weights) * kernel.rows.multiplicity).sum()
 
     return value
 
@@ -344,7 +346,7 @@ class TestAnalyticScore:
     def test_matches_central_differences(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
+        kernel = LoglikKernel(strawberry, link, covariates=bool(names))
         order = 12 if structure == "bivariate" else 30
         objective = _Objective(kernel, param, order)
         value = _marginal_value(objective)
@@ -418,7 +420,7 @@ class TestAnalyticScore:
     def test_information_matches_differences_of_the_score(self, strawberry, link, structure, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
+        kernel = LoglikKernel(strawberry, link, covariates=bool(names))
         objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
         # the points of test_matches_central_differences; the edge point has
         # |atanh rho| = 6, or log sigma near the zero threshold
@@ -442,7 +444,7 @@ class TestAnalyticScore:
     def test_homogeneous_one_pass_information_is_louis(self, strawberry, link, model):
         names = strawberry.slope_names() if model == "full" else ()
         param = _Parameterization(2, names, RANDOM_EFFECTS["none"])
-        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
+        kernel = LoglikKernel(strawberry, link, covariates=bool(names))
         objective = _Objective(kernel, param, 1)
         rng = np.random.default_rng([5, len(names)])
         for _ in range(3):
@@ -548,7 +550,7 @@ class TestObjectiveAtOtherK:
         dataset = Dataset(clusters=tuple(Cluster(covariates=row, counts=y) for row, y in zip(x, counts)))
         names = dataset.slope_names() if model == "full" else ()
         param = _Parameterization(k - 1, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(dataset, link, list(range(len(names))))
+        kernel = LoglikKernel(dataset, link, covariates=bool(names))
         objective = _Objective(kernel, param, 20)
         value = _marginal_value(objective)
         # increasing intercepts keep every proportional-odds node feasible
@@ -573,7 +575,7 @@ class TestNewton:
         names = strawberry.slope_names() if model == "full" else ()
         newton = (fit if model == "full" else fit_intercept_model)(strawberry, link, structure)
         param = _Parameterization(2, names, RANDOM_EFFECTS[structure])
-        kernel = LoglikKernel(strawberry, link, list(range(len(names))))
+        kernel = LoglikKernel(strawberry, link, covariates=bool(names))
         objective = _Objective(kernel, param, 12 if structure == "bivariate" else 30)
         theta0, _ = _starting_point(strawberry, link, FitOptions(), param, names, kernel)
 
@@ -778,10 +780,20 @@ class TestEmpiricalBayes:
         z, weights = standard_tensor_grid(estimation._EB_ORDER[estimates.re.dim], estimates.re.dim)
         offsets = z @ estimates.re.loading(k1).T
         fe = estimates.fixed
-        grid_ll = LoglikKernel(strawberry, PO).node_logliks(fe.intercepts, fe.slopes, offsets)
+        kernel = LoglikKernel(strawberry, PO)
+        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)[kernel.rows.index]
         expected = softmax(grid_ll + np.log(weights), axis=1) @ offsets
         mean = predict_random_effects(strawberry, estimates, PO, "mean")
         np.testing.assert_allclose(mean, expected, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("method", ["mode", "mean"])
+    def test_an_intercept_fit_predicts_as_the_full_model_at_zero_slopes(self, strawberry, method):
+        estimates = fit_intercept_model(strawberry, PO, "univariate", FAST).estimates
+        zero = ParameterVector(fixed=FixedEffects(estimates.fixed.intercepts, np.zeros(8)), re=estimates.re)
+        np.testing.assert_array_equal(
+            predict_random_effects(strawberry, estimates, PO, method),
+            predict_random_effects(strawberry, zero, PO, method),
+        )
 
     def test_requires_random_effect(self, strawberry):
         homog = fit(strawberry, PO, "none", FAST)
@@ -940,7 +952,7 @@ def _grid_argmax_seeds(kernel, params):
     40-node or 25 x 25 grid."""
     z, _ = standard_tensor_grid(estimation._EB_ORDER[params.re.dim], params.re.dim)
     fe, loading = params.fixed, params.re.loading(kernel.n_boundaries)
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)[kernel.rows.index]
     return z[np.argmax(grid_ll - 0.5 * (z**2).sum(axis=1)[None, :], axis=1)]
 
 
@@ -949,7 +961,8 @@ def _posterior_mean_seeds(kernel, params):
     default rule, 30 nodes or 12 x 12."""
     z, weights = standard_tensor_grid(30 if params.re.dim == 1 else 12, params.re.dim)
     fe, loading = params.fixed, params.re.loading(kernel.n_boundaries)
-    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T) + np.log(weights)
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)[kernel.rows.index]
+    log_posterior = grid_ll + np.log(weights)
     return softmax(log_posterior, axis=1) @ z
 
 
@@ -962,7 +975,7 @@ def _modes_reference(dataset, params, link):
         sigma = re.sigma
         rule = gauss_hermite(40)
         nodes = sigma * rule.nodes
-        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes[:, None])
+        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes[:, None])[kernel.rows.index]
 
         def posterior(e):
             return (
@@ -993,7 +1006,7 @@ def _modes_reference(dataset, params, link):
     else:
         zgrid, weights = standard_tensor_grid(base.order)
         logw = np.log(weights)
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, zgrid @ amat.T)
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, zgrid @ amat.T)[kernel.rows.index]
     grid_post = grid_ll - 0.5 * (zgrid**2).sum(axis=1)[None, :]
     z = zgrid[np.argmax(grid_post + logw[None, :], axis=1)].astype(float)
 
@@ -1054,9 +1067,8 @@ def _one_newton_step(dataset, link, structure, slope_names, result):
     information double; after it both are at the maximum to rounding."""
     effect = estimation.random_effect_class(structure)
     param = _Parameterization(dataset.n_categories - 1, slope_names, effect)
-    columns = [dataset.slope_names().index(name) for name in slope_names]
     order = estimation.DEFAULT_ORDER_2D if effect.dim == 2 else estimation.DEFAULT_ORDER_1D
-    objective = _Objective(LoglikKernel(dataset, link, columns), param, order)
+    objective = _Objective(LoglikKernel(dataset, link, covariates=bool(slope_names)), param, order)
     theta = param.pack(result.estimates)
     at = objective.full(theta)
     return param.reported(theta + np.linalg.solve(at.information, at.score))
@@ -1112,7 +1124,7 @@ class TestDistinctClusters:
             return stages(link, d, counts, work, curvature, rows, row_work)
 
         monkeypatch.setattr(likelihood, "slot_stages", spied)
-        kernel = LoglikKernel(large_clusters, link, [])
+        kernel = LoglikKernel(large_clusters, link, covariates=False)
         rows = kernel.rows
         assert len(rows.first) < 450 and rows.multiplicity.sum() == 960
         rule = gauss_hermite(30)
@@ -1126,7 +1138,7 @@ class TestDistinctClusters:
         per_cluster = kernel.louis_moments(c, b, repeated, rule.weights, features)
         assert moments.loglik == pytest.approx(per_cluster.loglik, rel=1e-13)
         marginal = kernel.marginal(c, b, offsets, rule.weights)
-        assert moments.loglik == pytest.approx(float(marginal.sum()), rel=1e-13)
+        assert moments.loglik == float((marginal * rows.multiplicity).sum())
         for got, want in zip(moments[1:], per_cluster[1:]):
             np.testing.assert_allclose(got[rows.index], want, rtol=1e-12, atol=1e-12)
 
@@ -1137,7 +1149,7 @@ class TestDistinctClusters:
         multiplicity, plus the ceiling times the multiplicity of the rows
         left: at least the full pass's log-likelihood and below the floor."""
         monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 64 * 30)
-        kernel = LoglikKernel(large_clusters, link, [])
+        kernel = LoglikKernel(large_clusters, link, covariates=False)
         rows = kernel.rows
         blocks = kernel._workspace(30).blocks
         assert len(blocks) > 2 and rows.multiplicity.max() > 1
@@ -1147,7 +1159,7 @@ class TestDistinctClusters:
         features = _louis_features(rule.nodes, 2)
         c, b = np.array([-0.6, 0.6]), np.empty(0)
         full = kernel.louis_moments(c, b, offsets, weights, features)
-        row_ll = kernel.marginal(c, b, offsets, weights)[rows.first] * rows.multiplicity
+        row_ll = kernel.marginal(c, b, offsets, weights) * rows.multiplicity
         bounds = [row_ll[:hi].sum() + rows.multiplicity[hi:].sum() * math.log(2.0) for _, hi, _, _ in blocks]
         for floor in (full.loglik + 1.0, 0.5 * full.loglik):
             stopped = kernel.louis_moments(c, b, offsets, weights, features, floor)
@@ -1155,3 +1167,33 @@ class TestDistinctClusters:
             assert full.loglik <= stopped.loglik < floor
             expected = next(value for value in bounds if value < floor - 1e-8 * abs(floor))
             assert stopped.loglik == pytest.approx(expected, rel=1e-12)
+
+
+def _default_rule(estimates):
+    """The rule of a fit's default order for ``total_loglik``: none without
+    a random effect, 30 nodes, or the 12 x 12 rule of the effect."""
+    re = estimates.re
+    if re.dim == 2:
+        return bivariate_rule(estimation.DEFAULT_ORDER_2D, re.sigma1, re.sigma2, re.rho)
+    return gauss_hermite(estimation.DEFAULT_ORDER_1D) if re.dim else None
+
+
+class TestFitLoglikIsTheTotal:
+    """A fit's log-likelihood is ``total_loglik`` at its estimates bit for
+    bit, on the fit's default rule: both sum the kernel's rows, each
+    weighted by its multiplicity, in row order. Intercept fits included,
+    whose estimates have no slopes."""
+
+    @pytest.mark.parametrize("structure", RE_STRUCTURES)
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_strawberry(self, strawberry, link, structure):
+        for fitter in (fit, fit_intercept_model):
+            result = fitter(strawberry, link, structure, FAST)
+            rule = _default_rule(result.estimates)
+            assert result.loglik == total_loglik(strawberry, result.estimates, link, rule)
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_large_clusters(self, large_clusters, link):
+        for fitter in (fit, fit_intercept_model):
+            result = fitter(large_clusters, link, "univariate", FAST)
+            assert result.loglik == total_loglik(large_clusters, result.estimates, link, gauss_hermite(30))

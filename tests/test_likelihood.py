@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ordmixed import (
     total_loglik,
 )
 from ordmixed import likelihood
-from ordmixed.likelihood import LoglikKernel, multinomial_log_coefficient
+from ordmixed.likelihood import LoglikKernel, cluster_logliks, multinomial_log_coefficient
 from ordmixed.model import (
     curvature_pairs,
     log_category_probabilities,
@@ -171,7 +172,30 @@ class TestTotal:
         b = total_loglik(
             Dataset(clusters=tuple(reversed(clusters))), params, LinkFamily.CONTINUATION_RATIO, rule
         )
-        assert a == pytest.approx(b, abs=1e-10)
+        # rows sorted by (pattern, counts) make the sum independent of the order
+        assert a == b
+
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_parameters_without_slopes_take_no_covariates(self, link):
+        """An intercept model's parameters, on a dataset with covariates:
+        each cluster's value is the full model's at zero slopes."""
+        ds, rule = strawberry_dataset(), gauss_hermite(15)
+        fe = FixedEffects(intercepts=[-1.0, 0.5], slopes=np.empty(0))
+        intercept = ParameterVector(fixed=fe, re=UnivariateRandomEffect(sigma=0.6))
+        zero = ParameterVector(fixed=replace(fe, slopes=np.zeros(8)), re=intercept.re)
+        np.testing.assert_array_equal(
+            cluster_logliks(ds, intercept, link, rule), cluster_logliks(ds, zero, link, rule)
+        )
+        # the intercept model's 35 rows and the full model's 48 sum in their own order
+        assert total_loglik(ds, intercept, link, rule) == pytest.approx(
+            total_loglik(ds, zero, link, rule), rel=1e-14
+        )
+
+    def test_a_slope_count_other_than_all_or_none_raises(self):
+        fe = FixedEffects(intercepts=[-1.0, 0.5], slopes=np.zeros(3))
+        params = ParameterVector(fixed=fe, re=NoRandomEffect())
+        with pytest.raises(ValueError, match="3 slopes, but the dataset has 8 covariates"):
+            total_loglik(strawberry_dataset(), params, LinkFamily.PROPORTIONAL_ODDS)
 
     def test_homogeneous_bypasses_rule(self):
         cl = make_cluster([2, 3, 5], [0.7])
@@ -193,10 +217,11 @@ class TestTotal:
 
 
 def _posterior(kernel, intercepts, slopes, node_offsets, weights):
-    """Each cluster's posterior weights over the nodes, from the node
-    log-likelihoods and the log weights."""
+    """Each cluster's posterior weights over shared node offsets, from its
+    row's node log-likelihoods and the log weights."""
     with np.errstate(divide="ignore"):
-        log_mass = kernel.node_logliks(intercepts, slopes, node_offsets) + np.log(weights)
+        ll = kernel.node_logliks(intercepts, slopes, node_offsets)[kernel.rows.index]
+        log_mass = ll + np.log(weights)
     mass = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
     return mass / mass.sum(axis=1, keepdims=True)
 
@@ -212,30 +237,34 @@ def _slot_score(kernel, intercepts, slopes, offsets, weights):
 
 class TestPosteriorScore:
     @pytest.fixture(scope="class")
-    def kernel(self):
+    def dataset(self):
         rng = np.random.default_rng(5)
         clusters = tuple(
             make_cluster(rng.multinomial(8, [0.3, 0.3, 0.4]), rng.normal(size=2))
             for _ in range(12)
         )
-        return LoglikKernel(Dataset(clusters=clusters), LinkFamily.PROPORTIONAL_ODDS)
+        return Dataset(clusters=clusters)
 
-    def test_value_is_the_summed_marginal(self, kernel):
+    @pytest.fixture(scope="class")
+    def kernel(self, dataset):
+        return LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
+
+    def test_value_is_the_summed_marginal(self, dataset, kernel):
         rule = gauss_hermite(15)
         offsets = 1.2 * rule.nodes[:, None]
         args = (np.array([-0.8, 0.6]), np.array([0.3, -0.2]), offsets, rule.weights)
         r = _slot_score(kernel, *args)
         assert r.loglik == float(kernel.marginal(*args).sum())
         np.testing.assert_allclose(_posterior(kernel, *args).sum(axis=1), 1.0, rtol=1e-12)
-        _, slot = _wrapper_kernel_oracle(LinkFamily.PROPORTIONAL_ODDS, kernel, *args)
-        np.testing.assert_allclose(r.mean, slot, rtol=1e-10, atol=1e-12)
+        _, slot = _wrapper_kernel_oracle(LinkFamily.PROPORTIONAL_ODDS, dataset, *args)
+        np.testing.assert_allclose(r.mean[kernel.rows.index], slot, rtol=1e-10, atol=1e-12)
 
     def test_one_node_at_zero_is_the_conditional(self, kernel):
         c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
         r = _slot_score(kernel, c, b, np.zeros((1, 2)), np.ones(1))
         conditional = kernel.conditional_terms(c, b, np.zeros((12, 2)))
         assert r.loglik == pytest.approx(float(conditional.loglik.sum()), rel=1e-14)
-        np.testing.assert_allclose(r.mean, conditional.score, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(r.mean[kernel.rows.index], conditional.score, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(
             _posterior(kernel, c, b, np.zeros((1, 2)), np.ones(1)), np.ones((12, 1))
         )
@@ -249,7 +278,7 @@ class TestPosteriorScore:
             [[0.0, 0.0], [-0.7, -0.7], [0.9, -0.9]],
         ],
     )
-    def test_infeasible_nodes_get_zero_weight(self, kernel, offsets):
+    def test_infeasible_nodes_get_zero_weight(self, dataset, kernel, offsets):
         offsets = np.array(offsets)
         c = np.array([-0.8, 0.6])
         infeasible = np.diff(c + offsets, axis=1)[:, 0] < 0
@@ -263,19 +292,20 @@ class TestPosteriorScore:
             assert np.all(np.isfinite(moment))
         # the infeasible nodes' scores are not part of the posterior mean
         _, slot = _wrapper_kernel_oracle(
-            LinkFamily.PROPORTIONAL_ODDS, kernel, c, np.array([0.3, -0.2]), offsets, weights
+            LinkFamily.PROPORTIONAL_ODDS, dataset, c, np.array([0.3, -0.2]), offsets, weights
         )
-        np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r.mean[kernel.rows.index], slot, rtol=1e-12, atol=1e-12)
 
 
-def _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights):
-    """Node log-likelihoods and each cluster's posterior mean score from
+def _wrapper_kernel_oracle(link, dataset, c, b, offsets, weights):
+    """Each cluster's node log-likelihoods and posterior mean score from
     the (..., K) wrappers on cluster-major (n, Q, K-1) predictors, without
     the multinomial constant, at (Q, K-1) node offsets or (n, Q, K-1)
     per-cluster ones."""
-    deltas = c[None, None, :] + (kernel.x @ b)[:, None, None] + np.asarray(offsets, dtype=float)
+    x = dataset.covariate_matrix
+    deltas = c[None, None, :] + (x @ b)[:, None, None] + np.asarray(offsets, dtype=float)
     logp, feasible = log_category_probabilities(link, deltas)
-    y = kernel.y[:, None, :]
+    y = dataset.count_matrix[:, None, :]
     with np.errstate(invalid="ignore"):
         ll = np.where(y > 0, y * logp, 0.0).sum(axis=-1)
     ll = np.where(feasible, ll, -np.inf)
@@ -309,31 +339,39 @@ class TestSlotMajorKernel:
             offsets, weights = 0.9 * rule.nodes[:, None], rule.weights
         else:
             offsets, weights = rng.normal(scale=0.8, size=(11, 2)), np.full(11, 1.0 / 11)
-        ll, slot = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
-        np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
+        ll, slot = _wrapper_kernel_oracle(link, dataset, c, b, offsets, weights)
+        index = kernel.rows.index
+        np.testing.assert_allclose(kernel.node_logliks(c, b, offsets)[index], ll, rtol=1e-13, atol=1e-13)
         r = _slot_score(kernel, c, b, offsets, weights)
         assert r.loglik == float(kernel.marginal(c, b, offsets, weights).sum())
-        np.testing.assert_allclose(r.mean, slot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r.mean[index], slot, rtol=1e-12, atol=1e-12)
 
     def test_equal_po_predictors(self):
         clusters = (make_cluster([3, 0, 2]), make_cluster([1, 1, 1]))
         kernel = LoglikKernel(Dataset(clusters=clusters), LinkFamily.PROPORTIONAL_ODDS)
         nodes = np.array([-1.0, 0.0, 1.0])
-        ll = kernel.node_logliks(np.array([0.2, 0.2]), np.empty(0), nodes[:, None])
+        ll = kernel.node_logliks(np.array([0.2, 0.2]), np.empty(0), nodes[:, None])[kernel.rows.index]
         # cluster 1 has probabilities (F, 0, 1 - F) with F the logistic
         # function at the shared predictor; cluster 2 needs the empty category
         f = 1.0 / (1.0 + np.exp(-(0.2 + nodes)))
         np.testing.assert_allclose(ll[0], 3 * np.log(f) + 2 * np.log1p(-f), rtol=1e-13)
         np.testing.assert_array_equal(ll[1], -np.inf)
 
-    def test_covariate_columns_replace_the_dataset_matrix(self, dataset):
-        c, b = np.array([-0.6, 0.7]), np.array([0.2])
-        narrow = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO, [0])
-        full = LoglikKernel(dataset, LinkFamily.CONTINUATION_RATIO)
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_a_covariate_free_kernel_is_a_full_kernel_at_zero_slopes(self, dataset, link):
+        c = np.array([-0.6, 0.7])
+        narrow = LoglikKernel(dataset, link, covariates=False)
+        full = LoglikKernel(dataset, link)
+        assert narrow.pattern_covariates.shape == (1, 0) and full.pattern_covariates.flags.c_contiguous
         zero = np.zeros((dataset.n_clusters, 2))
         np.testing.assert_array_equal(
-            narrow.conditional_at(c, b, zero),
-            full.conditional_at(c, np.array([0.2, 0.0, 0.0]), zero),
+            narrow.conditional_at(c, np.empty(0), zero), full.conditional_at(c, np.zeros(3), zero)
+        )
+        rule = gauss_hermite(7)
+        offsets = 0.9 * rule.nodes[:, None]
+        np.testing.assert_array_equal(
+            narrow.marginal(c, np.empty(0), offsets, rule.weights)[narrow.rows.index],
+            full.marginal(c, np.zeros(3), offsets, rule.weights)[full.rows.index],
         )
 
     def test_log_coefficients_match_the_per_cluster_function(self, dataset):
@@ -442,7 +480,7 @@ class TestWorkspace:
 
     def test_a_warm_intercept_only_call_allocates_only_its_results(self, large):
         # every cluster shares one predictor row
-        kernel = LoglikKernel(large, LinkFamily.PROPORTIONAL_ODDS, [])
+        kernel = LoglikKernel(large, LinkFamily.PROPORTIONAL_ODDS, covariates=False)
         rule = gauss_hermite(30)
         args = (np.array([-0.6, 0.4]), np.empty(0), 1.2 * rule.nodes[:, None], rule.weights)
         _slot_score(kernel, *args)
@@ -519,15 +557,19 @@ class TestPerClusterNodeOffsets:
             monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9 * len(weights))
         kernel = LoglikKernel(ds, link)
         assert len(kernel._workspace(len(weights)).blocks) == n_blocks
-        # the shared nodes repeated for every cluster give the same bits
+        # the shared nodes repeated for every cluster give each cluster the
+        # bits of its row
         repeated = np.broadcast_to(shared, (ds.n_clusters, *shared.shape))
         got = self._results(kernel, c, b, repeated, weights, features)
         want = self._results(kernel, c, b, shared, weights, features)
+        got_loglik, want_loglik = got.pop(2), want.pop(2)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(g, w[kernel.rows.index])
+        # each pass sums what it evaluated in its order: the clusters, or the rows
+        assert got_loglik == float(got[1].sum()) and want_loglik == float(want[1].sum())
         # nodes of each cluster's own
         offsets = shared + rng.normal(scale=0.4, size=(ds.n_clusters, *shared.shape))
-        ll, slot = _wrapper_kernel_oracle(link, kernel, c, b, offsets, weights)
+        ll, slot = _wrapper_kernel_oracle(link, ds, c, b, offsets, weights)
         np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
         r = _slot_score(kernel, c, b, offsets, weights)
         assert np.isfinite(r.loglik)
@@ -543,7 +585,7 @@ class TestPerClusterNodeOffsets:
         """30 clusters on 6 covariate rows of 0, 1 and 0.5, five clusters
         each in shuffled order, counts with empty categories, the second
         cluster of each pattern a copy of the first, and a kernel on the
-        dataset's own columns or, for ``intercept``, on none."""
+        dataset's covariates or, for ``intercept``, on none."""
         rng = np.random.default_rng([31, k, list(LinkFamily).index(link)])
         rows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0.5], [0.5, 0, 1]])
         pattern = rng.permutation(np.repeat(np.arange(6), 5))
@@ -555,8 +597,7 @@ class TestPerClusterNodeOffsets:
             counts[second] = counts[first]
         ds = Dataset(clusters=tuple(make_cluster(y, row) for y, row in zip(counts, x)))
         assert ds.n_patterns == 6 and np.any(counts == 0)
-        columns = [0, 1, 2] if kind == "patterns" else []
-        return LoglikKernel(ds, link, columns=columns)
+        return LoglikKernel(ds, link, covariates=kind == "patterns")
 
     @pytest.mark.parametrize("block_rows", [None, 2])
     @pytest.mark.parametrize("kind", ["patterns", "intercept"])
@@ -587,7 +628,7 @@ class TestPerClusterNodeOffsets:
         # increasing intercepts and slot-wise offsets that reverse the PO
         # cutpoints at some nodes; dyadic slopes, so that x b is exact
         c = np.linspace(-1.0, 1.0, k1)
-        b = np.array([0.25, -0.5, 0.75])[: kernel.x.shape[1]]
+        b = np.array([0.25, -0.5, 0.75])[: kernel.pattern_covariates.shape[1]]
         shared = rule.nodes[:, None] * np.linspace(1.2, -0.6, k1)
         if k1 > 1:
             assert np.any(np.diff(c + shared, axis=1) < 0)
@@ -608,14 +649,16 @@ class TestPerClusterNodeOffsets:
             np.testing.assert_array_equal(g, w)
         # every cluster at the same offsets, each on its own row
         repeated = np.broadcast_to(shared, (n, *shared.shape))
-        np.testing.assert_array_equal(got[0], kernel.node_logliks(c, b, repeated))
+        np.testing.assert_array_equal(got[0][rows.index], kernel.node_logliks(c, b, repeated))
         # (the node sums of the marginal are matrix products, whose rounding
         # may depend on where a row sits)
-        np.testing.assert_allclose(got[1], kernel.marginal(c, b, repeated, rule.weights), rtol=1e-14)
+        np.testing.assert_allclose(
+            got[1][rows.index], kernel.marginal(c, b, repeated, rule.weights), rtol=1e-14
+        )
         # the moments of a cluster are those of its row; the rows' total
         # log-likelihood weighs each by its multiplicity
         per_cluster = kernel.louis_moments(c, b, repeated, rule.weights, features)
-        assert got[2] == float(((got[1][rows.first]) * rows.multiplicity).sum())
+        assert got[2] == float((got[1] * rows.multiplicity).sum())
         assert got[2] == pytest.approx(per_cluster.loglik, rel=1e-14)
         for g, w in zip(got[3:], per_cluster[1:]):
             np.testing.assert_allclose(g[rows.index], w, rtol=1e-13, atol=1e-13)
@@ -629,8 +672,9 @@ class TestPerClusterNodeOffsets:
     def test_rows_of_one_pattern_share_their_predictors_bit_for_bit(self, monkeypatch):
         """On column-major covariate matrices with repeated rows, where the
         matrix product x b often rounds two equal rows apart, the
-        predictors are formed once per pattern: the shared-rows path runs
-        and gives each cluster the bits of its own row."""
+        predictors are formed once per pattern on the kernel's C-contiguous
+        pattern matrix: the shared-rows path runs and gives each cluster the
+        bits of its own row."""
         monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
         shared_calls = []
 
@@ -644,18 +688,18 @@ class TestPerClusterNodeOffsets:
         for seed in range(20):
             rng = np.random.default_rng([47, seed])
             p = int(rng.integers(3, 9))
-            x = rng.normal(size=(6, p))[rng.permutation(np.repeat(np.arange(6), 5))]
+            x = np.asfortranarray(rng.normal(size=(6, p))[rng.permutation(np.repeat(np.arange(6), 5))])
             counts = rng.multinomial(6, [0.3, 0.3, 0.4], size=30)
             ds = Dataset(clusters=tuple(make_cluster(y, row) for y, row in zip(counts, x)))
-            kernel = LoglikKernel(ds, LinkFamily.PROPORTIONAL_ODDS, columns=list(range(p)))
-            assert kernel.x.flags.f_contiguous and ds.n_patterns == 6
+            kernel = LoglikKernel(ds, LinkFamily.PROPORTIONAL_ODDS)
+            assert kernel.pattern_covariates.flags.c_contiguous and ds.n_patterns == 6
             c, b = np.array([-0.5, 0.5]), rng.normal(scale=0.5, size=p)
             repeated = np.broadcast_to(offsets, (30, *offsets.shape))
             shared_calls.clear()
+            index = kernel.rows.index
             got = kernel.node_logliks(c, b, offsets)
             assert shared_calls == [True]
-            np.testing.assert_array_equal(got, kernel.node_logliks(c, b, repeated))
-            index = kernel.rows.index
+            np.testing.assert_array_equal(got[index], kernel.node_logliks(c, b, repeated))
             for g, w in zip(kernel.conditional_terms(c, b, np.zeros((1, 2))),
                             kernel.conditional_terms(c, b, np.zeros((30, 2)))):
                 np.testing.assert_array_equal(g[index], w)
@@ -708,12 +752,11 @@ class TestOtherCategoryCounts:
         counts = rng.multinomial(9, np.full(k, 1.0 / k), size=8)
         counts[0, 1] = 0  # an empty category in the first cluster
         counts[0, 0] += 1
-        clusters = tuple(make_cluster(y, rng.normal(size=2)) for y in counts)
-        kernel = LoglikKernel(Dataset(clusters=clusters), link)
+        dataset = Dataset(clusters=tuple(make_cluster(y, rng.normal(size=2)) for y in counts))
         # increasing intercepts keep every proportional-odds node feasible
         c = np.linspace(-1.0, 1.0, k - 1)
         rule = gauss_hermite(9)
-        return kernel, c, np.array([0.3, -0.2]), rule.nodes, rule.weights
+        return dataset, LoglikKernel(dataset, link), c, np.array([0.3, -0.2]), rule.nodes, rule.weights
 
     @staticmethod
     def _score(kernel, c, b, nodes, weights, point):
@@ -738,7 +781,7 @@ class TestOtherCategoryCounts:
     @pytest.mark.parametrize("link", list(LinkFamily))
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_louis_moments_and_score_match_differences(self, k, link):
-        kernel, c, b, nodes, weights = self._setup(k, link)
+        _, kernel, c, b, nodes, weights = self._setup(k, link)
         k1 = k - 1
         point = np.r_[c, 0.0, 0.8]
         features = np.zeros((nodes.size, k1, k1 + 2))
@@ -765,12 +808,12 @@ class TestOtherCategoryCounts:
     @pytest.mark.parametrize("link", list(LinkFamily))
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_conditional_terms_match_slot_terms_row_by_row(self, k, link):
-        kernel, c, b, _, _ = self._setup(k, link)
+        dataset, kernel, c, b, _, _ = self._setup(k, link)
         offsets = np.random.default_rng(k).normal(scale=0.1, size=(kernel.y.shape[0], k - 1))
         terms = kernel.conditional_terms(c, b, offsets)
         pairs = curvature_pairs(link, k - 1)
         for i, y in enumerate(kernel.y):
-            d = c + kernel.x[i] @ b + offsets[i]
+            d = c + dataset.covariate_matrix[i] @ b + offsets[i]
             row = slot_terms(link, d[:, None], y[:, None], curvature=True)
             logp = row.logp[:, 0]
             expected = kernel.log_coef[i] + np.sum(np.where(y > 0, y * logp, 0.0))

@@ -425,10 +425,10 @@ class TestDataModel:
             return unique(ar, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counted)
-        found = [ds.distinct_clusters(columns) for columns in (None, [], [2, 0])]
+        found = [ds.distinct_clusters(covariates) for covariates in (True, False, True)]
         monkeypatch.undo()
         # one np.unique of the covariates, then one lookup for the models
-        # with columns and one for those without, each made once and kept
+        # with covariates and one for those without, each made once and kept
         assert calls == [(192, 8), (192,), (192,)]
         assert found[2] is found[0]
         pattern = ds.covariate_patterns.index
@@ -441,6 +441,31 @@ class TestDataModel:
             # sorted by the key, then by the counts
             assert [tuple(r) for r in rows[first]] == sorted(tuple(r) for r in rows[first])
             assert not any(a.flags.writeable for a in (first, multiplicity, index))
+
+    def test_clusters_of_patterns_of_their_own_are_the_distinct_clusters(self, monkeypatch):
+        """Where every cluster has a covariate pattern of its own, the
+        distinct clusters of a model with covariates are the patterns, with
+        the index np.unique would give, and need no lookup of their own."""
+        ds = strawberry_dataset()
+        calls, unique = [], np.unique
+
+        def counted(ar, *args, **kwargs):
+            calls.append(np.shape(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        first, multiplicity, index = ds.distinct_clusters(True)
+        monkeypatch.undo()
+        assert calls == [(48, 8)]
+        patterns = ds.covariate_patterns
+        np.testing.assert_array_equal(first, patterns.first)
+        np.testing.assert_array_equal(index, patterns.index)
+        np.testing.assert_array_equal(multiplicity, np.ones(48))
+        assert not any(a.flags.writeable for a in (first, multiplicity, index))
+        rows = np.column_stack([patterns.index, ds.count_matrix])
+        _, want_first, want_index = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(index, want_index.reshape(-1))
 
     def test_n_patterns_counts_distinct_covariate_vectors(self):
         # the 48 plots of the 3 x 4 x 4 factorial design, once and tiled 20 times

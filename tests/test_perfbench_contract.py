@@ -48,10 +48,10 @@ def test_every_patched_site_exists(owner, attribute):
 def test_tracer_restores_the_originals():
     originals = [getattr(owner, attribute) for owner, attribute in SITES]
     kernel = LoglikKernel(strawberry_dataset(), LinkFamily.PROPORTIONAL_ODDS)
-    c, b = np.array([-1.0, 0.5]), np.zeros(kernel.x.shape[1])
+    c, b = np.array([-1.0, 0.5]), np.zeros(kernel.pattern_covariates.shape[1])
     with spans.Tracer(detail=True) as tracer:
         wrapped = [getattr(owner, attribute) for owner, attribute in SITES]
-        kernel.conditional_at(c, b, np.zeros((kernel.x.shape[0], 2)))
+        kernel.conditional_at(c, b, np.zeros((kernel.y.shape[0], 2)))
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(owner, attribute) for owner, attribute in SITES] == originals
     # one kernel span per call: the conditional pass calls no wrapped method
