@@ -12,10 +12,10 @@ fits inside them). The report lists, per workload, the largest
 differences in log-likelihood, estimates and standard errors, the fits
 that are the same bits on both sides by workload and model, every fit
 whose log-likelihood differs by more than ``--tolerance``, every changed
-``converged`` flag, every fit whose ``n_evaluations`` or optimizer message
-changed, a tally of each side's optimizer messages, and the
-mean ``n_evaluations`` and information passes per fit by link and
-structure on each side. It also counts, per workload and side, the fits
+``converged`` flag and Newton iteration count, every fit whose
+``n_evaluations`` or optimizer message changed, a tally of each side's
+optimizer messages, and the mean ``n_evaluations`` and information
+passes per fit by link and structure on each side. It also counts, per workload and side, the fits
 whose ``loglik`` is ``total_loglik`` at their estimates bit for bit, on
 the fit's rule; a fit whose ``total_loglik`` raises counts as an error.
 """
@@ -81,7 +81,8 @@ def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
                 "index": current["index"], "link": link.value, "structure": re_structure,
                 "kind": kind, "loglik": result.loglik, "values": result.values.tolist(),
                 "se": [None if math.isnan(v) else v for v in result.se.tolist()],
-                "converged": bool(result.converged), "n_evaluations": result.n_evaluations,
+                "converged": bool(result.converged), "iterations": result.iterations,
+                "n_evaluations": result.n_evaluations,
                 "information_passes": info,
                 "message": result.diagnostics.get("optimizer_message"),
                 "is_total": is_total(result, dataset, link, opts),
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
 
     print(f"A = {args.trees[0]}, B = {args.trees[1]}; seed {args.seed}, {args.blocks} blocks")
     print("differences are B - A")
-    listed, flags, paths = [], [], []
+    listed, flags, steps, paths = [], [], [], []
     worst = defaultdict(lambda: [0, 0.0, 0.0, 0.0])
     identical = defaultdict(lambda: [0, 0])  # by (workload, kind): bit-identical, all
     counts = defaultdict(lambda: [0, 0, 0, 0, 0])
@@ -157,6 +158,8 @@ def main(argv=None) -> int:
                           f"{_max_abs_diff(a['values'], b['values']):.3g}; B: {b['message']}")
         if a["converged"] != b["converged"]:
             flags.append(f"  {label}: converged {a['converged']} -> {b['converged']}")
+        if a["iterations"] != b["iterations"]:
+            steps.append(f"  {label}: iterations {a['iterations']} -> {b['iterations']}")
         if (a["n_evaluations"], a["message"]) != (b["n_evaluations"], b["message"]):
             paths.append(f"  {label}: n_evaluations {a['n_evaluations']} -> {b['n_evaluations']}, "
                          f"{a['message']} -> {b['message']}")
@@ -177,6 +180,8 @@ def main(argv=None) -> int:
     print("\n".join(listed))
     print(f"changed converged flags: {len(flags)}")
     print("\n".join(flags))
+    print(f"changed Newton iteration counts: {len(steps)}")
+    print("\n".join(steps))
     print(f"fits whose n_evaluations or optimizer message changed: {len(paths)}")
     print("\n".join(paths))
     print("\nfits whose loglik is total_loglik at their estimates, bit for bit:")

@@ -36,6 +36,10 @@ link, the median per-call time of:
   at its maximum and so takes one pass and no Newton step: the fixed cost
   of a fit around its kernel work;
 - ``predict_random_effects`` by posterior mode, as the GoF panel calls it;
+- the size's random-effect fit through ``fit`` on a dataset whose
+  homogeneous fit has run (a tree that keeps the homogeneous maximum per
+  dataset starts there without a nested fit), and a cold one on a dataset
+  object of its own, with each fit's ``n_evaluations`` beside its time;
 
 on three datasets:
 
@@ -51,7 +55,8 @@ The univariate passes run at the study's true parameters (sigma 1.5), the
 bivariate ones at each link's strawberry estimates, and the conditional
 pass at zero offsets, as a homogeneous fit calls it. The report gives, per
 size, link and function, the median over the rounds of each tree's
-medians, and B's change against A.
+medians, and B's change against A, and for the two fits each tree's
+passes.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import inspect
 import json
 import statistics
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -75,7 +81,7 @@ SIZES = {
 FUNCTIONS = (
     "louis_moments", "conditional_terms", "intercept louis", "rejected trial", "intercept pass",
     "intercept trial", "contraction", "_newton pass", "outside the kernel", "_ascent_direction",
-    "intercept fit", "predict_random_effects",
+    "intercept fit", "predict_random_effects", "fit after homogeneous", "cold fit",
 )
 
 
@@ -203,6 +209,20 @@ def _measure(tree: Path, seed: int) -> None:
             }
             for name, value in seconds.items():
                 print(json.dumps({"size": size, "link": tag, "function": name, "seconds": value}))
+            for name, homogeneous in (("fit after homogeneous", True), ("cold fit", False)):
+                times = []
+                for _ in range(fits):
+                    fresh = replace(dataset)
+                    if homogeneous:
+                        estimation.fit(fresh, link, "none", opts)
+                    else:  # fills the dataset's caches, as the homogeneous fit does
+                        LoglikKernel(fresh, link)
+                    start = perf_counter()
+                    result = estimation.fit(fresh, link, structure, opts)
+                    times.append(perf_counter() - start)
+                line = {"size": size, "link": tag, "function": name,
+                        "seconds": statistics.median(times), "passes": result.n_evaluations}
+                print(json.dumps(line))
 
 
 def main(argv=None) -> int:
@@ -219,20 +239,27 @@ def main(argv=None) -> int:
         parser.error("give two source trees, SRC_A and SRC_B")
     trees = [tree.resolve() for tree in args.trees]
     medians = defaultdict(lambda: ([], []))
+    passes = defaultdict(lambda: [None, None])
     for round_ in range(args.rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)
         for side in order:
             for line in run_worker(__file__, trees[side], ["--seed", str(args.seed)]):
-                medians[line["size"], line["link"], line["function"]][side].append(line["seconds"])
+                key = line["size"], line["link"], line["function"]
+                medians[key][side].append(line["seconds"])
+                if "passes" in line:
+                    passes[key][side] = line["passes"]
 
     print(f"A = {args.trees[0]}, B = {args.trees[1]}; seed {args.seed}, {args.rounds} rounds")
     print("median per call over the rounds, in microseconds\n")
-    print(f"{'size':7s} {'link':4s} {'function':20s} {'A':>9s} {'B':>9s} {'B/A - 1':>8s}")
+    print(f"{'size':7s} {'link':4s} {'function':21s} {'A':>9s} {'B':>9s} {'B/A - 1':>8s}")
     for size in SIZES:
         for tag in ("po", "acl", "crl"):
             for name in FUNCTIONS:
                 a, b = (1e6 * statistics.median(v) for v in medians[size, tag, name])
-                print(f"{size:7s} {tag:4s} {name:20s} {a:9.1f} {b:9.1f} {b / a - 1:+8.1%}")
+                row = f"{size:7s} {tag:4s} {name:21s} {a:9.1f} {b:9.1f} {b / a - 1:+8.1%}"
+                if (size, tag, name) in passes:
+                    row += "  passes {} -> {}".format(*passes[size, tag, name])
+                print(row)
     return 0
 
 

@@ -16,16 +16,18 @@ once; the fit sums its moments, each weighted by its multiplicity, by
 covariate pattern, and the chain rule maps them to the parameters through
 one Jacobian J per pattern, built once per fit (``_Objective``), of which a
 pass rewrites only the entries' derivatives. The delta method maps the
-covariance to the reported scale.
-Each Newton step is capped, projected onto the box of the variance
-parameters and halved until the log-likelihood does not fall;
-proportional-odds proposals outside the feasible region evaluate to -inf
-and so are halved too. A trial that falls below the current point stops
-as soon as its log-likelihood shows it, before its score and curvature.
-Newton alone
-decides the fit: where it gives up, the fit reports its last accepted point,
-which the convergence test then judges like any other, except that a fit
-that reached the iteration cap has not converged. The standard errors come
+covariance to the reported scale. A random-effect fit starts at the
+homogeneous maximum of its link and covariates, which the dataset keeps
+(``Dataset.homogeneous_maxima``) from the first fit that reaches it, so
+later fits take it with no passes. Each Newton step is capped, projected
+onto the box of the variance parameters and halved until the
+log-likelihood does not fall; proportional-odds proposals outside the
+feasible region evaluate to -inf and so are halved too. A trial that
+falls below the current point stops as soon as its log-likelihood shows
+it, before its score and curvature. Newton alone decides the fit: where
+it gives up, the fit reports its last accepted point, which the
+convergence test then judges like any other, except that a fit that
+reached the iteration cap has not converged. The standard errors come
 from the information of that point's pass.
 Empirical-Bayes modes come from Newton steps on each link's closed-form
 score and curvature, seeded at each cluster's posterior mean and halved
@@ -95,8 +97,10 @@ class FitOptions:
     ``quadrature_order`` of None picks 30 nodes for a univariate effect and
     12 per axis for a bivariate effect; a random effect needs at least 2.
     ``starting_values`` of the model's structure are the start, homogeneous
-    ones a random-effect model's fixed effects. ``seed`` has no effect: the
-    fit draws no random numbers, and the field stays for callers that set it.
+    ones a random-effect model's fixed effects, which otherwise start at the
+    homogeneous maximum, with no nested passes once the dataset's memo has
+    it. ``seed`` has no effect: the fit draws no random numbers, and the
+    field stays for callers that set it.
     """
 
     quadrature_order: int | None = None
@@ -119,9 +123,10 @@ class FitResult:
     on its bound (listed in ``diagnostics["boundary"]``) is reported as 0
     with NaN standard error, interval and p-value. ``n_evaluations``
     counts every kernel pass, each of which gives the value, the score and
-    the information: those of a nested homogeneous start fit, if one ran,
-    and of Newton. ``diagnostics["information_passes"]`` repeats that count,
-    and ``diagnostics["optimizer_message"]`` names why Newton stopped. A fit
+    the information: those of a nested homogeneous start fit, if one ran
+    (none does for a start from the dataset's memo), and of Newton.
+    ``diagnostics["information_passes"]`` repeats that count, and
+    ``diagnostics["optimizer_message"]`` names why Newton stopped. A fit
     where Newton gave up reports the last point it accepted; ``converged``
     is False if it reached the iteration cap, and is otherwise the same
     scaled-gradient test there, usually False.
@@ -535,6 +540,8 @@ def _fit_impl(
     estimates = param.unpack(theta_hat)
     if at_zero:
         estimates = replace(estimates, re=replace(estimates.re, **dict.fromkeys(at_zero, 0.0)))
+    if not effect.dim and opts.starting_values is None:  # Newton from the pooled start
+        dataset.homogeneous_maxima.setdefault((link, bool(slope_names)), estimates)
 
     return FitResult(
         estimates=estimates,
@@ -718,22 +725,26 @@ def _starting_point(
 
     ``opts.starting_values`` of the model's own effect class are the start
     as given. A random-effect model starts its fixed effects at a
-    homogeneous maximum, taken from homogeneous ``starting_values`` or else
-    found by Newton on the same kernel from the pooled start, and its own
-    parameters at the class's default. Starting values of any other
-    structure are ignored."""
+    homogeneous maximum: homogeneous ``starting_values``, else the
+    dataset's memo (``Dataset.homogeneous_maxima``), with no nested passes,
+    else the one Newton finds on the same kernel from the pooled start, put
+    in the memo; its own parameters start at the class's default. Starting
+    values of any other structure are ignored."""
     start, passes = opts.starting_values, 0
     if start is None or type(start.re) not in (param.effect, NoRandomEffect):
-        # feasible intercepts from the pooled category proportions
-        totals = dataset.count_matrix.sum(axis=0).astype(float)
-        p = np.maximum(totals / totals.sum(), 1e-6)
-        theta = np.concatenate([recover_predictors(link, p / p.sum()), np.zeros(param.n_slopes)])
-        if param.effect is NoRandomEffect:
-            return theta, 0
-        homogeneous = _Parameterization(param.n_intercepts, slope_names, NoRandomEffect)
-        nested = _Objective(kernel, homogeneous, 1)
-        start = homogeneous.unpack(_newton(nested, theta, homogeneous.bounds()).theta)
-        passes = nested.passes
+        start = dataset.homogeneous_maxima.get((link, bool(slope_names)))
+        if start is None or param.effect is NoRandomEffect:
+            # feasible intercepts from the pooled category proportions
+            totals = dataset.count_matrix.sum(axis=0).astype(float)
+            p = np.maximum(totals / totals.sum(), 1e-6)
+            theta = np.concatenate([recover_predictors(link, p / p.sum()), np.zeros(param.n_slopes)])
+            if param.effect is NoRandomEffect:
+                return theta, 0
+            homogeneous = _Parameterization(param.n_intercepts, slope_names, NoRandomEffect)
+            nested = _Objective(kernel, homogeneous, 1)
+            start = homogeneous.unpack(_newton(nested, theta, homogeneous.bounds()).theta)
+            passes = nested.passes
+            dataset.homogeneous_maxima[link, bool(slope_names)] = start
     if start.fixed.intercepts.size != param.n_intercepts or start.fixed.slopes.size != param.n_slopes:
         raise ValueError("starting values do not match the model dimensions")
     if type(start.re) is not param.effect:

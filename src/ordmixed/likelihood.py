@@ -426,9 +426,10 @@ class LoglikKernel:
 
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
         """Per-cluster conditional log-likelihood, in cluster order, at
-        per-cluster offsets (n, K-1), which it requires: the one-node case
-        of ``node_logliks``, with its constant."""
-        ll = self.node_logliks(intercepts, slopes, np.asarray(offsets, dtype=float)[:, None])
+        per-cluster offsets (n, K-1), or (1, K-1) shared by every cluster:
+        the one-node case of ``node_logliks``, with its constant."""
+        offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (len(self.y), self.n_boundaries))
+        ll = self.node_logliks(intercepts, slopes, offsets[:, None])
         return ll[:, 0] + self.log_coef
 
     @_expected_float_errors

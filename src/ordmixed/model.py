@@ -20,7 +20,7 @@ per intercept).
 
 All values here are immutable after construction and safe to share across
 workers, except ``PlaneStack``, the scratch memory a likelihood kernel
-keeps for one caller.
+keeps for one caller, and the caches a dataset fills on first use.
 """
 
 from __future__ import annotations
@@ -356,6 +356,9 @@ class Dataset:
     covariate_names: tuple[str, ...] | None = None
     factor_names: tuple[str, ...] | None = None
     factor_levels: np.ndarray | None = None
+    # the estimation layer's memo: by (link, has covariates), the estimates
+    # at the homogeneous maximum, written by the first fit that reaches it
+    homogeneous_maxima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clusters = tuple(self.clusters)

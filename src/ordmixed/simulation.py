@@ -187,23 +187,16 @@ def generate_dataset(design: SimulationDesign, replication_index: int) -> Datase
 
 
 def _replicate(design: SimulationDesign, fit_options: FitOptions, index: int) -> dict:
-    """Fit every requested variant on one generated dataset. A link's
-    homogeneous full and intercept estimates are the starting values of its
-    later random-effect fits, which then make no nested homogeneous fit."""
+    """Fit every requested variant on one generated dataset. Random-effect
+    fits after their link's homogeneous fits start at the maxima those left
+    in the dataset's memo, and so make no nested homogeneous fit."""
     dataset = generate_dataset(design, index)
     out: dict[str, dict] = {}
-    homogeneous: dict[tuple[LinkFamily, int], ParameterVector] = {}
     for link, structure in design.fits:
         key = model_key(link, structure)
         try:
-            results = []
-            for model, fitter in enumerate((fit, fit_intercept_model)):
-                start = homogeneous.get((link, model))
-                opts = fit_options if start is None else replace(fit_options, starting_values=start)
-                results.append(fitter(dataset, link, structure, opts))
-                if not results[-1].estimates.re.dim:
-                    homogeneous[link, model] = results[-1].estimates
-            full, intercept = results
+            full = fit(dataset, link, structure, fit_options)
+            intercept = fit_intercept_model(dataset, link, structure, fit_options)
             report = gof_report(dataset, full, intercept)
         except Exception as err:  # a failed replication is excluded, not fatal
             out[key] = {"ok": False, "error": f"{type(err).__name__}: {err}"}

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,14 +294,55 @@ class TestFit:
     def test_homogeneous_starting_values_replace_the_nested_fit(
         self, strawberry, link, structure, model
     ):
+        """The homogeneous estimates given as starting values, and the
+        homogeneous maximum that the dataset keeps from its homogeneous fit,
+        start the fit where its nested fit would: the same fit, without the
+        nested fit's passes."""
+        # the cold and warm fits each on a dataset object of its own, whose
+        # memo is empty; the remembered fit after the homogeneous fit on one
         fitter = fit if model == "full" else fit_intercept_model
-        homogeneous = fitter(strawberry, link, "none", FAST)
-        cold = fitter(strawberry, link, structure)
-        warm = fitter(strawberry, link, structure, FitOptions(starting_values=homogeneous.estimates))
-        np.testing.assert_array_equal(warm.values, cold.values)
-        np.testing.assert_array_equal(warm.se, cold.se)
-        assert (warm.loglik, warm.iterations) == (cold.loglik, cold.iterations)
-        assert warm.n_evaluations == cold.n_evaluations - homogeneous.n_evaluations
+        dataset = replace(strawberry)
+        homogeneous = fitter(dataset, link, "none", FAST)
+        cold = fitter(replace(strawberry), link, structure)
+        warm = fitter(replace(strawberry), link, structure, FitOptions(starting_values=homogeneous.estimates))
+        remembered = fitter(dataset, link, structure)
+        for started in (warm, remembered):
+            np.testing.assert_array_equal(started.values, cold.values)
+            np.testing.assert_array_equal(started.se, cold.se)
+            assert (started.loglik, started.iterations) == (cold.loglik, cold.iterations)
+            assert started.n_evaluations == cold.n_evaluations - homogeneous.n_evaluations
+
+    def test_the_panel_finds_each_homogeneous_maximum_once(self, strawberry, monkeypatch):
+        """Over the strawberry panel, in its order (homogeneous, univariate,
+        bivariate per link, each full and intercept), the homogeneous
+        Newton runs once per (link, covariates): the homogeneous fits write
+        the dataset's memo, and every random-effect fit reads it."""
+        found, newton = [], estimation._newton
+
+        def counted(objective, theta, bounds):
+            if not objective.param.effect.dim:
+                found.append((objective.kernel.link, bool(objective.param.n_slopes)))
+            return newton(objective, theta, bounds)
+
+        monkeypatch.setattr(estimation, "_newton", counted)
+        dataset = replace(strawberry)
+        for link in LinkFamily:
+            for structure in ("none", "univariate", "bivariate"):
+                for fitter in (fit, fit_intercept_model):
+                    fitter(dataset, link, structure, FAST)
+        assert len(found) == len(set(found)) == 6
+        assert set(found) == set(dataset.homogeneous_maxima)
+        for start in dataset.homogeneous_maxima.values():
+            assert not (start.fixed.intercepts.flags.writeable or start.fixed.slopes.flags.writeable)
+
+    def test_fits_from_starting_values_write_no_memo(self, strawberry, po_univariate):
+        dataset = replace(strawberry)
+        homogeneous = fit(replace(strawberry), PO, "none", FAST)
+        for start in (homogeneous.estimates, po_univariate.estimates):
+            opts = FitOptions(starting_values=start, standard_errors=False)
+            fit(dataset, PO, "none", opts)
+            fit(dataset, PO, "univariate", opts)
+        assert dataset.homogeneous_maxima == {}
 
     def test_homogeneous_starting_values_must_match_the_model(self, strawberry):
         short = ParameterVector(fixed=FixedEffects(intercepts=[-1.0, 1.0], slopes=np.zeros(3)))
@@ -393,9 +435,10 @@ class TestAnalyticScore:
 
         monkeypatch.setattr(_Objective, "full", recorded)
         # one Newton step is too few for any strawberry fit, the nested
-        # homogeneous start fit too
+        # homogeneous start fit too; a dataset object of its own makes the
+        # nested fit run, and keeps its capped maximum out of the fixture's memo
         monkeypatch.setattr(estimation, "_NEWTON_ITERATIONS", newton_iterations)
-        result = fit(strawberry, PO, structure)
+        result = fit(replace(strawberry), PO, structure)
         assert result.n_evaluations == len(calls) == len(passes)
         assert result.diagnostics["information_passes"] == len(calls)
         message = result.diagnostics["optimizer_message"]
@@ -607,12 +650,13 @@ class TestNewton:
 
         monkeypatch.setattr(LoglikKernel, "louis_moments", counted)
         crl = LinkFamily.CONTINUATION_RATIO
-        floored = fit(large_clusters, crl, "univariate", FAST)
+        # each fit on a dataset object of its own, so both run the nested fit
+        floored = fit(replace(large_clusters), crl, "univariate", FAST)
         assert any(stopped)
         full = _Objective.full
         monkeypatch.setattr(_Objective, "full", lambda self, theta, floor=None: full(self, theta))
         stopped.clear()
-        whole = fit(large_clusters, crl, "univariate", FAST)
+        whole = fit(replace(large_clusters), crl, "univariate", FAST)
         assert stopped and not any(stopped)
         for name in ("loglik", "converged", "iterations", "n_evaluations", "diagnostics"):
             assert getattr(floored, name) == getattr(whole, name)

@@ -374,6 +374,22 @@ class TestSlotMajorKernel:
             full.marginal(c, np.zeros(3), offsets, rule.weights)[full.rows.index],
         )
 
+    @pytest.mark.parametrize("covariates", [True, False], ids=["full", "intercept"])
+    @pytest.mark.parametrize("link", list(LinkFamily))
+    def test_conditional_at_shared_offsets_is_the_per_cluster_call(self, link, covariates):
+        """Offsets (1, K-1) shared by every cluster give each cluster's
+        value, in cluster order: on strawberry the full kernel's rows are in
+        pattern order and the intercept kernel has 35 rows for 48 clusters."""
+        ds = strawberry_dataset()
+        kernel = LoglikKernel(ds, link, covariates)
+        c = np.array([-1.2, 0.5])
+        b = np.linspace(-0.4, 0.6, ds.n_covariates) if covariates else np.empty(0)
+        shared = np.array([[0.3, -0.2]])
+        got = kernel.conditional_at(c, b, shared)
+        want = kernel.conditional_at(c, b, np.repeat(shared, ds.n_clusters, axis=0))
+        assert got.shape == (ds.n_clusters,)
+        np.testing.assert_array_equal(got, want)
+
     def test_log_coefficients_match_the_per_cluster_function(self, dataset):
         kernel = LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
         expected = [multinomial_log_coefficient(cl.counts) for cl in dataset.clusters]
