@@ -18,6 +18,11 @@ optimizer messages, and the mean ``n_evaluations`` and information
 passes per fit by link and structure on each side. It also counts, per workload and side, the fits
 whose ``loglik`` is ``total_loglik`` at their estimates bit for bit, on
 the fit's rule; a fit whose ``total_loglik`` raises counts as an error.
+Every ``gof_report`` a workload makes is recorded too (the Pearson
+chi-square with its df and p-value, C, AIC and the ICC), and the report
+gives, per workload, how many reports are the same bits on both sides and
+the largest relative difference of any statistic, so that changes to the
+empirical-Bayes predictions behind the chi-square show.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from collections import defaultdict
 from pathlib import Path
 
 WORKLOADS = ("strawberry_panel", "study_slice", "large_clusters")
+GOF_STATISTICS = ("chi2", "chi2_df", "chi2_p", "C", "aic", "icc")
 
 
 def use_tree(tree: Path) -> None:
@@ -47,15 +53,16 @@ def run_worker(script: str, tree: Path, argv: list[str]) -> list[dict]:
 
 
 def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
-    """Worker: run the workloads of ``tree`` and print one JSON line per fit."""
+    """Worker: run the workloads of ``tree`` and print one JSON line per fit
+    and per GoF report."""
     use_tree(tree)
     import numpy as np
     import workloads as bench
-    from ordmixed import estimation, simulation
+    from ordmixed import estimation, gof, simulation
     from ordmixed.likelihood import total_loglik
     from ordmixed.quadrature import bivariate_rule, gauss_hermite
 
-    current = {"workload": None, "block": None, "index": 0}
+    current = {"workload": None, "block": None, "index": 0, "report": 0}
 
     def is_total(result, dataset, link, opts):
         """Whether ``total_loglik`` at the fit's estimates, on its rule, is
@@ -93,20 +100,71 @@ def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
 
         return wrapper
 
+    def reported(fn):
+        def wrapper(dataset, full, intercept, *args, **kwargs):
+            report = fn(dataset, full, intercept, *args, **kwargs)
+            line = {
+                "workload": current["workload"], "block": current["block"],
+                "report": current["report"], "link": full.link.value,
+                "structure": full.re_structure,
+                "statistics": {name: getattr(report, name) for name in GOF_STATISTICS},
+            }
+            current["report"] += 1
+            print(json.dumps(line))
+            return report
+
+        return wrapper
+
     for owner in (estimation, simulation):
         owner.fit = recorded(owner.fit, "full")
         owner.fit_intercept_model = recorded(owner.fit_intercept_model, "intercept")
+    for owner in (gof, simulation):
+        owner.gof_report = reported(owner.gof_report)
     for name in workloads:
         workload = bench.WORKLOADS[name]
         for block in range(1 if name == "strawberry_panel" else blocks):
-            current.update(workload=name, block=block, index=0)
+            current.update(workload=name, block=block, index=0, report=0)
             with np.errstate(all="ignore"):
                 workload.run(workload.build(seed, block))
 
 
-def _fits(tree: Path, args) -> list[dict]:
+def _records(tree: Path, args) -> list[dict]:
     argv = ["--blocks", str(args.blocks), "--seed", str(args.seed), "--workloads", *args.workloads]
     return run_worker(__file__, tree, argv)
+
+
+def _relative_diff(a, b) -> float:
+    """|b - a| / |a|, 0 for the same value (None and NaN included), inf
+    where only one side has a value or a is 0."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    if a is None or b is None:
+        return math.inf
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def _compare_reports(a_reports: list[dict], b_reports: list[dict]) -> None:
+    """Print, per workload, the GoF reports that are the same bits and the
+    largest relative difference of any statistic."""
+    key = ("workload", "block", "report", "link", "structure")
+    b_by_key = {tuple(r[k] for k in key): r for r in b_reports}
+    summary = defaultdict(lambda: [0, 0, 0.0, ""])  # reports, bit-identical, worst, where
+    for a in a_reports:
+        b = b_by_key.get(tuple(a[k] for k in key))
+        s = summary[a["workload"]]
+        s[0] += 1
+        if b is None:
+            s[2], s[3] = math.inf, "missing on B"
+            continue
+        diffs = {name: _relative_diff(a["statistics"][name], b["statistics"][name]) for name in GOF_STATISTICS}
+        s[1] += not any(diffs.values())
+        name = max(diffs, key=diffs.get)
+        if diffs[name] > s[2]:
+            s[2], s[3] = diffs[name], "block {block} report {report} {link} {structure} ".format(**a) + name
+    print(f"\ngof_report: {len(a_reports)} reports on A, {len(b_reports)} on B")
+    print("workload            reports  bit-identical  max relative difference")
+    for name, (n, same, worst, where) in summary.items():
+        print(f"{name:18s} {n:8d}  {same:13d}  {worst:9.3g}  {where}")
 
 
 def _max_abs_diff(a, b) -> float:
@@ -128,7 +186,9 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, SRC_A and SRC_B")
-    a_fits, b_fits = (_fits(tree.resolve(), args) for tree in args.trees)
+    a_lines, b_lines = (_records(tree.resolve(), args) for tree in args.trees)
+    a_fits, b_fits = ([line for line in lines if "report" not in line] for lines in (a_lines, b_lines))
+    a_reports, b_reports = ([line for line in lines if "report" in line] for lines in (a_lines, b_lines))
     key = ("workload", "block", "index", "link", "structure", "kind")
     b_by_key = {tuple(f[k] for k in key): f for f in b_fits}
     if len(a_fits) != len(b_fits) or any(tuple(f[k] for k in key) not in b_by_key for f in a_fits):
@@ -173,6 +233,7 @@ def main(argv=None) -> int:
     print("\nworkload            fits  max|dloglik|  max|destimate|  max|dse|")
     for name, (n, dl, de, ds) in worst.items():
         print(f"{name:18s} {n:5d}  {dl:12.3g}  {de:14.3g}  {ds:8.3g}")
+    _compare_reports(a_reports, b_reports)
     print("\nfits bit-identical in log-likelihood, estimates and standard errors:")
     for (name, kind), (same, n) in identical.items():
         print(f"  {name:18s} {kind:9s} {same:5d} of {n:5d}")

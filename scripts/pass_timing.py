@@ -35,7 +35,9 @@ link, the median per-call time of:
 - a homogeneous intercept fit through ``fit_intercept_model``, which starts
   at its maximum and so takes one pass and no Newton step: the fixed cost
   of a fit around its kernel work;
-- ``predict_random_effects`` by posterior mode, as the GoF panel calls it;
+- ``predict_random_effects`` by posterior mode, as the GoF panel calls it,
+  for the full model and for the intercept model with the same effect,
+  whose kernel has no covariates (at 960x30, 399 distinct clusters);
 - the size's random-effect fit through ``fit`` on a dataset whose
   homogeneous fit has run (a tree that keeps the homogeneous maximum per
   dataset starts there without a nested fit), and a cold one on a dataset
@@ -81,7 +83,8 @@ SIZES = {
 FUNCTIONS = (
     "louis_moments", "conditional_terms", "intercept louis", "rejected trial", "intercept pass",
     "intercept trial", "contraction", "_newton pass", "outside the kernel", "_ascent_direction",
-    "intercept fit", "predict_random_effects", "fit after homogeneous", "cold fit",
+    "intercept fit", "predict_random_effects", "intercept predict", "fit after homogeneous",
+    "cold fit",
 )
 
 
@@ -198,6 +201,8 @@ def _measure(tree: Path, seed: int) -> None:
             p = estimation._Objective(kernel, param, order).full(theta0)
             intercept = lambda: estimation.fit_intercept_model(dataset, link, "none", opts)
             predict = lambda: estimation.predict_random_effects(dataset, params, link)
+            lone_params = replace(params, fixed=replace(params.fixed, slopes=np.empty(0)))
+            lone_predict = lambda: estimation.predict_random_effects(dataset, lone_params, link)
             seconds = {
                 "_newton pass": statistics.median(per_pass[1:]),
                 "outside the kernel": statistics.median(outside[1:]),
@@ -206,6 +211,7 @@ def _measure(tree: Path, seed: int) -> None:
                 ),
                 "intercept fit": _median_call(intercept, calls // 4),
                 "predict_random_effects": _median_call(predict, calls // 4),
+                "intercept predict": _median_call(lone_predict, calls // 4),
             }
             for name, value in seconds.items():
                 print(json.dumps({"size": size, "link": tag, "function": name, "seconds": value}))

@@ -31,7 +31,8 @@ reached the iteration cap has not converged. The standard errors come
 from the information of that point's pass.
 Empirical-Bayes modes come from Newton steps on each link's closed-form
 score and curvature, seeded at each cluster's posterior mean and halved
-for any cluster whose log posterior a step would lower.
+for any cluster whose log posterior a step would lower; they run on the
+kernel's distinct clusters, as the fit does.
 """
 
 from __future__ import annotations
@@ -794,7 +795,10 @@ def predict_random_effects(
     log-density by Newton steps with step halving, seeded at each
     cluster's posterior mean on the fit's default rule (30 nodes, or
     12 x 12); ``mean`` is the posterior mean computed by quadrature, on 40
-    nodes or a 25 x 25 grid. Returns shape (n, K-1); a univariate effect is
+    nodes or a 25 x 25 grid. A prediction depends only on a cluster's
+    covariate pattern and counts, so both run on the kernel's rows, its
+    distinct clusters, and each cluster takes its row's prediction by
+    ``rows.index``. Returns shape (n, K-1); a univariate effect is
     replicated across the slots.
     """
     if method not in ("mode", "mean"):
@@ -814,27 +818,36 @@ def predict_random_effects(
         order = DEFAULT_ORDER_2D if re.dim == 2 else DEFAULT_ORDER_1D
     z, weights = standard_tensor_grid(order, re.dim)
     offsets = z @ loading.T
-    # each cluster takes its row's node log-likelihoods
-    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, offsets)[kernel.rows.index] + np.log(weights)
+    log_posterior = kernel.node_logliks(fe.intercepts, fe.slopes, offsets) + np.log(weights)
     posterior = np.exp(log_posterior - log_posterior.max(axis=1, keepdims=True))
     posterior /= posterior.sum(axis=1, keepdims=True)
     if method == "mean":
-        return posterior @ offsets
-    return _posterior_modes(kernel, fe, loading, posterior @ z) @ loading.T
+        return _row_products(posterior, offsets)[kernel.rows.index]
+    modes = _posterior_modes(kernel, fe, loading, _row_products(posterior, z))
+    return _row_products(modes, loading.T)[kernel.rows.index]
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with each row of the product summed on its own: BLAS may round
+    a row apart by how many rows the product has, so a cluster's prediction
+    would depend on how many distinct clusters its kernel has."""
+    return np.einsum("nk,kd->nd", a, b)
 
 
 def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
-    """Posterior modes of the standardized effects, shape (n, r), whose
-    offsets are z @ loading.T, by Newton ascent from the seeds z.
+    """Posterior modes of the standardized effects of the kernel's rows,
+    shape (rows, r), whose offsets are z @ loading.T, by Newton ascent from
+    the seeds z, one per row.
 
     The log posterior is the conditional log-likelihood plus the standard
     normal log-density of z, so its gradient is loading' g - z and its
     Hessian loading' H loading - I, with g and H the link's closed-form
     score and curvature with respect to the boundary predictors; every
-    cluster's loading' H loading is one product of the flattened H with
-    loading (x) loading. Steps are clipped to 1 in each coordinate, and a
-    cluster's step that lowers its log posterior is halved and tried again
-    while the other clusters step on, so every seed ascends to the mode.
+    row's loading' H loading is one product of the flattened H with
+    loading (x) loading. Every product is summed row by row
+    (``_row_products``). Steps are clipped to 1 in each coordinate, and a
+    row's step that lowers its log posterior is halved and tried again
+    while the other rows step on, so every seed ascends to the mode.
     Each iteration is one kernel pass at the points tried. Once every
     gradient is below 1e-8 the last Newton step is taken untried.
     """
@@ -845,16 +858,16 @@ def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
     grad, step = np.full((n, dim), np.inf), np.zeros((n, dim))
     for _ in range(_EB_ITERATIONS):
         trial = z + step
-        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, trial @ loading.T)
+        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, _row_products(trial, loading.T))
         trial_value = terms.loglik - 0.5 * (trial**2).sum(axis=1)
         # a fall within the rounding of the log posterior counts as none
         up = trial_value >= value - 1e-12 * np.abs(value)
         step[~up] *= 0.5
         took = slice(None) if up.all() else up
         z[took], value[took] = trial[took], trial_value[took]
-        grad[took] = terms.score[took] @ loading - z[took]
+        grad[took] = _row_products(terms.score[took], loading) - z[took]
         curvature = terms.curvature[took]
-        hess = (curvature.reshape(len(curvature), -1) @ pairs).reshape(-1, dim, dim) - identity
+        hess = _row_products(curvature.reshape(len(curvature), -1), pairs).reshape(-1, dim, dim) - identity
         step[took] = _newton_step(grad[took], hess).clip(-1.0, 1.0)
         if np.abs(grad).max() < 1e-8:
             return z + step

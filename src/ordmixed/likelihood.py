@@ -31,13 +31,6 @@ product summed over categories, and the posterior contractions are matrix
 products over the node and row axes, one per boundary or pair. No array
 with a short trailing category axis is built.
 
-Every pass takes predictor offsets that broadcast against (n, Q, K-1),
-clusters by nodes by boundaries: a 2-d array is node offsets (Q, K-1)
-shared by every cluster, such as the nodes z of a rule mapped through a
-random effect's loading A, z A'; a 3-d one gives each cluster its own
-nodes. No random effect is one node at 0 with weight 1, and the
-conditional passes at per-cluster offsets (n, K-1) are the one-node case.
-
 A kernel is on all of a dataset's covariates or on none. Clusters with
 the same covariate pattern and the same counts add the same terms to
 every sum, so every kernel has one row layout: its rows are the
@@ -45,10 +38,18 @@ dataset's distinct clusters (``Dataset.distinct_clusters``), sorted by
 (pattern, counts), each weighed by its multiplicity wherever it enters a
 sum: the log-likelihood and the floor's bound here, the score and
 information in the estimation layer, which also sums the rows' moments by
-covariate pattern before its chain rule. Every pass returns one entry per
-row at shared node offsets and one per cluster, in cluster order, at
-per-cluster offsets; a caller that wants clusters takes each one's row by
-``rows.index``. ``total_loglik`` sums the rows, weighted, in row order,
+covariate pattern before its chain rule.
+
+Every pass has one contract. It takes predictor offsets that broadcast
+against (rows, Q, K-1), rows by nodes by boundaries. Their leading axis
+is either 1, offsets shared by every row, or the number of rows, one set
+for each row of ``rows.first``; a 2-d array is node offsets (Q, K-1)
+shared by every row, such as the nodes z of a rule mapped through a random effect's
+loading A, z A'. No random effect is one node at 0 with weight 1, and the
+conditional passes at offsets (rows or 1, K-1) are the one-node case.
+Every pass returns one entry per row; a caller that wants clusters takes
+each one's row by ``rows.index``. Offsets for any other number of rows
+raise ValueError. ``total_loglik`` sums the rows, weighted, in row order,
 as ``louis_moments`` does, so a fit's log-likelihood and ``total_loglik``
 at its estimates are the same bits, whatever the order of the clusters.
 
@@ -59,8 +60,8 @@ steps once per pattern among its rows (one without covariates), and
 ``model.slot_terms`` expands them to the rows with a take where the
 counts enter; those steps are elementwise the same as evaluating every
 row, so the results are the same bits. Blocks whose rows all have
-patterns of their own and planes too small to gain evaluate every row,
-and per-cluster offsets every cluster.
+patterns of their own, planes too small to gain and per-row offsets
+evaluate every row.
 
 ``louis_moments`` takes an optional floor, the log-likelihood a line
 search needs to reach: no cluster's marginal log-likelihood is above
@@ -82,7 +83,7 @@ kernel serves one caller at a time.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -181,8 +182,8 @@ class LouisMoments(NamedTuple):
     product of ``mean``, plus the score times any second derivatives of
     the predictors. With identity features, ``mean`` is each row's score
     with respect to its boundary predictors. The rows are the kernel's
-    rows at shared node offsets and the clusters at per-cluster ones, as
-    in every pass, and ``loglik`` weighs each row by its multiplicity.
+    rows, as in every pass, and ``loglik`` weighs each by its
+    multiplicity.
     A pass stopped at its floor has an upper bound of the log-likelihood
     in ``loglik`` and None in the moments.
     """
@@ -193,57 +194,23 @@ class LouisMoments(NamedTuple):
 
 
 class ConditionalTerms(NamedTuple):
-    """Per-row conditional log-likelihood (rows,), with its score
-    (rows, K-1) and curvature (rows, K-1, K-1) with respect to the boundary
-    predictors."""
+    """Each of the kernel's rows' conditional log-likelihood (rows,), with
+    its score (rows, K-1) and curvature (rows, K-1, K-1) with respect to
+    the boundary predictors."""
 
     loglik: np.ndarray
     score: np.ndarray
     curvature: np.ndarray
 
 
-def _slot_major(offsets) -> np.ndarray:
-    """The slot-major view (K-1, n or 1, Q) of offsets that broadcast
-    against (n, Q, K-1); a 2-d array is node offsets (Q, K-1)."""
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.ndim == 2:
-        offsets = offsets[None]
-    return offsets.transpose(2, 0, 1)
-
-
-class _Layout(NamedTuple):
-    """The rows a pass evaluates: their counts (K, rows, 1), the
-    (category, row) cells with no count, their multinomial constants and
-    the multiplicity of each row as a float; and ``pattern`` (rows,), each
-    row's covariate pattern, its column of the predictors, or None when
-    row i is column i."""
-
-    counts: np.ndarray
-    empty: np.ndarray
-    log_coef: np.ndarray
-    multiplicity: np.ndarray
-    pattern: np.ndarray | None
-
-
-def _layout(counts: np.ndarray, log_coef: np.ndarray, multiplicity, pattern) -> _Layout:
-    counts_t = counts.T
-    return _Layout(
-        np.ascontiguousarray(counts_t, dtype=float)[:, :, None],
-        counts_t == 0,
-        log_coef,
-        np.asarray(multiplicity, dtype=float),
-        pattern,
-    )
-
-
 class _Workspace(NamedTuple):
-    """A kernel's memory for one node count Q and layout: the slot-major
-    predictors (K-1, rows, Q), the stack of (rows, Q) planes and stacks of
-    them for everything derived from them, the row blocks, each (first row,
-    end row, the (category, row) indices of the block's empty categories,
-    and the block's patterns with each row's place among them, or None
-    where it evaluates every row), and the stack of planes for the
-    patterns (None when no block shares them)."""
+    """A kernel's memory for one node count Q: the slot-major predictors
+    (K-1, rows, Q), the stack of (rows, Q) planes and stacks of them for
+    everything derived from them, the row blocks, each (first row, end
+    row, the (category, row) indices of the block's empty categories, and
+    the block's patterns with each row's place among them, or None where
+    it evaluates every row), and the stack of planes for the patterns
+    (None when no block shares them)."""
 
     predictors: np.ndarray
     planes: PlaneStack
@@ -252,22 +219,24 @@ class _Workspace(NamedTuple):
 
 
 class LoglikKernel:
-    """Vectorized per-cluster log-likelihood evaluation for one dataset.
+    """Vectorized log-likelihood evaluation for one dataset, one row per
+    distinct cluster.
 
-    Precomputes the counts, stored slot-major as (K, rows, 1) so that each
-    category's counts broadcast against a (rows, Q) predictor plane, and
-    the multinomial coefficients once; the estimation layer then calls
-    ``louis_moments`` thousands of times with different parameter
-    proposals. The kernel is on all of the dataset's covariates, or on
-    none when ``covariates`` is false, as for an intercept model.
+    Precomputes the rows' counts, stored slot-major as (K, rows, 1) so that
+    each category's counts broadcast against a (rows, Q) predictor plane,
+    and their multinomial constants ``log_coef`` once; the estimation layer
+    then calls ``louis_moments`` thousands of times with different
+    parameter proposals. The kernel is on all of the dataset's covariates,
+    or on none when ``covariates`` is false, as for an intercept model.
+    ``y`` keeps the clusters' counts (n, K).
 
     Clusters with the same covariate pattern and the same counts add the
     same terms to every sum, so the kernel's rows are the dataset's
     distinct clusters, ``rows`` (``Dataset.distinct_clusters``), sorted by
-    (pattern, counts), each weighted by its multiplicity. Every pass
-    returns one entry per row at shared node offsets, and evaluates and
-    returns every cluster, in cluster order, at per-cluster offsets;
-    ``rows.index`` takes a row's result to its clusters.
+    (pattern, counts), each weighted by its multiplicity. Every pass takes
+    offsets shared by every row or given per row, one per ``rows.first``,
+    and returns one entry per row; ``rows.index`` takes a row's result to
+    its clusters. Offsets for any other number of rows raise ValueError.
     ``row_patterns`` gives each row's covariate pattern (``index``) and the
     first row of each (``first``), and ``pattern_covariates`` the
     patterns' covariates, one C-contiguous row per pattern (one empty row
@@ -280,7 +249,7 @@ class LoglikKernel:
     predictors, so the link's count-free math (see ``model.slot_terms``)
     runs once per distinct pattern of the block, and the rows' own work
     starts where their counts enter. A block whose rows all have patterns
-    of their own, and any pass at per-cluster offsets, evaluates every row.
+    of their own, and any pass at per-row offsets, evaluates every row.
 
     The kernel owns its workspace: for each node count Q, a stack of
     (rows, Q) planes and (m, rows, Q) stacks of them allocated on the first
@@ -296,82 +265,87 @@ class LoglikKernel:
         self.link = link
         counts = dataset.count_matrix
         self.y = counts.astype(float)
-        self.log_coef = dataset.log_coefficients
         self.n_boundaries = dataset.n_categories - 1
         if covariates:
-            self._patterns = dataset.covariate_patterns
-            self.pattern_covariates = np.ascontiguousarray(dataset.covariate_matrix[self._patterns.first])
+            patterns = dataset.covariate_patterns
+            self.pattern_covariates = np.ascontiguousarray(dataset.covariate_matrix[patterns.first])
         else:
             zeros = np.zeros(len(counts), dtype=np.intp)
-            self._patterns = CovariatePatterns(zeros[:1], zeros)
+            patterns = CovariatePatterns(zeros[:1], zeros)
             self.pattern_covariates = np.empty((1, 0))
         self.rows = dataset.distinct_clusters(covariates)
         first = self.rows.first
-        pattern = self._patterns.index[first]  # sorted, as the rows are
-        starts = np.searchsorted(pattern, np.arange(len(self._patterns.first)))
+        pattern = patterns.index[first]  # sorted, as the rows are
+        starts = np.searchsorted(pattern, np.arange(len(patterns.first)))
         self.row_patterns = CovariatePatterns(starts, pattern)
-        if len(starts) == len(first):  # every row a pattern of its own: row i has pattern i
-            pattern = None
-        self._rows = _layout(counts[first], self.log_coef[first], self.rows.multiplicity, pattern)
+        # each row's column of the predictors; None when row i is column i,
+        # every row a pattern of its own
+        self._pattern = None if len(starts) == len(first) else pattern
+        counts = counts[first].T
+        self._counts = np.ascontiguousarray(counts, dtype=float)[:, :, None]
+        self._empty = counts == 0  # the (category, row) cells with no count
+        self.log_coef = dataset.log_coefficients[first]
+        self._multiplicity = self.rows.multiplicity.astype(float)
         self._pairs, self._louis_pairs = _pair_indices(link, self.n_boundaries)
-        self._workspaces: dict[tuple, _Workspace] = {}
+        self._workspaces: dict[int, _Workspace] = {}
         # the last node features louis_moments saw, with _pair_products' arrays
         self._louis_features: tuple = (None,)
 
-    @cached_property
-    def _clusters(self) -> _Layout:
-        """Every cluster, in order, as the passes at per-cluster offsets
-        evaluate them."""
-        return _layout(self.y, self.log_coef, np.ones(len(self.y)), self._patterns.index)
-
-    def _workspace(self, n_nodes: int, layout: _Layout | None = None) -> _Workspace:
-        """The workspace of ``layout``, the rows by default, at Q nodes."""
-        layout = self._rows if layout is None else layout
-        key = (n_nodes, layout is self._rows)
-        if key not in self._workspaces:
-            n = len(layout.log_coef)
+    def _workspace(self, n_nodes: int) -> _Workspace:
+        """The workspace at Q nodes."""
+        if n_nodes not in self._workspaces:
+            n = len(self.log_coef)
             rows = max(1, _BLOCK_ELEMENTS // n_nodes)
             # whole groups of 8 rows keep BLAS's grouping of the rows in the
             # node contractions, so a row's results do not depend on its block
             rows = min(n, rows - rows % 8 if rows >= 8 else rows)
-            # only the rows share predictors, since only shared offsets use
-            # them; too small a plane would spend more on the takes than it saves
-            share = layout is self._rows and layout.pattern is not None and rows * n_nodes >= _SHARED_ELEMENTS
+            # too small a plane would spend more on the takes than it saves
+            share = self._pattern is not None and rows * n_nodes >= _SHARED_ELEMENTS
             blocks, most = [], 0
             for lo in range(0, n, rows):
                 hi = min(n, lo + rows)
-                shared = _shared_rows(layout.pattern, lo, hi) if share else None
+                shared = _shared_rows(self._pattern, lo, hi) if share else None
                 if shared is not None:
                     most = max(most, len(shared[0]))
-                blocks.append((lo, hi, np.nonzero(layout.empty[:, lo:hi]), shared))
-            self._workspaces[key] = _Workspace(
+                blocks.append((lo, hi, np.nonzero(self._empty[:, lo:hi]), shared))
+            self._workspaces[n_nodes] = _Workspace(
                 np.empty((self.n_boundaries, rows, n_nodes)),
                 PlaneStack((rows, n_nodes)),
                 blocks,
                 PlaneStack((most, n_nodes)) if most else None,
             )
-        return self._workspaces[key]
+        return self._workspaces[n_nodes]
 
-    def _evaluation(self, offsets) -> tuple[np.ndarray, _Layout]:
-        """The slot-major view of offsets that broadcast against
-        (n, Q, K-1), and the layout a pass at them evaluates: the clusters
-        for per-cluster offsets, else the rows."""
-        offsets = _slot_major(offsets)
-        return offsets, (self._clusters if offsets.shape[1] > 1 else self._rows)
+    def _slot_major(self, offsets) -> np.ndarray:
+        """The slot-major view (K-1, rows or 1, Q) of offsets that broadcast
+        against (rows, Q, K-1); a 2-d array is node offsets (Q, K-1). Every
+        pass goes through here, so offsets for another number of rows raise
+        ValueError."""
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.ndim == 2:
+            offsets = offsets[None]
+        n = len(self.log_coef)
+        if offsets.shape[0] not in (1, n):
+            raise ValueError(
+                f"offsets for {offsets.shape[0]} rows, but the kernel has {n}: pass offsets "
+                "shared by every row or one per row of rows.first, and take results to the "
+                "clusters by rows.index"
+            )
+        return offsets.transpose(2, 0, 1)
 
-    def _blocks(self, layout: _Layout, intercepts, slopes, offsets, derivatives: bool = False):
-        """Evaluate the link block by block in the workspace planes of
-        ``layout``, at slot-major offsets (K-1, rows or 1, Q); per-row ones
-        are cut to each block's rows. At shared offsets, a block whose rows
-        share patterns evaluates the link's count-free steps on its
-        distinct patterns only. Yields, per row block, its first and end
-        rows, the node log-likelihoods without the multinomial constant,
-        the infeasibility mask (None when every node is feasible) and the
-        link's ``model.slot_stages`` past its values, whose next stage gives
-        the score and curvature when ``derivatives`` is set; all of them
-        live in the workspace and are overwritten by the next block or call.
+    def _blocks(self, intercepts, slopes, offsets, derivatives: bool = False):
+        """Evaluate the link block by block in the workspace planes, at
+        slot-major offsets (K-1, rows or 1, Q); per-row ones are cut to each
+        block's rows. At shared offsets, a block whose rows share patterns
+        evaluates the link's count-free steps on its distinct patterns
+        only. Yields, per row block, its first and end rows, the node
+        log-likelihoods without the multinomial constant, the infeasibility
+        mask (None when every node is feasible) and the link's
+        ``model.slot_stages`` past its values, whose next stage gives the
+        score and curvature when ``derivatives`` is set; all of them live in
+        the workspace and are overwritten by the next block or call.
         """
-        ws = self._workspace(offsets.shape[-1], layout)
+        ws = self._workspace(offsets.shape[-1])
         # x b once per covariate pattern, so that rows of one pattern have
         # the same predictors bit for bit
         xb = self.pattern_covariates @ slopes
@@ -379,12 +353,12 @@ class LoglikKernel:
         per_row = offsets.shape[1] > 1
         for lo, hi, empty, shared in ws.blocks:
             ws.planes.reset(hi - lo)
-            counts = layout.counts[:, lo:hi]
+            counts = self._counts[:, lo:hi]
             y = counts if derivatives else None
-            if shared is None:
+            if shared is None or per_row:
                 d = ws.predictors[:, : hi - lo]
                 # a take, not fancy indexing: 1.4 against 3.5 us at 48 clusters and one node
-                fixed = base[:, lo:hi] if layout.pattern is None else base.take(layout.pattern[lo:hi], axis=1)
+                fixed = base[:, lo:hi] if self._pattern is None else base.take(self._pattern[lo:hi], axis=1)
                 np.add(fixed[:, :, None], offsets[:, lo:hi] if per_row else offsets, out=d)
                 stages = slot_stages(self.link, d, y, ws.planes, derivatives)
             else:
@@ -415,37 +389,36 @@ class LoglikKernel:
 
     @_expected_float_errors
     def node_logliks(self, intercepts, slopes, offsets) -> np.ndarray:
-        """Conditional log-likelihood at every node, without the multinomial
-        constant, at offsets that broadcast against (n, Q, K-1): shape
-        (rows, Q) at shared node offsets and (n, Q) at per-cluster ones."""
-        offsets, layout = self._evaluation(offsets)
-        out = np.empty((len(layout.log_coef), offsets.shape[-1]))
-        for lo, hi, ll, _, _ in self._blocks(layout, intercepts, slopes, offsets):
+        """Conditional log-likelihood of each row at every node, (rows, Q),
+        without the multinomial constant, at offsets that broadcast against
+        (rows, Q, K-1)."""
+        offsets = self._slot_major(offsets)
+        out = np.empty((len(self.log_coef), offsets.shape[-1]))
+        for lo, hi, ll, _, _ in self._blocks(intercepts, slopes, offsets):
             out[lo:hi] = ll
         return out
 
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
-        """Per-cluster conditional log-likelihood, in cluster order, at
-        per-cluster offsets (n, K-1), or (1, K-1) shared by every cluster:
-        the one-node case of ``node_logliks``, with its constant."""
-        offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (len(self.y), self.n_boundaries))
-        ll = self.node_logliks(intercepts, slopes, offsets[:, None])
+        """Conditional log-likelihood of each row, with its constant, at
+        per-row offsets (rows, K-1) or offsets (1, K-1) shared by every row:
+        the one-node case of ``node_logliks``."""
+        ll = self.node_logliks(intercepts, slopes, np.asarray(offsets, dtype=float)[:, None])
         return ll[:, 0] + self.log_coef
 
     @_expected_float_errors
     def conditional_terms(self, intercepts, slopes, offsets) -> ConditionalTerms:
         """Conditional log-likelihood, score and curvature with respect to
-        the boundary predictors, evaluated as one node per row: at offsets
-        (1, K-1) shared by every cluster, one entry per row of ``rows``, and
-        at per-cluster offsets (n, K-1), one per cluster."""
-        offsets, layout = self._evaluation(np.asarray(offsets, dtype=float)[:, None])
-        n, k1 = len(layout.log_coef), self.n_boundaries
+        the boundary predictors of each row, evaluated as one node per row,
+        at per-row offsets (rows, K-1) or offsets (1, K-1) shared by every
+        row."""
+        offsets = self._slot_major(np.asarray(offsets, dtype=float)[:, None])
+        n, k1 = len(self.log_coef), self.n_boundaries
         loglik, score = np.empty(n), np.empty((n, k1))
         curvature = np.zeros((n, k1, k1))
         k, l = self._pairs
-        for lo, hi, ll, _, stages in self._blocks(layout, intercepts, slopes, offsets, derivatives=True):
+        for lo, hi, ll, _, stages in self._blocks(intercepts, slopes, offsets, derivatives=True):
             terms = next(stages)
-            np.add(ll[:, 0], layout.log_coef[lo:hi], out=loglik[lo:hi])
+            np.add(ll[:, 0], self.log_coef[lo:hi], out=loglik[lo:hi])
             score[lo:hi] = terms.score[:, :, 0].T
             block = curvature[lo:hi]
             block[:, k, l] = block[:, l, k] = terms.curvature[:, :, 0].T
@@ -465,27 +438,26 @@ class LoglikKernel:
         np.add(np.log(total), m[:, 0], out=out)
         return mass, total
 
-    def _integrated(self, out, layout, intercepts, slopes, offsets, weights, derivatives: bool = False):
+    def _integrated(self, out, intercepts, slopes, offsets, weights, derivatives: bool = False):
         """``_blocks`` integrated over the nodes: writes the log-marginal
         without the multinomial constant to ``out``, and yields per block
         its rows, the shifted node masses and their weighted sums, the
         infeasibility mask and the link's remaining stages."""
-        for lo, hi, ll, infeasible, stages in self._blocks(layout, intercepts, slopes, offsets, derivatives):
+        for lo, hi, ll, infeasible, stages in self._blocks(intercepts, slopes, offsets, derivatives):
             mass, total = self._integrate(ll, weights, out[lo:hi])
             yield lo, hi, mass, total, infeasible, stages
 
     @_expected_float_errors
     def marginal(self, intercepts, slopes, offsets, weights) -> np.ndarray:
-        """Marginal log-likelihood over quadrature nodes, with log-sum-exp
-        stabilization, at offsets that broadcast against (n, Q, K-1) and
-        weights (Q,): one value per row at shared node offsets, one per
-        cluster at per-cluster ones."""
+        """Marginal log-likelihood of each row over quadrature nodes, with
+        log-sum-exp stabilization, at offsets that broadcast against
+        (rows, Q, K-1) and weights (Q,)."""
         weights = np.asarray(weights, dtype=float)
-        offsets, layout = self._evaluation(offsets)
-        out = np.empty(len(layout.log_coef))
-        for _ in self._integrated(out, layout, intercepts, slopes, offsets, weights):
+        offsets = self._slot_major(offsets)
+        out = np.empty(len(self.log_coef))
+        for _ in self._integrated(out, intercepts, slopes, offsets, weights):
             pass
-        out += layout.log_coef
+        out += self.log_coef
         return out
 
     @_expected_float_errors
@@ -494,9 +466,8 @@ class LoglikKernel:
         Louis' identity needs, in one pass over the node arrays.
 
         Takes the arguments of ``marginal`` and the node features M, shape
-        (Q, K-1, r); see ``LouisMoments``. The moments are per row at
-        shared offsets, and the log-likelihood weighs each row by its
-        multiplicity. Infeasible nodes
+        (Q, K-1, r); see ``LouisMoments``. The moments are per row, and the
+        log-likelihood weighs each row by its multiplicity. Infeasible nodes
         get zero posterior weight and contribute nothing. The features'
         pair products are formed once for a read-only features array and
         reused while later calls pass the same array, as every pass of one
@@ -520,22 +491,22 @@ class LoglikKernel:
         if self._louis_features[0] is not features or features.flags.writeable:
             self._louis_features = (features, *_pair_products(features, *self._louis_pairs))
         _, by_boundary, outer = self._louis_features
-        offsets, layout = self._evaluation(offsets)
-        n, r = len(layout.log_coef), by_boundary.shape[-1]
+        offsets = self._slot_major(offsets)
+        n, r = len(self.log_coef), by_boundary.shape[-1]
         k, l = self._louis_pairs
         out, mean, second = np.empty(n), np.zeros((n, r)), np.zeros((n, r * r))
-        work = self._workspace(offsets.shape[-1], layout).planes
+        work = self._workspace(offsets.shape[-1]).planes
         if floor is not None:
             done, ceiling = 0.0, max(math.log(weights.sum()), 0.0)
             floor -= 1e-8 * abs(floor)
-        blocks = self._integrated(out, layout, intercepts, slopes, offsets, weights, derivatives=True)
+        blocks = self._integrated(out, intercepts, slopes, offsets, weights, derivatives=True)
         for lo, hi, mass, total, infeasible, stages in blocks:
             if floor is not None:
                 if hi < n:
-                    done += float(((out[lo:hi] + layout.log_coef[lo:hi]) * layout.multiplicity[lo:hi]).sum())
-                    bound = done + float(layout.multiplicity[hi:].sum()) * ceiling
+                    done += float(((out[lo:hi] + self.log_coef[lo:hi]) * self._multiplicity[lo:hi]).sum())
+                    bound = done + float(self._multiplicity[hi:].sum()) * ceiling
                 else:  # every row done: the log-likelihood itself, summed as below
-                    bound = float(((out + layout.log_coef) * layout.multiplicity).sum())
+                    bound = float(((out + self.log_coef) * self._multiplicity).sum())
                 if bound < floor:
                     return LouisMoments(bound, None, None)
             terms = next(stages)
@@ -555,7 +526,7 @@ class LoglikKernel:
                 second[lo:hi] += term @ outer[p]
             g *= posterior
             mean[lo:hi] += np.matmul(g, by_boundary).sum(axis=0)
-        loglik = float(((out + layout.log_coef) * layout.multiplicity).sum())
+        loglik = float(((out + self.log_coef) * self._multiplicity).sum())
         return LouisMoments(loglik, mean, second.reshape(n, r, r))
 
 

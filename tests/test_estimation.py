@@ -40,7 +40,7 @@ from ordmixed.estimation import (
     _Parameterization,
     _starting_point,
 )
-from ordmixed.likelihood import LoglikKernel
+from ordmixed.likelihood import LoglikKernel, model_kernel
 from ordmixed.model import (
     RANDOM_EFFECTS,
     BivariateRandomEffect,
@@ -882,6 +882,50 @@ def random_effect_fits(strawberry):
     }
 
 
+class TestEmpiricalBayesRows:
+    """Empirical Bayes on large_clusters' intercept model: 960 clusters on
+    399 distinct count vectors, predicted once per row."""
+
+    @pytest.fixture(scope="class")
+    def intercept_fit(self, large_clusters):
+        return fit_intercept_model(large_clusters, PO, "univariate", FAST)
+
+    def test_offsets_for_the_clusters_raise_a_typed_error(self, large_clusters, intercept_fit):
+        kernel = model_kernel(large_clusters, intercept_fit.estimates, PO)
+        assert len(kernel.rows.first) == 399
+        c, b = intercept_fit.estimates.fixed.intercepts, np.empty(0)
+        with pytest.raises(ValueError, match=r"offsets for 960 rows, but the kernel has 399: .*rows\.first"):
+            kernel.conditional_terms(c, b, np.zeros((960, 2)))
+
+    def test_clusters_of_one_row_get_the_same_modes(self, large_clusters, intercept_fit):
+        rows = model_kernel(large_clusters, intercept_fit.estimates, PO).rows
+        assert rows.multiplicity.max() > 1
+        modes = predict_random_effects(large_clusters, intercept_fit.estimates, PO)
+        np.testing.assert_array_equal(modes, modes[rows.first][rows.index])
+
+    def test_a_row_predicts_as_its_cluster_alone(self, large_clusters, intercept_fit):
+        rows = model_kernel(large_clusters, intercept_fit.estimates, PO).rows
+        modes = predict_random_effects(large_clusters, intercept_fit.estimates, PO)
+        sample = np.random.default_rng(3).choice(len(rows.first), size=40, replace=False)
+        for i in rows.first[sample]:
+            alone = empirical_bayes(large_clusters.clusters[i], intercept_fit, PO)
+            np.testing.assert_allclose(modes[i], alone, rtol=0, atol=1e-10)
+
+    def test_the_mode_passes_evaluate_the_rows(self, large_clusters, intercept_fit, monkeypatch):
+        seen = []
+        original = LoglikKernel.conditional_terms
+
+        def counted(self, intercepts, slopes, offsets):
+            terms = original(self, intercepts, slopes, offsets)
+            seen.append(len(terms.loglik))
+            return terms
+
+        monkeypatch.setattr(LoglikKernel, "conditional_terms", counted)
+        modes = predict_random_effects(large_clusters, intercept_fit.estimates, PO)
+        assert modes.shape == (960, 2)
+        assert set(seen) == {399}
+
+
 class TestPosteriorModes:
     @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
     @pytest.mark.parametrize("link", list(LinkFamily))
@@ -930,7 +974,9 @@ class TestPosteriorModes:
         monkeypatch.setattr(LoglikKernel, "conditional_terms", recorded)
         modes = predict_random_effects(large_clusters, params, link)
         assert len(gradients) <= 10 and gradients[-1] < 1e-8
-        at_mode = original(LoglikKernel(large_clusters, link), fe.intercepts, fe.slopes, modes)
+        kernel = LoglikKernel(large_clusters, link)
+        modes = modes[kernel.rows.first]
+        at_mode = original(kernel, fe.intercepts, fe.slopes, modes)
         assert np.max(np.abs(sigma * at_mode.score.sum(axis=1) - modes[:, 0] / sigma)) < 1e-8
 
     # design seed 5, clusters of 2: converged fits where Newton steps without
@@ -957,7 +1003,7 @@ class TestPosteriorModes:
         seeds = (
             _grid_argmax_seeds(kernel, params),
             _posterior_mean_seeds(kernel, params),
-            np.zeros((dataset.n_clusters, params.re.dim)),
+            np.zeros((len(kernel.rows.first), params.re.dim)),
         )
         modes = [estimation._posterior_modes(kernel, params.fixed, loading, z) for z in seeds]
         for z in modes:
@@ -987,39 +1033,40 @@ class TestPosteriorModes:
             loading = params.re.loading(dataset.n_categories - 1)
             seeds = _grid_argmax_seeds(kernel, params)
             expected = estimation._posterior_modes(kernel, params.fixed, loading, seeds) @ loading.T
+            expected = expected[kernel.rows.index]
             modes = predict_random_effects(dataset, params, link)
             np.testing.assert_allclose(modes, expected, rtol=0, atol=1e-10)
 
 
 def _grid_argmax_seeds(kernel, params):
-    """Each cluster's standardized node of highest log posterior on the
+    """Each row's standardized node of highest log posterior on the
     40-node or 25 x 25 grid."""
     z, _ = standard_tensor_grid(estimation._EB_ORDER[params.re.dim], params.re.dim)
     fe, loading = params.fixed, params.re.loading(kernel.n_boundaries)
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)[kernel.rows.index]
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)
     return z[np.argmax(grid_ll - 0.5 * (z**2).sum(axis=1)[None, :], axis=1)]
 
 
 def _posterior_mean_seeds(kernel, params):
-    """Each cluster's posterior mean of the standardized effect on the
+    """Each row's posterior mean of the standardized effect on the
     default rule, 30 nodes or 12 x 12."""
     z, weights = standard_tensor_grid(30 if params.re.dim == 1 else 12, params.re.dim)
     fe, loading = params.fixed, params.re.loading(kernel.n_boundaries)
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)[kernel.rows.index]
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, z @ loading.T)
     log_posterior = grid_ll + np.log(weights)
     return softmax(log_posterior, axis=1) @ z
 
 
 def _modes_reference(dataset, params, link):
-    """Posterior modes by Newton steps on differenced values of the log
-    posterior, seeded at the argmax of a node grid."""
+    """Each cluster's posterior mode, by Newton steps on differenced values
+    of the log posterior of its row, seeded at the argmax of a node grid."""
     kernel = LoglikKernel(dataset, link)
     fe, re = params.fixed, params.re
     if isinstance(re, UnivariateRandomEffect):
         sigma = re.sigma
         rule = gauss_hermite(40)
         nodes = sigma * rule.nodes
-        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes[:, None])[kernel.rows.index]
+        grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, nodes[:, None])
 
         def posterior(e):
             return (
@@ -1038,7 +1085,7 @@ def _modes_reference(dataset, params, link):
             e = e + step
             if np.max(np.abs(grad)) < 1e-9:
                 break
-        return np.repeat(e[:, None], 2, axis=1)
+        return np.repeat(e[:, None], 2, axis=1)[kernel.rows.index]
 
     eigval, eigvec = np.linalg.eigh(re.loading(2) @ re.loading(2).T)
     keep = eigval > max(1e-12, 1e-12 * eigval.max())
@@ -1050,7 +1097,7 @@ def _modes_reference(dataset, params, link):
     else:
         zgrid, weights = standard_tensor_grid(base.order)
         logw = np.log(weights)
-    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, zgrid @ amat.T)[kernel.rows.index]
+    grid_ll = kernel.node_logliks(fe.intercepts, fe.slopes, zgrid @ amat.T)
     grid_post = grid_ll - 0.5 * (zgrid**2).sum(axis=1)[None, :]
     z = zgrid[np.argmax(grid_post + logw[None, :], axis=1)].astype(float)
 
@@ -1086,7 +1133,7 @@ def _modes_reference(dataset, params, link):
         z = z + step
         if np.max(np.abs(grad)) < 1e-8:
             break
-    return z @ amat.T
+    return (z @ amat.T)[kernel.rows.index]
 
 
 def _newton_step_reference(grad, hess):
@@ -1159,7 +1206,7 @@ class TestDistinctClusters:
         """large_clusters' 960 clusters have one pattern and a few hundred
         count vectors for an intercept model: the Louis pass evaluates the
         link once per row block and the counts once per distinct cluster,
-        and gives each cluster its row's moments."""
+        and the same offsets given per row give the same moments."""
         evaluated = []
         stages = likelihood.slot_stages
 
@@ -1178,13 +1225,13 @@ class TestDistinctClusters:
         assert evaluated == [(1, len(rows.first))]
         monkeypatch.undo()
         assert moments.mean.shape == (len(rows.first), 3)
-        repeated = np.broadcast_to(offsets, (960, 30, 1))
-        per_cluster = kernel.louis_moments(c, b, repeated, rule.weights, features)
-        assert moments.loglik == pytest.approx(per_cluster.loglik, rel=1e-13)
+        repeated = np.broadcast_to(offsets, (len(rows.first), 30, 1))
+        per_row = kernel.louis_moments(c, b, repeated, rule.weights, features)
+        assert moments.loglik == pytest.approx(per_row.loglik, rel=1e-13)
         marginal = kernel.marginal(c, b, offsets, rule.weights)
         assert moments.loglik == float((marginal * rows.multiplicity).sum())
-        for got, want in zip(moments[1:], per_cluster[1:]):
-            np.testing.assert_allclose(got[rows.index], want, rtol=1e-12, atol=1e-12)
+        for got, want in zip(moments[1:], per_row[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("link", list(LinkFamily))
     def test_the_floor_bound_weighs_the_rows_left(self, large_clusters, monkeypatch, link):

@@ -217,10 +217,10 @@ class TestTotal:
 
 
 def _posterior(kernel, intercepts, slopes, node_offsets, weights):
-    """Each cluster's posterior weights over shared node offsets, from its
-    row's node log-likelihoods and the log weights."""
+    """Each row's posterior weights over shared node offsets, from its node
+    log-likelihoods and the log weights."""
     with np.errstate(divide="ignore"):
-        ll = kernel.node_logliks(intercepts, slopes, node_offsets)[kernel.rows.index]
+        ll = kernel.node_logliks(intercepts, slopes, node_offsets)
         log_mass = ll + np.log(weights)
     mass = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
     return mass / mass.sum(axis=1, keepdims=True)
@@ -262,9 +262,9 @@ class TestPosteriorScore:
     def test_one_node_at_zero_is_the_conditional(self, kernel):
         c, b = np.array([-0.8, 0.6]), np.array([0.3, -0.2])
         r = _slot_score(kernel, c, b, np.zeros((1, 2)), np.ones(1))
-        conditional = kernel.conditional_terms(c, b, np.zeros((12, 2)))
+        conditional = kernel.conditional_terms(c, b, np.zeros((len(kernel.rows.first), 2)))
         assert r.loglik == pytest.approx(float(conditional.loglik.sum()), rel=1e-14)
-        np.testing.assert_allclose(r.mean[kernel.rows.index], conditional.score, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(r.mean, conditional.score, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(
             _posterior(kernel, c, b, np.zeros((1, 2)), np.ones(1)), np.ones((12, 1))
         )
@@ -365,7 +365,8 @@ class TestSlotMajorKernel:
         assert narrow.pattern_covariates.shape == (1, 0) and full.pattern_covariates.flags.c_contiguous
         zero = np.zeros((dataset.n_clusters, 2))
         np.testing.assert_array_equal(
-            narrow.conditional_at(c, np.empty(0), zero), full.conditional_at(c, np.zeros(3), zero)
+            narrow.conditional_at(c, np.empty(0), zero[narrow.rows.first])[narrow.rows.index],
+            full.conditional_at(c, np.zeros(3), zero[full.rows.first])[full.rows.index],
         )
         rule = gauss_hermite(7)
         offsets = 0.9 * rule.nodes[:, None]
@@ -376,24 +377,26 @@ class TestSlotMajorKernel:
 
     @pytest.mark.parametrize("covariates", [True, False], ids=["full", "intercept"])
     @pytest.mark.parametrize("link", list(LinkFamily))
-    def test_conditional_at_shared_offsets_is_the_per_cluster_call(self, link, covariates):
-        """Offsets (1, K-1) shared by every cluster give each cluster's
-        value, in cluster order: on strawberry the full kernel's rows are in
-        pattern order and the intercept kernel has 35 rows for 48 clusters."""
+    def test_conditional_at_shared_offsets_is_the_per_row_call(self, link, covariates):
+        """Offsets (1, K-1) shared by every row give each row's value, as
+        the same offsets repeated for every row do: on strawberry the full
+        kernel has 48 rows in pattern order and the intercept kernel 35."""
         ds = strawberry_dataset()
         kernel = LoglikKernel(ds, link, covariates)
+        n_rows = len(kernel.rows.first)
+        assert n_rows == (48 if covariates else 35)
         c = np.array([-1.2, 0.5])
         b = np.linspace(-0.4, 0.6, ds.n_covariates) if covariates else np.empty(0)
         shared = np.array([[0.3, -0.2]])
         got = kernel.conditional_at(c, b, shared)
-        want = kernel.conditional_at(c, b, np.repeat(shared, ds.n_clusters, axis=0))
-        assert got.shape == (ds.n_clusters,)
+        want = kernel.conditional_at(c, b, np.repeat(shared, n_rows, axis=0))
+        assert got.shape == (n_rows,)
         np.testing.assert_array_equal(got, want)
 
     def test_log_coefficients_match_the_per_cluster_function(self, dataset):
         kernel = LoglikKernel(dataset, LinkFamily.PROPORTIONAL_ODDS)
         expected = [multinomial_log_coefficient(cl.counts) for cl in dataset.clusters]
-        np.testing.assert_array_equal(kernel.log_coef, expected)
+        np.testing.assert_array_equal(kernel.log_coef, np.asarray(expected)[kernel.rows.first])
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_log_coefficients_match_scipy_gammaln(self, k):
@@ -436,9 +439,11 @@ class TestWorkspace:
     @staticmethod
     def _calls(dataset):
         """Every kernel method at node counts 30, 1, 40 and 30 again, each
-        time at another scale of the nodes."""
+        time at another scale of the nodes, with per-row offsets for the
+        one-node passes."""
         c, b = np.array([-0.6, 0.4]), np.linspace(-0.3, 0.3, dataset.n_covariates)
-        eb = np.random.default_rng(2).normal(size=(dataset.n_clusters, 2))
+        n_rows = len(dataset.distinct_clusters(True).first)
+        eb = np.random.default_rng(2).normal(size=(n_rows, 2))
         calls = []
         groups = ((1.2, 30, eb), (1.0, 1, eb[:, :1]), (0.8, 40, eb), (1.5, 30, np.zeros_like(eb)))
         for scale, q, eb_offsets in groups:
@@ -548,8 +553,8 @@ class TestWorkspace:
 
 
 class TestPerClusterNodeOffsets:
-    """Offsets (n, Q, K-1): a node set of each cluster's own, the layout of
-    nodes centred on each cluster."""
+    """Offsets (rows, Q, K-1): a node set of each row's own, the layout of
+    nodes centred on each distinct cluster."""
 
     @staticmethod
     def _results(kernel, c, b, offsets, weights, features):
@@ -573,19 +578,21 @@ class TestPerClusterNodeOffsets:
             monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 9 * len(weights))
         kernel = LoglikKernel(ds, link)
         assert len(kernel._workspace(len(weights)).blocks) == n_blocks
-        # the shared nodes repeated for every cluster give each cluster the
-        # bits of its row
-        repeated = np.broadcast_to(shared, (ds.n_clusters, *shared.shape))
+        # the shared nodes repeated for every row give each row the bits of
+        # the shared pass
+        first = kernel.rows.first
+        repeated = np.broadcast_to(shared, (len(first), *shared.shape))
         got = self._results(kernel, c, b, repeated, weights, features)
         want = self._results(kernel, c, b, shared, weights, features)
         got_loglik, want_loglik = got.pop(2), want.pop(2)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w[kernel.rows.index])
-        # each pass sums what it evaluated in its order: the clusters, or the rows
+            np.testing.assert_array_equal(g, w)
+        # each pass sums the rows in row order
         assert got_loglik == float(got[1].sum()) and want_loglik == float(want[1].sum())
-        # nodes of each cluster's own
+        # nodes of each cluster's own, each row at those of its first cluster
         offsets = shared + rng.normal(scale=0.4, size=(ds.n_clusters, *shared.shape))
         ll, slot = _wrapper_kernel_oracle(link, ds, c, b, offsets, weights)
+        offsets, ll, slot = offsets[first], ll[first], slot[first]
         np.testing.assert_allclose(kernel.node_logliks(c, b, offsets), ll, rtol=1e-13, atol=1e-13)
         r = _slot_score(kernel, c, b, offsets, weights)
         assert np.isfinite(r.loglik)
@@ -663,27 +670,27 @@ class TestPerClusterNodeOffsets:
         monkeypatch.setattr(likelihood, "_SHARED_ELEMENTS", 0)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-        # every cluster at the same offsets, each on its own row
-        repeated = np.broadcast_to(shared, (n, *shared.shape))
-        np.testing.assert_array_equal(got[0][rows.index], kernel.node_logliks(c, b, repeated))
+        # every row at the same offsets given per row, which evaluates every
+        # row on its own
+        repeated = np.broadcast_to(shared, (m, *shared.shape))
+        shared_calls.clear()
+        np.testing.assert_array_equal(got[0], kernel.node_logliks(c, b, repeated))
+        assert not any(shared_calls)
         # (the node sums of the marginal are matrix products, whose rounding
         # may depend on where a row sits)
-        np.testing.assert_allclose(
-            got[1][rows.index], kernel.marginal(c, b, repeated, rule.weights), rtol=1e-14
-        )
-        # the moments of a cluster are those of its row; the rows' total
-        # log-likelihood weighs each by its multiplicity
-        per_cluster = kernel.louis_moments(c, b, repeated, rule.weights, features)
+        np.testing.assert_allclose(got[1], kernel.marginal(c, b, repeated, rule.weights), rtol=1e-14)
+        # the rows' total log-likelihood weighs each by its multiplicity
+        per_row = kernel.louis_moments(c, b, repeated, rule.weights, features)
         assert got[2] == float((got[1] * rows.multiplicity).sum())
-        assert got[2] == pytest.approx(per_cluster.loglik, rel=1e-14)
-        for g, w in zip(got[3:], per_cluster[1:]):
-            np.testing.assert_allclose(g[rows.index], w, rtol=1e-13, atol=1e-13)
-        # the one-node pass of a homogeneous fit, and the same per cluster
+        assert got[2] == pytest.approx(per_row.loglik, rel=1e-14)
+        for g, w in zip(got[3:], per_row[1:]):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
+        # the one-node pass of a homogeneous fit, and the same per row
         shared_calls.clear()
         terms = kernel.conditional_terms(c, b, np.zeros((1, k1)))
         assert any(shared_calls)
-        for g, w in zip(terms, kernel.conditional_terms(c, b, np.zeros((n, k1)))):
-            np.testing.assert_array_equal(g[rows.index], w)
+        for g, w in zip(terms, kernel.conditional_terms(c, b, np.zeros((m, k1)))):
+            np.testing.assert_array_equal(g, w)
 
     def test_rows_of_one_pattern_share_their_predictors_bit_for_bit(self, monkeypatch):
         """On column-major covariate matrices with repeated rows, where the
@@ -710,15 +717,15 @@ class TestPerClusterNodeOffsets:
             kernel = LoglikKernel(ds, LinkFamily.PROPORTIONAL_ODDS)
             assert kernel.pattern_covariates.flags.c_contiguous and ds.n_patterns == 6
             c, b = np.array([-0.5, 0.5]), rng.normal(scale=0.5, size=p)
-            repeated = np.broadcast_to(offsets, (30, *offsets.shape))
+            n_rows = len(kernel.rows.first)
+            repeated = np.broadcast_to(offsets, (n_rows, *offsets.shape))
             shared_calls.clear()
-            index = kernel.rows.index
             got = kernel.node_logliks(c, b, offsets)
             assert shared_calls == [True]
-            np.testing.assert_array_equal(got[index], kernel.node_logliks(c, b, repeated))
+            np.testing.assert_array_equal(got, kernel.node_logliks(c, b, repeated))
             for g, w in zip(kernel.conditional_terms(c, b, np.zeros((1, 2))),
-                            kernel.conditional_terms(c, b, np.zeros((30, 2)))):
-                np.testing.assert_array_equal(g[index], w)
+                            kernel.conditional_terms(c, b, np.zeros((n_rows, 2)))):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestFloor:
@@ -781,7 +788,7 @@ class TestOtherCategoryCounts:
         scale) at ``point``: from the slot scores of ``_slot_score``, and
         for the scale from the posterior weights and each node's
         conditional score."""
-        k1, n = c.size, kernel.y.shape[0]
+        k1, n = c.size, len(kernel.rows.first)
         shift, scale = point[k1], point[k1 + 1]
         offsets = np.repeat(scale * nodes[:, None] + shift, k1, axis=1)
         r = _slot_score(kernel, point[:k1], b, offsets, weights)
@@ -825,17 +832,19 @@ class TestOtherCategoryCounts:
     @pytest.mark.parametrize("k", [2, 4, 5])
     def test_conditional_terms_match_slot_terms_row_by_row(self, k, link):
         dataset, kernel, c, b, _, _ = self._setup(k, link)
-        offsets = np.random.default_rng(k).normal(scale=0.1, size=(kernel.y.shape[0], k - 1))
+        first = kernel.rows.first
+        offsets = np.random.default_rng(k).normal(scale=0.1, size=(len(first), k - 1))
         terms = kernel.conditional_terms(c, b, offsets)
         pairs = curvature_pairs(link, k - 1)
-        for i, y in enumerate(kernel.y):
-            d = c + dataset.covariate_matrix[i] @ b + offsets[i]
+        for r, i in enumerate(first):
+            y = kernel.y[i]
+            d = c + dataset.covariate_matrix[i] @ b + offsets[r]
             row = slot_terms(link, d[:, None], y[:, None], curvature=True)
             logp = row.logp[:, 0]
-            expected = kernel.log_coef[i] + np.sum(np.where(y > 0, y * logp, 0.0))
-            assert terms.loglik[i] == pytest.approx(expected, rel=1e-13)
-            np.testing.assert_allclose(terms.score[i], row.score[:, 0], rtol=1e-13, atol=1e-13)
+            expected = kernel.log_coef[r] + np.sum(np.where(y > 0, y * logp, 0.0))
+            assert terms.loglik[r] == pytest.approx(expected, rel=1e-13)
+            np.testing.assert_allclose(terms.score[r], row.score[:, 0], rtol=1e-13, atol=1e-13)
             hess = np.zeros((k - 1, k - 1))
             for (p, q), plane in zip(pairs, row.curvature):
                 hess[p, q] = hess[q, p] = plane[0]
-            np.testing.assert_allclose(terms.curvature[i], hess, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(terms.curvature[r], hess, rtol=1e-13, atol=1e-13)
