@@ -22,7 +22,11 @@ Every ``gof_report`` a workload makes is recorded too (the Pearson
 chi-square with its df and p-value, C, AIC and the ICC), and the report
 gives, per workload, how many reports are the same bits on both sides and
 the largest relative difference of any statistic, so that changes to the
-empirical-Bayes predictions behind the chi-square show.
+empirical-Bayes predictions behind the chi-square show. Each random-effect
+full fit's empirical-Bayes modes (``predict_random_effects``, ``mode``) are
+recorded as well, and the report gives, per workload, how many fits' modes
+are the same bits on both sides and the largest absolute difference of any
+mode.
 """
 
 from __future__ import annotations
@@ -94,6 +98,9 @@ def _record(tree: Path, blocks: int, seed: int, workloads: list[str]) -> None:
                 "message": result.diagnostics.get("optimizer_message"),
                 "is_total": is_total(result, dataset, link, opts),
             }
+            if kind == "full" and result.estimates.re.dim:
+                modes = estimation.predict_random_effects(dataset, result.estimates, link, "mode")
+                line["modes"] = modes.tolist()
             current["index"] += 1
             print(json.dumps(line))
             return result
@@ -167,6 +174,28 @@ def _compare_reports(a_reports: list[dict], b_reports: list[dict]) -> None:
         print(f"{name:18s} {n:8d}  {same:13d}  {worst:9.3g}  {where}")
 
 
+def _compare_modes(a_fits: list[dict], b_by_key: dict, key: tuple) -> None:
+    """Print, per workload, the random-effect full fits whose empirical-Bayes
+    modes are the same bits on both sides and the largest absolute
+    difference of any mode."""
+    summary = defaultdict(lambda: [0, 0, 0.0])  # fits, bit-identical, largest difference
+    for a in a_fits:
+        if "modes" not in a:
+            continue
+        b = b_by_key[tuple(a[k] for k in key)].get("modes")
+        s = summary[a["workload"]]
+        s[0] += 1
+        if b is None or len(b) != len(a["modes"]):
+            s[2] = math.inf
+            continue
+        s[1] += a["modes"] == b
+        s[2] = max(s[2], max(_max_abs_diff(x, y) for x, y in zip(a["modes"], b)))
+    print("\nempirical-Bayes modes of the random-effect full fits:")
+    print("workload            fits  bit-identical  max|dmode|")
+    for name, (n, same, worst) in summary.items():
+        print(f"{name:18s} {n:5d}  {same:13d}  {worst:10.3g}")
+
+
 def _max_abs_diff(a, b) -> float:
     pairs = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
     return max((abs(x - y) for x, y in pairs), default=0.0)
@@ -234,6 +263,7 @@ def main(argv=None) -> int:
     for name, (n, dl, de, ds) in worst.items():
         print(f"{name:18s} {n:5d}  {dl:12.3g}  {de:14.3g}  {ds:8.3g}")
     _compare_reports(a_reports, b_reports)
+    _compare_modes(a_fits, b_by_key, key)
     print("\nfits bit-identical in log-likelihood, estimates and standard errors:")
     for (name, kind), (same, n) in identical.items():
         print(f"  {name:18s} {kind:9s} {same:5d} of {n:5d}")

@@ -27,17 +27,22 @@ link, the median per-call time of:
   around the kernel is timed: the Hessian from the moments, the
   reduction to covariate patterns where a tree makes one, and the chain
   rule through the Jacobian;
-- one ``_newton`` pass: a Newton fit of the size's random-effect model from
-  its usual start, divided by the passes it made;
+- one Newton pass: a Newton fit of the size's random-effect model from its
+  usual start, divided by the passes it made, through the tree's fit-level
+  Newton (``_maximize``, the batched engine for a batch of one, or the
+  older ``_newton``);
 - the part of that pass spent outside the kernel, the fit's time less its
   kernel calls' own, per pass;
-- ``_ascent_direction`` on the score and information of that start;
+- one Newton direction on the score and information of that start, through
+  the engine's ``_directions`` for a batch of one, or the older
+  ``_ascent_direction``;
 - a homogeneous intercept fit through ``fit_intercept_model``, which starts
   at its maximum and so takes one pass and no Newton step: the fixed cost
   of a fit around its kernel work;
 - ``predict_random_effects`` by posterior mode, as the GoF panel calls it,
   for the full model and for the intercept model with the same effect,
-  whose kernel has no covariates (at 960x30, 399 distinct clusters);
+  whose kernel has no covariates (at 960x30, 399 distinct clusters), with
+  the ``conditional_terms`` passes each call makes;
 - the size's random-effect fit through ``fit`` on a dataset whose
   homogeneous fit has run (a tree that keeps the homogeneous maximum per
   dataset starts there without a nested fit), and a cold one on a dataset
@@ -57,8 +62,9 @@ The univariate passes run at the study's true parameters (sigma 1.5), the
 bivariate ones at each link's strawberry estimates, and the conditional
 pass at zero offsets, as a homogeneous fit calls it. The report gives, per
 size, link and function, the median over the rounds of each tree's
-medians, and B's change against A, and for the two fits each tree's
-passes.
+medians, and B's change against A, for the two fits and the two
+predictions each tree's passes, and per size the mean passes of a
+prediction over the links and both models.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ SIZES = {
 }
 FUNCTIONS = (
     "louis_moments", "conditional_terms", "intercept louis", "rejected trial", "intercept pass",
-    "intercept trial", "contraction", "_newton pass", "outside the kernel", "_ascent_direction",
+    "intercept trial", "contraction", "Newton pass", "outside the kernel", "Newton direction",
     "intercept fit", "predict_random_effects", "intercept predict", "fit after homogeneous",
     "cold fit",
 )
@@ -110,6 +116,24 @@ def _clocked(fn, clock: list):
     return call
 
 
+def _passes(fn) -> int:
+    """The ``conditional_terms`` passes of one call of ``fn``."""
+    from ordmixed.likelihood import LoglikKernel
+
+    calls, original = [], LoglikKernel.conditional_terms
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    LoglikKernel.conditional_terms = counted
+    try:
+        fn()
+    finally:
+        LoglikKernel.conditional_terms = original
+    return len(calls)
+
+
 def _intercept_kernel(kernel_class, dataset, link):
     """A kernel on none of the dataset's covariates, as an intercept fit
     builds it; a tree whose kernel takes covariate columns gets none."""
@@ -128,6 +152,14 @@ def _measure(tree: Path, seed: int) -> None:
     from ordmixed.model import RANDOM_EFFECTS
 
     truth = simulation.study_true_parameters(bench.STUDY_SIGMA)
+    if hasattr(estimation, "_maximize"):  # the batched engine, a batch of one
+        newton = estimation._maximize
+
+        def direction(score, info):
+            held = np.zeros((1, score.size), dtype=bool)
+            return estimation._directions(score[None], info[None], held)
+    else:
+        newton, direction = estimation._newton, estimation._ascent_direction
     for size, (workload, order, calls, fits, structure) in SIZES.items():
         inputs = bench.WORKLOADS[workload].build(seed, 0)
         dataset = inputs.dataset or simulation.generate_dataset(inputs.design, 0)
@@ -194,7 +226,7 @@ def _measure(tree: Path, seed: int) -> None:
                 objective = estimation._Objective(clocked, param, order)
                 in_kernel[0] = 0.0
                 start = perf_counter()
-                estimation._newton(objective, theta0, param.bounds())
+                newton(objective, theta0, param.bounds())
                 elapsed = perf_counter() - start
                 per_pass.append(elapsed / max(1, objective.passes))
                 outside.append((elapsed - in_kernel[0]) / max(1, objective.passes))
@@ -204,17 +236,19 @@ def _measure(tree: Path, seed: int) -> None:
             lone_params = replace(params, fixed=replace(params.fixed, slopes=np.empty(0)))
             lone_predict = lambda: estimation.predict_random_effects(dataset, lone_params, link)
             seconds = {
-                "_newton pass": statistics.median(per_pass[1:]),
+                "Newton pass": statistics.median(per_pass[1:]),
                 "outside the kernel": statistics.median(outside[1:]),
-                "_ascent_direction": _median_call(
-                    lambda: estimation._ascent_direction(p.score, p.information), calls
-                ),
+                "Newton direction": _median_call(lambda: direction(p.score, p.information), calls),
                 "intercept fit": _median_call(intercept, calls // 4),
                 "predict_random_effects": _median_call(predict, calls // 4),
                 "intercept predict": _median_call(lone_predict, calls // 4),
             }
+            passes = {"predict_random_effects": _passes(predict), "intercept predict": _passes(lone_predict)}
             for name, value in seconds.items():
-                print(json.dumps({"size": size, "link": tag, "function": name, "seconds": value}))
+                line = {"size": size, "link": tag, "function": name, "seconds": value}
+                if name in passes:
+                    line["passes"] = passes[name]
+                print(json.dumps(line))
             for name, homogeneous in (("fit after homogeneous", True), ("cold fit", False)):
                 times = []
                 for _ in range(fits):
@@ -266,6 +300,12 @@ def main(argv=None) -> int:
                 if (size, tag, name) in passes:
                     row += "  passes {} -> {}".format(*passes[size, tag, name])
                 print(row)
+    print("\nmean conditional_terms passes per predict_random_effects call, A -> B")
+    for size in SIZES:
+        found = [passes[size, tag, name] for tag in ("po", "acl", "crl")
+                 for name in ("predict_random_effects", "intercept predict")]
+        a, b = (statistics.mean(side[i] for side in found) for i in (0, 1))
+        print(f"{size:7s} {a:5.2f} -> {b:5.2f}")
     return 0
 
 

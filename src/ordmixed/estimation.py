@@ -19,20 +19,23 @@ pass rewrites only the entries' derivatives. The delta method maps the
 covariance to the reported scale. A random-effect fit starts at the
 homogeneous maximum of its link and covariates, which the dataset keeps
 (``Dataset.homogeneous_maxima``) from the first fit that reaches it, so
-later fits take it with no passes. Each Newton step is capped, projected
-onto the box of the variance parameters and halved until the
-log-likelihood does not fall; proportional-odds proposals outside the
-feasible region evaluate to -inf and so are halved too. A trial that
-falls below the current point stops as soon as its log-likelihood shows
-it, before its score and curvature. Newton alone decides the fit: where
-it gives up, the fit reports its last accepted point, which the
-convergence test then judges like any other, except that a fit that
-reached the iteration cap has not converged. The standard errors come
-from the information of that point's pass.
-Empirical-Bayes modes come from Newton steps on each link's closed-form
-score and curvature, seeded at each cluster's posterior mean and halved
-for any cluster whose log posterior a step would lower; they run on the
-kernel's distinct clusters, as the fit does.
+later fits take it with no passes. One Newton engine (``_ascend``) runs
+damped, projected Newton ascent on a batch of independent problems: the
+fit is a batch of one (``_maximize``), the empirical-Bayes modes a batch
+of the kernel's distinct clusters, and the two differ in their callbacks
+and constants only. Each Newton step is capped, projected onto the box of
+the variance parameters and halved until the log-likelihood does not
+fall; proportional-odds proposals outside the feasible region evaluate to
+-inf and so are halved too. A trial that falls below the current point
+stops as soon as its log-likelihood shows it, before its score and
+curvature. Newton alone decides the fit: where it gives up, the fit
+reports its last accepted point, which the convergence test then judges
+like any other, except that a fit that reached the iteration cap has not
+converged. The standard errors come from the information of that point's
+pass. Empirical-Bayes modes take the engine's steps on each link's
+closed-form score and curvature, seeded at each cluster's posterior mean,
+with infinite bounds; a cluster whose log posterior a step would lower
+halves its step while the others step on.
 """
 
 from __future__ import annotations
@@ -72,7 +75,11 @@ _NEWTON_DECREMENT = 1e-10  # g' I^-1 g at which Newton stops
 _EIGEN_FLOOR = 1e-6  # |eigenvalue| floor of an indefinite information, relative to the largest
 _LOG_SIGMA_FALLING = -3.0  # log sigma below which a falling step tries the floor
 _EB_ORDER = {1: 40, 2: 25}  # nodes per axis of the posterior-mean grid, by effect dimension
-_EB_ITERATIONS = 80  # kernel passes of the posterior-mode search before it gives up
+# An EB row stops with |gradient|^2 below its largest information times this, so (1e-8)^2 / 100
+# keeps its gradient below 1e-8 up to an information of 100. The largest at the rows' stops in
+# perfbench's workloads (seed 41, blocks 0-2): 2.7 strawberry panel, 32 study slice, 35 large clusters.
+_EB_DECREMENT = 1e-18
+_EB_ALLOWANCE = 1e-12  # relative fall of a log posterior within its rounding, taken as none
 
 
 class EstimationDegenerateError(ValueError):
@@ -236,13 +243,6 @@ class _Pass(NamedTuple):
     loglik: float
     score: np.ndarray
     information: np.ndarray
-
-    def finite(self) -> bool:
-        return bool(
-            math.isfinite(self.loglik)
-            and np.isfinite(self.score).all()
-            and np.isfinite(self.information).all()
-        )
 
 
 class _Objective:
@@ -495,13 +495,13 @@ def _fit_impl(
     theta0, nested_passes = _starting_point(dataset, link, opts, param, slope_names, kernel)
 
     bounds = param.bounds()
-    optimum = _newton(objective, theta0, bounds)
-    converged, scaled_grad = _convergence(optimum, bounds)
-    theta_hat = optimum.theta
+    ascent = _maximize(objective, theta0, bounds)
+    converged, scaled_grad = _convergence(ascent, bounds)
+    theta_hat = ascent.point
 
     diagnostics: dict = {
         "gradient_max_scaled": float(scaled_grad.max()),
-        "optimizer_message": optimum.message,
+        "optimizer_message": f"Newton: {ascent.stops}",
     }
     boundary = param.boundary(theta_hat)
     if boundary:
@@ -512,7 +512,7 @@ def _fit_impl(
     if opts.standard_errors:
         jac = param.delta_jacobian(theta_hat)
         try:
-            cov_theta = _inverse_information(optimum.information)
+            cov_theta = _inverse_information(ascent.information)
         except CovarianceUnavailableError as err:
             if np.all(np.isfinite(err.information)):
                 cov_theta = _clipped_covariance(err.information)
@@ -552,9 +552,9 @@ def _fit_impl(
         values=values,
         se=se,
         covariance=covariance,
-        loglik=optimum.loglik,
+        loglik=float(ascent.value),
         converged=converged,
-        iterations=optimum.iterations,
+        iterations=int(ascent.steps),
         n_evaluations=n_evaluations,
         p_values=p_values,
         ci_lower=values - Z_95 * se,
@@ -565,48 +565,39 @@ def _fit_impl(
     )
 
 
-class _Optimum(NamedTuple):
-    """Where Newton stopped: the point, its log-likelihood, score and
-    information, the accepted steps and why it stopped."""
-
-    theta: np.ndarray
-    loglik: float
-    score: np.ndarray
-    information: np.ndarray
-    iterations: int
-    message: str
-
-
-def _convergence(optimum: _Optimum, bounds) -> tuple[bool, np.ndarray]:
+def _convergence(ascent: _Ascent, bounds) -> tuple[bool, np.ndarray]:
     """The fit's one convergence test, and the scaled gradient it reads:
     |score_i| max(1, |theta_i|) / max(1, |loglik|) below _GRAD_TOL on every
     coordinate off its bounds, for a Newton that stopped before its
     iteration cap. A runaway that reaches the cap can pass the gradient
     test on its flat log-likelihood, so a capped fit has not converged."""
-    theta = optimum.theta
-    scaled = np.abs(optimum.score) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(optimum.loglik))
+    theta = ascent.point
+    scaled = np.abs(ascent.score) * np.maximum(1.0, np.abs(theta)) / max(1.0, abs(ascent.value))
     lower, upper = bounds
     inside = (theta > lower + 1e-9) & (theta < upper - 1e-9)
-    capped = optimum.iterations >= _NEWTON_ITERATIONS
+    capped = ascent.steps >= _NEWTON_ITERATIONS
     return not capped and bool((scaled[inside] < _GRAD_TOL).all()), scaled
 
 
-def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
-    """Damped projected Newton-Raphson ascent on the observed information.
+class _Ascent(NamedTuple):
+    """Where Newton stopped each problem of a batch: its point, shape
+    (n, p), its value, score and information there, the Newton direction
+    from there, untried (0 for a problem that gave up), the steps it
+    accepted and why it stopped."""
 
-    Each iteration solves on the free coordinates, those not held on a
-    bound by a score that points out of the box; an indefinite or singular
-    information gets the eigenvalue-modified solve. The step is capped at 1
-    in max-norm, projected onto the box and halved until the log-likelihood
-    does not fall. Once the step lowers a log standard deviation that is
-    already below _LOG_SIGMA_FALLING, it is first tried with every log
-    standard deviation it lowers at the floor, and kept if the
-    log-likelihood does not fall and the score there, along the direction in
-    which they fell, points out of the box. Near sigma = 0 the
-    log-likelihood is close to a sigma^2, so a sigma that belongs at 0 would
-    otherwise fall by about 0.5 in log per step; the sigmas of a bivariate
-    effect fall together. After one refused trial the fit tries the floor no
-    more. Every point is evaluated by ``objective.full``, so an accepted
+    point: np.ndarray
+    value: np.ndarray
+    score: np.ndarray
+    information: np.ndarray
+    step: np.ndarray
+    steps: np.ndarray
+    stops: list
+
+
+def _maximize(objective: _Objective, theta: np.ndarray, bounds) -> _Ascent:
+    """Newton ascent (``_ascend``) of a fit's log-likelihood from ``theta``
+    in the box ``bounds``, as a batch of one, and where it stopped that one
+    problem. Every point is evaluated by ``objective.full``, so an accepted
     step carries the next iteration's information. Each trial passes the
     current log-likelihood to ``objective.full`` as its floor: a trial that
     certainly falls below it stops after its log-likelihood, all that the
@@ -615,102 +606,177 @@ def _newton(objective: _Objective, theta: np.ndarray, bounds) -> _Optimum:
     as a pass, so the fit is the same, pass for pass, as without the floor.
     Each pass evaluates the dataset's distinct clusters once, weighted by
     their multiplicities, and contracts per covariate pattern
-    (``_Objective``). Stops when the Newton
-    decrement g' I^-1 g is below _NEWTON_DECREMENT with a positive-definite
+    (``_Objective``)."""
+
+    def evaluate(points, floors):
+        one = objective.full(points[0], None if floors is None else float(floors[0]))
+        if one.score is None:  # below its floor
+            return np.array([one.loglik]), None, None
+        return np.array([one.loglik]), one.score[None], one.information[None]
+
+    return _Ascent(*(field[0] for field in _ascend(evaluate, theta[None], bounds, _NEWTON_DECREMENT)))
+
+
+def _ascend(evaluate: Callable, start: np.ndarray, bounds, tolerance: float, allowance: float = 0.0) -> _Ascent:
+    """Damped, projected Newton ascent on a batch of independent problems
+    of p coordinates each, from the rows of ``start`` (n, p): the library's
+    one Newton engine. A fit is a batch of one (``_maximize``), and the
+    empirical-Bayes modes are a batch of a kernel's rows
+    (``predict_random_effects``); the two differ in their callbacks and
+    constants only.
+
+    ``evaluate(points, floors)`` evaluates every problem at its row of
+    ``points`` (n, p) and returns the values (n,), the scores (n, p) and
+    the informations (n, p, p), the negative Hessians. Where a value is
+    below its entry of ``floors`` (n,) its score and information are not
+    read, and may be None; ``floors`` is None at the start. Each round of
+    the search is one call, with the problems still searching at their
+    trial points and the others at their current ones.
+
+    Each problem's direction solves on its free coordinates, those not
+    held on a bound of the box ``bounds``, the lower and the upper bounds
+    of the coordinates, by a score that points out of it
+    (``_directions``); every round finds the directions of the whole
+    batch, and the problems that start or whose last trial gained take
+    theirs. The step is capped at 1 in max-norm, projected onto the box
+    and halved until the value does not fall by more than ``allowance``
+    relative. Once the step lowers a log standard deviation (a coordinate
+    bounded below at _LOG_SIGMA_FLOOR and not above) that is already below
+    _LOG_SIGMA_FALLING, it is first tried with every log standard
+    deviation it lowers at the floor, and kept if the value does not fall
+    and the score there, along the direction in which they fell, points
+    out of the box. Near sigma = 0 the log-likelihood is close to a
+    sigma^2, so a sigma that belongs at 0 would otherwise fall by about
+    0.5 in log per step; the sigmas of a bivariate effect fall together.
+    After one refused trial the problem tries the floor no more. With
+    infinite bounds the box, the held coordinates and the floor trial do
+    nothing.
+
+    A problem stops, and from then on stands at its point, when its Newton
+    decrement g' I^-1 g is below ``tolerance`` with a positive-definite
     information, or, with a semidefinite one, when the decrement on its
     identified eigen-directions is below it and the score along the
-    near-null ones passes the convergence test. Otherwise it gives up: at a
-    step whose score or information is not finite, with the halvings
-    exhausted, or at the iteration cap. Returns the last accepted point with
-    the pass that evaluated it, and a message that names why Newton
-    stopped. A start whose pass is not finite raises ValueError.
+    near-null ones passes the convergence test's scaling. Otherwise it
+    gives up: after _NEWTON_ITERATIONS accepted steps, with _NEWTON_HALVINGS
+    halvings of one step exhausted, or at a trial whose score or
+    information is not finite. Returns each problem's last accepted point
+    with its evaluation, the Newton direction from there, untried (0 for a
+    problem that gave up), the steps it accepted and why it stopped. A
+    start that is not finite raises ValueError.
     """
-    lower, upper = bounds
+    point = np.array(start, dtype=float)
+    value, score, information = evaluate(point, None)
+    if not (np.isfinite(value).all() and np.isfinite(score).all() and np.isfinite(information).all()):
+        raise ValueError("no feasible starting point: the log-likelihood, its score or its "
+                         "information is not finite at the starting values")
+    n, (lower, upper) = len(point), bounds
     at_lower, at_upper = lower + 1e-9, upper - 1e-9
     log_sd = (lower == _LOG_SIGMA_FLOOR) & (upper == np.inf)  # a correlation's box is finite
-    try_floor = bool(log_sd.any())
-    current = objective.full(theta)
-    if not current.finite():
-        raise ValueError(
-            "no feasible starting point: the log-likelihood, its score or its "
-            "information is not finite at the starting values"
-        )
-    accepted, stop = 0, f"reached {_NEWTON_ITERATIONS} iterations"
-    while accepted < _NEWTON_ITERATIONS:
-        g = current.score
-        pinned = ((theta <= at_lower) & (g <= 0.0)) | ((theta >= at_upper) & (g >= 0.0))
-        # with no coordinate pinned, the usual case, the solve takes whole arrays
-        free = ~pinned if pinned.any() else slice(None)
-        direction, decrement, null_score = _ascent_direction(
-            g[free], current.information[free][:, free]
-        )
-        if decrement is not None and decrement < _NEWTON_DECREMENT:
-            if null_score is None:
-                stop = f"decrement below {_NEWTON_DECREMENT:g}"
-                break
+    try_floor = np.full(n, log_sd.any())
+    step = np.zeros_like(point)
+    steps, halvings, stop = np.zeros((3, n), dtype=int)  # stop: 0 while searching, else a code of ``reasons``
+    up = np.ones(n, dtype=bool)  # the problems that start, or whose last trial gained
+    while True:
+        held = ((point <= at_lower) & (score <= 0.0)) | ((point >= at_upper) & (score >= 0.0))
+        d, decrement, null = _directions(score, information, held)
+        done = (decrement < tolerance).astype(int)  # an indefinite NaN is not below
+        for k, near_null in null.items():
             # the convergence test's scaling, on the near-null directions
-            scaled = np.abs(null_score) * np.maximum(1.0, np.abs(theta[free]))
-            if np.all(scaled < _GRAD_TOL * max(1.0, abs(current.loglik))):
-                stop = f"decrement below {_NEWTON_DECREMENT:g} on the identified directions"
-                break
-        step = np.zeros(theta.size)
-        step[free] = direction / max(1.0, np.abs(direction).max())
-        floored = log_sd & (step < 0.0)
-        trial = None
-        if try_floor and (theta[floored] < _LOG_SIGMA_FALLING).any():
-            candidate = np.minimum(np.maximum(theta + step, lower), upper)
-            candidate[floored] = lower[floored]
-            trial = objective.full(candidate, current.loglik)
+            scaled = np.abs(near_null) * np.maximum(1.0, np.abs(point[k, ~held[k]]))
+            done[k] = 2 if done[k] and np.all(scaled < _GRAD_TOL * max(1.0, abs(value[k]))) else 0
+        stop = np.where(up, np.where(steps >= _NEWTON_ITERATIONS, 3, done), stop)
+        searching = stop == 0
+        if not np.count_nonzero(searching):
+            break
+        np.copyto(step, d / np.fmax(1.0, np.maximum.reduce(np.abs(d), axis=1, keepdims=True)), where=up[:, None])
+        trial = np.minimum(np.maximum(point + step * searching[:, None], lower), upper)
+        flooring = []
+        low = log_sd & (point < _LOG_SIGMA_FALLING)
+        if np.count_nonzero(low):
+            floored = log_sd & (step < 0.0)
+            flooring = np.flatnonzero(searching & try_floor & (floored & low).any(axis=1))
+            trial[flooring] = np.where(floored[flooring], lower, trial[flooring])
+        threshold = value - allowance * np.abs(value) if allowance else value
+        trial_value, trial_score, trial_information = evaluate(trial, threshold)
+        up = searching & (trial_value >= threshold)
+        fell = searching & ~up
+        for k in flooring:
             # the sigmas belong at 0 only if the floor gains and the score
             # there, along the direction in which they fell, points out of
-            # the box; otherwise the maximum is inside
-            if not (trial.loglik >= current.loglik and trial.score[floored].sum() <= 0.0):
-                trial, try_floor = None, False
-        if trial is None:
-            for _ in range(_NEWTON_HALVINGS):
-                candidate = np.minimum(np.maximum(theta + step, lower), upper)
-                trial = objective.full(candidate, current.loglik)
-                if trial.loglik >= current.loglik:
-                    break
-                step *= 0.5
+            # the box; otherwise the maximum is inside, the next round tries
+            # the same step without the floor, and the floor is not tried again
+            if not (up[k] and trial_score[k, floored[k]].sum() <= 0.0):
+                up[k] = fell[k] = try_floor[k] = False
+        halvings = (halvings + 1) * fell
+        if np.count_nonzero(fell):
+            step[fell] *= 0.5
+            stop[halvings == _NEWTON_HALVINGS] = 4
+        if np.count_nonzero(up):
+            # a sum that is not finite, by overflow too, sends the trials to the exact test
+            if not np.isfinite(np.add.reduce(trial_score, None) + np.add.reduce(trial_information, None)):
+                finite = np.isfinite(trial_score).all(axis=1) & np.isfinite(trial_information).all(axis=(1, 2))
+                stop[up & ~finite] = 5
+                up &= finite
+            point = np.where(up[:, None], trial, point)
+            value = np.where(up, trial_value, value)
+            score = np.where(up[:, None], trial_score, score)
+            information = np.where(up[:, None, None], trial_information, information)
+        steps += up
+    below = f"decrement below {tolerance:g}"
+    reasons = ("", below, f"{below} on the identified directions", f"reached {_NEWTON_ITERATIONS} iterations",
+               f"exhausted {_NEWTON_HALVINGS} step halvings", "met a non-finite score or information")
+    untried = d * (stop < 3)[:, None]  # the last directions, found at the points where the problems stopped
+    return _Ascent(point, value, score, information, untried, steps, [reasons[k] for k in stop.tolist()])
+
+
+def _directions(g: np.ndarray, info: np.ndarray, held: np.ndarray):
+    """The Newton directions I^-1 g of a stack of problems, (n, p), their
+    decrements g' I^-1 g, (n,), and, by problem, the score along the
+    near-null eigen-directions of a semidefinite information.
+
+    A problem solves on the coordinates that ``held`` does not hold, and
+    its direction is 0 on the others. With none held and every information
+    positive definite, as usual, one stacked Cholesky test and one stacked
+    solve give every direction. Otherwise each problem takes the test
+    alone, and an information without a Cholesky factor gives the direction
+    with each eigenvalue replaced by its absolute value, floored at
+    _EIGEN_FLOOR times the largest. When no eigenvalue is below minus that
+    floor, the information is semidefinite, and the decrement on the
+    eigen-directions above the floor comes with the score along the
+    others; an indefinite information has a decrement of NaN."""
+    solved = None
+    if not np.count_nonzero(held):
+        if g.shape[1] == 1:  # a 1 x 1 Cholesky test is the sign, and LAPACK's solve a division
+            solved = g / info[:, 0] if np.count_nonzero(info[:, 0, 0] > 0.0) == len(g) else None
+        else:
+            try:
+                np.linalg.cholesky(info)  # the test of positive definiteness
+            except np.linalg.LinAlgError:
+                pass
             else:
-                stop = f"exhausted {_NEWTON_HALVINGS} step halvings"
-                break
-        if not trial.finite():
-            stop = "met a non-finite score or information"
-            break
-        theta, current = candidate, trial
-        accepted += 1
-    message = f"Newton: {stop}"
-    return _Optimum(theta, current.loglik, current.score, current.information, accepted, message)
-
-
-def _ascent_direction(g: np.ndarray, info: np.ndarray) -> tuple[np.ndarray, float | None, np.ndarray | None]:
-    """The Newton direction I^-1 g and the decrement g' I^-1 g for a
-    positive-definite information I, one that has a Cholesky factor, with
-    None. Otherwise the direction with each eigenvalue replaced by its
-    absolute value, floored at _EIGEN_FLOOR times the largest; when no
-    eigenvalue is below minus that floor, the information is semidefinite,
-    and the decrement on the eigen-directions above the floor comes with the
-    score along the others, the near-null directions. An indefinite
-    information gives no decrement and None."""
-    try:
-        np.linalg.cholesky(info)  # the test of positive definiteness
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        direction = np.linalg.solve(info, g)
-        return direction, float(g @ direction), None
-    eigval, eigvec = np.linalg.eigh(info)
-    magnitude = np.abs(eigval)
-    floor = _EIGEN_FLOOR * magnitude.max()
-    projected = eigvec.T @ g
-    direction = eigvec @ (projected / np.maximum(magnitude, floor))
-    if eigval.min() < -floor:
-        return direction, None, None
-    identified = eigval > floor
-    decrement = float(np.sum(projected[identified] ** 2 / eigval[identified]))
-    return direction, decrement, eigvec[:, ~identified] @ projected[~identified]
+                solved = np.linalg.solve(info, g[:, :, None])[:, :, 0]
+    if solved is not None:
+        return solved, np.vecdot(g, solved), {}  # vecdot: the bits of g @ solved
+    direction, decrement, null = np.zeros_like(g), np.full(len(g), np.nan), {}
+    for k in range(len(g)):
+        free = ~held[k]
+        gk, ik = g[k, free], info[k][np.ix_(free, free)]
+        try:
+            np.linalg.cholesky(ik)
+        except np.linalg.LinAlgError:
+            eigval, eigvec = np.linalg.eigh(ik)
+            magnitude = np.abs(eigval)
+            floor = _EIGEN_FLOOR * magnitude.max()
+            projected = eigvec.T @ gk
+            direction[k, free] = eigvec @ (projected / np.maximum(magnitude, floor))
+            if eigval.min() >= -floor:
+                identified = eigval > floor
+                decrement[k] = np.sum(projected[identified] ** 2 / eigval[identified])
+                null[k] = eigvec[:, ~identified] @ projected[~identified]
+        else:
+            direction[k, free] = np.linalg.solve(ik, gk)
+            decrement[k] = gk @ direction[k, free]
+    return direction, decrement, null
 
 
 def _starting_point(
@@ -743,7 +809,7 @@ def _starting_point(
                 return theta, 0
             homogeneous = _Parameterization(param.n_intercepts, slope_names, NoRandomEffect)
             nested = _Objective(kernel, homogeneous, 1)
-            start = homogeneous.unpack(_newton(nested, theta, homogeneous.bounds()).theta)
+            start = homogeneous.unpack(_maximize(nested, theta, homogeneous.bounds()).point)
             passes = nested.passes
             dataset.homogeneous_maxima[link, bool(slope_names)] = start
     if start.fixed.intercepts.size != param.n_intercepts or start.fixed.slopes.size != param.n_slopes:
@@ -792,10 +858,15 @@ def predict_random_effects(
     """Empirical-Bayes random-effect predictions for every cluster.
 
     ``mode`` maximizes the conditional log-likelihood plus the normal
-    log-density by Newton steps with step halving, seeded at each
-    cluster's posterior mean on the fit's default rule (30 nodes, or
-    12 x 12); ``mean`` is the posterior mean computed by quadrature, on 40
-    nodes or a 25 x 25 grid. A prediction depends only on a cluster's
+    log-density by the fit's Newton engine (``_ascend``), with one problem
+    per row, seeded at its posterior mean on the fit's default rule (30
+    nodes, or 12 x 12), and adds each row's last Newton direction, untried;
+    a row that gave up (``_ascend``) predicts its last accepted point. It
+    keeps the engine's caps and differs from a fit in its constants only:
+    no bounds, a decrement tolerance of _EB_DECREMENT, and a fall of the log
+    posterior within _EB_ALLOWANCE relative, its rounding, taken as none.
+    ``mean`` is the posterior mean computed by quadrature, on 40 nodes or a
+    25 x 25 grid. A prediction depends only on a cluster's
     covariate pattern and counts, so both run on the kernel's rows, its
     distinct clusters, and each cluster takes its row's prediction by
     ``rows.index``. Returns shape (n, K-1); a univariate effect is
@@ -823,8 +894,10 @@ def predict_random_effects(
     posterior /= posterior.sum(axis=1, keepdims=True)
     if method == "mean":
         return _row_products(posterior, offsets)[kernel.rows.index]
-    modes = _posterior_modes(kernel, fe, loading, _row_products(posterior, z))
-    return _row_products(modes, loading.T)[kernel.rows.index]
+    unbounded = np.full(re.dim, np.inf)
+    terms = _log_posterior(kernel, fe, loading)
+    ascent = _ascend(terms, _row_products(posterior, z), (-unbounded, unbounded), _EB_DECREMENT, _EB_ALLOWANCE)
+    return _row_products(ascent.point + ascent.step, loading.T)[kernel.rows.index]
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -834,65 +907,28 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nk,kd->nd", a, b)
 
 
-def _posterior_modes(kernel, fe, loading, z) -> np.ndarray:
-    """Posterior modes of the standardized effects of the kernel's rows,
-    shape (rows, r), whose offsets are z @ loading.T, by Newton ascent from
-    the seeds z, one per row.
+def _log_posterior(kernel, fe, loading) -> Callable:
+    """The engine's callback for the posterior modes of the standardized
+    effects z of the kernel's rows, whose offsets are z @ loading.T: each
+    row's log posterior, score and information from one kernel pass over
+    every row.
 
     The log posterior is the conditional log-likelihood plus the standard
-    normal log-density of z, so its gradient is loading' g - z and its
-    Hessian loading' H loading - I, with g and H the link's closed-form
+    normal log-density of z, so its score is loading' g - z and its
+    information I - loading' H loading, with g and H the link's closed-form
     score and curvature with respect to the boundary predictors; every
     row's loading' H loading is one product of the flattened H with
     loading (x) loading. Every product is summed row by row
-    (``_row_products``). Steps are clipped to 1 in each coordinate, and a
-    row's step that lowers its log posterior is halved and tried again
-    while the other rows step on, so every seed ascends to the mode.
-    Each iteration is one kernel pass at the points tried. Once every
-    gradient is below 1e-8 the last Newton step is taken untried.
-    """
-    n, dim = z.shape
+    (``_row_products``)."""
     pairs = np.kron(loading, loading)  # ((K-1)^2, dim^2)
-    identity = np.eye(dim)
-    z, value = np.array(z, dtype=float), np.full(n, -np.inf)
-    grad, step = np.full((n, dim), np.inf), np.zeros((n, dim))
-    for _ in range(_EB_ITERATIONS):
-        trial = z + step
-        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, _row_products(trial, loading.T))
-        trial_value = terms.loglik - 0.5 * (trial**2).sum(axis=1)
-        # a fall within the rounding of the log posterior counts as none
-        up = trial_value >= value - 1e-12 * np.abs(value)
-        step[~up] *= 0.5
-        took = slice(None) if up.all() else up
-        z[took], value[took] = trial[took], trial_value[took]
-        grad[took] = _row_products(terms.score[took], loading) - z[took]
-        curvature = terms.curvature[took]
-        hess = _row_products(curvature.reshape(len(curvature), -1), pairs).reshape(-1, dim, dim) - identity
-        step[took] = _newton_step(grad[took], hess).clip(-1.0, 1.0)
-        if np.abs(grad).max() < 1e-8:
-            return z + step
-    return z
 
+    def evaluate(z, floors):
+        terms = kernel.conditional_terms(fe.intercepts, fe.slopes, _row_products(z, loading.T))
+        value = terms.loglik - 0.5 * (z**2).sum(axis=1)
+        hess = _row_products(terms.curvature.reshape(len(z), -1), pairs).reshape(z.shape + z.shape[1:])
+        return value, _row_products(terms.score, loading) - z, np.eye(z.shape[1]) - hess
 
-def _newton_step(grad, hess):
-    """Newton ascent steps for every row: -hess^-1 grad, or the gradient
-    itself where that is not finite or not an ascent direction. A 1-d
-    effect's step is a division where the curvature is negative; elsewhere
-    it would not ascend, and is the gradient."""
-    if grad.shape[1] == 1:
-        curvature = hess[:, :, 0]
-        step = np.divide(grad, -curvature, out=grad.copy(), where=curvature < 0.0)
-    else:
-        try:
-            step = np.linalg.solve(-hess, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            if len(grad) == 1:
-                return grad.copy()
-            # one singular matrix fails the whole batch: solve row by row
-            return np.concatenate([_newton_step(grad[[i]], hess[[i]]) for i in range(len(grad))])
-    bad = ~np.isfinite(step).all(axis=1) | ((grad * step).sum(axis=1) < 0)
-    step[bad] = grad[bad]
-    return step
+    return evaluate
 
 
 def empirical_bayes(cluster: Cluster, fit_result: FitResult, link: LinkFamily) -> np.ndarray:

@@ -35,7 +35,6 @@ from ordmixed.estimation import (
     _clipped_covariance,
     _information,
     _inverse_information,
-    _newton_step,
     _Objective,
     _Parameterization,
     _starting_point,
@@ -317,14 +316,14 @@ class TestFit:
         bivariate per link, each full and intercept), the homogeneous
         Newton runs once per (link, covariates): the homogeneous fits write
         the dataset's memo, and every random-effect fit reads it."""
-        found, newton = [], estimation._newton
+        found, maximize = [], estimation._maximize
 
         def counted(objective, theta, bounds):
             if not objective.param.effect.dim:
                 found.append((objective.kernel.link, bool(objective.param.n_slopes)))
-            return newton(objective, theta, bounds)
+            return maximize(objective, theta, bounds)
 
-        monkeypatch.setattr(estimation, "_newton", counted)
+        monkeypatch.setattr(estimation, "_maximize", counted)
         dataset = replace(strawberry)
         for link in LinkFamily:
             for structure in ("none", "univariate", "bivariate"):
@@ -408,7 +407,7 @@ class TestAnalyticScore:
         objective = _Objective(LoglikKernel(strawberry, PO), param, 30)
         theta = np.concatenate([[1.0, -1.0], np.zeros(param.n_slopes), [0.0] * param.n_variance])
         one = objective.full(theta)
-        assert one.loglik == -np.inf and not one.finite()
+        assert one.loglik == -np.inf
         opts = FitOptions(starting_values=param.unpack(theta))
         with pytest.raises(ValueError, match="no feasible starting point"):
             fit(strawberry, PO, structure, opts)
@@ -503,7 +502,7 @@ class TestAnalyticScore:
         objective = _Objective(LoglikKernel(strawberry, PO), param, 30)
         theta = np.concatenate([[-1.0, 1.0], np.zeros(param.n_slopes), [800.0]])
         one = objective.full(theta)
-        assert one.loglik == -np.inf and not one.finite()
+        assert one.loglik == -np.inf
         np.testing.assert_array_equal(one.score, np.zeros(param.size))
         assert objective.passes == 0
 
@@ -608,6 +607,13 @@ class TestObjectiveAtOtherK:
         assert np.max(np.abs(info - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
 
+def _direction(g, info):
+    """The Newton engine's direction, decrement and near-null score for one
+    problem with every coordinate free, a batch of one."""
+    direction, decrement, null = estimation._directions(g[None], info[None], np.zeros((1, g.size), dtype=bool))
+    return direction[0], decrement[0], null.get(0)
+
+
 class TestNewton:
     @pytest.mark.parametrize("model", ["full", "intercept"])
     @pytest.mark.parametrize("structure", RE_STRUCTURES)
@@ -624,7 +630,8 @@ class TestNewton:
 
         def negative(theta):
             one = objective.full(theta)
-            return (-one.loglik, -one.score) if one.finite() else (1e10, np.zeros(theta.size))
+            finite = np.isfinite(one.loglik) and np.isfinite(one.score).all() and np.isfinite(one.information).all()
+            return (-one.loglik, -one.score) if finite else (1e10, np.zeros(theta.size))
 
         options = dict(maxiter=500, ftol=1e-13, gtol=1e-7, maxcor=25, maxls=60)
         res = minimize(negative, theta0, jac=True, method="L-BFGS-B",
@@ -723,10 +730,10 @@ class TestNewton:
     def test_indefinite_information_gets_the_eigenvalue_modified_step(self):
         info = np.diag([4.0, -2.0, 1e-12])
         g = np.array([1.0, 1.0, 1.0])
-        direction, decrement, null_score = estimation._ascent_direction(g, info)
-        assert decrement is None and null_score is None
+        direction, decrement, null_score = _direction(g, info)
+        assert np.isnan(decrement) and null_score is None
         np.testing.assert_allclose(direction, [0.25, 0.5, 1.0 / (4.0 * 1e-6)])
-        direction, decrement, null_score = estimation._ascent_direction(g, np.diag([4.0, 2.0, 1.0]))
+        direction, decrement, null_score = _direction(g, np.diag([4.0, 2.0, 1.0]))
         np.testing.assert_allclose(direction, [0.25, 0.5, 1.0])
         assert decrement == pytest.approx(1.75) and null_score is None
 
@@ -737,7 +744,7 @@ class TestNewton:
             info = a @ a.T + 0.1 * np.eye(size)
             g = rng.normal(size=size)
             expected = cho_solve(cho_factor(info), g)
-            direction, decrement, null_score = estimation._ascent_direction(g, info)
+            direction, decrement, null_score = _direction(g, info)
             np.testing.assert_allclose(direction, expected, rtol=1e-10, atol=0)
             assert decrement == pytest.approx(g @ expected, rel=1e-12) and null_score is None
 
@@ -746,11 +753,170 @@ class TestNewton:
         basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]) / [1.0, 2**0.5, 2**0.5]
         info = basis @ np.diag([4.0, 2.0, -1e-13]) @ basis.T  # not positive definite
         g = np.array([1.0, 1.0, 0.5])
-        direction, decrement, null_score = estimation._ascent_direction(g, info)
+        direction, decrement, null_score = _direction(g, info)
         # g = (1, 1.5 / sqrt 2, 0.5 / sqrt 2) in the eigenbasis
         assert decrement == pytest.approx(0.25 + 1.125 / 2.0)
         np.testing.assert_allclose(null_score, [0.0, 0.25, -0.25], atol=1e-15)
         np.testing.assert_allclose(direction, basis @ ([1.0, 1.5 / 2**0.5, 0.5 / 2**0.5] / np.array([4.0, 2.0, 4e-6])))
+
+
+def _logistic_rows(y, m, s, log=None):
+    """The engine's callback for one-node logistic rows: y of m successes at
+    the predictor s x, each row in elementwise arithmetic of its own.
+    ``log`` collects the points of each call."""
+
+    def evaluate(x, floors):
+        if log is not None:
+            log.append(x[:, 0].copy())
+        eta = s * x[:, 0]
+        p = 1.0 / (1.0 + np.exp(-eta))
+        value = y * eta - m * np.logaddexp(0.0, eta)
+        return value, (s * (y - m * p))[:, None], (m * s * s * p * (1.0 - p))[:, None, None]
+
+    return evaluate
+
+
+def _quadratics(centre, a, log=None):
+    """The engine's callback for the 2-d problems -(x - c)' A (x - c) / 2,
+    one row of ``centre`` (n, 2) and ``a`` (n, 3: a11, a12, a22) each, in
+    elementwise arithmetic of its own. ``log`` collects the points of each
+    call."""
+
+    def evaluate(x, floors):
+        if log is not None:
+            log.append(x.copy())
+        u, (a11, a12, a22) = x - centre, a.T
+        s1, s2 = a11 * u[:, 0] + a12 * u[:, 1], a12 * u[:, 0] + a22 * u[:, 1]
+        value = -0.5 * (u[:, 0] * s1 + u[:, 1] * s2)
+        info = np.stack([np.stack([a11, a12], axis=1), np.stack([a12, a22], axis=1)], axis=1)
+        return value, -np.stack([s1, s2], axis=1), info
+
+    return evaluate
+
+
+
+def _misreported(centre, sign, stiffness):
+    """The engine's callback for the 1-d problems -(x - c)^2 / 2, one row of
+    ``centre`` each, whose reported score is ``sign`` times the true one
+    and whose reported information is ``stiffness`` times the true one."""
+
+    def evaluate(x, floors):
+        u = x[:, 0] - centre
+        return -0.5 * u * u, (-sign * u)[:, None], np.broadcast_to(stiffness[:, None, None], (len(x), 1, 1))
+
+    return evaluate
+
+class TestAscent:
+    """The Newton engine on batches of independent problems."""
+
+    LOGISTIC = dict(
+        y=np.array([5.0, 9.0, 1.0, 30.0, 2.0, 6.0]),
+        m=np.array([10.0, 10.0, 12.0, 50.0, 3.0, 6.5]),
+        s=np.array([10.0, 1.0, 3.0, 0.2, 25.0, 1.5]),
+    )
+    LOGISTIC_START = np.array([[0.4], [-3.0], [2.0], [10.0], [-0.5], [0.0]])
+
+    @staticmethod
+    def _ascend(evaluate, start, lower=-np.inf, upper=np.inf):
+        bounds = np.broadcast_to(lower, start.shape[1]), np.broadcast_to(upper, start.shape[1])
+        return estimation._ascend(evaluate, start, bounds, estimation._NEWTON_DECREMENT)
+
+    def _alone(self, make, arrays, start, i):
+        one = {name: value[[i]] for name, value in arrays.items()}
+        return self._ascend(make(**one), start[[i]])
+
+    def test_each_problem_of_a_batch_ascends_as_it_would_alone(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.5, 2.0, size=(5, 3))
+        a[:, 1] = rng.uniform(-0.4, 0.4, size=5)  # positive definite
+        quadratic = dict(centre=rng.normal(0.0, 3.0, size=(5, 2)), a=a)
+        quadratic_start = rng.normal(0.0, 3.0, size=(5, 2))
+        for make, arrays, start in (
+            (_logistic_rows, self.LOGISTIC, self.LOGISTIC_START),
+            (_quadratics, quadratic, quadratic_start),
+        ):
+            batch = self._ascend(make(**arrays), start)
+            assert set(batch.stops) == {"decrement below 1e-10"}
+            assert batch.steps.max() > batch.steps.min()
+            for i in range(len(start)):
+                alone = self._alone(make, arrays, start, i)
+                for name in ("point", "value", "score", "information", "step", "steps"):
+                    np.testing.assert_array_equal(getattr(batch, name)[i], getattr(alone, name)[0])
+                assert batch.stops[i] == alone.stops[0]
+
+    def test_a_falling_trial_halves_its_step_while_the_others_step_on(self):
+        """Row 0's first Newton step, capped at 1, overshoots its mode and
+        falls; the next round tries half that step from the same point,
+        while row 1 takes its next Newton step. A row that has stopped
+        stands at its point in every later call."""
+        log = []
+        ascent = self._ascend(_logistic_rows(**self.LOGISTIC, log=log), self.LOGISTIC_START)
+        start, first, second = log[:3]
+        assert first[0] == start[0] - 1.0
+        assert second[0] == start[0] - 0.5
+        assert start[1] < first[1] < second[1]
+        alone = self._alone(_logistic_rows, self.LOGISTIC, self.LOGISTIC_START, 1)
+        assert ascent.steps[1] == alone.steps[0]
+        # the call at which each row reached its last point, after which it
+        # stands there: rows stop at different calls, and a stopped row is
+        # not tried again
+        calls = np.array(log) == ascent.point[:, 0]
+        reached = [len(log) - np.argmin(np.append(calls[::-1, k], False)) for k in range(6)]
+        assert min(reached) < max(reached) - 2
+
+    def test_a_problem_that_gives_up_keeps_its_last_accepted_point_and_no_step(self):
+        """Row 0 reports 1.5 times its curvature and creeps to its maximum,
+        where it stops on its decrement with its next step untried; row 1's
+        score points downhill, so every trial falls until its halvings run
+        out; row 2 reports 1000 times its curvature and reaches the
+        iteration cap on the way up. The two that give up return their last
+        accepted point and a step of 0, so an empirical-Bayes row that gives
+        up predicts its last accepted point."""
+        evaluate = _misreported(np.zeros(3), np.array([1.0, -1.0, 1.0]), np.array([1.5, 1.0, 1000.0]))
+        start = np.array([[3.0], [3.0], [10.0]])
+        ascent = self._ascend(evaluate, start)
+        assert ascent.stops == ["decrement below 1e-10", "exhausted 30 step halvings", "reached 50 iterations"]
+        assert ascent.steps[1] == 0 and ascent.steps[2] == 50 and 0 < ascent.steps[0] < 50
+        assert ascent.point[1, 0] == 3.0 and 9.0 < ascent.point[2, 0] < 10.0
+        assert ascent.step[0, 0] == ascent.score[0, 0] / ascent.information[0, 0, 0] != 0.0
+        np.testing.assert_array_equal(ascent.step[1:], 0.0)
+        np.testing.assert_array_equal((ascent.point + ascent.step)[1:], ascent.point[1:])
+
+    def test_a_search_ends_when_its_last_problem_gives_up(self):
+        """Alone, the problem whose trials all fall ends the search when its
+        halvings run out, and so does one whose trial has an infinite
+        information, each at its start with a step of 0."""
+        falling = self._ascend(_misreported(np.zeros(1), np.array([-1.0]), np.array([1.0])), np.array([[3.0]]))
+        assert falling.stops == ["exhausted 30 step halvings"] and falling.steps[0] == 0
+        honest = _misreported(np.zeros(1), np.array([1.0]), np.array([1.0]))
+
+        def broken(x, floors):
+            value, score, information = honest(x, floors)
+            return value, score, np.where(x[:, 0] == 3.0, 1.0, np.inf)[:, None, None]
+
+        for ascent in (falling, self._ascend(broken, np.array([[3.0]]))):
+            assert ascent.point[0, 0] == 3.0 and ascent.step[0, 0] == 0.0
+        assert self._ascend(broken, np.array([[3.0]])).stops == ["met a non-finite score or information"]
+
+    def test_infinite_bounds_make_the_box_held_coordinates_and_floor_trial_no_ops(self):
+        """-(x + 20)^2 from -4, a log standard deviation falling past -3:
+        with infinite bounds every step is the Newton step capped at 1, none
+        is tried at the floor or projected, and the search walks to -20.
+        Bounded below at the log-sigma floor, the same problem's first trial
+        is the floor, whose score points out of the box, and it stops there
+        with the coordinate held."""
+        centre, a = np.array([[-20.0, 0.0]]), np.array([[2.0, 0.0, 2.0]])
+        start = np.array([[-4.0, 0.0]])
+        log = []
+        ascent = self._ascend(_quadratics(centre, a, log), start)
+        np.testing.assert_array_equal([x[0, 0] for x in log], -4.0 - np.arange(17))
+        assert ascent.point[0, 0] == -20.0 and ascent.steps[0] == 16
+        floor = estimation._LOG_SIGMA_FLOOR
+        log.clear()
+        bounded = self._ascend(_quadratics(centre, a, log), start, lower=[floor, -np.inf])
+        assert [x[0, 0] for x in log] == [-4.0, floor]
+        assert bounded.point[0, 0] == floor and bounded.steps[0] == 1
+        assert bounded.stops[0] == "decrement below 1e-10"
 
 
 class TestInterceptModel:
@@ -845,18 +1011,36 @@ class TestEmpiricalBayes:
             predict_random_effects(strawberry, homog.estimates, PO)
 
     @pytest.mark.parametrize("r", [1, 2])
-    def test_newton_step_matches_the_row_loop(self, r):
+    def test_stacked_directions_match_the_row_loop(self, r):
+        """The Newton engine's directions for a stack of rows are each row's
+        alone, bit for bit: a 2-d solve where the information is positive
+        definite, by one stacked solve where every row's is, the
+        eigenvalue-modified ascent direction where it is indefinite, and 0
+        on a coordinate held on a bound."""
         rng = np.random.default_rng(r)
         grad = rng.normal(size=(40, r))
         a = rng.normal(size=(40, r, r))
-        hess = -(a @ a.transpose(0, 2, 1)) - 0.1 * np.eye(r)
-        hess[3] = -hess[3]  # ascent fails: the step falls back to the gradient
-        hess[5, 0, 0] = np.nan
-        expected = _newton_step_reference(grad, hess)
-        np.testing.assert_array_equal(_newton_step(grad, hess), expected)
-        hess[7] = 0.0  # singular: the batched solve fails and rows are solved one by one
-        np.testing.assert_array_equal(_newton_step(grad, hess), _newton_step_reference(grad, hess))
-        np.testing.assert_array_equal(_newton_step(grad, hess)[7], grad[7])
+        info = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(r)
+        info[3] = -info[3]  # indefinite: the stacked Cholesky test fails
+        held = np.zeros((40, r), dtype=bool)
+        held[7, 0] = True  # held on a bound: solved on the other coordinates
+        direction, decrement, null = estimation._directions(grad, info, held)
+        assert null == {}
+        rest = [i for i in range(40) if i not in (3, 7)]
+        stacked, stacked_decrement, _ = estimation._directions(grad[rest], info[rest], held[rest])
+        for i in range(40):
+            alone = estimation._directions(grad[[i]], info[[i]], held[[i]])
+            np.testing.assert_array_equal(direction[i], alone[0][0])
+            np.testing.assert_array_equal(decrement[i], alone[1][0])
+            if i in rest:
+                j = rest.index(i)
+                np.testing.assert_array_equal(stacked[j], direction[i])
+                np.testing.assert_array_equal(direction[i], np.linalg.solve(info[i], grad[i]))
+                assert decrement[i] == stacked_decrement[j] == grad[i] @ direction[i]
+        assert np.isnan(decrement[3]) and grad[3] @ direction[3] > 0.0
+        f = ~held[7]
+        np.testing.assert_array_equal(direction[7, f], np.linalg.solve(info[7][np.ix_(f, f)], grad[7, f]))
+        assert direction[7, 0] == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -1005,7 +1189,7 @@ class TestPosteriorModes:
             _posterior_mean_seeds(kernel, params),
             np.zeros((len(kernel.rows.first), params.re.dim)),
         )
-        modes = [estimation._posterior_modes(kernel, params.fixed, loading, z) for z in seeds]
+        modes = [_modes_from(kernel, params, z) for z in seeds]
         for z in modes:
             terms = kernel.conditional_terms(params.fixed.intercepts, params.fixed.slopes, z @ loading.T)
             assert np.max(np.abs(terms.score @ loading - z)) < 1e-8
@@ -1032,10 +1216,23 @@ class TestPosteriorModes:
             kernel = LoglikKernel(dataset, link)
             loading = params.re.loading(dataset.n_categories - 1)
             seeds = _grid_argmax_seeds(kernel, params)
-            expected = estimation._posterior_modes(kernel, params.fixed, loading, seeds) @ loading.T
+            expected = _modes_from(kernel, params, seeds) @ loading.T
             expected = expected[kernel.rows.index]
             modes = predict_random_effects(dataset, params, link)
             np.testing.assert_allclose(modes, expected, rtol=0, atol=1e-10)
+
+
+def _modes_from(kernel, params, seeds):
+    """The standardized posterior modes of the kernel's rows that the
+    Newton engine reaches from ``seeds``, as ``predict_random_effects``
+    runs it: the last point plus its step, untried."""
+    loading = params.re.loading(kernel.n_boundaries)
+    posterior = estimation._log_posterior(kernel, params.fixed, loading)
+    unbounded = np.full(params.re.dim, np.inf)
+    ascent = estimation._ascend(
+        posterior, seeds, (-unbounded, unbounded), estimation._EB_DECREMENT, estimation._EB_ALLOWANCE
+    )
+    return ascent.point + ascent.step
 
 
 def _grid_argmax_seeds(kernel, params):

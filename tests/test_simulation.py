@@ -140,13 +140,13 @@ class TestRunStudy:
 
     def test_random_effect_fits_start_at_the_homogeneous_fits(self, monkeypatch):
         calls = []
-        original = estimation._newton
+        original = estimation._maximize
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "_newton", counted)
+        monkeypatch.setattr(estimation, "_maximize", counted)
         run_study(small_design(replications=3), FitOptions(quadrature_order=10))
         # full and intercept fits of (po, none) and (po, univariate), none
         # with a nested homogeneous Newton run
