@@ -1,41 +1,16 @@
 """Maximum-likelihood fitting, standard errors, and random-effect prediction.
 
-The fit works on an unconstrained parameterization (log standard
-deviations, atanh correlation) by damped, projected Newton-Raphson on the
-exact observed information, as MIXOR fits by Fisher scoring. One kernel
-pass gives the log-likelihood, the score and the information together: by
-Louis' identity each cluster's Hessian is the posterior mean of the
-conditional Hessian plus the posterior covariance of the conditional
-score, on the same nodes, and the score is the posterior mean of the
-conditional score; without a random effect the pass is the conditional
-one at a single node. The kernel works in the boundary predictors and the
-free entries of the random effect's loading, in which its node features do
-not depend on the point, so they and their pair products are built once per
-fit. The kernel evaluates each distinct (covariate pattern, counts) cluster
-once; the fit sums its moments, each weighted by its multiplicity, by
-covariate pattern, and the chain rule maps them to the parameters through
-one Jacobian J per pattern, built once per fit (``_Objective``), of which a
-pass rewrites only the entries' derivatives. The delta method maps the
-covariance to the reported scale. A random-effect fit starts at the
-homogeneous maximum of its link and covariates, which the dataset keeps
-(``Dataset.homogeneous_maxima``) from the first fit that reaches it, so
-later fits take it with no passes. One Newton engine (``_ascend``) runs
-damped, projected Newton ascent on a batch of independent problems: the
-fit is a batch of one (``_maximize``), the empirical-Bayes modes a batch
-of the kernel's distinct clusters, and the two differ in their callbacks
-and constants only. Each Newton step is capped, projected onto the box of
-the variance parameters and halved until the log-likelihood does not
-fall; proportional-odds proposals outside the feasible region evaluate to
--inf and so are halved too. A trial that falls below the current point
-stops as soon as its log-likelihood shows it, before its score and
-curvature. Newton alone decides the fit: where it gives up, the fit
-reports its last accepted point, which the convergence test then judges
-like any other, except that a fit that reached the iteration cap has not
-converged. The standard errors come from the information of that point's
-pass. Empirical-Bayes modes take the engine's steps on each link's
-closed-form score and curvature, seeded at each cluster's posterior mean,
-with infinite bounds; a cluster whose log posterior a step would lower
-halves its step while the others step on.
+The fit runs damped, projected Newton-Raphson on the exact observed
+information, on an unconstrained parameterization (log standard
+deviations, atanh correlation), as MIXOR fits by Fisher scoring. One kernel
+pass gives the log-likelihood, the score and the information together
+(``LoglikKernel.louis_moments``), and ``_Objective`` maps them to the
+parameters by its chain rule. One Newton engine, ``_ascend``, serves the
+fit, a batch of one (``_maximize``), and the empirical-Bayes modes, a batch
+of a kernel's rows (``predict_random_effects``). A random-effect fit starts
+at the homogeneous maximum of its link and covariates, which the dataset
+keeps (``Dataset.homogeneous_maxima``). The delta method maps the
+covariance to the reported scale.
 """
 
 from __future__ import annotations
@@ -247,34 +222,30 @@ class _Pass(NamedTuple):
 
 class _Objective:
     """Total log-likelihood of the unconstrained vector, with its score and
-    its observed information from one kernel pass, ``full``.
+    its observed information from one kernel pass, ``full``; ``passes``
+    counts the passes.
 
-    A pass gives the score s_i and Hessian H_i of each of the kernel's rows,
-    its distinct clusters, with respect to its kernel coordinates: the K-1
+    The chain rule. A pass gives the score s_i and Hessian H_i of each of
+    the kernel's rows with respect to its kernel coordinates: the K-1
     boundary predictors, then the free entries a of the random effect's
-    loading A = sum_e a_e E_e (one shared sigma for a univariate effect,
-    the Cholesky entries l11, l21, l22 for a bivariate one). Each row stands
-    for its multiplicity w_i of clusters, and the rows of one covariate
-    pattern p, which the kernel keeps adjacent, share the Jacobian J_p
+    loading A = sum_e a_e E_e (``model._RandomEffectSpec``). Each row
+    stands for its multiplicity w_i of clusters, and the rows of one
+    covariate pattern p, which are adjacent, share the Jacobian J_p
     (r, size) of the coordinates in the vector. So a pass sums w_i s_i and
     w_i H_i over each pattern's rows, S_p and H_p, in one reduction, and its
     score is sum_p J_p' S_p and its Hessian sum_p J_p' H_p J_p plus
     sum_e (d^2 a_e / d theta d theta') times the entry's score summed over
     patterns. J's fixed-effect block is the same at every point and its
     variance block, da/d theta, the same for every pattern, so J is built
-    once and a pass writes only that block. The kernel's rows, its
-    distinct clusters sorted by (pattern, counts), are the one layout of
-    every fit, with or without covariates; where every cluster has a
-    pattern of its own, the rows are the patterns and need no sum.
+    once and a pass writes only that block.
 
     The node offsets are standardized nodes z (Q, dim) mapped through the
     loading, z A', so one chain rule serves every structure; without a
     random effect they are a single node at 0 with weight 1. In the entries
     the kernel's node features [I | E_e z_q] do not depend on the point, so
     they are built once, read-only, and the kernel forms their pair
-    products once per fit. ``passes`` counts the kernel passes. A point
-    whose standard deviation overflows the float range is infeasible: its
-    log-likelihood is -inf.
+    products once per fit. A point whose standard deviation overflows the
+    float range is infeasible: its log-likelihood is -inf.
     """
 
     def __init__(self, kernel: LoglikKernel, param: _Parameterization, order: int):
@@ -284,10 +255,9 @@ class _Objective:
         self._last = (None, None)
         self.passes = 0
         k1, v, x = kernel.n_boundaries, param.n_fixed, kernel.pattern_covariates
-        self._multiplicity = kernel.rows.multiplicity.astype(float)
         # the first row of each pattern, None when every cluster is a pattern
-        patterns = kernel.row_patterns.first
-        self._starts = None if len(patterns) == len(kernel.rows.index) else patterns
+        starts = kernel.rows.starts
+        self._starts = None if len(starts) == len(kernel.rows.index) else starts
         # each entry's pattern applied to each node, E_e z_q, as (K-1, Q, E):
         # slot-major, so that the offsets z A' = sum_e a_e E_e z_q are too
         patterns = param.effect.entry_patterns(k1) @ self.nodes.T
@@ -305,8 +275,10 @@ class _Objective:
         """Node offsets (Q, K-1) and the entries' second derivatives,
         (E, n_variance^2), with their first derivatives written to the
         Jacobian's variance block; None when the effect cannot be formed.
-        Those of the last ``tail`` are kept, so a model without variance
-        parameters maps its node once."""
+        Only random-effect passes call it. Those of the last ``tail`` are
+        kept: the next call meets the same ``tail`` when every variance
+        coordinate stays on the bound it stands on, held there or projected
+        back, while Newton steps in the fixed effects."""
         key = tail.tobytes()
         if key != self._last[0]:
             try:
@@ -327,16 +299,16 @@ class _Objective:
         the posterior covariance of Louis' identity is zero, so the pass is
         ``conditional_terms``' score and curvature.
 
-        With a ``floor``, a random-effect pass whose log-likelihood is
-        certainly below it stops early (``LoglikKernel.louis_moments``) and
-        returns an upper bound of its log-likelihood, below the floor, with
-        None for the score and information; it still counts as a pass."""
+        With a ``floor``, a random-effect pass may stop below it
+        (``LoglikKernel.louis_moments``) and return an upper bound of its
+        log-likelihood with None for the score and information; it still
+        counts as a pass."""
         if self.param.effect.dim:
             return self._louis(theta, floor)
         c, b, _ = self.param.split(theta)
         self.passes += 1
         t = self.kernel.conditional_terms(c, b, np.zeros((1, c.size)))
-        loglik = float((t.loglik * self._multiplicity).sum())
+        loglik = float((t.loglik * self.kernel.multiplicity).sum())
         return self._contract(loglik, *self._by_pattern(t.score, t.curvature))
 
     def _louis(self, theta: np.ndarray, floor: float | None = None) -> _Pass:
@@ -372,7 +344,7 @@ class _Objective:
         (5 against 11 us a pass at 28 rows)."""
         if self._starts is None:
             return score, hess
-        w = self._multiplicity
+        w = self.kernel.multiplicity
         if len(self._starts) == 1:
             return (w @ score)[None], (w @ hess.reshape(len(w), -1)).reshape(1, *hess.shape[1:])
         hess *= w[:, None, None]
@@ -599,14 +571,9 @@ def _maximize(objective: _Objective, theta: np.ndarray, bounds) -> _Ascent:
     in the box ``bounds``, as a batch of one, and where it stopped that one
     problem. Every point is evaluated by ``objective.full``, so an accepted
     step carries the next iteration's information. Each trial passes the
-    current log-likelihood to ``objective.full`` as its floor: a trial that
-    certainly falls below it stops after its log-likelihood, all that the
-    line search reads of a rejected trial, and skips the link's score and
-    curvature and the posterior and Jacobian contractions; it still counts
-    as a pass, so the fit is the same, pass for pass, as without the floor.
-    Each pass evaluates the dataset's distinct clusters once, weighted by
-    their multiplicities, and contracts per covariate pattern
-    (``_Objective``)."""
+    current log-likelihood to ``objective.full`` as its floor, so a trial
+    that falls below it skips what the line search does not read of it,
+    and the fit is the same, pass for pass, as without the floor."""
 
     def evaluate(points, floors):
         one = objective.full(points[0], None if floors is None else float(floors[0]))

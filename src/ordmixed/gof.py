@@ -79,7 +79,10 @@ def expected_counts(
 ) -> np.ndarray:
     """Fitted counts per (cluster, category) cell: cluster size times the
     fitted category probabilities, at zero deviation for homogeneous fits
-    and at the empirical-Bayes prediction otherwise."""
+    and at the empirical-Bayes prediction otherwise. ``prediction``, the
+    ``predict_random_effects`` method, is checked for both kinds of fit."""
+    if prediction not in ("mode", "mean"):
+        raise ValueError(f"unknown prediction method: {prediction!r}")
     fe = fit.estimates.fixed
     eta = dataset.covariate_matrix @ fe.slopes if fe.slopes.size else 0.0
     deltas = fe.intercepts[None, :] + np.atleast_1d(eta)[:, None]

@@ -2,82 +2,13 @@
 
 Each cluster contributes a multinomial term (coefficient included) at its
 category probabilities. With a random effect present, the cluster term is
-integrated over the normal law by Gauss-Hermite quadrature and combined with
-log-sum-exp stabilization, so large predictor magnitudes cannot overflow.
-Infeasible proportional-odds proposals contribute zero mass at the offending
-nodes and -inf when no node is feasible.
-
-The score of the marginal log-likelihood is the posterior-weighted average
-of the conditional score over the nodes (the Fisher identity). Its Hessian
-is the posterior mean of the conditional Hessian plus the posterior
-covariance of the conditional score (Louis' identity), so one pass over the
-node arrays, ``louis_moments``, which also evaluates each link's
-closed-form curvature, yields the value, the score and the observed
-information together. Its node features, the derivatives of the
-predictors at each node, come from the caller; when they are a read-only
-array, as the estimation layer's fixed features are, the pass forms their
-pairwise products on the first call and reuses them while the same array
-comes back, so a pass does no work per node and feature pair outside the
-contractions over the nodes.
-
-``LoglikKernel`` lays the predictors out slot-major: an array of shape
-(K-1, rows, Q) whose leading axis is the category boundary, so each
-boundary is one contiguous (rows, Q) plane of rows by nodes.
-``model.slot_terms`` evaluates a link on the whole array at once, giving
-the (K, rows, Q) log-probabilities, the (K-1, rows, Q) score and, when
-asked, the (P, rows, Q) curvature over the link's boundary pairs; the
-counts, stored as (K, rows, 1), weight the log-probabilities in one
-product summed over categories, and the posterior contractions are matrix
-products over the node and row axes, one per boundary or pair. No array
-with a short trailing category axis is built.
-
-A kernel is on all of a dataset's covariates or on none. Clusters with
-the same covariate pattern and the same counts add the same terms to
-every sum, so every kernel has one row layout: its rows are the
-dataset's distinct clusters (``Dataset.distinct_clusters``), sorted by
-(pattern, counts), each weighed by its multiplicity wherever it enters a
-sum: the log-likelihood and the floor's bound here, the score and
-information in the estimation layer, which also sums the rows' moments by
-covariate pattern before its chain rule.
-
-Every pass has one contract. It takes predictor offsets that broadcast
-against (rows, Q, K-1), rows by nodes by boundaries. Their leading axis
-is either 1, offsets shared by every row, or the number of rows, one set
-for each row of ``rows.first``; a 2-d array is node offsets (Q, K-1)
-shared by every row, such as the nodes z of a rule mapped through a random effect's
-loading A, z A'. No random effect is one node at 0 with weight 1, and the
-conditional passes at offsets (rows or 1, K-1) are the one-node case.
-Every pass returns one entry per row; a caller that wants clusters takes
-each one's row by ``rows.index``. Offsets for any other number of rows
-raise ValueError. ``total_loglik`` sums the rows, weighted, in row order,
-as ``louis_moments`` does, so a fit's log-likelihood and ``total_loglik``
-at its estimates are the same bits, whatever the order of the clusters.
-
-The predictors x b are formed once per covariate pattern, on one
-C-contiguous matrix of the patterns' covariates, so rows of one pattern
-have the same bits. Each row block then evaluates the link's count-free
-steps once per pattern among its rows (one without covariates), and
-``model.slot_terms`` expands them to the rows with a take where the
-counts enter; those steps are elementwise the same as evaluating every
-row, so the results are the same bits. Blocks whose rows all have
-patterns of their own, planes too small to gain and per-row offsets
-evaluate every row.
-
-``louis_moments`` takes an optional floor, the log-likelihood a line
-search needs to reach: no cluster's marginal log-likelihood is above
-log sum_q w_q, so once the finished row blocks bound the total below the
-floor, the pass returns that bound. Each block forms its log-likelihood
-before the link's score and curvature, so a pass stopped at a block makes
-neither those nor its posterior contractions.
-
-The kernel writes every intermediate into its workspace: for each node
-count Q, a stack of (rows, Q) planes allocated on the first call with that
-Q and reused by every later one, so repeated calls allocate only the
-arrays they return, which are always fresh. A plane holds at most
-``_BLOCK_ELEMENTS`` elements; when rows * Q is larger, the rows are
-evaluated in blocks through the same planes, so the kernel's memory is
-bounded by the block plus its outputs. Because the planes are shared, a
-kernel serves one caller at a time.
+integrated over the normal law by Gauss-Hermite quadrature with log-sum-exp
+stabilization; infeasible proportional-odds nodes contribute zero mass, and
+a cluster with no feasible node -inf. ``LoglikKernel`` evaluates a dataset
+on the row layout of ``Dataset.distinct_clusters`` and states the contract
+of its passes, row blocks and workspace; ``LoglikKernel.louis_moments``
+gives the value, score and observed information of a fit in one pass
+(Louis' identity) and states its floor.
 """
 
 from __future__ import annotations
@@ -90,7 +21,6 @@ import numpy as np
 
 from .model import (
     Cluster,
-    CovariatePatterns,
     Dataset,
     LinkFamily,
     ParameterVector,
@@ -137,18 +67,15 @@ def _pair_products(features: np.ndarray, k: np.ndarray, l: np.ndarray):
     return by_boundary, outer.reshape(len(k), n_nodes, r * r)
 
 
-def _shared_rows(pattern: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct covariate patterns of the row block lo to hi, whose
-    patterns ``pattern[lo:hi]`` are sorted, and each row's place among
-    them; None when no two rows of the block share a pattern."""
-    block = pattern[lo:hi]
-    starts = np.empty(len(block), dtype=bool)
-    starts[0] = True
-    np.not_equal(block[1:], block[:-1], out=starts[1:])
-    patterns = block[starts]
-    if len(patterns) == len(block):
+def _shared_rows(pattern: np.ndarray, lo: int, hi: int) -> tuple[slice, np.ndarray] | None:
+    """The covariate patterns of the row block lo to hi, a slice of the
+    patterns, and each row's place among them; None when no two rows of the
+    block share a pattern. The rows' patterns are sorted and gap-free, so
+    the block's are ``pattern[lo]`` to ``pattern[hi - 1]``."""
+    first, last = int(pattern[lo]), int(pattern[hi - 1])
+    if last - first == hi - lo - 1:
         return None
-    return patterns, np.cumsum(starts) - 1
+    return slice(first, last + 1), pattern[lo:hi] - first
 
 
 def multinomial_log_coefficient(counts: np.ndarray) -> float:
@@ -181,11 +108,9 @@ class LouisMoments(NamedTuple):
     log-likelihood in those coordinates is ``second`` minus the outer
     product of ``mean``, plus the score times any second derivatives of
     the predictors. With identity features, ``mean`` is each row's score
-    with respect to its boundary predictors. The rows are the kernel's
-    rows, as in every pass, and ``loglik`` weighs each by its
-    multiplicity.
-    A pass stopped at its floor has an upper bound of the log-likelihood
-    in ``loglik`` and None in the moments.
+    with respect to its boundary predictors. ``loglik`` is the weighted
+    total; a pass stopped at its floor has an upper bound of it there and
+    None in the moments.
     """
 
     loglik: float
@@ -194,9 +119,9 @@ class LouisMoments(NamedTuple):
 
 
 class ConditionalTerms(NamedTuple):
-    """Each of the kernel's rows' conditional log-likelihood (rows,), with
-    its score (rows, K-1) and curvature (rows, K-1, K-1) with respect to
-    the boundary predictors."""
+    """Each row's conditional log-likelihood (rows,), with its score
+    (rows, K-1) and curvature (rows, K-1, K-1) with respect to the boundary
+    predictors."""
 
     loglik: np.ndarray
     score: np.ndarray
@@ -205,12 +130,11 @@ class ConditionalTerms(NamedTuple):
 
 class _Workspace(NamedTuple):
     """A kernel's memory for one node count Q: the slot-major predictors
-    (K-1, rows, Q), the stack of (rows, Q) planes and stacks of them for
-    everything derived from them, the row blocks, each (first row, end
-    row, the (category, row) indices of the block's empty categories, and
-    the block's patterns with each row's place among them, or None where
-    it evaluates every row), and the stack of planes for the patterns
-    (None when no block shares them)."""
+    (K-1, rows, Q), the stack of (rows, Q) planes, the row blocks, each
+    (first row, end row, the (category, row) indices of its empty
+    categories, and ``_shared_rows`` of it or None where it evaluates every
+    row), and the stack of planes for the patterns (None when no block
+    shares them)."""
 
     predictors: np.ndarray
     planes: PlaneStack
@@ -219,46 +143,51 @@ class _Workspace(NamedTuple):
 
 
 class LoglikKernel:
-    """Vectorized log-likelihood evaluation for one dataset, one row per
-    distinct cluster.
+    """Vectorized log-likelihood evaluation for one dataset and link, on
+    all of the dataset's covariates or, when ``covariates`` is false, as
+    for an intercept model, on none.
 
-    Precomputes the rows' counts, stored slot-major as (K, rows, 1) so that
-    each category's counts broadcast against a (rows, Q) predictor plane,
-    and their multinomial constants ``log_coef`` once; the estimation layer
-    then calls ``louis_moments`` thousands of times with different
-    parameter proposals. The kernel is on all of the dataset's covariates,
-    or on none when ``covariates`` is false, as for an intercept model.
-    ``y`` keeps the clusters' counts (n, K).
+    Rows. The kernel's rows are ``rows``, the dataset's distinct clusters
+    (``Dataset.distinct_clusters``, which states the layout), with their
+    multinomial constants ``log_coef`` and float weights ``multiplicity``;
+    ``y`` keeps the clusters' counts (n, K) and ``pattern_covariates`` the
+    covariates of each pattern, one C-contiguous row per pattern (one empty
+    row without covariates). Predictors and counts are slot-major:
+    (K-1, rows, Q), one contiguous plane of rows by nodes per boundary,
+    which ``model.slot_stages`` evaluates at once, and (K, rows, 1), which
+    broadcasts against a plane.
 
-    Clusters with the same covariate pattern and the same counts add the
-    same terms to every sum, so the kernel's rows are the dataset's
-    distinct clusters, ``rows`` (``Dataset.distinct_clusters``), sorted by
-    (pattern, counts), each weighted by its multiplicity. Every pass takes
-    offsets shared by every row or given per row, one per ``rows.first``,
-    and returns one entry per row; ``rows.index`` takes a row's result to
-    its clusters. Offsets for any other number of rows raise ValueError.
-    ``row_patterns`` gives each row's covariate pattern (``index``) and the
-    first row of each (``first``), and ``pattern_covariates`` the
-    patterns' covariates, one C-contiguous row per pattern (one empty row
-    without covariates).
+    Passes. Every pass takes predictor offsets that broadcast against
+    (rows, Q, K-1), rows by nodes by boundaries, with a leading axis of 1,
+    shared by every row, or of the number of rows, one set for each row of
+    ``rows.first``; a 2-d array is node offsets (Q, K-1) shared by every
+    row, such as the nodes z of a rule mapped through a random effect's
+    loading A, z A'. No random effect is one node at 0 with weight 1, and
+    the conditional passes at offsets (rows or 1, K-1) are the one-node
+    case. Offsets for any other number of rows raise ValueError. Every pass
+    returns one entry per row; ``rows.index`` takes each cluster's. A total
+    sums the rows, each weighted by its multiplicity, in row order, as
+    ``louis_moments`` and ``total_loglik`` do, so it does not depend on the
+    order of the clusters.
 
-    The predictors x b are formed once per covariate pattern,
-    ``pattern_covariates @ b``, and taken to the rows, so rows of one
-    pattern have the same bits. Within a row
-    block of a shared-offset pass, the rows of one pattern then share their
-    predictors, so the link's count-free math (see ``model.slot_terms``)
-    runs once per distinct pattern of the block, and the rows' own work
-    starts where their counts enter. A block whose rows all have patterns
-    of their own, and any pass at per-row offsets, evaluates every row.
+    Shared patterns. The predictors x b are formed once per covariate
+    pattern, ``pattern_covariates @ b``, and taken to the rows, so rows of
+    one pattern have the same bits. At shared offsets, the rows of one
+    pattern in a row block then share their predictors, so the link's
+    count-free steps (``model.slot_stages``) run once per pattern of the
+    block and are expanded to the rows with a take where the counts enter:
+    the same bits as evaluating every row. Blocks whose rows all have
+    patterns of their own, planes under ``_SHARED_ELEMENTS`` values and
+    per-row offsets evaluate every row.
 
-    The kernel owns its workspace: for each node count Q, a stack of
-    (rows, Q) planes and (m, rows, Q) stacks of them allocated on the first
-    call with that Q and reused by every later one, so a call allocates
-    little more than the arrays it returns. A plane holds at most
-    ``_BLOCK_ELEMENTS`` elements; more rows than fit are evaluated in
-    row blocks through the same planes. Because the planes are shared, a
-    kernel serves one caller at a time: it is not for concurrent calls
-    from several threads.
+    Workspace. The kernel writes every intermediate into, for each node
+    count Q, a stack of (rows, Q) planes allocated on the first call with
+    that Q and reused by every later one, so a call allocates little more
+    than the arrays it returns, which are always fresh. A plane holds at
+    most ``_BLOCK_ELEMENTS`` values, a whole number of groups of 8 rows
+    where it can; more rows are evaluated in row blocks through the same
+    planes, so the kernel's memory is bounded by a block and its outputs.
+    Because the planes are shared, a kernel serves one caller at a time.
     """
 
     def __init__(self, dataset: Dataset, link: LinkFamily, covariates: bool = True):
@@ -266,26 +195,18 @@ class LoglikKernel:
         counts = dataset.count_matrix
         self.y = counts.astype(float)
         self.n_boundaries = dataset.n_categories - 1
-        if covariates:
-            patterns = dataset.covariate_patterns
-            self.pattern_covariates = np.ascontiguousarray(dataset.covariate_matrix[patterns.first])
-        else:
-            zeros = np.zeros(len(counts), dtype=np.intp)
-            patterns = CovariatePatterns(zeros[:1], zeros)
-            self.pattern_covariates = np.empty((1, 0))
-        self.rows = dataset.distinct_clusters(covariates)
-        first = self.rows.first
-        pattern = patterns.index[first]  # sorted, as the rows are
-        starts = np.searchsorted(pattern, np.arange(len(patterns.first)))
-        self.row_patterns = CovariatePatterns(starts, pattern)
+        self.rows = rows = dataset.distinct_clusters(covariates)
+        first = rows.first
+        x = dataset.covariate_matrix[dataset.covariate_patterns.first] if covariates else np.empty((1, 0))
+        self.pattern_covariates = np.ascontiguousarray(x)
         # each row's column of the predictors; None when row i is column i,
         # every row a pattern of its own
-        self._pattern = None if len(starts) == len(first) else pattern
+        self._pattern = None if len(rows.starts) == len(first) else rows.pattern
         counts = counts[first].T
         self._counts = np.ascontiguousarray(counts, dtype=float)[:, :, None]
         self._empty = counts == 0  # the (category, row) cells with no count
         self.log_coef = dataset.log_coefficients[first]
-        self._multiplicity = self.rows.multiplicity.astype(float)
+        self.multiplicity = rows.multiplicity.astype(float)
         self._pairs, self._louis_pairs = _pair_indices(link, self.n_boundaries)
         self._workspaces: dict[int, _Workspace] = {}
         # the last node features louis_moments saw, with _pair_products' arrays
@@ -306,7 +227,7 @@ class LoglikKernel:
                 hi = min(n, lo + rows)
                 shared = _shared_rows(self._pattern, lo, hi) if share else None
                 if shared is not None:
-                    most = max(most, len(shared[0]))
+                    most = max(most, shared[0].stop - shared[0].start)
                 blocks.append((lo, hi, np.nonzero(self._empty[:, lo:hi]), shared))
             self._workspaces[n_nodes] = _Workspace(
                 np.empty((self.n_boundaries, rows, n_nodes)),
@@ -317,10 +238,8 @@ class LoglikKernel:
         return self._workspaces[n_nodes]
 
     def _slot_major(self, offsets) -> np.ndarray:
-        """The slot-major view (K-1, rows or 1, Q) of offsets that broadcast
-        against (rows, Q, K-1); a 2-d array is node offsets (Q, K-1). Every
-        pass goes through here, so offsets for another number of rows raise
-        ValueError."""
+        """The slot-major view (K-1, rows or 1, Q) of a pass's offsets;
+        every pass goes through here."""
         offsets = np.asarray(offsets, dtype=float)
         if offsets.ndim == 2:
             offsets = offsets[None]
@@ -335,10 +254,8 @@ class LoglikKernel:
 
     def _blocks(self, intercepts, slopes, offsets, derivatives: bool = False):
         """Evaluate the link block by block in the workspace planes, at
-        slot-major offsets (K-1, rows or 1, Q); per-row ones are cut to each
-        block's rows. At shared offsets, a block whose rows share patterns
-        evaluates the link's count-free steps on its distinct patterns
-        only. Yields, per row block, its first and end rows, the node
+        slot-major offsets (K-1, rows or 1, Q). Yields, per row block, its
+        first and end rows, the node
         log-likelihoods without the multinomial constant, the infeasibility
         mask (None when every node is feasible) and the link's
         ``model.slot_stages`` past its values, whose next stage gives the
@@ -363,8 +280,8 @@ class LoglikKernel:
                 stages = slot_stages(self.link, d, y, ws.planes, derivatives)
             else:
                 patterns, rows = shared
-                ws.shared.reset(len(patterns))
-                d = ws.predictors[:, : len(patterns)]
+                d = ws.predictors[:, : patterns.stop - patterns.start]
+                ws.shared.reset(d.shape[1])
                 np.add(base[:, patterns, None], offsets, out=d)
                 stages = slot_stages(self.link, d, y, ws.planes, derivatives, rows, ws.shared)
             ll, infeasible = self._count_loglik(next(stages), counts, empty, ws.planes)
@@ -390,8 +307,7 @@ class LoglikKernel:
     @_expected_float_errors
     def node_logliks(self, intercepts, slopes, offsets) -> np.ndarray:
         """Conditional log-likelihood of each row at every node, (rows, Q),
-        without the multinomial constant, at offsets that broadcast against
-        (rows, Q, K-1)."""
+        without the multinomial constant."""
         offsets = self._slot_major(offsets)
         out = np.empty((len(self.log_coef), offsets.shape[-1]))
         for lo, hi, ll, _, _ in self._blocks(intercepts, slopes, offsets):
@@ -400,17 +316,14 @@ class LoglikKernel:
 
     def conditional_at(self, intercepts, slopes, offsets) -> np.ndarray:
         """Conditional log-likelihood of each row, with its constant, at
-        per-row offsets (rows, K-1) or offsets (1, K-1) shared by every row:
-        the one-node case of ``node_logliks``."""
+        offsets (rows or 1, K-1): the one-node case of ``node_logliks``."""
         ll = self.node_logliks(intercepts, slopes, np.asarray(offsets, dtype=float)[:, None])
         return ll[:, 0] + self.log_coef
 
     @_expected_float_errors
     def conditional_terms(self, intercepts, slopes, offsets) -> ConditionalTerms:
         """Conditional log-likelihood, score and curvature with respect to
-        the boundary predictors of each row, evaluated as one node per row,
-        at per-row offsets (rows, K-1) or offsets (1, K-1) shared by every
-        row."""
+        the boundary predictors of each row, at offsets (rows or 1, K-1)."""
         offsets = self._slot_major(np.asarray(offsets, dtype=float)[:, None])
         n, k1 = len(self.log_coef), self.n_boundaries
         loglik, score = np.empty(n), np.empty((n, k1))
@@ -449,9 +362,8 @@ class LoglikKernel:
 
     @_expected_float_errors
     def marginal(self, intercepts, slopes, offsets, weights) -> np.ndarray:
-        """Marginal log-likelihood of each row over quadrature nodes, with
-        log-sum-exp stabilization, at offsets that broadcast against
-        (rows, Q, K-1) and weights (Q,)."""
+        """Marginal log-likelihood of each row over quadrature nodes with
+        weights (Q,), with log-sum-exp stabilization."""
         weights = np.asarray(weights, dtype=float)
         offsets = self._slot_major(offsets)
         out = np.empty(len(self.log_coef))
@@ -466,9 +378,8 @@ class LoglikKernel:
         Louis' identity needs, in one pass over the node arrays.
 
         Takes the arguments of ``marginal`` and the node features M, shape
-        (Q, K-1, r); see ``LouisMoments``. The moments are per row, and the
-        log-likelihood weighs each row by its multiplicity. Infeasible nodes
-        get zero posterior weight and contribute nothing. The features'
+        (Q, K-1, r); see ``LouisMoments``. Infeasible nodes get zero
+        posterior weight and contribute nothing. The features'
         pair products are formed once for a read-only features array and
         reused while later calls pass the same array, as every pass of one
         fit does; a writeable one is read afresh on each call.
@@ -503,10 +414,10 @@ class LoglikKernel:
         for lo, hi, mass, total, infeasible, stages in blocks:
             if floor is not None:
                 if hi < n:
-                    done += float(((out[lo:hi] + self.log_coef[lo:hi]) * self._multiplicity[lo:hi]).sum())
-                    bound = done + float(self._multiplicity[hi:].sum()) * ceiling
+                    done += float(((out[lo:hi] + self.log_coef[lo:hi]) * self.multiplicity[lo:hi]).sum())
+                    bound = done + float(self.multiplicity[hi:].sum()) * ceiling
                 else:  # every row done: the log-likelihood itself, summed as below
-                    bound = float(((out + self.log_coef) * self._multiplicity).sum())
+                    bound = float(((out + self.log_coef) * self.multiplicity).sum())
                 if bound < floor:
                     return LouisMoments(bound, None, None)
             terms = next(stages)
@@ -526,7 +437,7 @@ class LoglikKernel:
                 second[lo:hi] += term @ outer[p]
             g *= posterior
             mean[lo:hi] += np.matmul(g, by_boundary).sum(axis=0)
-        loglik = float(((out + self.log_coef) * self._multiplicity).sum())
+        loglik = float(((out + self.log_coef) * self.multiplicity).sum())
         return LouisMoments(loglik, mean, second.reshape(n, r, r))
 
 
@@ -587,10 +498,9 @@ def cluster_logliks(
 def total_loglik(
     dataset: Dataset, params: ParameterVector, link: LinkFamily, rule=None
 ) -> float:
-    """Dataset log-likelihood: the sum of the kernel's rows, each weighted
-    by its multiplicity, in row order, as a fit's kernel pass forms it. So
-    it does not depend on the order of the clusters, and on a fit's rule
-    it is the fit's ``loglik`` at its estimates bit for bit, unless the fit
-    reports a standard deviation as 0 on its bound."""
+    """Dataset log-likelihood: the kernel's weighted total of its rows, as
+    a fit's pass forms it (``LoglikKernel``), so on a fit's rule it is the
+    fit's ``loglik`` at its estimates bit for bit, unless the fit reports a
+    standard deviation as 0 on its bound."""
     values, rows = _marginal_rows(dataset, params, link, rule)
     return float((values * rows.multiplicity).sum())

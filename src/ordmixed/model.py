@@ -330,17 +330,13 @@ class CovariatePatterns(NamedTuple):
 
 
 class DistinctClusters(NamedTuple):
-    """The distinct clusters of a dataset, those that differ in their
-    covariate pattern or in their counts: ``first`` (m,) holds a cluster of
-    each, ``multiplicity`` (m,) how many clusters are that one, and
-    ``index`` (n,) each cluster's distinct cluster, so that
-    ``count_matrix[first][index]`` is the count matrix. They are sorted by
-    pattern, then by counts, so the distinct clusters of one pattern are
-    adjacent."""
+    """A likelihood kernel's row layout (``Dataset.distinct_clusters``)."""
 
     first: np.ndarray
     multiplicity: np.ndarray
     index: np.ndarray
+    pattern: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -384,7 +380,12 @@ class Dataset:
             levels.flags.writeable = False
             object.__setattr__(self, "factor_levels", levels)
         if self.factor_names is not None:
-            object.__setattr__(self, "factor_names", tuple(self.factor_names))
+            names = tuple(self.factor_names)
+            if self.factor_levels is not None and len(names) != self.factor_levels.shape[1]:
+                raise ValueError(
+                    f"{len(names)} factor_names for {self.factor_levels.shape[1]} factor_levels columns"
+                )
+            object.__setattr__(self, "factor_names", names)
 
     @property
     def n_clusters(self) -> int:
@@ -443,18 +444,33 @@ class Dataset:
         return {}
 
     def distinct_clusters(self, covariates: bool = True) -> DistinctClusters:
-        """The distinct clusters for a model on all of the dataset's
-        covariates, or on none, made on the first call and kept. A model
-        without covariates sees only the counts, so its index groups the
-        clusters by their counts alone; a model with them groups them by
-        (covariate pattern, counts), from one ``np.unique`` of a row per
+        """The row layout of every likelihood kernel on this dataset, for a
+        model on all of its covariates or on none; made on the first call
+        and kept.
+
+        Clusters with the same covariate pattern and the same counts add
+        the same terms to every sum, so a kernel's rows are the distinct
+        clusters, sorted by (pattern, counts), each weighted by its
+        multiplicity wherever it enters a sum. A model without covariates
+        sees only the counts, so all its rows have one pattern, 0. The
+        arrays, read-only, are:
+
+        - ``first`` (m,): a cluster of each row;
+        - ``multiplicity`` (m,): how many clusters the row stands for;
+        - ``index`` (n,): each cluster's row, so that
+          ``count_matrix[first][index]`` is the count matrix;
+        - ``pattern`` (m,): each row's covariate pattern, numbered 0 to
+          P - 1 in the order of ``covariate_patterns``, so non-decreasing;
+        - ``starts`` (P,): each pattern's first row.
+
+        With covariates the rows come from one ``np.unique`` of a row per
         cluster, or straight from ``covariate_patterns`` when every cluster
         has a pattern of its own."""
         key = bool(covariates and self.n_covariates)
         if key not in self._distinct:
             if key and self.n_patterns == self.n_clusters:
                 first, index = self.covariate_patterns
-                distinct = DistinctClusters(first, np.ones(self.n_clusters, dtype=np.int64), index)
+                multiplicity = np.ones(self.n_clusters, dtype=np.int64)
             else:
                 counts = self.count_matrix
                 if key:
@@ -466,7 +482,10 @@ class Dataset:
                 _, first, index, multiplicity = np.unique(
                     keys, return_index=True, return_inverse=True, return_counts=True
                 )
-                distinct = DistinctClusters(first, multiplicity, index.reshape(-1))
+                index = index.reshape(-1)
+            pattern = self.covariate_patterns.index[first] if key else np.zeros(len(first), dtype=np.intp)
+            starts = np.flatnonzero(np.diff(pattern, prepend=-1))
+            distinct = DistinctClusters(first, multiplicity, index, pattern, starts)
             for a in distinct:
                 a.flags.writeable = False
             self._distinct[key] = distinct
@@ -612,29 +631,19 @@ class PlaneStack:
         return arrays[i][: self.rows] if count is None else arrays[i][:, : self.rows]
 
 
-def slot_terms(
-    link: LinkFamily,
-    d,
-    counts=None,
-    work: PlaneStack | None = None,
-    curvature: bool = False,
-    rows: np.ndarray | None = None,
-    row_work: PlaneStack | None = None,
-) -> SlotTerms:
+def slot_terms(link: LinkFamily, d, counts=None, curvature: bool = False) -> SlotTerms:
     """Log category probabilities, feasibility and, given counts, the
     predictor score and, with ``curvature``, its derivatives, in one pass
-    over slot-major predictors.
+    over slot-major predictors, in fresh arrays: ``slot_stages`` run to its
+    end on a new stack of planes.
 
     ``d`` (K-1, ...) holds one plane of predictors per boundary, and
     ``counts`` (K, ...) one plane of counts per category, broadcasting
     against a predictor plane. Every step of a link runs once over all
     boundaries, on the whole (K-1, ...) array, so neither the short
-    category axis nor the boundary axis becomes an inner loop. Every array
-    the link writes, the returned ones included, is taken from ``work``, a
-    stack of planes shaped like ``d[k]``; without one they come from a new
-    stack, so the results are fresh arrays. Computed in log space, so large
-    predictor magnitudes stay finite. With F the logistic function,
-    N = sum_j y_j and C_k = P(Y <= k), the score is
+    category axis nor the boundary axis becomes an inner loop. Computed in
+    log space, so large predictor magnitudes stay finite. With F the
+    logistic function, N = sum_j y_j and C_k = P(Y <= k), the score is
 
     - proportional odds:    g_k = F'(d_k) (y_k / p_k - y_{k+1} / p_{k+1});
     - adjacent categories:  g_k = sum_{j<=k} y_j - N C_k;
@@ -652,6 +661,41 @@ def slot_terms(
 
     stacked in the order of ``curvature_pairs``.
 
+    Proportional-odds nodes that are infeasible carry garbage in ``logp``,
+    ``score`` and ``curvature`` and False in ``feasible``; a
+    proportional-odds category with zero probability (two equal predictors)
+    has log-probability -inf, and a score and curvature that are finite
+    where its count is 0 and not finite elsewhere.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stages = slot_stages(link, d, counts, PlaneStack(np.shape(d[0])), curvature)
+        values = next(stages)
+        return values if counts is None else next(stages)
+
+
+def slot_stages(
+    link: LinkFamily,
+    d,
+    counts,
+    work: PlaneStack,
+    curvature: bool = False,
+    rows: np.ndarray | None = None,
+    row_work: PlaneStack | None = None,
+):
+    """``slot_terms`` in two stages, as a generator of ``SlotTerms``, with
+    every array the link writes, the returned ones included, taken from
+    ``work``, a stack of planes shaped like ``d[k]`` (with ``rows``, of n
+    rows). The first stage holds the log-probabilities and the feasibility
+    alone, and the second, given counts, adds the score and, with
+    ``curvature``, its derivatives, in the first stage's arrays. The first
+    stage also forms
+    every count-free step that the derivatives read from the
+    log-probabilities, so a caller may write over its ``logp`` (spent
+    then in the second) before it asks for the second, and one that needs
+    only the values never makes the rest of the derivatives. The caller
+    handles the floating-point errors of ``slot_terms``' cases: run the
+    stages with divide, invalid and overflow errors ignored.
+
     Shared predictor rows: with ``rows``, an index (n,) into the second
     axis of ``d``, the planes of ``d`` hold only the distinct predictor rows
     (m of them), and row i of the results is row ``rows[i]`` of ``d``
@@ -662,43 +706,7 @@ def slot_terms(
     and the continuation-ratio F and F'. It expands them to the n rows with
     a take into planes of ``work`` only where the counts enter, and runs
     the remaining steps there as without ``rows``, so every result is the
-    same bits as for ``d`` expanded to n rows first.
-
-    Proportional-odds nodes that are infeasible carry garbage in ``logp``,
-    ``score`` and ``curvature`` and False in ``feasible``; a
-    proportional-odds category with zero probability (two equal predictors)
-    has log-probability -inf, and a score and curvature that are finite
-    where its count is 0 and not finite elsewhere.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        stages = slot_stages(link, d, counts, work, curvature, rows, row_work)
-        values = next(stages)
-        return values if counts is None else next(stages)
-
-
-def slot_stages(
-    link: LinkFamily,
-    d,
-    counts=None,
-    work: PlaneStack | None = None,
-    curvature: bool = False,
-    rows: np.ndarray | None = None,
-    row_work: PlaneStack | None = None,
-):
-    """``slot_terms`` in two stages, as a generator of ``SlotTerms``: the
-    first holds the log-probabilities and the feasibility alone, and the
-    second, given counts, adds the score and, with ``curvature``, its
-    derivatives, in the first stage's arrays. The first stage also forms
-    every count-free step that the derivatives read from the
-    log-probabilities, so a caller may write over its ``logp`` (spent
-    then in the second) before it asks for the second, and one that needs
-    only the values never makes the rest of the derivatives. The caller
-    handles the floating-point errors of ``slot_terms``' cases: run the
-    stages with divide, invalid and overflow errors ignored."""
-    if work is None:
-        work = PlaneStack(np.shape(d[0]) if rows is None else (len(rows), *np.shape(d[0])[1:]))
-    if rows is not None and row_work is None:
-        row_work = PlaneStack(np.shape(d[0]))
+    same bits as for ``d`` expanded to n rows first."""
     stacks = _Stacks(rows, work if rows is None else row_work, work)
     if link is LinkFamily.PROPORTIONAL_ODDS:
         return _terms_po(d, counts, stacks, curvature)
@@ -947,27 +955,6 @@ def log_category_probabilities(link: LinkFamily, deltas: np.ndarray) -> tuple[np
     if terms.feasible is None:
         return logp, np.ones(lead, dtype=bool)
     return logp, terms.feasible.reshape(lead)
-
-
-def predictor_score(
-    link: LinkFamily, deltas: np.ndarray, logp: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Derivative of the count log-likelihood sum_j y_j log p_j with respect
-    to each of the K-1 boundary predictors, shape (..., K-1).
-
-    ``counts`` broadcasts against ``logp``, the value of
-    log_category_probabilities at ``deltas``; the score itself comes from
-    ``slot_terms`` at ``deltas``, which recomputes the intermediates it
-    shares with the log-probabilities, so ``logp`` is not read. Rows
-    infeasible under proportional odds carry garbage, as in ``logp``.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    lead = np.broadcast_shapes(deltas.shape[:-1], counts.shape[:-1])
-    deltas = np.broadcast_to(deltas, lead + deltas.shape[-1:])
-    counts = np.broadcast_to(counts, lead + counts.shape[-1:])
-    terms = slot_terms(link, _slot_major(deltas), _slot_major(counts))
-    return np.moveaxis(terms.score, 0, -1).reshape(lead + (-1,))
 
 
 def recover_predictors(link: LinkFamily, probs: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from ordmixed import (
     likelihood_ratio_C,
     pearson_chi2,
 )
-from ordmixed.gof import DegenerateCellError, InconsistentFitsError, LOGISTIC_VARIANCE
+from ordmixed.gof import DegenerateCellError, InconsistentFitsError, LOGISTIC_VARIANCE, expected_counts
 from ordmixed.simulation import SimulationDesign, generate_dataset, study_true_parameters
 
 ACL = LinkFamily.ADJACENT_CATEGORIES
@@ -312,3 +312,17 @@ class TestGofReport:
         assert 0 <= report.chi2_p <= 1
         assert report.icc is not None and 0 <= report.icc < 1
         assert report.aic == pytest.approx(-2 * full.loglik + 2 * 4)
+
+    @pytest.mark.parametrize("structure", ["none", "univariate"])
+    def test_an_unknown_prediction_is_refused_for_either_kind_of_fit(self, structure):
+        ds = balanced_dataset()
+        opts = FitOptions(quadrature_order=15, standard_errors=False)
+        full = fit(ds, ACL, structure, opts)
+        intercept = fit_intercept_model(ds, ACL, structure, opts)
+        for call in (
+            lambda: expected_counts(ds, full, ACL, "median"),
+            lambda: pearson_chi2(ds, full, ACL, "median"),
+            lambda: gof_report(ds, full, intercept, "median"),
+        ):
+            with pytest.raises(ValueError, match="unknown prediction method: 'median'"):
+                call()

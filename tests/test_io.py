@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ordmixed import (
+    Dataset,
     DatasetParseError,
     FactorSchema,
     FitOptions,
@@ -116,6 +117,12 @@ class TestRoundTrip:
         assert np.array_equal(ds.covariate_matrix, again.covariate_matrix)
         assert np.array_equal(ds.factor_levels, again.factor_levels)
         assert render_dataset(again) == render_dataset(ds)
+
+    def test_factor_names_and_levels_of_different_widths_are_refused(self):
+        # such a dataset would render a header that its own rows do not fit
+        clusters = strawberry_dataset().clusters[:2]
+        with pytest.raises(ValueError, match="2 factor_names for 1 factor_levels columns"):
+            Dataset(clusters=clusters, factor_names=("a", "b"), factor_levels=[[1], [2]])
 
     def test_simulated_dataset_round_trips(self):
         design = SimulationDesign(

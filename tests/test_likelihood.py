@@ -27,7 +27,6 @@ from ordmixed.model import (
     curvature_pairs,
     log_category_probabilities,
     log_multinomial_coefficients,
-    predictor_score,
     slot_stages,
     slot_terms,
 )
@@ -311,7 +310,8 @@ def _wrapper_kernel_oracle(link, dataset, c, b, offsets, weights):
     ll = np.where(feasible, ll, -np.inf)
     post = np.exp(ll - ll.max(axis=1, keepdims=True)) * weights
     post /= post.sum(axis=1, keepdims=True)
-    score = np.where(feasible[..., None], predictor_score(link, deltas, logp, y), 0.0)
+    score = slot_terms(link, np.moveaxis(deltas, -1, 0), np.moveaxis(y, -1, 0).astype(float)).score
+    score = np.where(feasible[..., None], np.moveaxis(score, 0, -1), 0.0)
     return ll, (post[..., None] * score).sum(axis=1)
 
 

@@ -22,7 +22,7 @@ from ordmixed import (
 )
 from ordmixed.datasets import strawberry_dataset
 from ordmixed.estimation import _Parameterization
-from ordmixed.model import curvature_pairs, log_category_probabilities, predictor_score, slot_terms
+from ordmixed.model import curvature_pairs, log_category_probabilities, slot_terms
 
 ALL_LINKS = list(LinkFamily)
 
@@ -149,6 +149,12 @@ class TestCategoryProbabilities:
             np.testing.assert_allclose(batch[i], row, atol=1e-15)
 
 
+def slot_score(link, d, counts):
+    """The score of ``slot_terms`` at one predictor vector d (K-1,) with
+    counts (K,)."""
+    return slot_terms(link, d[:, None], counts[:, None]).score[:, 0]
+
+
 class TestPredictorScore:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -166,8 +172,7 @@ class TestPredictorScore:
         def loglik(delta):
             return float(counts @ log_category_probabilities(link, delta)[0])
 
-        logp, _ = log_category_probabilities(link, d)
-        score = predictor_score(link, d, logp, counts)
+        score = slot_score(link, d, counts)
         h = 1e-6
         for k in range(d.size):
             up, dn = d.copy(), d.copy()
@@ -179,9 +184,8 @@ class TestPredictorScore:
         d = np.array([[-1.0, 0.5], [-0.2, 1.5], [0.0, 0.1]])
         counts = np.array([2.0, 0.0, 5.0])
         for link in ALL_LINKS:
-            logp, _ = log_category_probabilities(link, d)
-            batch = predictor_score(link, d, logp, counts[None, :])
-            rows = [predictor_score(link, d[i], logp[i], counts) for i in range(3)]
+            batch = slot_terms(link, d.T, counts[:, None]).score.T
+            rows = [slot_score(link, d[i], counts) for i in range(3)]
             np.testing.assert_allclose(batch, np.array(rows), rtol=1e-14)
 
     @pytest.mark.parametrize("d", [[-800.0, -799.0], [799.0, 800.0], [-800.0, 800.0]])
@@ -191,7 +195,7 @@ class TestPredictorScore:
         logp, feasible = log_category_probabilities(link, d)
         assert feasible and np.all(np.isfinite(logp))
         assert np.logaddexp.reduce(logp) == pytest.approx(0.0, abs=1e-12)
-        score = predictor_score(link, d, logp, np.array([3.0, 2.0, 4.0]))
+        score = slot_score(link, d, np.array([3.0, 2.0, 4.0]))
         assert np.all(np.isfinite(score))
 
     def test_equal_po_predictors_empty_the_middle_category(self):
@@ -232,7 +236,7 @@ class TestCurvature:
         counts = np.array(count_list[: d.size + 1], dtype=float)
 
         def score(delta):
-            return predictor_score(link, delta, log_category_probabilities(link, delta)[0], counts)
+            return slot_score(link, delta, counts)
 
         hess = curvature_matrix(link, d, counts)
         h = 1e-6
@@ -253,8 +257,7 @@ class TestCurvature:
         # the middle category has zero probability and a count: the
         # log-likelihood is -inf, and so are the score and curvature
         d, counts = np.array([0.4, 0.4]), np.array([3.0, 1.0, 2.0])
-        logp, _ = log_category_probabilities(LinkFamily.PROPORTIONAL_ODDS, d)
-        assert not np.any(np.isfinite(predictor_score(LinkFamily.PROPORTIONAL_ODDS, d, logp, counts)))
+        assert not np.any(np.isfinite(slot_score(LinkFamily.PROPORTIONAL_ODDS, d, counts)))
         with np.errstate(invalid="ignore"):
             hess = curvature_matrix(LinkFamily.PROPORTIONAL_ODDS, d, counts)
         assert not np.any(np.isfinite(hess))
@@ -262,9 +265,8 @@ class TestCurvature:
     def test_equal_po_predictors_with_an_empty_middle_category_are_finite(self):
         # with no count there, the log-likelihood is 3 log F(d1) + 2 log(1 - F(d2))
         d, counts = np.array([0.4, 0.4]), np.array([3.0, 0.0, 2.0])
-        logp, _ = log_category_probabilities(LinkFamily.PROPORTIONAL_ODDS, d)
         f = 1.0 / (1.0 + np.exp(-0.4))
-        score = predictor_score(LinkFamily.PROPORTIONAL_ODDS, d, logp, counts)
+        score = slot_score(LinkFamily.PROPORTIONAL_ODDS, d, counts)
         np.testing.assert_allclose(score, [3.0 * (1.0 - f), -2.0 * f], rtol=1e-14)
         hess = curvature_matrix(LinkFamily.PROPORTIONAL_ODDS, d, counts)
         np.testing.assert_allclose(hess, np.diag([-3.0, -2.0]) * f * (1.0 - f), rtol=1e-14)
@@ -432,7 +434,7 @@ class TestDataModel:
         assert calls == [(192, 8), (192,), (192,)]
         assert found[2] is found[0]
         pattern = ds.covariate_patterns.index
-        for (first, multiplicity, index), key in zip(found, (pattern, np.zeros(192, dtype=int))):
+        for (first, multiplicity, index, *_), key in zip(found, (pattern, np.zeros(192, dtype=int))):
             # a cluster of each distinct (key, counts) row, each cluster's row
             rows = np.column_stack([key, counts])
             assert len(first) == len(np.unique(rows, axis=0)) < 192
@@ -441,6 +443,24 @@ class TestDataModel:
             # sorted by the key, then by the counts
             assert [tuple(r) for r in rows[first]] == sorted(tuple(r) for r in rows[first])
             assert not any(a.flags.writeable for a in (first, multiplicity, index))
+
+    @pytest.mark.parametrize("repeats", [1, 4])
+    def test_distinct_clusters_carry_their_patterns(self, repeats):
+        """Each row's covariate pattern is the pattern of its first cluster,
+        0 without covariates, and each pattern's first row is where the
+        sorted patterns step up."""
+        rng = np.random.default_rng(9)
+        x = np.tile(factorial_design()[0], (repeats, 1))[rng.permutation(48 * repeats)]
+        counts = rng.multinomial(3, [0.2, 0.3, 0.5], size=48 * repeats)
+        ds = Dataset(clusters=tuple(Cluster(covariates=row, counts=y) for row, y in zip(x, counts)))
+        for covariates in (True, False):
+            rows = ds.distinct_clusters(covariates)
+            want = ds.covariate_patterns.index[rows.first] if covariates else np.zeros(len(rows.first))
+            np.testing.assert_array_equal(rows.pattern, want)
+            firsts = [int(np.flatnonzero(rows.pattern == j)[0]) for j in range(rows.pattern[-1] + 1)]
+            np.testing.assert_array_equal(rows.starts, firsts)
+            assert len(rows.starts) == (ds.n_patterns if covariates else 1)
+            assert not rows.pattern.flags.writeable and not rows.starts.flags.writeable
 
     def test_clusters_of_patterns_of_their_own_are_the_distinct_clusters(self, monkeypatch):
         """Where every cluster has a covariate pattern of its own, the
@@ -454,7 +474,7 @@ class TestDataModel:
             return unique(ar, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counted)
-        first, multiplicity, index = ds.distinct_clusters(True)
+        first, multiplicity, index, *_ = ds.distinct_clusters(True)
         monkeypatch.undo()
         assert calls == [(48, 8)]
         patterns = ds.covariate_patterns
