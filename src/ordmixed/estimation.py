@@ -252,7 +252,6 @@ class _Objective:
         self.kernel = kernel
         self.param = param
         self.nodes, self.weights = standard_tensor_grid(order, param.effect.dim)
-        self._last = (None, None)
         self.passes = 0
         k1, v, x = kernel.n_boundaries, param.n_fixed, kernel.pattern_covariates
         # the first row of each pattern, None when every cluster is a pattern
@@ -275,23 +274,15 @@ class _Objective:
         """Node offsets (Q, K-1) and the entries' second derivatives,
         (E, n_variance^2), with their first derivatives written to the
         Jacobian's variance block; None when the effect cannot be formed.
-        Only random-effect passes call it. Those of the last ``tail`` are
-        kept: the next call meets the same ``tail`` when every variance
-        coordinate stays on the bound it stands on, held there or projected
-        back, while Newton steps in the fixed effects."""
-        key = tail.tobytes()
-        if key != self._last[0]:
-            try:
-                re = self.param.random_effect(tail)
-            except OverflowError:  # exp of a log standard deviation beyond 709
-                self._last = (key, None)
-                return None
-            k1, v = self.kernel.n_boundaries, self.param.n_fixed
-            self._jacobian[:, k1:, v:] = re.entry_derivatives()
-            second = re.entry_second_derivatives()
-            second = second.reshape(len(second), tail.size**2)
-            self._last = (key, ((self._patterns @ re.entries()).T, second))
-        return self._last[1]
+        Only random-effect passes call it."""
+        try:
+            re = self.param.random_effect(tail)
+        except OverflowError:  # exp of a log standard deviation beyond 709
+            return None
+        k1, v = self.kernel.n_boundaries, self.param.n_fixed
+        self._jacobian[:, k1:, v:] = re.entry_derivatives()
+        second = re.entry_second_derivatives()
+        return (self._patterns @ re.entries()).T, second.reshape(len(second), tail.size**2)
 
     def full(self, theta: np.ndarray, floor: float | None = None) -> _Pass:
         """Log-likelihood, score and observed information at ``theta`` in

@@ -101,7 +101,9 @@ def pearson_chi2(
 
     Degrees of freedom are (K - 1) times the number of distinct covariate
     patterns minus the number of fixed-effect parameters only; variance
-    components do not enter the count.
+    components do not enter the count. A saturated design, with fewer than
+    one degree of freedom, has no reference distribution: its p-value is
+    NaN.
     """
     observed = dataset.count_matrix
     expected = expected_counts(dataset, fit, link, prediction)
@@ -113,7 +115,7 @@ def pearson_chi2(
         )
     statistic = float(((observed - expected) ** 2 / expected).sum())
     df = (dataset.n_categories - 1) * dataset.n_patterns - fit.n_fixed_parameters
-    return statistic, df, chi_squared_survival(statistic, df)
+    return statistic, df, chi_squared_survival(statistic, df) if df >= 1 else math.nan
 
 
 def likelihood_ratio_C(full: FitResult, intercept: FitResult) -> tuple[float, int, float]:
@@ -177,8 +179,13 @@ def icc(re, covariance: np.ndarray | None = None):
 
 def variance_component_covariance(fit: FitResult) -> np.ndarray | None:
     """Reported-scale covariance block of the variance components, the
-    parameters after the fixed effects."""
+    parameters after the fixed effects; None as well when a standard
+    deviation is on its bound, where the fit reports it with no standard
+    error (``FitResult``), so the delta method has no meaning there."""
     if fit.covariance is None or fit.n_parameters == fit.n_fixed_parameters:
+        return None
+    correlations = fit.estimates.re.correlations
+    if any(name not in correlations for name in fit.diagnostics.get("boundary", ())):
         return None
     return fit.covariance[fit.n_fixed_parameters :, fit.n_fixed_parameters :]
 

@@ -179,7 +179,7 @@ def fit_result_tree(fit) -> dict:
 
 def gof_tree(report) -> dict:
     tree = {
-        "chi2": {"statistic": report.chi2, "df": report.chi2_df, "p_value": report.chi2_p},
+        "chi2": {"statistic": report.chi2, "df": report.chi2_df, "p_value": _none_if_nan(report.chi2_p)},
         "C": {"statistic": report.C, "df": report.C_df, "p_value": report.C_p},
         "aic": report.aic,
     }

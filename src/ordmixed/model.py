@@ -570,13 +570,13 @@ class SlotTerms(NamedTuple):
 
     ``logp`` (K, ...) holds the K log category probabilities and ``score``
     (K-1, ...) the derivatives of sum_j y_j log p_j with respect to each
-    predictor (None when no counts were given). ``curvature`` (P, ...)
-    holds, for the boundary pairs (k, l), k <= l, of
-    ``curvature_pairs(link, K-1)``, the second derivative of
+    predictor. ``curvature`` (P, ...) holds, for the boundary pairs (k, l),
+    k <= l, of ``curvature_pairs(link, K-1)``, the second derivative of
     sum_j y_j log p_j with respect to predictors k and l; pairs whose
-    second derivative is zero for the link are left out, and it is None
-    unless asked for. ``feasible`` is the proportional-odds feasibility
-    mask, or None for the families that are feasible everywhere.
+    second derivative is zero for the link are left out. Both are None
+    when no counts were given. ``feasible`` is the proportional-odds
+    feasibility mask, or None for the families that are feasible
+    everywhere.
     """
 
     logp: np.ndarray
@@ -631,11 +631,11 @@ class PlaneStack:
         return arrays[i][: self.rows] if count is None else arrays[i][:, : self.rows]
 
 
-def slot_terms(link: LinkFamily, d, counts=None, curvature: bool = False) -> SlotTerms:
-    """Log category probabilities, feasibility and, given counts, the
-    predictor score and, with ``curvature``, its derivatives, in one pass
-    over slot-major predictors, in fresh arrays: ``slot_stages`` run to its
-    end on a new stack of planes.
+def slot_terms(link: LinkFamily, d, counts=None) -> SlotTerms:
+    """Log category probabilities, feasibility and, given counts, both the
+    predictor score and its derivatives, in one pass over slot-major
+    predictors, in fresh arrays: ``slot_stages`` run to its end on a new
+    stack of planes.
 
     ``d`` (K-1, ...) holds one plane of predictors per boundary, and
     ``counts`` (K, ...) one plane of counts per category, broadcasting
@@ -668,7 +668,7 @@ def slot_terms(link: LinkFamily, d, counts=None, curvature: bool = False) -> Slo
     where its count is 0 and not finite elsewhere.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        stages = slot_stages(link, d, counts, PlaneStack(np.shape(d[0])), curvature)
+        stages = slot_stages(link, d, counts, PlaneStack(np.shape(d[0])))
         values = next(stages)
         return values if counts is None else next(stages)
 
@@ -678,7 +678,6 @@ def slot_stages(
     d,
     counts,
     work: PlaneStack,
-    curvature: bool = False,
     rows: np.ndarray | None = None,
     row_work: PlaneStack | None = None,
 ):
@@ -686,9 +685,8 @@ def slot_stages(
     every array the link writes, the returned ones included, taken from
     ``work``, a stack of planes shaped like ``d[k]`` (with ``rows``, of n
     rows). The first stage holds the log-probabilities and the feasibility
-    alone, and the second, given counts, adds the score and, with
-    ``curvature``, its derivatives, in the first stage's arrays. The first
-    stage also forms
+    alone, and the second, given counts, adds the score and its
+    derivatives, in the first stage's arrays. The first stage also forms
     every count-free step that the derivatives read from the
     log-probabilities, so a caller may write over its ``logp`` (spent
     then in the second) before it asks for the second, and one that needs
@@ -709,11 +707,11 @@ def slot_stages(
     same bits as for ``d`` expanded to n rows first."""
     stacks = _Stacks(rows, work if rows is None else row_work, work)
     if link is LinkFamily.PROPORTIONAL_ODDS:
-        return _terms_po(d, counts, stacks, curvature)
+        return _terms_po(d, counts, stacks)
     if link is LinkFamily.ADJACENT_CATEGORIES:
-        return _terms_acl(d, counts, stacks, curvature)
+        return _terms_acl(d, counts, stacks)
     if link is LinkFamily.CONTINUATION_RATIO:
-        return _terms_cr(d, counts, stacks, curvature)
+        return _terms_cr(d, counts, stacks)
     raise ValueError(f"unknown link family: {link!r}")
 
 
@@ -772,7 +770,7 @@ def _log_logistic(z: np.ndarray, work: PlaneStack) -> tuple[np.ndarray, np.ndarr
 # values, then, given counts, the values with the derivatives.
 
 
-def _terms_po(d, y, stacks: _Stacks, curvature):
+def _terms_po(d, y, stacks: _Stacks):
     # one softplus per predictor: log F, log(1 - F), log F' = their sum
     k1, free = len(d), stacks.free
     log_f, log_not_f = _log_logistic(d, free)
@@ -804,17 +802,15 @@ def _terms_po(d, y, stacks: _Stacks, curvature):
         np.subtract(log_density[:-1], logp[1:k1], out=above[:-1])
         np.exp(below, out=below)
         np.exp(above, out=above)
-        if curvature:
-            hess = stacks.work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
-            # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
-            tanh = np.multiply(d, -0.5, out=hess[::2] if stacks.index is None else log_density)
-            np.tanh(tanh, out=tanh)
+        hess = stacks.work.take(2 * k1 - 1)  # rows (k, k), (k, k+1) of curvature_pairs
+        # 1 - 2 F(d_k), so that F''_k (...) = (1 - 2F_k) g_k
+        tanh = np.multiply(d, -0.5, out=hess[::2] if stacks.index is None else log_density)
+        np.tanh(tanh, out=tanh)
     logp = stacks.expand(logp)
     yield SlotTerms(logp, feasible, None)
     if y is None:
         return
-    if curvature:
-        diagonal = stacks.expand(tanh, out=hess[::2])
+    diagonal = stacks.expand(tanh, out=hess[::2])
     below, above = stacks.expand(below), stacks.expand(above)
     # every F'/p_j enters multiplied by y_j; where y_j = 0 it is set to 0,
     # so that a category of zero probability and zero count (two equal
@@ -823,11 +819,6 @@ def _terms_po(d, y, stacks: _Stacks, curvature):
     if empty.any():
         np.copyto(below, 0.0, where=empty[:-1])
         np.copyto(above, 0.0, where=empty[1:])
-    if not curvature:
-        below *= y[:-1]
-        below -= np.multiply(above, y[1:], out=above)
-        yield SlotTerms(logp, feasible, below)
-        return
     # the curvature reads the ratios again, so the score gets its own array
     spare = log_density if stacks.index is None else stacks.work.take(k1)
     score = np.multiply(below, y[:-1], out=stacks.work.take(k1))
@@ -844,7 +835,7 @@ def _terms_po(d, y, stacks: _Stacks, curvature):
     yield SlotTerms(logp, feasible, score, hess)
 
 
-def _terms_acl(d, y, stacks: _Stacks, curvature):
+def _terms_acl(d, y, stacks: _Stacks):
     # category k carries the partial sum of predictors k..K-1, category K zero
     k1, free = len(d), stacks.free
     sums = free.take(k1)
@@ -871,15 +862,13 @@ def _terms_acl(d, y, stacks: _Stacks, curvature):
         cumulative = np.exp(logp[:-1], out=free.take(k1))
         for k in range(1, k1):
             cumulative[k] += cumulative[k - 1]
-        if curvature:
-            # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
-            factor = np.subtract(cumulative, 1.0, out=sums)
+        # H_kl = -N C_k (1 - C_l) for k <= l, row k from C_k and -N (1 - C_l)
+        factor = np.subtract(cumulative, 1.0, out=sums)
     logp = stacks.expand(logp)
     yield SlotTerms(logp, None, None)
     if y is None:
         return
-    if curvature:
-        factor = stacks.expand(factor)
+    factor = stacks.expand(factor)
     cumulative = stacks.expand(cumulative)
     at_or_below = y[:-1].copy()
     for k in range(1, k1):
@@ -887,9 +876,6 @@ def _terms_acl(d, y, stacks: _Stacks, curvature):
     size = at_or_below[-1] + y[-1]
     score = np.multiply(cumulative, -size, out=stacks.work.take(k1))
     score += at_or_below
-    if not curvature:
-        yield SlotTerms(logp, None, score)
-        return
     factor *= size
     hess = stacks.work.take(k1 * (k1 + 1) // 2)
     first = 0
@@ -899,11 +885,11 @@ def _terms_acl(d, y, stacks: _Stacks, curvature):
     yield SlotTerms(logp, None, score, hess)
 
 
-def _terms_cr(d, y, stacks: _Stacks, curvature):
+def _terms_cr(d, y, stacks: _Stacks):
     # log P(stop at k | reached k) = log F(d_k), log P(continue) = log(1 - F(d_k))
     k1, free = len(d), stacks.free
     log_stop, log_continue = _log_logistic(d, free)
-    if y is not None and curvature:
+    if y is not None:
         # F'(d_k) = F (1 - F), before log_continue turns into survival
         density = np.add(log_stop, log_continue, out=free.take(k1))
         np.exp(density, out=density)
@@ -926,9 +912,6 @@ def _terms_cr(d, y, stacks: _Stacks, curvature):
     np.negative(reached, out=reached)
     score *= reached
     score += y[:-1]
-    if not curvature:
-        yield SlotTerms(logp, None, score)
-        return
     density = stacks.expand(density)
     density *= reached
     yield SlotTerms(logp, None, score, density)

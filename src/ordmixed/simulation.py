@@ -250,8 +250,6 @@ def run_study(
                 f"{n_bad}/{design.replications} replications unusable for {key}: "
                 f"first failure: {examples[0]}"
             )
-        if not good:
-            raise StudyQualityError(f"no usable replications for {key}")
         names = good[0]["names"]
         values = np.array([e["values"] for e in good])
         r_used = len(good)

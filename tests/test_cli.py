@@ -122,6 +122,18 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert set(payload["models"]) == {"crl:none", "crl:univariate"}
 
+    def test_bivariate_generator(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--link", "acl", "--sigma1", "0.6", "--sigma2", "0.8",
+            "--rho", "0.5", "--replications", "2", "--fit", "acl:two", "--order", "6",
+            "--format", "json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["generator"]["random_effects"] == "bivariate"
+        rows = payload["models"]["acl:bivariate"]["parameters"]
+        assert [r["name"] for r in rows][-3:] == ["sigma1", "sigma2", "rho"]
+
     def test_order_env_override(self, capsys, monkeypatch):
         argv = [
             "simulate", "--link", "po", "--replications", "2", "--seed", "4",
@@ -167,6 +179,24 @@ class TestReproduceCommand:
         assert abs(rows["none.f4.estimate"]["delta"]) < 0.01
         assert all(r["computed"] is not None for r in payload["rows"])
 
+    def test_a_study_table_reruns_its_scenario(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reproduce", "table8", "--replications", "2", "--order", "10",
+            "--format", "json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert {k: payload[k] for k in ("preset", "kind", "generator", "sigma", "link")} == {
+            "preset": "table8", "kind": "study", "generator": "po", "sigma": 0.6, "link": "po",
+        }
+        rows = {r["name"]: r for r in payload["rows"]}
+        assert {name.split(".")[0] for name in rows} == {"none", "univariate"}
+        # a study reports no spread of its mean ICC; everything else is computed
+        missing = [name for name, r in rows.items() if r["computed"] is None]
+        assert missing == ["univariate.icc.spread"]
+        row = rows["univariate.sigma.estimate"]
+        assert row["delta"] == row["computed"] - row["published"]
+
     def test_unknown_preset_fails_cleanly(self, capsys):
         code, out, err = run_cli(capsys, "reproduce", "table99")
         assert code == 1
@@ -204,6 +234,14 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert err == f"error: ValueError: {variable} must be {allowed}, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "given", [("--sigma1", "0.6"), ("--rho", "0.5"), ("--sigma1", "0.6", "--sigma2", "0.8")]
+    )
+    def test_bivariate_generation_needs_all_three_flags(self, capsys, given):
+        code, out, err = run_cli(capsys, "simulate", "--link", "acl", "--replications", "2", *given)
+        assert code == 1 and out == ""
+        assert err == "error: ValueError: bivariate generation needs --sigma1, --sigma2, and --rho\n"
 
     @pytest.mark.parametrize("value", ["0", "101"])
     def test_order_flag_out_of_range(self, capsys, value):

@@ -940,6 +940,17 @@ class TestInterceptModel:
         with_se = fit(ds, LinkFamily.CONTINUATION_RATIO, "none")
         assert with_se.diagnostics["covariance_note"].startswith("pseudo-inverse")
 
+    def test_full_model_starting_values_are_dropped(self, strawberry, po_univariate):
+        """Starting values with slopes are the full model's: the intercept
+        model drops them and fits as from no starting values."""
+        opts = FitOptions(starting_values=po_univariate.estimates, standard_errors=False)
+        given = fit_intercept_model(replace(strawberry), PO, "univariate", opts)
+        cold = fit_intercept_model(replace(strawberry), PO, "univariate", FAST)
+        np.testing.assert_array_equal(given.values, cold.values)
+        assert (given.loglik, given.iterations, given.n_evaluations) == (
+            cold.loglik, cold.iterations, cold.n_evaluations
+        )
+
     def test_keeps_random_effect_structure(self, strawberry):
         intercept = fit_intercept_model(strawberry, PO, "univariate", FAST)
         assert intercept.re_structure == "univariate"
@@ -1407,9 +1418,9 @@ class TestDistinctClusters:
         evaluated = []
         stages = likelihood.slot_stages
 
-        def spied(link, d, counts, work, curvature, rows=None, row_work=None):
+        def spied(link, d, counts, work, rows=None, row_work=None):
             evaluated.append((d.shape[1], counts.shape[1]))
-            return stages(link, d, counts, work, curvature, rows, row_work)
+            return stages(link, d, counts, work, rows, row_work)
 
         monkeypatch.setattr(likelihood, "slot_stages", spied)
         kernel = LoglikKernel(large_clusters, link, covariates=False)

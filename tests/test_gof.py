@@ -23,6 +23,7 @@ from ordmixed import (
     pearson_chi2,
 )
 from ordmixed.gof import DegenerateCellError, InconsistentFitsError, LOGISTIC_VARIANCE, expected_counts
+from ordmixed.io import gof_tree
 from ordmixed.simulation import SimulationDesign, generate_dataset, study_true_parameters
 
 ACL = LinkFamily.ADJACENT_CATEGORIES
@@ -181,6 +182,15 @@ def balanced_dataset():
     return Dataset(clusters=clusters)
 
 
+def four_clusters(covariates):
+    """Four clusters of ten with the given covariate vectors, counts whose
+    random-effect fits put every standard deviation on its bound."""
+    counts = ([2, 3, 5], [3, 3, 4], [4, 3, 3], [2, 3, 5])
+    return Dataset(
+        clusters=tuple(Cluster(covariates=np.array(x), counts=np.array(y)) for x, y in zip(covariates, counts))
+    )
+
+
 class TestPearsonChi2:
     def test_perfect_fit_is_zero(self):
         ds = balanced_dataset()
@@ -225,6 +235,18 @@ class TestPearsonChi2:
         with pytest.raises(DegenerateCellError) as err:
             pearson_chi2(ds, rigged, PO)
         assert len(err.value.cells) == 6
+
+    def test_a_saturated_design_has_a_statistic_but_no_p_value(self):
+        """One covariate pattern and two intercepts leave (K - 1) - 2 = 0
+        degrees of freedom: the statistic and df are reported, the p-value
+        is NaN, shown as null, and the panel is still assembled."""
+        ds = four_clusters([[]] * 4)
+        full = fit(ds, PO, "none")
+        stat, df, p = pearson_chi2(ds, full, PO)
+        assert df == 0 and math.isfinite(stat) and stat >= 0 and math.isnan(p)
+        report = gof_report(ds, full, fit_intercept_model(ds, PO, "none", FAST))
+        assert (report.chi2, report.chi2_df) == (stat, 0) and math.isnan(report.chi2_p)
+        assert gof_tree(report)["chi2"] == {"statistic": stat, "df": 0, "p_value": None}
 
 
 class TestLikelihoodRatio:
@@ -312,6 +334,22 @@ class TestGofReport:
         assert 0 <= report.chi2_p <= 1
         assert report.icc is not None and 0 <= report.icc < 1
         assert report.aic == pytest.approx(-2 * full.loglik + 2 * 4)
+
+    @pytest.mark.parametrize("structure", ["univariate", "bivariate"])
+    def test_a_standard_deviation_on_its_bound_leaves_the_icc_without_uncertainty(self, structure):
+        """A fit that reports a standard deviation on its bound gives it no
+        standard error, p-value or interval, and the ICC, whose delta
+        method runs through it, gets none either."""
+        ds = four_clusters([[0.0], [1.0], [0.0], [1.0]])
+        full = fit(ds, PO, structure)
+        stds = [name for name in full.names[full.n_fixed_parameters :] if name != "rho"]
+        assert set(full.diagnostics["boundary"]) >= set(stds)
+        assert all(math.isnan(full.se[full.names.index(name)]) for name in stds)
+        report = gof_report(ds, full, fit_intercept_model(ds, PO, structure, FAST))
+        assert report.icc == 0.0
+        assert report.icc_se is None and report.icc_p is None and report.icc_ci is None
+        tree = gof_tree(report)["icc"]
+        assert [tree[key] for key in ("se", "p_value", "ci_lower", "ci_upper")] == [None] * 4
 
     @pytest.mark.parametrize("structure", ["none", "univariate"])
     def test_an_unknown_prediction_is_refused_for_either_kind_of_fit(self, structure):

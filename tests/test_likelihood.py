@@ -639,7 +639,7 @@ class TestPerClusterNodeOffsets:
         shared_calls = []
 
         def spied(*args):
-            shared_calls.append(len(args) > 5 and args[5] is not None)
+            shared_calls.append(len(args) > 4 and args[4] is not None)
             return slot_stages(*args)
 
         monkeypatch.setattr(likelihood, "slot_stages", spied)
@@ -702,7 +702,7 @@ class TestPerClusterNodeOffsets:
         shared_calls = []
 
         def spied(*args):
-            shared_calls.append(len(args) > 5 and args[5] is not None)
+            shared_calls.append(len(args) > 4 and args[4] is not None)
             return slot_stages(*args)
 
         monkeypatch.setattr(likelihood, "slot_stages", spied)
@@ -839,7 +839,7 @@ class TestOtherCategoryCounts:
         for r, i in enumerate(first):
             y = kernel.y[i]
             d = c + dataset.covariate_matrix[i] @ b + offsets[r]
-            row = slot_terms(link, d[:, None], y[:, None], curvature=True)
+            row = slot_terms(link, d[:, None], y[:, None])
             logp = row.logp[:, 0]
             expected = kernel.log_coef[r] + np.sum(np.where(y > 0, y * logp, 0.0))
             assert terms.loglik[r] == pytest.approx(expected, rel=1e-13)

@@ -207,7 +207,7 @@ class TestPredictorScore:
 def curvature_matrix(link, d, counts):
     """The curvature of ``slot_terms`` at one predictor vector, as a
     symmetric (K-1, K-1) matrix."""
-    terms = slot_terms(link, d[:, None], counts[:, None], curvature=True)
+    terms = slot_terms(link, d[:, None], counts[:, None])
     hess = np.zeros((d.size, d.size))
     for (k, l), plane in zip(curvature_pairs(link, d.size), terms.curvature, strict=True):
         hess[k, l] = hess[l, k] = plane[0]
@@ -282,9 +282,8 @@ class TestCurvature:
             listed = curvature_pairs(link, 4)
             assert set(listed) == expected and len(listed) == len(expected)
             assert listed == tuple(sorted(listed))  # row by row
-            terms = slot_terms(link, d[:, None], counts[:, None], curvature=True)
+            terms = slot_terms(link, d[:, None], counts[:, None])
             assert terms.curvature.shape == (len(expected), 1)
-            assert slot_terms(link, d[:, None], counts[:, None]).curvature is None
 
 
 EFFECTS = [
